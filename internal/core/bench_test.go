@@ -11,14 +11,14 @@ import (
 )
 
 // benchFleet boots a fleet of n servers (all active) for the dispatch
-// and aggregate microbenchmarks.
-func benchFleet(b *testing.B, n int) (*sim.Engine, *Fleet) {
-	b.Helper()
+// and aggregate microbenchmarks and allocation tests.
+func benchFleet(tb testing.TB, n int) (*sim.Engine, *Fleet) {
+	tb.Helper()
 	e := sim.NewEngine(1)
 	cfg := server.DefaultConfig()
 	f, err := NewFleet(e, cfg, n)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Synthetic rack/zone grouping so the per-group sums are maintained,
 	// as they are inside a DataCenter.
@@ -30,15 +30,15 @@ func benchFleet(b *testing.B, n int) (*sim.Engine, *Fleet) {
 		zoneOf[i] = i % 4
 	}
 	if err := f.SetPowerGroups(rackOf, zoneOf, nRacks, 4); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f.SetTarget(n)
 	if err := e.Run(e.Now() + cfg.BootDelay + time.Second); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	f.Sync(e.Now())
 	if f.ActiveCount() != n {
-		b.Fatalf("active = %d after boot, want %d", f.ActiveCount(), n)
+		tb.Fatalf("active = %d after boot, want %d", f.ActiveCount(), n)
 	}
 	return e, f
 }
@@ -175,40 +175,78 @@ func TestPhysicsTickSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
+// TestDispatchSteadyStateAllocFree pins a dispatch round at zero
+// allocations with the inline (nil) pool, from a single-shard fleet to a
+// 19-shard one: Dispatch's shard bodies are bound once at construction,
+// so neither fan-out allocates a closure.
+func TestDispatchSteadyStateAllocFree(t *testing.T) {
+	for _, n := range []int{40, 1_000, 10_000} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			e, f := benchFleet(t, n)
+			offered := 0.6 * float64(n) * server.DefaultConfig().Capacity
+			now := e.Now()
+			allocs := testing.AllocsPerRun(50, func() {
+				now += time.Second
+				_, _ = f.Dispatch(now, offered)
+			})
+			if allocs != 0 {
+				t.Errorf("steady-state dispatch over %d servers allocates %v objects per call, want 0", n, allocs)
+			}
+		})
+	}
+}
+
 // TestSampleSteadyStateAllocsAmortized pins the sample round: after the
 // raw ring has filled, a round's only allocations are the amortized
 // doubling of the closed-bucket slabs — strictly less than one object
-// per round on average.
+// per round on average. It covers the small test facility and a
+// 2,048-server one whose fleet, zone and frame all span several shards.
 func TestSampleSteadyStateAllocsAmortized(t *testing.T) {
-	e := sim.NewEngine(1)
-	cfg := smallDCConfig()
-	// Sampling must be enabled so the frame plumbing exists, but the
-	// rounds are driven by hand below (past the engine's own callbacks)
-	// so the measurement covers exactly one round per run.
-	cfg.SampleEvery = 15 * time.Second
-	dc, err := NewDataCenter(e, cfg)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name  string
+		build func(*sim.Engine) *DataCenter
+	}{
+		{"small", func(e *sim.Engine) *DataCenter {
+			dc, err := NewDataCenter(e, smallDCConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dc
+		}},
+		{"n=2048", func(e *sim.Engine) *DataCenter {
+			return shardedTestDC(t, e, nil, 512, 15*time.Second)
+		}},
 	}
-	if _, err := dc.Attach(); err != nil {
-		t.Fatal(err)
-	}
-	dc.Fleet().SetTarget(4)
-	if err := e.Run(10 * time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	// Warm until the raw ring has filled and been through compaction
-	// cycles (retention 1 h at 15 s rounds = 240 live rounds).
-	now := e.Now()
-	for i := 0; i < 600; i++ {
-		now += 15 * time.Second
-		dc.sample(now)
-	}
-	allocs := testing.AllocsPerRun(400, func() {
-		now += 15 * time.Second
-		dc.sample(now)
-	})
-	if allocs >= 1 {
-		t.Errorf("steady-state sample averages %v allocations per round, want < 1", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			// Sampling must be enabled (15 s) so the frame plumbing
+			// exists, but the rounds are driven by hand below (past the
+			// engine's own callbacks) so the measurement covers exactly
+			// one round per run.
+			dc := tc.build(e)
+			if _, err := dc.Attach(); err != nil {
+				t.Fatal(err)
+			}
+			dc.Fleet().SetTarget(dc.Fleet().Size() / 2)
+			if err := e.Run(10 * time.Minute); err != nil {
+				t.Fatal(err)
+			}
+			// Warm until the raw ring has filled and been through
+			// compaction cycles (retention 1 h at 15 s rounds = 240 live
+			// rounds).
+			now := e.Now()
+			for i := 0; i < 600; i++ {
+				now += 15 * time.Second
+				dc.sample(now)
+			}
+			allocs := testing.AllocsPerRun(400, func() {
+				now += 15 * time.Second
+				dc.sample(now)
+			})
+			if allocs >= 1 {
+				t.Errorf("steady-state sample averages %v allocations per round, want < 1", allocs)
+			}
+		})
 	}
 }

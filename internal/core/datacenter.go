@@ -70,17 +70,25 @@ type DataCenter struct {
 	// this, keeping the steady-state tick O(zones) instead of O(servers)
 	// while preserving exact trip semantics.
 	zoneMinTripC []float64
-	// Sharded physics-scan machinery (armed only for zones larger than
-	// parCutoff, which implies a sharded fleet): per-zone shard lists over
-	// the zone's server index, a slot → shard routing map covering every
-	// zone, and padded per-shard trip counters so concurrent shards never
-	// bounce a cache line while counting.
+	// Sharded physics-scan machinery: per-zone shard lists over the zone's
+	// server index, a slot → shard routing map covering every zone, and
+	// padded per-shard trip counters so concurrent shards never bounce a
+	// cache line while counting. A zone never has more shards than its
+	// fleet, so the counters are sized by the fleet's shard count.
 	zoneShards [][]par.Range
 	physRoute  []int32
 	tripCnt    []padCount
 	tripped    int
 	cancels    []sim.Cancel
 	attached   bool
+	// Shard bodies of the trip scan and the sample fill, bound once in
+	// NewDataCenter so a fan-out allocates no closure, and the trip scan's
+	// per-call inputs.
+	scanFn    func(int, par.Range)
+	fillFn    func(int, par.Range)
+	scanNow   time.Duration
+	scanInlet float64
+	scanList  []int
 }
 
 // padCount is an int64 counter padded to a full cache line, for slabs of
@@ -133,6 +141,8 @@ func NewDataCenter(e *sim.Engine, cfg DataCenterConfig) (*DataCenter, error) {
 		rackOf: make([]int, nServers),
 		zoneOf: make([]int, nServers),
 	}
+	dc.scanFn = dc.scanShard
+	dc.fillFn = dc.fillShard
 	for i := range fleet.Servers() {
 		rack := i / cfg.ServersPerRack
 		dc.rackOf[i] = rack
@@ -209,19 +219,20 @@ func (dc *DataCenter) RackOfServer(i int) int { return dc.rackOf[i] }
 func (dc *DataCenter) ServersInZone(z int) []int { return dc.zoneServers[z] }
 
 // rebuildZoneIndex recomputes the zone→servers index and per-zone
-// minimum trip thresholds from the current order-indexed zone map, and —
-// for zones big enough to shard — the per-zone shard lists plus the
-// slot-level routing map the sharded trip scan folds its deltas through.
+// minimum trip thresholds from the current order-indexed zone map, plus
+// the per-zone shard lists and the slot-level routing map the trip scan
+// folds its deltas through.
 func (dc *DataCenter) rebuildZoneIndex() {
 	if dc.zoneServers == nil {
 		dc.zoneServers = make([][]int, dc.room.Zones())
 		dc.zoneMinTripC = make([]float64, dc.room.Zones())
 		dc.zoneShards = make([][]par.Range, dc.room.Zones())
+		dc.physRoute = make([]int32, dc.fleet.Size())
+		dc.tripCnt = make([]padCount, len(dc.fleet.shards))
 	}
 	for z := range dc.zoneServers {
 		dc.zoneServers[z] = dc.zoneServers[z][:0]
 		dc.zoneMinTripC[z] = math.Inf(1)
-		dc.zoneShards[z] = nil
 	}
 	servers := dc.fleet.Servers()
 	for i, z := range dc.zoneOf {
@@ -231,18 +242,10 @@ func (dc *DataCenter) rebuildZoneIndex() {
 		}
 	}
 	for z, list := range dc.zoneServers {
-		// The shard/serial choice depends only on the zone's size, so the
-		// scan's float grouping — and therefore every downstream bit — is
-		// the same for every worker count. A zone above the cutoff implies
-		// the fleet is above it too, so the fleet's routing plumbing exists.
-		if len(list) <= parCutoff {
-			continue
-		}
+		// Shards depend only on the zone's size, so the scan's float
+		// grouping — and therefore every downstream bit — is the same for
+		// every worker count.
 		dc.zoneShards[z] = par.Shards(len(list))
-		if dc.physRoute == nil {
-			dc.physRoute = make([]int32, dc.fleet.Size())
-			dc.tripCnt = make([]padCount, par.MaxShards)
-		}
 		for sh, r := range dc.zoneShards[z] {
 			for k := r.Lo; k < r.Hi; k++ {
 				dc.physRoute[dc.fleet.slotOfPos[list[k]]] = int32(sh)
@@ -268,7 +271,6 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 	// steady-state tick is O(zones), not O(servers).
 	dc.cancels = append(dc.cancels, dc.engine.Every(dc.room.PhysicsTick(), func(e *sim.Engine) {
 		now := e.Now()
-		servers := dc.fleet.Servers()
 		for z := 0; z < dc.room.Zones(); z++ {
 			if err := dc.room.SetZoneHeat(z, dc.fleet.ZonePowerW(z)); err != nil {
 				panic(fmt.Sprintf("core: zone heat: %v", err)) // zones validated at construction
@@ -279,15 +281,7 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 			if inlet <= dc.zoneMinTripC[z] {
 				continue
 			}
-			if shards := dc.zoneShards[z]; shards != nil {
-				dc.tripped += dc.scanZoneSharded(now, inlet, dc.zoneServers[z], shards)
-				continue
-			}
-			for _, i := range dc.zoneServers[z] {
-				if servers[i].ObserveInlet(now, inlet) {
-					dc.tripped++
-				}
-			}
+			dc.tripped += dc.scanZone(now, inlet, z)
 		}
 	}))
 
@@ -303,66 +297,67 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 	}, nil
 }
 
-// scanZoneSharded is the trip scan for one hot zone, fanned out over the
-// zone's shard list. ObserveInlet advances each server and may trip it;
-// the resulting power/energy/state deltas route to per-shard
-// accumulators (merged in shard order at endShardPhase), and each shard
-// counts its trips into a padded counter folded serially afterwards.
-func (dc *DataCenter) scanZoneSharded(now time.Duration, inlet float64, list []int, shards []par.Range) int {
+// scanZone is the trip scan for hot zone z, fanned out over the zone's
+// shard list. ObserveInlet advances each server and may trip it; the
+// resulting power/energy/state deltas route to per-shard accumulators
+// (merged in shard order at endShardPhase), and each shard counts its
+// trips into a padded counter folded serially afterwards.
+func (dc *DataCenter) scanZone(now time.Duration, inlet float64, z int) int {
 	f := dc.fleet
-	servers := f.servers
+	dc.scanNow, dc.scanInlet, dc.scanList = now, inlet, dc.zoneServers[z]
 	f.beginShardPhase(dc.physRoute)
-	f.pool.RunRanges(shards, func(sh int, r par.Range) {
-		var n int64
-		for k := r.Lo; k < r.Hi; k++ {
-			if servers[list[k]].ObserveInlet(now, inlet) {
-				n++
-			}
-		}
-		dc.tripCnt[sh].v = n
-	})
+	f.pool.RunRanges(dc.zoneShards[z], dc.scanFn)
 	f.endShardPhase()
 	total := 0
-	for sh := range shards {
+	for sh := range dc.zoneShards[z] {
 		total += int(dc.tripCnt[sh].v)
 		dc.tripCnt[sh].v = 0
 	}
 	return total
 }
 
+// scanShard is scanZone's body over one shard of the zone's server list.
+func (dc *DataCenter) scanShard(sh int, r par.Range) {
+	servers := dc.fleet.servers
+	var n int64
+	for k := r.Lo; k < r.Hi; k++ {
+		if servers[dc.scanList[k]].ObserveInlet(dc.scanNow, dc.scanInlet) {
+			n++
+		}
+	}
+	dc.tripCnt[sh].v = n
+}
+
 // sample pushes one telemetry round into the store as a single columnar
 // frame append. Power is piecewise-constant between events, so no
 // per-server Sync is needed to read it; the fleet's running sums are
-// rebased here periodically to shed incremental float drift. On sharded
-// fleets the per-server columns fill in parallel — pure slot-local reads
-// into disjoint frame columns, so the frame is identical to the serial
-// fill — and the columnar fold inside AppendPar fans out per column.
-// MaybeRebase stays strictly serial, once per round, after the append.
+// rebased here periodically to shed incremental float drift. The
+// per-server columns fill per fleet shard — pure slot-local reads into
+// disjoint frame columns — and the columnar fold inside AppendPar fans
+// out per column. MaybeRebase stays strictly serial, once per round,
+// after the append.
 func (dc *DataCenter) sample(now time.Duration) {
-	servers := dc.fleet.Servers()
 	f := dc.fleet
-	if f.shards != nil {
-		f.pool.RunRanges(f.shards, func(_ int, r par.Range) {
-			for i := r.Lo; i < r.Hi; i++ {
-				s := servers[i]
-				dc.frameBuf[2*i] = s.Power()
-				dc.frameBuf[2*i+1] = s.Utilization()
-			}
-		})
-	} else {
-		for i, s := range servers {
-			dc.frameBuf[2*i] = s.Power()
-			dc.frameBuf[2*i+1] = s.Utilization()
-		}
-	}
-	base := 2 * len(servers)
+	f.pool.RunRanges(f.shards, dc.fillFn)
+	base := 2 * f.Size()
 	for z := 0; z < dc.room.Zones(); z++ {
 		dc.frameBuf[base+z] = dc.room.ZoneInletC(z)
 	}
 	if err := dc.frames.AppendPar(now, dc.frameBuf, f.pool); err != nil {
 		panic(fmt.Sprintf("core: telemetry: %v", err)) // single writer, monotone time
 	}
-	dc.fleet.MaybeRebase()
+	f.MaybeRebase()
+}
+
+// fillShard is sample's body over one fleet shard: copy each server's
+// power and utilization into its two frame columns.
+func (dc *DataCenter) fillShard(_ int, r par.Range) {
+	servers := dc.fleet.servers
+	for i := r.Lo; i < r.Hi; i++ {
+		s := servers[i]
+		dc.frameBuf[2*i] = s.Power()
+		dc.frameBuf[2*i+1] = s.Utilization()
+	}
 }
 
 // PreferCoolingSensitiveZones reorders the fleet so servers in zones the

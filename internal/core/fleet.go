@@ -26,14 +26,6 @@ import (
 // golden-fixture tolerance while staying O(N) only once per window.
 const rebaseEvery = 64
 
-// parCutoff is the fleet size above which the sharded fold becomes the
-// fleet's canonical aggregation structure. The choice is made from size
-// alone — never from the worker count or pool presence — so a run's float
-// results are bit-identical whether its shards execute on one goroutine
-// or eight. Fleets at or below the cutoff (every golden fixture) keep the
-// pre-existing serial left-fold and its exact historical bits.
-const parCutoff = 1024
-
 // Fleet manages an ordered set of servers as one elastic pool: power
 // servers up or down to a target count, dispatch offered load over the
 // active ones, and report aggregate capacity and power.
@@ -92,12 +84,14 @@ type Fleet struct {
 	capsBuf []float64
 	utilBuf []float64
 
-	// Sharded-fold machinery, armed by NewFleet when the fleet exceeds
-	// parCutoff (nil otherwise). shards partitions activation positions
-	// [0, n) purely by size; slotOfPos maps activation position → slot
-	// (identity until Reorder); dispatchShard maps slot → the shard owning
-	// its activation position, so notification deltas raised inside a
-	// parallel dispatch phase land in that shard's accumulator.
+	// Sharded-fold machinery. shards partitions activation positions
+	// [0, n) purely by size — never by worker count or pool presence — so
+	// a run's float results are bit-identical whether its shards execute
+	// on one goroutine or eight.
+	// slotOfPos maps activation position → slot (identity until Reorder);
+	// dispatchShard maps slot → the shard owning its activation position,
+	// so notification deltas raised inside a dispatch phase land in that
+	// shard's accumulator.
 	shards        []par.Range
 	slotOfPos     []int32
 	dispatchShard []int32
@@ -106,9 +100,9 @@ type Fleet struct {
 	// acc[routeShard[slot]] instead of the shared running sums, which is
 	// what makes concurrent per-shard server mutation race-free.
 	routeShard []int32
-	// acc is one padded accumulator per possible shard; accRack/accZone
-	// are the matching per-shard rack/zone power-delta slabs (allocated
-	// with SetPowerGroups). All routed fields are zero outside phases —
+	// acc is one padded accumulator per shard; accRack/accZone are the
+	// matching per-shard rack/zone power-delta slabs (allocated with
+	// SetPowerGroups). All routed fields are zero outside phases —
 	// endShardPhase merges them into the running sums in shard order and
 	// re-zeroes, and VerifyAggregates asserts the invariant.
 	acc     []shardAcc
@@ -119,6 +113,12 @@ type Fleet struct {
 	// rebases counts exact Rebase recomputations, so tests can pin the
 	// once-per-sample-round scheduling under parallel sampling.
 	rebases int
+	// Dispatch's shard bodies, bound once in NewFleet so a fan-out
+	// allocates no closure, and the per-call inputs they read.
+	capacityFn func(int, par.Range)
+	applyFn    func(int, par.Range)
+	applyNow   time.Duration
+	applyFill  float64
 }
 
 // shardAcc collects one shard's aggregate deltas during a parallel phase.
@@ -157,24 +157,24 @@ func NewFleet(e *sim.Engine, cfg server.Config, n int) (*Fleet, error) {
 	f.bySlot = append([]*server.Server(nil), f.servers...)
 	f.capsBuf = par.AlignedFloats(n)
 	f.utilBuf = par.AlignedFloats(n)
-	if n > parCutoff {
-		f.shards = par.Shards(n)
-		f.slotOfPos = make([]int32, n)
-		for i := range f.slotOfPos {
-			f.slotOfPos[i] = int32(i)
-		}
-		f.dispatchShard = make([]int32, n)
-		f.acc = make([]shardAcc, par.MaxShards)
-		f.rebuildDispatchShards()
+	f.shards = par.Shards(n)
+	f.slotOfPos = make([]int32, n)
+	for i := range f.slotOfPos {
+		f.slotOfPos[i] = int32(i)
 	}
+	f.dispatchShard = make([]int32, n)
+	f.acc = make([]shardAcc, len(f.shards))
+	f.rebuildDispatchShards()
+	f.capacityFn = f.capacityShard
+	f.applyFn = f.applyShard
 	e.Register(f)
 	return f, nil
 }
 
 // SetParallel installs the worker pool that executes the fleet's shard
-// fan-outs. A nil pool (or a fleet at or below parCutoff) runs them
-// inline on the calling goroutine; the produced bits are identical either
-// way, because shard structure never depends on the pool.
+// fan-outs. A nil pool (or a single-shard fleet) runs them inline on the
+// calling goroutine; the produced bits are identical either way, because
+// shard structure never depends on the pool.
 func (f *Fleet) SetParallel(p *par.Pool) { f.pool = p }
 
 // Pool returns the installed worker pool (nil means inline execution).
@@ -329,15 +329,13 @@ func (f *Fleet) SetPowerGroups(rackOf, zoneOf []int, nRacks, nZones int) error {
 	f.zonePower = make([]float64, nZones)
 	f.rackScratch = make([]float64, nRacks)
 	f.zoneScratch = make([]float64, nZones)
-	if f.shards != nil {
-		f.accRack = make([][]float64, par.MaxShards)
-		f.accZone = make([][]float64, par.MaxShards)
-		for sh := range f.accRack {
-			// Separately allocated aligned slabs: no two shards' group
-			// deltas ever share a cache line.
-			f.accRack[sh] = par.AlignedFloats(nRacks)
-			f.accZone[sh] = par.AlignedFloats(nZones)
-		}
+	f.accRack = make([][]float64, len(f.shards))
+	f.accZone = make([][]float64, len(f.shards))
+	for sh := range f.accRack {
+		// Separately allocated aligned slabs: no two shards' group deltas
+		// ever share a cache line.
+		f.accRack[sh] = par.AlignedFloats(nRacks)
+		f.accZone[sh] = par.AlignedFloats(nZones)
 	}
 	// Populate the just-installed (zeroed) group sums without measuring
 	// drift: they have no incremental history yet, so the gap to the
@@ -518,12 +516,7 @@ func (f *Fleet) VerifyAggregates() error {
 			}
 		}
 	}
-	if f.shards != nil {
-		if err := f.verifyShardedFold(relTol, absTol); err != nil {
-			return err
-		}
-	}
-	return nil
+	return f.verifyShardedFold(relTol, absTol)
 }
 
 // verifyShardedFold cross-checks the maintained sums against the sharded
@@ -646,14 +639,12 @@ func (f *Fleet) Reorder(perm []int) error {
 		next[i] = f.servers[p]
 	}
 	f.servers = next
-	if f.shards != nil {
-		nextSlot := make([]int32, len(perm))
-		for i, p := range perm {
-			nextSlot[i] = f.slotOfPos[p]
-		}
-		f.slotOfPos = nextSlot
-		f.rebuildDispatchShards()
+	nextSlot := make([]int32, len(perm))
+	for i, p := range perm {
+		nextSlot[i] = f.slotOfPos[p]
 	}
+	f.slotOfPos = nextSlot
+	f.rebuildDispatchShards()
 	return nil
 }
 
@@ -676,88 +667,72 @@ func (f *Fleet) SetPStateAll(now time.Duration, idx int) error {
 	return nil
 }
 
-// Capacities returns each server's currently available capacity
-// (zero for servers that are off or booting).
-func (f *Fleet) Capacities() []float64 {
-	caps := make([]float64, len(f.servers))
-	for i, s := range f.servers {
-		caps[i] = s.AvailableCapacity()
-	}
-	return caps
-}
-
 // Dispatch spreads offered load over the active servers and applies the
 // resulting utilizations. It returns the dispatch (including dropped
 // load) and the highest per-server utilization. The returned dispatch's
 // Utilizations slice is fleet-owned scratch, valid only until the next
 // Dispatch call; copy it to retain.
+//
+// Phase A reads every server's available capacity into shard-partitioned
+// scratch and folds per-shard capacity partials (pure reads, no routing
+// needed); the spread decision is taken once from the shard-ordered
+// total; phase B applies the identical fill to every shard while
+// notification deltas route to per-shard accumulators. Both phases
+// produce bits that depend only on the shard partition — i.e. on fleet
+// size — so any worker count yields the same dispatch, the same power
+// plane, and the same energy.
 func (f *Fleet) Dispatch(now time.Duration, offered float64) (workload.Dispatch, float64) {
-	if f.shards != nil {
-		return f.dispatchSharded(now, offered)
-	}
-	for i, s := range f.servers {
-		f.capsBuf[i] = s.AvailableCapacity()
-	}
-	d := workload.SpreadLoadInto(f.utilBuf, offered, f.capsBuf)
-	var maxU float64
-	for i, s := range f.servers {
-		s.SetUtilization(now, d.Utilizations[i])
-		maxU = math.Max(maxU, d.Utilizations[i])
-	}
-	return d, maxU
-}
-
-// dispatchSharded is Dispatch over the sharded fold: phase A reads every
-// server's available capacity into shard-partitioned scratch and folds
-// per-shard capacity partials (pure reads, no routing needed); the
-// spread decision is taken once from the shard-ordered total; phase B
-// applies the identical fill to every shard while notification deltas
-// route to per-shard accumulators. Both phases produce bits that depend
-// only on the shard partition — i.e. on fleet size — so any worker count
-// yields the same dispatch, the same power plane, and the same energy.
-func (f *Fleet) dispatchSharded(now time.Duration, offered float64) (workload.Dispatch, float64) {
-	f.pool.RunRanges(f.shards, func(sh int, r par.Range) {
-		var sum float64
-		for i := r.Lo; i < r.Hi; i++ {
-			c := f.servers[i].AvailableCapacity()
-			f.capsBuf[i] = c
-			if c > 0 {
-				sum += c
-			}
-		}
-		f.acc[sh].capSum = sum
-	})
+	f.pool.RunRanges(f.shards, f.capacityFn)
 	var total float64
-	for sh := range f.shards {
+	for sh := range f.acc {
 		total += f.acc[sh].capSum
 		f.acc[sh].capSum = 0
 	}
 	plan := workload.PlanSpread(offered, total)
+	f.applyNow, f.applyFill = now, plan.Fill
 	f.beginShardPhase(f.dispatchShard)
-	f.pool.RunRanges(f.shards, func(sh int, r par.Range) {
-		var maxU float64
-		for i := r.Lo; i < r.Hi; i++ {
-			var u float64
-			if f.capsBuf[i] > 0 {
-				u = plan.Fill
-			}
-			f.utilBuf[i] = u
-			f.servers[i].SetUtilization(now, u)
-			if u > maxU {
-				maxU = u
-			}
-		}
-		f.acc[sh].maxU = maxU
-	})
+	f.pool.RunRanges(f.shards, f.applyFn)
 	f.endShardPhase()
 	var maxU float64
-	for sh := range f.shards {
+	for sh := range f.acc {
 		if f.acc[sh].maxU > maxU {
 			maxU = f.acc[sh].maxU
 		}
 		f.acc[sh].maxU = 0
 	}
 	return workload.Dispatch{Utilizations: f.utilBuf, Dropped: plan.Dropped}, maxU
+}
+
+// capacityShard is Dispatch's phase A over one shard: read each server's
+// available capacity into scratch and fold the shard's positive total.
+func (f *Fleet) capacityShard(sh int, r par.Range) {
+	var sum float64
+	for i := r.Lo; i < r.Hi; i++ {
+		c := f.servers[i].AvailableCapacity()
+		f.capsBuf[i] = c
+		if c > 0 {
+			sum += c
+		}
+	}
+	f.acc[sh].capSum = sum
+}
+
+// applyShard is Dispatch's phase B over one shard: give every server with
+// capacity the planned fill and record the shard's highest utilization.
+func (f *Fleet) applyShard(sh int, r par.Range) {
+	var maxU float64
+	for i := r.Lo; i < r.Hi; i++ {
+		var u float64
+		if f.capsBuf[i] > 0 {
+			u = f.applyFill
+		}
+		f.utilBuf[i] = u
+		f.servers[i].SetUtilization(f.applyNow, u)
+		if u > maxU {
+			maxU = u
+		}
+	}
+	f.acc[sh].maxU = maxU
 }
 
 // PowerW reports the instantaneous total fleet draw. O(1): maintained

@@ -27,8 +27,8 @@ func newTestPool(tb testing.TB, workers int) *par.Pool {
 }
 
 // shardedTestDC builds a single-zone facility with 4 racks × perRack
-// servers wired to the given pool. perRack > parCutoff/4 arms the
-// sharded fold for both the fleet and the zone.
+// servers wired to the given pool. perRack >= par.MinShardLen/2 gives
+// both the fleet and the zone more than one shard.
 func shardedTestDC(tb testing.TB, e *sim.Engine, pool *par.Pool, perRack int, sampleEvery time.Duration) *DataCenter {
 	tb.Helper()
 	const racks = 4
@@ -71,7 +71,7 @@ type fleetTrace struct {
 	On, Active, Trips []int
 }
 
-// runShardedFleetScenario drives a 2048-server fleet (above parCutoff)
+// runShardedFleetScenario drives a 2048-server (four-shard) fleet
 // through boots, dispatches, and shrinks, recording the exact float bits
 // of every aggregate along the way.
 func runShardedFleetScenario(t *testing.T, workers int) fleetTrace {
@@ -131,7 +131,7 @@ func TestShardedFleetBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, w := range []int{2, 4, 8} {
 		got := runShardedFleetScenario(t, w)
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d trace diverged from serial trace", w)
+			t.Errorf("workers=%d trace diverged from the inline trace", w)
 		}
 	}
 }
@@ -211,7 +211,7 @@ func runShardedDCScenario(t *testing.T, workers int) dcTrace {
 	// Force the sharded trip scan: an inlet above every trip threshold
 	// routes a burst of concurrent state transitions through the
 	// per-shard accumulators.
-	tr.ScanTripped = dc.scanZoneSharded(e.Now(), srvCfg.TripTempC+10, dc.zoneServers[0], dc.zoneShards[0])
+	tr.ScanTripped = dc.scanZone(e.Now(), srvCfg.TripTempC+10, 0)
 	rec()
 	tr.Rebases = f.Rebases()
 	if err := f.VerifyAggregates(); err != nil {
@@ -224,8 +224,8 @@ func runShardedDCScenario(t *testing.T, workers int) dcTrace {
 // loop — sharded physics scan, sharded sample, sharded dispatch — and
 // requires every recorded bit to match the inline run.
 func TestShardedDataCenterBitIdenticalAcrossWorkers(t *testing.T) {
-	if dc := shardedTestDC(t, sim.NewEngine(1), nil, 512, time.Minute); dc.zoneShards[0] == nil {
-		t.Fatal("test facility did not arm the sharded zone scan")
+	if dc := shardedTestDC(t, sim.NewEngine(1), nil, 512, time.Minute); len(dc.zoneShards[0]) < 2 {
+		t.Fatal("test facility's zone scan has a single shard")
 	}
 	ref := runShardedDCScenario(t, 1)
 	if ref.ScanTripped == 0 {
@@ -234,7 +234,7 @@ func TestShardedDataCenterBitIdenticalAcrossWorkers(t *testing.T) {
 	for _, w := range []int{2, 4} {
 		got := runShardedDCScenario(t, w)
 		if !reflect.DeepEqual(got, ref) {
-			t.Errorf("workers=%d facility trace diverged from serial trace", w)
+			t.Errorf("workers=%d facility trace diverged from the inline trace", w)
 		}
 	}
 }
@@ -263,10 +263,12 @@ func TestRebaseOncePerSampleRoundSharded(t *testing.T) {
 // TestRebaseGuardsDuringShardPhase pins the serial-only contract of the
 // rebase entry points: recomputing the running sums while per-shard
 // accumulators hold unmerged deltas would corrupt them, so both paths
-// panic inside a phase, and VerifyAggregates refuses to certify one.
+// panic inside a phase, and VerifyAggregates refuses to certify one. Every
+// fleet folds through shards, so a small single-shard fleet has the same
+// guards.
 func TestRebaseGuardsDuringShardPhase(t *testing.T) {
 	e := sim.NewEngine(1)
-	f, err := NewFleet(e, testServerConfig(), parCutoff+1)
+	f, err := NewFleet(e, testServerConfig(), 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,9 +310,8 @@ func BenchmarkPhysicsTickParallel(b *testing.B) {
 				b.Fatal(err)
 			}
 			f.Sync(e.Now())
-			list, shards := dc.zoneServers[0], dc.zoneShards[0]
-			if shards == nil {
-				b.Fatal("zone scan not sharded")
+			if len(dc.zoneShards[0]) < 2 {
+				b.Fatal("zone scan has a single shard")
 			}
 			inlet := srvCfg.TripTempC - 5
 			now := e.Now()
@@ -318,7 +319,7 @@ func BenchmarkPhysicsTickParallel(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				now += 10 * time.Second
-				if n := dc.scanZoneSharded(now, inlet, list, shards); n != 0 {
+				if n := dc.scanZone(now, inlet, 0); n != 0 {
 					b.Fatalf("unexpected trips: %d", n)
 				}
 			}

@@ -18,8 +18,8 @@ var update = flag.Bool("update", false, "rewrite golden fixtures from current re
 // goldenRelTol is the per-metric relative tolerance. Runs are
 // deterministic from the seed, so the tolerance only needs to absorb
 // floating-point differences across toolchains and architectures; any
-// intentional >1 % change to an experiment's output must be accompanied
-// by a fixture regeneration.
+// intentional change to an experiment's output beyond 1e-6 relative
+// must be accompanied by a fixture regeneration.
 const goldenRelTol = 1e-6
 
 // goldenPath returns the fixture file for one experiment.

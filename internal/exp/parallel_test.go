@@ -30,15 +30,15 @@ func sweepWorkers() []int {
 }
 
 // TestWorkerCountInvarianceAtScale is the satellite determinism sweep:
-// three experiment stacks scaled past parCutoff (so the sharded
-// dispatch, physics-scan, and sampling paths are all armed), swept over
-// workers × seeds, must produce exactly equal metrics and reports at
-// every width. Invariants are disarmed because the checker is O(N) per
-// event and the sweep reruns each scaled facility several times.
+// three experiment stacks scaled to at least two fleet shards (so the
+// dispatch and sampling fan-outs have work to split across workers),
+// swept over workers × seeds, must produce exactly equal metrics and
+// reports at every width. Invariants are disarmed because the checker is
+// O(N) per event and the sweep reruns each scaled facility several times.
 func TestWorkerCountInvarianceAtScale(t *testing.T) {
 	cases := []struct {
 		id    string
-		scale int // chosen so the fleet exceeds the 1024-server cutoff
+		scale int // chosen so the fleet spans two shards (1,024+ servers)
 	}{
 		{"fig4", 26},         // 40·scale = 1040 servers
 		{"fault-outage", 33}, // 32·scale = 1056 servers
@@ -127,15 +127,15 @@ func TestGoldenWorkerInvariance(t *testing.T) {
 }
 
 // TestChaosSoakParallel is the racing variant of TestChaosSoak: the same
-// randomized multi-fault program, but against a facility scaled past
-// parCutoff with a 4-wide pool armed, so outages, trips, crashes, and
+// randomized multi-fault program, but against a facility scaled to two
+// fleet shards with a 4-wide pool armed, so outages, trips, crashes, and
 // recoveries all route through the sharded concurrent paths while the
 // physical-law invariants assert after every kernel event. Run with
 // -race this is the data-race gate for the parallel executor.
 func TestChaosSoakParallel(t *testing.T) {
 	const (
 		horizon = 3 * time.Hour
-		scale   = 33 // 32·scale = 1056 servers > parCutoff
+		scale   = 33 // 32·scale = 1056 servers: two fleet shards
 	)
 	seeds := []int64{1, 2}
 	if testing.Short() {

@@ -43,6 +43,12 @@ type FrameWriter struct {
 	// colShards partitions the column space for AppendPar, fixed at
 	// construction (a pure function of the frame width).
 	colShards []par.Range
+	// AppendPar's shard body, bound once in Frames so a fan-out allocates
+	// no closure, and the round it folds: the values plus, per level,
+	// whether the round landed in the already-open bucket.
+	foldFn    func(int, par.Range)
+	foldRound []float64
+	foldOpen  [4]bool
 }
 
 // frameLevel is one aggregation level of the frame pyramid. The open
@@ -101,6 +107,7 @@ func (s *Store) Frames(keys []string) (*FrameWriter, error) {
 	w := &FrameWriter{store: s, keys: append([]string(nil), keys...)}
 	k := len(keys)
 	w.colShards = par.Shards(k)
+	w.foldFn = w.foldShard
 	for i := range w.levels {
 		// Cache-line-aligned columns: AppendPar shards these by column
 		// range on 64-byte boundaries, so aligned bases keep concurrent
@@ -158,11 +165,11 @@ func (w *FrameWriter) Append(t time.Duration, values []float64) error {
 
 // AppendPar is Append with the K-wide column updates fanned out over the
 // pool. Every per-column fold (sum/min/max) touches only that column's
-// state, so the sharded execution is bit-identical to the serial one for
-// any worker count — including the nil pool, which runs the shards
-// inline and IS the serial path. All boundary decisions, closed-bucket
-// slab appends, raw-band appends, and retention trimming stay on the
-// calling goroutine; only the in-bucket column arithmetic fans out.
+// state, so the result is bit-identical for any worker count — a nil
+// pool runs the column shards inline. All boundary decisions,
+// closed-bucket slab appends, raw-band appends, and retention trimming
+// stay on the calling goroutine; only the in-bucket column arithmetic
+// fans out.
 func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) error {
 	if len(values) != len(w.keys) {
 		return fmt.Errorf("telemetry: frame round has %d values for %d keys", len(values), len(w.keys))
@@ -179,20 +186,15 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 	w.hasAny = true
 	w.rawT = append(w.rawT, t)
 	w.rawV = append(w.rawV, values...)
-	var inBucket [4]bool
 	anyIn := false
 	for i := range w.levels {
-		inBucket[i] = w.levels[i].foldBoundary(t, values)
-		anyIn = anyIn || inBucket[i]
+		w.foldOpen[i] = w.levels[i].foldBoundary(t, values)
+		anyIn = anyIn || w.foldOpen[i]
 	}
 	if anyIn {
-		if p == nil {
-			// Closure-free serial path: the steady-state ingest stays
-			// allocation-free per round.
-			w.foldLevels(&inBucket, values, 0, len(values))
-		} else {
-			w.foldLevelsPar(p, inBucket, values)
-		}
+		w.foldRound = values
+		p.RunRanges(w.colShards, w.foldFn)
+		w.foldRound = nil
 	}
 	if ret := w.store.cfg.RawRetention; ret > 0 {
 		cutoff := t - ret
@@ -248,28 +250,18 @@ func (l *frameLevel) foldBoundary(t time.Duration, values []float64) bool {
 	return false
 }
 
-// foldLevelsPar fans foldLevels out over the column shards. Kept out of
-// AppendPar so the closure's captures don't force the serial path's
-// locals onto the heap.
-func (w *FrameWriter) foldLevelsPar(p *par.Pool, inBucket [4]bool, values []float64) {
-	p.RunRanges(w.colShards, func(_ int, r par.Range) {
-		w.foldLevels(&inBucket, values, r.Lo, r.Hi)
-	})
-}
-
-// foldLevels folds the round into every level whose bucket stayed open,
-// over the column range [lo, hi) — the shard body of AppendPar's fan-out
-// and, over the full range, the serial fold.
-func (w *FrameWriter) foldLevels(inBucket *[4]bool, values []float64, lo, hi int) {
+// foldShard is AppendPar's shard body: it folds the round into every
+// level whose bucket stayed open, over the shard's column range.
+func (w *FrameWriter) foldShard(_ int, r par.Range) {
 	for i := range w.levels {
-		if inBucket[i] {
-			w.levels[i].foldColumns(values, lo, hi)
+		if w.foldOpen[i] {
+			w.levels[i].foldColumns(w.foldRound, r.Lo, r.Hi)
 		}
 	}
 }
 
 // foldColumns folds the round's values into the open bucket over the
-// column range [lo, hi) — the shard body of AppendPar's fan-out.
+// column range [lo, hi).
 func (l *frameLevel) foldColumns(values []float64, lo, hi int) {
 	for k := lo; k < hi; k++ {
 		v := values[k]

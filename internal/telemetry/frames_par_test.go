@@ -13,7 +13,7 @@ import (
 // determinism contract: AppendPar's per-column folds are grouped by the
 // width-only shard partition (par.Shards over the key count), so a frame
 // ingested over 2 or 4 workers is indistinguishable — bucket for bucket,
-// bit for bit — from the same frame appended serially.
+// bit for bit — from the same frame appended inline (nil pool).
 func TestAppendParMatchesAppendAcrossWorkers(t *testing.T) {
 	// Wide enough for several column shards (MinShardLen = 512).
 	const (

@@ -146,19 +146,12 @@ type Dispatch struct {
 	Dropped float64
 }
 
-// SpreadLoad distributes `offered` load over servers with the given
-// available capacities (units/second), filling proportionally — the
-// water-filling behaviour of a least-loaded balancer in steady state.
-func SpreadLoad(offered float64, capacities []float64) Dispatch {
-	return SpreadLoadInto(make([]float64, len(capacities)), offered, capacities)
-}
-
 // SpreadPlan is the scalar outcome of a proportional-spread decision:
 // the per-server fill fraction (applied to every server with positive
 // capacity) and the load that could not be placed. Computing the plan is
 // separated from applying it so a sharded dispatcher can take the same
 // decision once, centrally, and apply the identical fill to each shard —
-// bit-for-bit the arithmetic SpreadLoadInto performs serially.
+// bit-for-bit the arithmetic SpreadLoad performs serially.
 type SpreadPlan struct {
 	// Fill is the utilization assigned to every server whose capacity is
 	// positive (zero-capacity servers always get 0).
@@ -182,17 +175,11 @@ func PlanSpread(offered, totalCapacity float64) SpreadPlan {
 	return SpreadPlan{Fill: offered / totalCapacity}
 }
 
-// SpreadLoadInto is SpreadLoad writing into caller-owned scratch: dst
-// must have len(capacities) entries and becomes the returned dispatch's
-// Utilizations. Allocation-free, for per-tick dispatch paths.
-func SpreadLoadInto(dst []float64, offered float64, capacities []float64) Dispatch {
-	if len(dst) != len(capacities) {
-		panic(fmt.Sprintf("workload: scratch sized %d for %d capacities", len(dst), len(capacities)))
-	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	d := Dispatch{Utilizations: dst}
+// SpreadLoad distributes `offered` load over servers with the given
+// available capacities (units/second), filling proportionally — the
+// water-filling behaviour of a least-loaded balancer in steady state.
+func SpreadLoad(offered float64, capacities []float64) Dispatch {
+	d := Dispatch{Utilizations: make([]float64, len(capacities))}
 	if offered <= 0 {
 		return d
 	}
@@ -219,23 +206,10 @@ func SpreadLoadInto(dst []float64, offered float64, capacities []float64) Dispat
 // (load "needs to be routed properly to remaining active systems", §4.3).
 // Returns per-server utilizations and unplaced load.
 func PackLoad(offered float64, capacities []float64, target float64) (Dispatch, error) {
-	return PackLoadInto(make([]float64, len(capacities)), offered, capacities, target)
-}
-
-// PackLoadInto is PackLoad writing into caller-owned scratch: dst must
-// have len(capacities) entries and becomes the returned dispatch's
-// Utilizations. Allocation-free, for per-tick dispatch paths.
-func PackLoadInto(dst []float64, offered float64, capacities []float64, target float64) (Dispatch, error) {
-	if len(dst) != len(capacities) {
-		panic(fmt.Sprintf("workload: scratch sized %d for %d capacities", len(dst), len(capacities)))
-	}
 	if target <= 0 || target > 1 {
 		return Dispatch{}, fmt.Errorf("workload: pack target %v out of (0,1]", target)
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	d := Dispatch{Utilizations: dst}
+	d := Dispatch{Utilizations: make([]float64, len(capacities))}
 	remaining := offered
 	for i, c := range capacities {
 		if remaining <= 0 || c <= 0 {
