@@ -196,11 +196,13 @@ func TestDispatchSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestSampleSteadyStateAllocsAmortized pins the sample round: after the
-// raw ring has filled, a round's only allocations are the amortized
-// doubling of the closed-bucket slabs — strictly less than one object
-// per round on average. It covers the small test facility and a
-// 2,048-server one whose fleet, zone and frame all span several shards.
+// TestSampleSteadyStateAllocsAmortized pins the sample round: once the
+// raw window is full, each round reuses the raw row retention just
+// expired, so a round allocates only when it closes a bucket (one row
+// per closed bucket, plus the amortized growth of the bucket index) —
+// strictly less than one object per round on average. It covers the
+// small test facility and a 2,048-server one whose fleet, zone and frame
+// all span several shards.
 func TestSampleSteadyStateAllocsAmortized(t *testing.T) {
 	cases := []struct {
 		name  string

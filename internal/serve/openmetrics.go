@@ -74,15 +74,17 @@ func formatValue(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }
 
-func escapeHelp(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, "\n", `\n`)
-	return r.Replace(s)
-}
+// The escapers are built once: a Replacer builds its lookup table on
+// first use and is safe for concurrent use, and a value with nothing to
+// escape comes back without an allocation.
+var (
+	helpEscaper  = strings.NewReplacer(`\`, `\\`, "\n", `\n`)
+	labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+)
 
-func escapeLabel(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(s)
-}
+func escapeHelp(s string) string { return helpEscaper.Replace(s) }
+
+func escapeLabel(s string) string { return labelEscaper.Replace(s) }
 
 // labeledSnapshot pairs one snapshot with the label set its samples
 // carry: nil for the single-facility exposition, {"site", name} for each

@@ -102,3 +102,21 @@ func TestWriterOutputLints(t *testing.T) {
 		}
 	}
 }
+
+var escapeSink string
+
+// TestEscapers pins the escaping rules and that a label value with
+// nothing to escape is returned without allocating: the escapers run on
+// every label value of every scrape.
+func TestEscapers(t *testing.T) {
+	raw := "a\\b\"c\nd"
+	if got, want := escapeLabel(raw), `a\\b\"c\nd`; got != want {
+		t.Errorf("escapeLabel(%q) = %q, want %q", raw, got, want)
+	}
+	if got, want := escapeHelp(raw), `a\\b"c\nd`; got != want {
+		t.Errorf("escapeHelp(%q) = %q, want %q", raw, got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { escapeSink = escapeLabel("rack-07") }); allocs != 0 {
+		t.Errorf("escapeLabel on a clean value allocates %v objects, want 0", allocs)
+	}
+}

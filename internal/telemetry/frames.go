@@ -14,11 +14,17 @@ import (
 // collector shape, where one sweep reads every server's counters at
 // once. Because the timestamp is shared, the whole frame has one
 // ordering check, one bucket boundary per pyramid level, and one count
-// per bucket; per-key state reduces to sum/min/max columns stored as
-// contiguous slabs. One round is therefore a handful of sequential
-// array writes instead of per-key pyramid walks — the structure-of-
-// arrays ingest path that keeps a 10,000-server sample round cache-
-// friendly.
+// per bucket; per-key state reduces to K-wide sum/min/max columns. One
+// round is therefore a handful of sequential array writes instead of
+// per-key pyramid walks — the structure-of-arrays ingest path that keeps
+// a 10,000-server sample round cache-friendly.
+//
+// Storage is rows, each allocated once at its exact size and never
+// regrown: one per round, and one per closed bucket of several rounds.
+// Growing the store copies only row headers, never values. A bucket that
+// closes holding a single round shares that round's row instead of
+// copying it, and rows that retention expires are recycled for later
+// rounds unless a bucket shares them.
 //
 // Framed keys live in the parent Store's namespace: Query, Stats, Keys
 // and the derived analyses (DailyAverages, HourlyPattern, Anomalies,
@@ -31,13 +37,14 @@ type FrameWriter struct {
 	mu     sync.RWMutex
 	lastT  time.Duration
 	hasAny bool
-	// Raw band: one timestamp per retained round, values row-major
-	// (round r's values are rawV[r*K : (r+1)*K]). Retention advances
-	// rawHead in rounds; compaction amortizes the copy exactly as the
-	// per-series raw band does.
-	rawT          []time.Duration
-	rawV          []float64
+	// Raw band: the retained rounds, oldest first from rawHead, each a
+	// K-wide row. Retention advances rawHead and moves each expired row
+	// that no bucket shares to spare; a new round takes its row from
+	// spare before allocating one. Compaction moves the row headers down,
+	// amortized exactly as the per-series raw band's trim.
+	raw           []frameRound
 	rawHead       int
+	spare         [][]float64
 	droppedRounds int64
 	levels        [4]frameLevel
 	// colShards partitions the column space for AppendPar, fixed at
@@ -51,9 +58,19 @@ type FrameWriter struct {
 	foldOpen  [4]bool
 }
 
+// frameRound is one retained raw round: its timestamp and K-wide row.
+// shared marks a row a closed single-round bucket also holds, which
+// retention must not recycle.
+type frameRound struct {
+	t      time.Duration
+	vals   []float64
+	shared bool
+}
+
 // frameLevel is one aggregation level of the frame pyramid. The open
 // bucket is columnar: a shared start/count plus K-wide sum/min/max
-// columns; closing a bucket appends the columns to the closed slabs.
+// columns, the aligned buffers AppendPar shards over. Closing a bucket
+// of several rounds copies them into one exact-size row.
 type frameLevel struct {
 	width  time.Duration
 	curEnd time.Duration // exclusive end of the open bucket; 0 while empty
@@ -61,13 +78,26 @@ type frameLevel struct {
 	curSum []float64
 	curMin []float64
 	curMax []float64
-	// Closed buckets: starts/counts per bucket, value columns row-major
-	// (bucket i, key k at [i*K+k]).
-	starts []time.Duration
-	counts []int64
-	sums   []float64
-	mins   []float64
-	maxs   []float64
+	closed []frameBucket
+}
+
+// frameBucket is one closed bucket of a frame level. cols holds the
+// bucket's columns as sum | min | max, 3K wide — or, when the bucket
+// holds a single round, whose min, max and sum are that round's values
+// bit for bit, the round's K-wide raw row itself.
+type frameBucket struct {
+	start time.Duration
+	count int64
+	cols  []float64
+}
+
+// bucket materializes column col of a frame of width k.
+func (b *frameBucket) bucket(col, k int) Bucket {
+	sum := b.cols[col]
+	if b.count == 1 {
+		return Bucket{Start: b.start, Count: 1, Sum: sum, Min: sum, Max: sum}
+	}
+	return Bucket{Start: b.start, Count: b.count, Sum: sum, Min: b.cols[k+col], Max: b.cols[2*k+col]}
 }
 
 // frameRef resolves a framed key to its writer and column.
@@ -138,7 +168,7 @@ func (w *FrameWriter) Width() int { return len(w.keys) }
 // LatestInto copies the most recent round's values into dst (which must
 // have at least Width elements) and returns the round's timestamp. It
 // reports false if no round has been ingested yet. This is the
-// zero-copy scrape path for live exporters: one memcpy of the open row
+// zero-copy scrape path for live exporters: one memcpy of the latest row
 // under the frame's read lock — no bucket materialization, no
 // aggregation, and no contention with the store's shard locks.
 func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
@@ -148,12 +178,13 @@ func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 	}
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	n := len(w.rawT)
+	n := len(w.raw)
 	if n == 0 {
 		return 0, false
 	}
-	copy(dst, w.rawV[(n-1)*k:n*k])
-	return w.rawT[n-1], true
+	last := w.raw[n-1]
+	copy(dst, last.vals)
+	return last.t, true
 }
 
 // Append ingests one round: values[i] is the sample for the i-th frame
@@ -167,9 +198,8 @@ func (w *FrameWriter) Append(t time.Duration, values []float64) error {
 // pool. Every per-column fold (sum/min/max) touches only that column's
 // state, so the result is bit-identical for any worker count — a nil
 // pool runs the column shards inline. All boundary decisions,
-// closed-bucket slab appends, raw-band appends, and retention trimming
-// stay on the calling goroutine; only the in-bucket column arithmetic
-// fans out.
+// closed-bucket rows, raw rows, and retention trimming stay on the
+// calling goroutine; only the in-bucket column arithmetic fans out.
 func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) error {
 	if len(values) != len(w.keys) {
 		return fmt.Errorf("telemetry: frame round has %d values for %d keys", len(values), len(w.keys))
@@ -184,46 +214,62 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 	}
 	w.lastT = t
 	w.hasAny = true
-	w.rawT = append(w.rawT, t)
-	w.rawV = append(w.rawV, values...)
+	// Boundaries first, while the previous round is still the band's
+	// newest row: a bucket closing with a single round holds exactly that
+	// round, and shares its row.
+	var prev *frameRound
+	if n := len(w.raw); n > 0 {
+		prev = &w.raw[n-1]
+	}
 	anyIn := false
 	for i := range w.levels {
-		w.foldOpen[i] = w.levels[i].foldBoundary(t, values)
+		w.foldOpen[i] = w.levels[i].foldBoundary(t, values, prev)
 		anyIn = anyIn || w.foldOpen[i]
 	}
+	// Expire next, so a full window's round reuses the row it expires.
+	// The new round itself is never expired: t is not before t-ret.
+	if ret := w.store.cfg.RawRetention; ret > 0 {
+		cutoff := t - ret
+		head := w.rawHead
+		for w.rawHead < len(w.raw) && w.raw[w.rawHead].t < cutoff {
+			if r := &w.raw[w.rawHead]; !r.shared {
+				w.spare = append(w.spare, r.vals)
+			}
+			w.rawHead++
+		}
+		if drop := w.rawHead - head; drop > 0 {
+			w.droppedRounds += int64(drop)
+			if w.rawHead*2 >= len(w.raw) {
+				n := copy(w.raw, w.raw[w.rawHead:])
+				w.raw = w.raw[:n]
+				w.rawHead = 0
+			}
+		}
+	}
+	var row []float64
+	if n := len(w.spare); n > 0 {
+		row = w.spare[n-1]
+		w.spare = w.spare[:n-1]
+	} else {
+		row = make([]float64, len(w.keys))
+	}
+	copy(row, values)
+	w.raw = append(w.raw, frameRound{t: t, vals: row})
 	if anyIn {
 		w.foldRound = values
 		p.RunRanges(w.colShards, w.foldFn)
 		w.foldRound = nil
 	}
-	if ret := w.store.cfg.RawRetention; ret > 0 {
-		cutoff := t - ret
-		drop := 0
-		for w.rawHead < len(w.rawT) && w.rawT[w.rawHead] < cutoff {
-			w.rawHead++
-			drop++
-		}
-		if drop > 0 {
-			w.droppedRounds += int64(drop)
-			if w.rawHead*2 >= len(w.rawT) {
-				k := len(w.keys)
-				n := copy(w.rawT, w.rawT[w.rawHead:])
-				w.rawT = w.rawT[:n]
-				nv := copy(w.rawV, w.rawV[w.rawHead*k:])
-				w.rawV = w.rawV[:nv]
-				w.rawHead = 0
-			}
-		}
-	}
 	return nil
 }
 
 // foldBoundary makes the level's single per-round boundary decision and,
-// on rollover, closes the open bucket (slab appends) and seeds the new
-// one from the round's values. It reports whether the round lands in the
-// already-open bucket, i.e. whether the K-wide column updates are still
-// pending (foldColumns).
-func (l *frameLevel) foldBoundary(t time.Duration, values []float64) bool {
+// on rollover, closes the open bucket and seeds the new one from the
+// round's values. A closing bucket that holds one round takes prev, the
+// previous round's raw row; any other is copied into one exact-size row.
+// It reports whether the round lands in the already-open bucket, i.e.
+// whether the K-wide column updates are still pending (foldColumns).
+func (l *frameLevel) foldBoundary(t time.Duration, values []float64, prev *frameRound) bool {
 	if t < l.curEnd {
 		l.curCnt++
 		return true
@@ -236,11 +282,18 @@ func (l *frameLevel) foldBoundary(t time.Duration, values []float64) bool {
 		start = t / l.width * l.width
 	}
 	if l.curEnd != 0 {
-		l.starts = append(l.starts, l.curEnd-l.width)
-		l.counts = append(l.counts, l.curCnt)
-		l.sums = append(l.sums, l.curSum...)
-		l.mins = append(l.mins, l.curMin...)
-		l.maxs = append(l.maxs, l.curMax...)
+		var cols []float64
+		if l.curCnt == 1 {
+			prev.shared = true
+			cols = prev.vals
+		} else {
+			k := len(l.curSum)
+			cols = make([]float64, 3*k)
+			copy(cols, l.curSum)
+			copy(cols[k:], l.curMin)
+			copy(cols[2*k:], l.curMax)
+		}
+		l.closed = append(l.closed, frameBucket{start: l.curEnd - l.width, count: l.curCnt, cols: cols})
 	}
 	l.curEnd = start + l.width
 	l.curCnt = 1
@@ -282,10 +335,10 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	k := len(w.keys)
 	if res == ResRaw {
 		var out []Bucket
-		for r := w.rawHead; r < len(w.rawT); r++ {
-			if t := w.rawT[r]; t >= from && t < to {
-				v := w.rawV[r*k+col]
-				out = append(out, Bucket{Start: t, Count: 1, Sum: v, Min: v, Max: v})
+		for _, r := range w.raw[w.rawHead:] {
+			if r.t >= from && r.t < to {
+				v := r.vals[col]
+				out = append(out, Bucket{Start: r.t, Count: 1, Sum: v, Min: v, Max: v})
 			}
 		}
 		return out, nil
@@ -295,11 +348,11 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 		return nil, err
 	}
 	l := &w.levels[li]
-	lo := sort.Search(len(l.starts), func(i int) bool {
-		return l.starts[i]+l.width > from
+	lo := sort.Search(len(l.closed), func(i int) bool {
+		return l.closed[i].start+l.width > from
 	})
-	hi := sort.Search(len(l.starts), func(i int) bool {
-		return l.starts[i] >= to
+	hi := sort.Search(len(l.closed), func(i int) bool {
+		return l.closed[i].start >= to
 	})
 	takeCur := l.curEnd != 0 && l.curEnd > from && l.curEnd-l.width < to
 	n := hi - lo
@@ -308,10 +361,7 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	}
 	out := make([]Bucket, 0, n)
 	for i := lo; i < hi; i++ {
-		out = append(out, Bucket{
-			Start: l.starts[i], Count: l.counts[i],
-			Sum: l.sums[i*k+col], Min: l.mins[i*k+col], Max: l.maxs[i*k+col],
-		})
+		out = append(out, l.closed[i].bucket(col, k))
 	}
 	if takeCur {
 		out = append(out, Bucket{
@@ -328,11 +378,11 @@ func (w *FrameWriter) stats(out *Stats) {
 	defer w.mu.RUnlock()
 	k := int64(len(w.keys))
 	out.Keys += len(w.keys)
-	out.RawPoints += int64(len(w.rawT)-w.rawHead) * k
+	out.RawPoints += int64(len(w.raw)-w.rawHead) * k
 	out.DroppedRaw += w.droppedRounds * k
 	for i := range w.levels {
 		l := &w.levels[i]
-		n := int64(len(l.starts))
+		n := int64(len(l.closed))
 		if l.curEnd != 0 {
 			n++
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -53,43 +54,95 @@ func requireSameBuckets(t *testing.T, got, want []Bucket, ctx string) {
 // TestFramesMatchPerPointIngest is the core contract: a framed key is
 // indistinguishable from the same values appended point by point — at
 // every resolution, over full and partial ranges, and in the storage
-// accounting.
+// accounting. The steps cover both closed-bucket shapes: at 15 s every
+// bucket holds several rounds, at 1 min the minute buckets hold one, and
+// at 15 min the minute and quarter buckets hold one.
 func TestFramesMatchPerPointIngest(t *testing.T) {
 	keys := []string{"a/power", "a/util", "b/power", "b/util", "inlet"}
-	for _, cfg := range []Config{noRetention(), {RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}} {
-		framed, plain := frameEquivalentStores(t, cfg, keys, 300, time.Minute)
-		for _, key := range keys {
-			for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
-				for _, span := range [][2]time.Duration{
-					{0, 1 << 62},
-					{40 * time.Minute, 3 * time.Hour},
-					{90 * time.Minute, 91 * time.Minute},
-				} {
-					ctx := fmt.Sprintf("retention=%v %s %v [%v,%v)", cfg.RawRetention, key, res, span[0], span[1])
-					got, err := framed.Query(key, span[0], span[1], res)
-					if err != nil {
-						t.Fatal(ctx, err)
+	for _, step := range []time.Duration{15 * time.Second, time.Minute, 15 * time.Minute} {
+		for _, cfg := range []Config{noRetention(), {RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}} {
+			framed, plain := frameEquivalentStores(t, cfg, keys, 300, step)
+			for _, key := range keys {
+				for _, res := range []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay} {
+					for _, span := range [][2]time.Duration{
+						{0, 1 << 62},
+						{40 * time.Minute, 3 * time.Hour},
+						{90 * time.Minute, 91 * time.Minute},
+						{40 * step, 200 * step},
+					} {
+						ctx := fmt.Sprintf("step=%v retention=%v %s %v [%v,%v)", step, cfg.RawRetention, key, res, span[0], span[1])
+						got, err := framed.Query(key, span[0], span[1], res)
+						if err != nil {
+							t.Fatal(ctx, err)
+						}
+						want, err := plain.Query(key, span[0], span[1], res)
+						if err != nil {
+							t.Fatal(ctx, err)
+						}
+						requireSameBuckets(t, got, want, ctx)
 					}
-					want, err := plain.Query(key, span[0], span[1], res)
-					if err != nil {
-						t.Fatal(ctx, err)
-					}
-					requireSameBuckets(t, got, want, ctx)
+				}
+			}
+			if got, want := framed.Stats(), plain.Stats(); got != want {
+				t.Errorf("step=%v retention=%v: frame stats %+v, plain stats %+v", step, cfg.RawRetention, got, want)
+			}
+			gotKeys, wantKeys := framed.Keys(), plain.Keys()
+			if len(gotKeys) != len(wantKeys) {
+				t.Fatalf("keys %v vs %v", gotKeys, wantKeys)
+			}
+			for i := range gotKeys {
+				if gotKeys[i] != wantKeys[i] {
+					t.Fatalf("keys %v vs %v", gotKeys, wantKeys)
 				}
 			}
 		}
-		if got, want := framed.Stats(), plain.Stats(); got != want {
-			t.Errorf("retention=%v: frame stats %+v, plain stats %+v", cfg.RawRetention, got, want)
-		}
-		gotKeys, wantKeys := framed.Keys(), plain.Keys()
-		if len(gotKeys) != len(wantKeys) {
-			t.Fatalf("keys %v vs %v", gotKeys, wantKeys)
-		}
-		for i := range gotKeys {
-			if gotKeys[i] != wantKeys[i] {
-				t.Fatalf("keys %v vs %v", gotKeys, wantKeys)
+	}
+}
+
+// TestFrameAllocationTracksRetention pins the frame's storage format: a
+// run allocates about the bytes the store keeps (8 per retained raw
+// point, at most 24 per bucket), because every round and every closed
+// bucket of several rounds is one row allocated once at its exact size,
+// a single-round bucket shares its round's row, and retention recycles
+// raw rows. Storage regrown by copy allocates several times what it
+// keeps, which the bound catches at every step.
+func TestFrameAllocationTracksRetention(t *testing.T) {
+	const (
+		width   = 4096
+		horizon = 6 * time.Hour
+		bound   = 1.25
+	)
+	keys := make([]string, width)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("k%04d", i)
+	}
+	vals := make([]float64, width)
+	for _, step := range []time.Duration{15 * time.Second, time.Minute, 15 * time.Minute} {
+		t.Run(step.String(), func(t *testing.T) {
+			s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
+			fw, err := s.Frames(keys)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for now := time.Duration(0); now < horizon; now += step {
+				for k := range vals {
+					vals[k] = float64(k) + now.Minutes()
+				}
+				if err := fw.Append(now, vals); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			st := s.Stats()
+			kept := float64(st.RawPoints*8 + st.AggBuckets*24)
+			allocated := float64(after.TotalAlloc - before.TotalAlloc)
+			t.Logf("allocated %.1f MB for %.1f MB kept (%.2fx)", allocated/1e6, kept/1e6, allocated/kept)
+			if allocated > bound*kept {
+				t.Errorf("allocated %.0f bytes for %.0f kept: %.2fx, want at most %.2fx", allocated, kept, allocated/kept, bound)
+			}
+		})
 	}
 }
 
