@@ -65,9 +65,10 @@ type Fleet struct {
 	rackPower  []float64
 	zonePower  []float64
 	rebaseTick int
-	// Rebase recomputation scratch (same shape as rackPower/zonePower),
-	// so drift can be measured against the incremental sums before they
-	// are overwritten.
+	// Recomputation scratch (same shape as rackPower/zonePower), sized
+	// by SetPowerGroups: Rebase measures drift against the incremental
+	// sums before overwriting them, and VerifyAggregates compares them
+	// without allocating.
 	rackScratch []float64
 	zoneScratch []float64
 	// Pre-clamp rebase drift accounting: the clamped accessors (PowerW,
@@ -379,12 +380,8 @@ func (f *Fleet) rebase(measure bool) {
 	}
 	f.rebases++
 	var pw, en float64
-	for r := range f.rackScratch {
-		f.rackScratch[r] = 0
-	}
-	for z := range f.zoneScratch {
-		f.zoneScratch[z] = 0
-	}
+	clear(f.rackScratch)
+	clear(f.zoneScratch)
 	for i, s := range f.bySlot {
 		p := f.powerW[i]
 		pw += p
@@ -499,8 +496,9 @@ func (f *Fleet) VerifyAggregates() error {
 		return fmt.Errorf("core: maintained energy %v J != scan %v J", f.energyTotal, en)
 	}
 	if f.rackOfSlot != nil {
-		rp := make([]float64, len(f.rackPower))
-		zp := make([]float64, len(f.zonePower))
+		rp, zp := f.rackScratch, f.zoneScratch
+		clear(rp)
+		clear(zp)
 		for i := range f.bySlot {
 			rp[f.rackOfSlot[i]] += f.powerW[i]
 			zp[f.zoneOfSlot[i]] += f.powerW[i]

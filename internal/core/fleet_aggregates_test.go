@@ -253,6 +253,31 @@ func TestRebaseDriftCoversGroups(t *testing.T) {
 	}
 }
 
+// TestVerifyAggregatesAllocationFree pins the armed check's cost: the
+// invariant checker runs VerifyAggregates after every event, so its rack
+// and zone recompute uses fleet-owned scratch instead of allocating.
+func TestVerifyAggregatesAllocationFree(t *testing.T) {
+	e := sim.NewEngine(1)
+	f := bootedFleet(t, e, 12, 7)
+	rackOf := make([]int, 12)
+	zoneOf := make([]int, 12)
+	for i := range rackOf {
+		rackOf[i] = i / 4
+		zoneOf[i] = i % 2
+	}
+	if err := f.SetPowerGroups(rackOf, zoneOf, 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	allocs := testing.AllocsPerRun(100, func() { err = f.VerifyAggregates() })
+	if err != nil {
+		t.Fatalf("VerifyAggregates: %v", err)
+	}
+	if allocs != 0 {
+		t.Errorf("VerifyAggregates allocates %v times per call on a grouped fleet, want 0", allocs)
+	}
+}
+
 // TestAggregatesPropertyRandom asserts, across fleet sizes and seeds,
 // that the incrementally maintained aggregates track a full recompute
 // through arbitrary op interleavings, and that the whole observable

@@ -89,6 +89,9 @@ type Checker struct {
 	max        int
 	violations []Violation
 	servers    map[*server.Server]*serverTrack
+	// flows backs the power tree checkTopology evaluates, reused across
+	// checks so an armed run does not rebuild the tree on the heap.
+	flows []power.Flow
 }
 
 // NewChecker builds an armed checker.
@@ -326,7 +329,7 @@ func saneTemp(t float64) bool {
 // Cap excursions are always allowed here — caps are advisory at the tree
 // layer and enforcement is the macro layer's job.
 func (c *Checker) checkTopology(now time.Duration, t *power.Topology) {
-	flow := t.Feed.Evaluate()
+	flow := t.Feed.EvaluateInto(&c.flows)
 	strict := t.Oversubscription <= 1
 	c.walkFlow(now, strict, flow)
 }

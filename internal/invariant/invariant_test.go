@@ -3,6 +3,7 @@ package invariant
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -167,6 +168,81 @@ func TestOversubscribedTopologyAllowed(t *testing.T) {
 	c.CheckComponent(0, topo)
 	if err := c.Err(); err != nil {
 		t.Fatalf("oversubscribed overload should be allowed, got %v", err)
+	}
+}
+
+// wideTopology builds a 2-UPS / 10-PDU / 100-rack tree without
+// oversubscription whose rack r draws loads[r] watts.
+func wideTopology(t *testing.T) (topo *power.Topology, loads []float64) {
+	t.Helper()
+	topo, err := power.NewTopology(power.TopologyConfig{
+		UPSCount: 2, PDUsPerUPS: 5, RacksPerPDU: 10,
+		RackRatedW: 10_000, Oversubscription: 1.0,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loads = make([]float64, len(topo.Racks))
+	for r, rack := range topo.Racks {
+		loads[r] = 4000 + 30*float64(r)
+		rack.AddLoad(func() float64 { return loads[r] })
+	}
+	return topo, loads
+}
+
+// TestTopologyCheckAllocationFree: the armed checker evaluates the power
+// tree after every event, so once its flow buffer is sized a topology
+// check allocates nothing.
+func TestTopologyCheckAllocationFree(t *testing.T) {
+	topo, _ := wideTopology(t)
+	c := NewChecker()
+	c.CheckComponent(0, topo)
+	allocs := testing.AllocsPerRun(100, func() { c.CheckComponent(time.Second, topo) })
+	if err := c.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Errorf("topology check allocates %v times per call, want 0", allocs)
+	}
+}
+
+// TestEvaluateIntoReusedBufferMatchesEvaluate: a flow tree evaluated into
+// a reused buffer after the loads change is, node for node, the tree a
+// fresh Evaluate builds.
+func TestEvaluateIntoReusedBufferMatchesEvaluate(t *testing.T) {
+	topo, loads := wideTopology(t)
+	var buf []power.Flow
+	topo.Feed.EvaluateInto(&buf)
+	for r := range loads {
+		loads[r] = 11_000 - 70*float64(r) // overloads the first racks
+	}
+	got := topo.Feed.EvaluateInto(&buf)
+	if &got.Children[0] != &buf[0] {
+		t.Fatal("second evaluation did not reuse the buffer")
+	}
+	want := topo.Feed.Evaluate()
+	if len(want.Violations()) == 0 {
+		t.Fatal("test scenario should overload some racks")
+	}
+	nodes := 0
+	var same func(got, want power.Flow)
+	same = func(got, want power.Flow) {
+		nodes++
+		gk, wk := got.Children, want.Children
+		got.Children, want.Children = nil, nil
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %s: reused buffer %+v, fresh %+v", want.Name, got, want)
+		}
+		if len(gk) != len(wk) {
+			t.Fatalf("node %s: %d children, want %d", want.Name, len(gk), len(wk))
+		}
+		for i := range wk {
+			same(gk[i], wk[i])
+		}
+	}
+	same(got, want)
+	if nodes != 1+2+10+100 {
+		t.Errorf("compared %d nodes, want 113", nodes)
 	}
 }
 

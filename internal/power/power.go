@@ -157,12 +157,43 @@ type Flow struct {
 
 // Evaluate computes the power flow for the subtree rooted at n.
 func (n *Node) Evaluate() Flow {
-	var out float64
-	childFlows := make([]Flow, 0, len(n.children))
+	var buf []Flow
+	return n.EvaluateInto(&buf)
+}
+
+// EvaluateInto is Evaluate with every Children slice of the returned
+// tree carved from *buf, which is replaced by a larger one when it holds
+// fewer flows than the subtree has nodes below n. A caller that keeps
+// *buf across calls evaluates the tree without allocating; each call
+// overwrites the flows the previous one returned.
+func (n *Node) EvaluateInto(buf *[]Flow) Flow {
+	need := n.descendants()
+	if cap(*buf) < need {
+		*buf = make([]Flow, need)
+	}
+	f, _ := n.evaluate((*buf)[:need])
+	return f
+}
+
+// descendants counts the nodes below n.
+func (n *Node) descendants() int {
+	d := len(n.children)
 	for _, c := range n.children {
-		cf := c.Evaluate()
-		childFlows = append(childFlows, cf)
-		out += cf.InW
+		d += c.descendants()
+	}
+	return d
+}
+
+// evaluate computes n's flow with its Children carved from the front of
+// buf and its descendants' from what follows, and returns the unused
+// rest of buf.
+func (n *Node) evaluate(buf []Flow) (Flow, []Flow) {
+	k := len(n.children)
+	childFlows, rest := buf[:k:k], buf[k:]
+	var out float64
+	for i, c := range n.children {
+		childFlows[i], rest = c.evaluate(rest)
+		out += childFlows[i].InW
 	}
 	for _, l := range n.loads {
 		v := l()
@@ -184,7 +215,7 @@ func (n *Node) Evaluate() Flow {
 	}
 	f.SurgeExceeded = out > n.surgeW
 	f.CapExceeded = n.capW > 0 && out > n.capW
-	return f
+	return f, rest
 }
 
 // OutputW computes the power delivered by this node (Flow.OutW) without

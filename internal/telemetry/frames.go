@@ -334,12 +334,18 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	defer w.mu.RUnlock()
 	k := len(w.keys)
 	if res == ResRaw {
-		var out []Bucket
-		for _, r := range w.raw[w.rawHead:] {
-			if r.t >= from && r.t < to {
-				v := r.vals[col]
-				out = append(out, Bucket{Start: r.t, Count: 1, Sum: v, Min: v, Max: v})
-			}
+		// Bound the range by binary search and allocate the result once
+		// at its exact size, as for a per-point series.
+		band := w.raw[w.rawHead:]
+		lo := sort.Search(len(band), func(i int) bool { return band[i].t >= from })
+		hi := sort.Search(len(band), func(i int) bool { return band[i].t >= to })
+		if lo == hi {
+			return nil, nil
+		}
+		out := make([]Bucket, hi-lo)
+		for i, r := range band[lo:hi] {
+			v := r.vals[col]
+			out[i] = Bucket{Start: r.t, Count: 1, Sum: v, Min: v, Max: v}
 		}
 		return out, nil
 	}

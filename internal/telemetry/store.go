@@ -116,12 +116,22 @@ type point struct {
 	v float64
 }
 
+// chunkLen is the number of closed buckets in one chunk of a level. 32
+// buckets are 1,280 bytes, one of the runtime's size classes, so a chunk
+// is allocated at exactly its final size.
+const chunkLen = 32
+
 // level is one aggregation level of a key's pyramid. The open tail
-// bucket lives inline (cur) rather than at the end of the slice: a fold
+// bucket lives inline (cur) rather than in the closed storage: a fold
 // that lands in the open bucket — the overwhelmingly common case for the
 // coarse levels — updates the level struct itself and touches no other
 // memory, so one ingested point dirties a handful of contiguous cache
 // lines instead of four scattered slice tails.
+//
+// Closed buckets go in fixed-size chunks, each allocated once at its
+// final size when the first bucket lands in it and never regrown:
+// closing a bucket copies no earlier bucket, and growing the level
+// copies only chunk pointers.
 type level struct {
 	width time.Duration
 	// curEnd caches cur's exclusive end time (zero while the level is
@@ -129,8 +139,11 @@ type level struct {
 	// either in cur or in a new bucket past it; the cached end turns the
 	// common tail hit into one comparison, no division.
 	curEnd time.Duration
-	cur    Bucket   // open tail bucket; empty iff curEnd == 0
-	done   []Bucket // closed buckets, dense, in time order
+	cur    Bucket // open tail bucket; empty iff curEnd == 0
+	// Closed buckets, dense and in time order: bucket i is
+	// chunks[i/chunkLen][i%chunkLen], and n counts them.
+	chunks []*[chunkLen]Bucket
+	n      int
 }
 
 func (l *level) fold(t time.Duration, v float64) {
@@ -154,7 +167,12 @@ func (l *level) fold(t time.Duration, v float64) {
 		start = t / l.width * l.width
 	}
 	if l.curEnd != 0 {
-		l.done = append(l.done, l.cur)
+		i := l.n % chunkLen
+		if i == 0 {
+			l.chunks = append(l.chunks, new([chunkLen]Bucket))
+		}
+		l.chunks[len(l.chunks)-1][i] = l.cur
+		l.n++
 	}
 	l.curEnd = start + l.width
 	l.cur = Bucket{Start: start, Count: 1, Sum: v, Min: v, Max: v}
@@ -163,32 +181,71 @@ func (l *level) fold(t time.Duration, v float64) {
 // open reports whether the level has an open tail bucket.
 func (l *level) open() bool { return l.curEnd != 0 }
 
-// series is the pyramid for one key.
-type series struct {
-	// raw[rawHead:] is the retained raw band. Retention advances rawHead
-	// instead of recopying the slice per drop; compact() reclaims the
-	// dead prefix once it reaches half the slice, so trimming is
-	// amortized O(1) per append instead of O(window).
-	raw     []point
-	rawHead int
-	levels  [4]level // minute, quarter, hour, day — inline for locality
-	lastT   time.Duration
-	hasAny  bool
-	// dropped counts raw points discarded by band retention.
-	dropped int64
+// at returns closed bucket i.
+func (l *level) at(i int) *Bucket { return &l.chunks[i/chunkLen][i%chunkLen] }
+
+// appendClosed appends closed buckets [lo, hi) to out, one copy per
+// chunk.
+func (l *level) appendClosed(out []Bucket, lo, hi int) []Bucket {
+	for lo < hi {
+		off := lo % chunkLen
+		end := min(chunkLen, off+hi-lo)
+		out = append(out, l.chunks[lo/chunkLen][off:end]...)
+		lo += end - off
+	}
+	return out
 }
 
-// retained returns the live raw band.
-func (ser *series) retained() []point { return ser.raw[ser.rawHead:] }
+// series is the pyramid for one key.
+//
+// raw holds the raw band, oldest first. A point expires once a later
+// sample is more than RawRetention newer; expiry is resolved when the
+// band is read (expired) and reclaimed only when raw is full (push), so
+// an append writes the band's newest end and never reads its cold oldest
+// point.
+type series struct {
+	raw    []point
+	levels [4]level // minute, quarter, hour, day — inline for locality
+	lastT  time.Duration
+	hasAny bool
+	// reclaimed counts expired raw points already cut from raw.
+	reclaimed int64
+}
 
-// compact slides the live band to the front when the dead prefix
-// dominates, bounding memory at ~2× the retained window.
-func (ser *series) compact() {
-	if ser.rawHead > 0 && ser.rawHead*2 >= len(ser.raw) {
-		n := copy(ser.raw, ser.raw[ser.rawHead:])
-		ser.raw = ser.raw[:n]
-		ser.rawHead = 0
+// expired returns how many of raw's points lie outside the retention
+// window ret: those older than lastT-ret. Timestamps are non-decreasing,
+// so they are a prefix.
+func (ser *series) expired(ret time.Duration) int {
+	if ret <= 0 {
+		return 0
 	}
+	return searchPoints(ser.raw, ser.lastT-ret)
+}
+
+// push appends a raw point; lastT must already be its timestamp. When
+// raw is full, its expired prefix is reclaimed first: in place when the
+// retained points fill at most three quarters of it, else into a new
+// slice of twice the capacity. Either way the copy is amortized O(1) per
+// append, and under retention the slice stays within 8/3 of the
+// retained band.
+func (ser *series) push(p point, ret time.Duration) {
+	if c := cap(ser.raw); len(ser.raw) == c {
+		dead := ser.expired(ret)
+		keep := ser.raw[dead:]
+		if len(keep)*4 > c*3 {
+			ser.raw = make([]point, len(keep), 2*c)
+			copy(ser.raw, keep)
+		} else {
+			ser.raw = ser.raw[:copy(ser.raw, keep)]
+		}
+		ser.reclaimed += int64(dead)
+	}
+	ser.raw = append(ser.raw, p)
+}
+
+// searchPoints returns the index of the first point at or after t.
+func searchPoints(ps []point, t time.Duration) int {
+	return sort.Search(len(ps), func(i int) bool { return ps[i].t >= t })
 }
 
 // Config configures a Store.
@@ -196,9 +253,11 @@ type Config struct {
 	// RawInterval is the base sampling period (the paper uses 15 s).
 	RawInterval time.Duration
 	// RawRetention bounds how long raw points are kept; zero keeps
-	// everything. Aggregates are kept forever (they are the "bands" of
-	// interest; rawer data "can be considered as noise and be
-	// eliminated").
+	// everything. A point older than the key's newest sample by more
+	// than RawRetention is gone from Query and Stats at once, and its
+	// memory is reused once the key's raw band fills. Aggregates are
+	// kept forever (they are the "bands" of interest; rawer data "can be
+	// considered as noise and be eliminated").
 	RawRetention time.Duration
 	// Shards is the number of lock shards for concurrent ingestion.
 	Shards int
@@ -310,24 +369,9 @@ func (s *Store) appendLocked(key string, ser *series, t time.Duration, v float64
 	}
 	ser.lastT = t
 	ser.hasAny = true
-	ser.raw = append(ser.raw, point{t: t, v: v})
+	ser.push(point{t: t, v: v}, s.cfg.RawRetention)
 	for i := range ser.levels {
 		ser.levels[i].fold(t, v)
-	}
-	// Band retention: drop raw samples older than the window by advancing
-	// the head index (timestamps are non-decreasing, so expiry is always
-	// a prefix); compaction amortizes the copy.
-	if s.cfg.RawRetention > 0 {
-		cutoff := t - s.cfg.RawRetention
-		drop := 0
-		for ser.rawHead < len(ser.raw) && ser.raw[ser.rawHead].t < cutoff {
-			ser.rawHead++
-			drop++
-		}
-		if drop > 0 {
-			ser.dropped += int64(drop)
-			ser.compact()
-		}
 	}
 	return nil
 }
@@ -450,12 +494,13 @@ func (s *Store) Stats() Stats {
 	for _, sh := range s.shards {
 		sh.mu.RLock()
 		for _, ser := range sh.series {
+			dead := ser.expired(s.cfg.RawRetention)
 			out.Keys++
-			out.RawPoints += int64(len(ser.retained()))
-			out.DroppedRaw += ser.dropped
+			out.RawPoints += int64(len(ser.raw) - dead)
+			out.DroppedRaw += ser.reclaimed + int64(dead)
 			for i := range ser.levels {
 				l := &ser.levels[i]
-				out.AggBuckets += int64(len(l.done))
+				out.AggBuckets += int64(l.n)
 				if l.open() {
 					out.AggBuckets++
 				}
@@ -501,13 +546,7 @@ func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Buc
 	}
 	defer sh.mu.RUnlock()
 	if res == ResRaw {
-		var out []Bucket
-		for _, p := range ser.retained() {
-			if p.t >= from && p.t < to {
-				out = append(out, Bucket{Start: p.t, Count: 1, Sum: p.v, Min: p.v, Max: p.v})
-			}
-		}
-		return out, nil
+		return rawBuckets(ser.raw[ser.expired(s.cfg.RawRetention):], from, to), nil
 	}
 	li, err := levelIndex(res)
 	if err != nil {
@@ -516,23 +555,37 @@ func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Buc
 	lv := &ser.levels[li]
 	// Binary search the dense, sorted closed buckets, then splice in the
 	// open tail bucket if it overlaps the range.
-	lo := sort.Search(len(lv.done), func(i int) bool {
-		return lv.done[i].Start+lv.width > from
+	lo := sort.Search(lv.n, func(i int) bool {
+		return lv.at(i).Start+lv.width > from
 	})
-	hi := sort.Search(len(lv.done), func(i int) bool {
-		return lv.done[i].Start >= to
+	hi := sort.Search(lv.n, func(i int) bool {
+		return lv.at(i).Start >= to
 	})
 	takeCur := lv.open() && lv.curEnd > from && lv.cur.Start < to
 	n := hi - lo
 	if takeCur {
 		n++
 	}
-	out := make([]Bucket, n)
-	copy(out, lv.done[lo:hi])
+	out := lv.appendClosed(make([]Bucket, 0, n), lo, hi)
 	if takeCur {
-		out[n-1] = lv.cur
+		out = append(out, lv.cur)
 	}
 	return out, nil
+}
+
+// rawBuckets synthesizes one bucket per raw point of band in [from, to),
+// bounding the range by binary search and allocating the result once at
+// its exact size (nil when the range holds no point).
+func rawBuckets(band []point, from, to time.Duration) []Bucket {
+	lo, hi := searchPoints(band, from), searchPoints(band, to)
+	if lo == hi {
+		return nil
+	}
+	out := make([]Bucket, hi-lo)
+	for i, p := range band[lo:hi] {
+		out[i] = Bucket{Start: p.t, Count: 1, Sum: p.v, Min: p.v, Max: p.v}
+	}
+	return out
 }
 
 func levelIndex(res Resolution) (int, error) {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -466,10 +467,10 @@ func TestRetentionCompactionBoundsMemory(t *testing.T) {
 		t.Fatalf("dropped %d, want %d", st.DroppedRaw, n-(window+1))
 	}
 	// The backing slice must stay bounded near the window size, not grow
-	// with total appends: compaction keeps the dead prefix under half.
+	// with total appends: expired points are reclaimed whenever it fills.
 	ser := s.shardFor("k").series["k"]
-	if got := len(ser.raw); got > 3*window {
-		t.Fatalf("backing slice holds %d points for a %d-point window", got, window)
+	if got := cap(ser.raw); got > 3*window {
+		t.Fatalf("backing slice has room for %d points for a %d-point window", got, window)
 	}
 	// And the retained view matches what Query sees.
 	bs, err := s.Query("k", 0, 1<<62, ResRaw)
@@ -481,5 +482,91 @@ func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	}
 	if bs[0].Start != time.Duration(n-window-1)*interval {
 		t.Fatalf("oldest retained point at %v", bs[0].Start)
+	}
+}
+
+// TestSeriesAllocationTracksRetention is the per-point twin of
+// TestFrameAllocationTracksRetention: a run allocates about the bytes
+// the store keeps (16 per retained raw point, 40 per bucket), because
+// closed buckets go in chunks allocated once at their final size and the
+// raw band is reclaimed in place once it has grown to its window.
+// Storage regrown by copy allocates several times what it keeps.
+func TestSeriesAllocationTracksRetention(t *testing.T) {
+	const (
+		keys    = 256
+		horizon = 48 * time.Hour
+		bound   = 1.5
+	)
+	for _, step := range []time.Duration{15 * time.Second, time.Minute, 15 * time.Minute} {
+		t.Run(step.String(), func(t *testing.T) {
+			s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
+			apps := make([]*Appender, keys)
+			for k := range apps {
+				apps[k] = s.Appender(fmt.Sprintf("k%03d", k))
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for now := time.Duration(0); now < horizon; now += step {
+				for k, a := range apps {
+					if err := a.Append(now, float64(k)+now.Minutes()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			runtime.ReadMemStats(&after)
+			st := s.Stats()
+			kept := float64(st.RawPoints*16 + st.AggBuckets*40)
+			allocated := float64(after.TotalAlloc - before.TotalAlloc)
+			t.Logf("allocated %.1f MB for %.1f MB kept (%.2fx)", allocated/1e6, kept/1e6, allocated/kept)
+			if allocated > bound*kept {
+				t.Errorf("allocated %.0f bytes for %.0f kept: %.2fx, want at most %.2fx", allocated, kept, allocated/kept, bound)
+			}
+		})
+	}
+}
+
+// TestRawQueryAllocatesOnce pins the raw read path: Query bounds the
+// range by binary search and allocates its result once, at exact size,
+// for a per-point series and for a frame column alike.
+func TestRawQueryAllocatesOnce(t *testing.T) {
+	s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
+	a := s.Appender("plain")
+	fw, err := s.Frames([]string{"f0", "f1"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 2000
+	for i := 0; i < rounds; i++ {
+		ts := time.Duration(i) * 15 * time.Second
+		if err := a.Append(ts, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+		if err := fw.Append(ts, []float64{float64(i), -float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	last := time.Duration(rounds-1) * 15 * time.Second
+	for _, key := range []string{"plain", "f1"} {
+		for _, span := range []struct {
+			from, to time.Duration
+			want     int
+		}{
+			{0, 1 << 62, 241},
+			{last - 30*time.Minute, last, 120},
+		} {
+			var bs []Bucket
+			allocs := testing.AllocsPerRun(50, func() {
+				bs, err = s.Query(key, span.from, span.to, ResRaw)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(bs) != span.want || cap(bs) != span.want {
+				t.Errorf("%s [%v, %v): %d buckets in capacity %d, want %d", key, span.from, span.to, len(bs), cap(bs), span.want)
+			}
+			if allocs != 1 {
+				t.Errorf("%s [%v, %v): raw query allocates %v times, want 1", key, span.from, span.to, allocs)
+			}
+		}
 	}
 }
