@@ -37,6 +37,12 @@ const rebaseEvery = 64
 // accessors are therefore O(1) reads instead of O(N) rescans, which is
 // what lets the physics tick, telemetry sample, and control loops stay
 // proportional to what changed rather than fleet size.
+//
+// Once TrackChanges is called, the fleet also records which slots
+// notified since the last ResetChanged. The invariant checker reads that
+// change set to check only the servers an event touched; a full sweep of
+// every server once per Size() checked events, and on every report read,
+// catches a mutation that skipped its notification.
 type Fleet struct {
 	servers []*server.Server
 	engine  *sim.Engine
@@ -114,6 +120,13 @@ type Fleet struct {
 	// rebases counts exact Rebase recomputations, so tests can pin the
 	// once-per-sample-round scheduling under parallel sampling.
 	rebases int
+	// Change set, nil until TrackChanges: changed flags each slot that
+	// notified since the last ResetChanged, and changes lists those slots
+	// once each, in notification order. Inside a shard phase each shard
+	// appends to its accumulator's list instead, and endShardPhase merges
+	// the lists in shard order.
+	changed []bool
+	changes []int32
 	// Dispatch's shard bodies, bound once in NewFleet so a fan-out
 	// allocates no closure, and the per-call inputs they read.
 	capacityFn func(int, par.Range)
@@ -130,8 +143,9 @@ type shardAcc struct {
 	capSum, maxU  float64
 	on, active    int64
 	trips         int64
+	changes       []int32
 	groupDirty    bool
-	_             [71]byte
+	_             [47]byte
 }
 
 // NewFleet builds a fleet of n servers from cfg, all initially off.
@@ -201,6 +215,9 @@ func (f *Fleet) ServerChanged(slot int, c server.Change) {
 		f.serverChangedRouted(slot, c)
 		return
 	}
+	if f.changed != nil {
+		f.changes = f.markChanged(f.changes, slot)
+	}
 	f.powerW[slot] = c.NewPowerW
 	d := c.NewPowerW - c.OldPowerW
 	f.powerTotal += d
@@ -235,6 +252,9 @@ func (f *Fleet) serverChangedRouted(slot int, c server.Change) {
 	f.powerW[slot] = c.NewPowerW
 	sh := f.routeShard[slot]
 	a := &f.acc[sh]
+	if f.changed != nil {
+		a.changes = f.markChanged(a.changes, slot)
+	}
 	d := c.NewPowerW - c.OldPowerW
 	a.power += d
 	a.energy += c.EnergyDeltaJ
@@ -258,6 +278,39 @@ func (f *Fleet) serverChangedRouted(slot int, c server.Change) {
 		f.accZone[sh][f.zoneOfSlot[slot]] += d
 		a.groupDirty = true
 	}
+}
+
+// markChanged flags slot and appends it to list, unless the slot is
+// already flagged since the last ResetChanged. Inside a shard phase each
+// slot is owned by one shard, so concurrent shards write disjoint flags.
+func (f *Fleet) markChanged(list []int32, slot int) []int32 {
+	if f.changed[slot] {
+		return list
+	}
+	f.changed[slot] = true
+	return append(list, int32(slot))
+}
+
+// TrackChanges turns on change tracking: from the call on, every slot
+// that notifies joins the change set (see Changed) until ResetChanged.
+// Until it is called, notifications pay one nil check for tracking.
+func (f *Fleet) TrackChanges() {
+	if f.changed == nil {
+		f.changed = make([]bool, len(f.bySlot))
+	}
+}
+
+// Changed returns the slots that notified since the last ResetChanged,
+// each once (shared slice, valid until ResetChanged). It is always empty
+// on a fleet that does not track changes.
+func (f *Fleet) Changed() []int32 { return f.changes }
+
+// ResetChanged empties the change set.
+func (f *Fleet) ResetChanged() {
+	for _, slot := range f.changes {
+		f.changed[slot] = false
+	}
+	f.changes = f.changes[:0]
 }
 
 // beginShardPhase arms delta routing for a parallel phase: route maps
@@ -287,6 +340,8 @@ func (f *Fleet) endShardPhase() {
 		f.tripsTotal += int(a.trips)
 		a.power, a.energy = 0, 0
 		a.on, a.active, a.trips = 0, 0, 0
+		f.changes = append(f.changes, a.changes...)
+		a.changes = a.changes[:0]
 		if a.groupDirty {
 			ar, az := f.accRack[sh], f.accZone[sh]
 			for r, d := range ar {
@@ -528,7 +583,7 @@ func (f *Fleet) verifyShardedFold(relTol, absTol float64) error {
 	}
 	for sh := range f.acc {
 		a := &f.acc[sh]
-		if a.power != 0 || a.energy != 0 || a.on != 0 || a.active != 0 || a.trips != 0 || a.groupDirty {
+		if a.power != 0 || a.energy != 0 || a.on != 0 || a.active != 0 || a.trips != 0 || len(a.changes) != 0 || a.groupDirty {
 			return fmt.Errorf("core: shard %d accumulator not zero outside a phase (%+v)", sh, *a)
 		}
 	}
@@ -561,6 +616,10 @@ func withinTol(a, b, relTol, absTol float64) bool {
 
 // Servers exposes the underlying servers (shared slice: do not mutate).
 func (f *Fleet) Servers() []*server.Server { return f.servers }
+
+// ServerAt returns the server registered under slot, its construction
+// index. Slots never move under Reorder.
+func (f *Fleet) ServerAt(slot int) *server.Server { return f.bySlot[slot] }
 
 // Size reports the total fleet size.
 func (f *Fleet) Size() int { return len(f.servers) }

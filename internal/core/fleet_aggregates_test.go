@@ -254,8 +254,9 @@ func TestRebaseDriftCoversGroups(t *testing.T) {
 }
 
 // TestVerifyAggregatesAllocationFree pins the armed check's cost: the
-// invariant checker runs VerifyAggregates after every event, so its rack
-// and zone recompute uses fleet-owned scratch instead of allocating.
+// invariant checker runs VerifyAggregates at every full fleet sweep, so
+// its rack and zone recompute uses fleet-owned scratch instead of
+// allocating.
 func TestVerifyAggregatesAllocationFree(t *testing.T) {
 	e := sim.NewEngine(1)
 	f := bootedFleet(t, e, 12, 7)

@@ -10,9 +10,17 @@
 // The checker rides the kernel's observation hooks: Attach registers an
 // after-event callback on a sim.Engine, and after every fired event it
 // scans the engine's registered components (fleets, cooling rooms, power
-// topologies, and anything implementing Checkable). Checks are read-only —
-// the checker never advances, syncs, or otherwise mutates a substrate — so
-// an armed run is behaviourally identical to an unarmed one.
+// topologies, and anything implementing Checkable). Rooms, topologies and
+// checkables are checked in full after every event. A fleet is checked at
+// O(changes): after each event the checker checks only the servers that
+// notified the fleet since its last check (core.Fleet.Changed) and
+// compares its own per-state counts with the fleet's O(1) counters. Once
+// every Size() events, and whenever Err or Violations is read, it sweeps
+// every server of the fleet and cross-validates the fleet's maintained
+// aggregates, so a mutation that skipped its notification is reported,
+// under its own rule, at the next sweep. Checks are read-only — the
+// checker never advances, syncs, or otherwise mutates a substrate — so an
+// armed run is behaviourally identical to an unarmed one.
 package invariant
 
 import (
@@ -71,24 +79,53 @@ const (
 	energyAbsTolJ = 1e-6
 )
 
-// serverTrack is the checker's last observation of one server, used to
-// validate the next one against it.
-type serverTrack struct {
+// reading is one observation of a server: everything the per-server
+// rules read. checkServer takes it from a live server; tests fabricate
+// readings that the server's own clamps would never produce.
+type reading struct {
+	name    string
 	state   server.State
-	power   float64
+	util    float64
+	powerW  float64
 	energyJ float64
 	boots   int
-	at      time.Duration // server's LastSyncAt at observation
+	at      time.Duration // the server's LastSyncAt
+	// peakW and bootJ come from the server's configuration, which never
+	// changes after server.New.
+	peakW, bootJ float64
+}
+
+// serverTrack is the checker's last reading of one fleet slot, used to
+// validate the next one against it.
+type serverTrack struct {
+	reading
+	seen bool
+}
+
+// fleetTrack is the checker's history of one fleet: the last reading of
+// every slot, the state counts those readings add up to, and how many
+// change-set checks are left before the next full sweep.
+type fleetTrack struct {
+	fleet  *core.Fleet
+	slots  []serverTrack
+	counts [5]int // by stateIndex
+	due    int
+	// now is the time of the last check; a sweep on Err reports at it.
+	now time.Duration
 }
 
 // Checker accumulates invariant violations across every engine it is
 // attached to. A checker is owned by a single run (one experiment × one
 // seed) and is not safe for concurrent use — the parallel harness gives
-// each job its own.
+// each job its own. It is the one reader of the change set of every
+// fleet it checks.
 type Checker struct {
 	max        int
 	violations []Violation
-	servers    map[*server.Server]*serverTrack
+	fleets     map[*core.Fleet]*fleetTrack
+	// order lists the fleets in first-check order, so sweeps on Err
+	// report in a deterministic order.
+	order []*fleetTrack
 	// flows backs the power tree checkTopology evaluates, reused across
 	// checks so an armed run does not rebuild the tree on the heap.
 	flows []power.Flow
@@ -96,7 +133,7 @@ type Checker struct {
 
 // NewChecker builds an armed checker.
 func NewChecker() *Checker {
-	return &Checker{max: 16, servers: make(map[*server.Server]*serverTrack)}
+	return &Checker{max: 16, fleets: make(map[*core.Fleet]*fleetTrack)}
 }
 
 // Attach arms the checker on an engine: after every fired event, every
@@ -134,14 +171,20 @@ func (c *Checker) CheckComponent(now time.Duration, comp any) {
 	}
 }
 
-// Violations returns the accumulated violations (shared slice: do not
-// mutate). Collection stops after an internal cap so a broken invariant in
-// a hot loop cannot flood memory.
-func (c *Checker) Violations() []Violation { return c.violations }
+// Violations sweeps every fleet the checker has seen and returns the
+// accumulated violations (shared slice: do not mutate). Collection stops
+// after an internal cap so a broken invariant in a hot loop cannot flood
+// memory.
+func (c *Checker) Violations() []Violation {
+	c.sweepAll()
+	return c.violations
+}
 
-// Err returns nil when no invariant was violated, otherwise an error whose
-// chain starts with the first (named) violation.
+// Err sweeps every fleet the checker has seen and returns nil when no
+// invariant was violated, otherwise an error whose chain starts with the
+// first (named) violation.
 func (c *Checker) Err() error {
+	c.sweepAll()
 	switch len(c.violations) {
 	case 0:
 		return nil
@@ -181,24 +224,89 @@ func legalTransition(from, to server.State) bool {
 	}
 }
 
-// checkFleet validates per-server invariants and the fleet's aggregate
-// accounting: state counts partition the fleet, and the committed count
-// matches its definition.
-func (c *Checker) checkFleet(now time.Duration, f *core.Fleet) {
-	var off, booting, active, shutting int
-	for _, s := range f.Servers() {
-		c.checkServer(now, s)
-		switch s.State() {
-		case server.StateOff:
-			off++
-		case server.StateBooting:
-			booting++
-		case server.StateActive:
-			active++
-		case server.StateShuttingDown:
-			shutting++
-		}
+// stateIndex buckets a lifecycle state for fleetTrack.counts: each legal
+// state by its value (1–4), anything else in bucket 0.
+func stateIndex(st server.State) int {
+	if st < server.StateOff || st > server.StateShuttingDown {
+		return 0
 	}
+	return int(st)
+}
+
+// checkFleet checks the servers that changed since the fleet's last
+// check, then the fleet's state counts. The first check of a fleet, and
+// every Size()-th after it, is a full sweep instead, which bounds the
+// amortized sweep work at one server check per event.
+func (c *Checker) checkFleet(now time.Duration, f *core.Fleet) {
+	ft := c.fleets[f]
+	if ft == nil {
+		ft = &fleetTrack{fleet: f, slots: make([]serverTrack, f.Size())}
+		c.fleets[f] = ft
+		c.order = append(c.order, ft)
+		f.TrackChanges()
+	}
+	ft.now = now
+	if ft.due == 0 {
+		c.sweep(ft)
+		return
+	}
+	ft.due--
+	for _, slot := range f.Changed() {
+		c.checkSlot(ft, int(slot))
+	}
+	f.ResetChanged()
+	c.checkCounts(ft)
+}
+
+// sweep checks every server of the fleet and its state counts, then
+// cross-validates the fleet's incrementally maintained aggregates (SoA
+// power plane, running totals, per-group sums) against a full recompute,
+// so a mutation path that skipped its notification — or float drift
+// escaping the rebase policy — fails loudly.
+func (c *Checker) sweep(ft *fleetTrack) {
+	ft.due = len(ft.slots) - 1
+	for slot := range ft.slots {
+		c.checkSlot(ft, slot)
+	}
+	ft.fleet.ResetChanged()
+	c.checkCounts(ft)
+	if err := ft.fleet.VerifyAggregates(); err != nil {
+		c.report("fleet-aggregates", ft.now, "%v", err)
+	}
+}
+
+// sweepAll sweeps every fleet the checker has seen, at the time of its
+// last check, so a report read after a run covers what the periodic
+// sweep has not reached yet.
+func (c *Checker) sweepAll() {
+	for _, ft := range c.order {
+		if len(c.violations) >= c.max {
+			return
+		}
+		c.sweep(ft)
+	}
+}
+
+// checkSlot checks the server in one fleet slot and moves the slot
+// between the fleet's state counts.
+func (c *Checker) checkSlot(ft *fleetTrack, slot int) {
+	tr := &ft.slots[slot]
+	if tr.seen {
+		ft.counts[stateIndex(tr.state)]--
+	}
+	c.checkServer(ft.now, tr, ft.fleet.ServerAt(slot))
+	ft.counts[stateIndex(tr.state)]++
+}
+
+// checkCounts validates the fleet's accounting against the checker's own
+// state counts: the counts partition the fleet, and the committed and
+// active counts match their definitions.
+func (c *Checker) checkCounts(ft *fleetTrack) {
+	f, now := ft.fleet, ft.now
+	off := ft.counts[server.StateOff]
+	booting := ft.counts[server.StateBooting]
+	active := ft.counts[server.StateActive]
+	shutting := ft.counts[server.StateShuttingDown]
 	if total := off + booting + active + shutting; total != f.Size() {
 		c.report("fleet-accounting", now,
 			"state counts off=%d booting=%d active=%d shutting=%d sum to %d, fleet size %d",
@@ -210,78 +318,81 @@ func (c *Checker) checkFleet(now time.Duration, f *core.Fleet) {
 	if a := f.ActiveCount(); a != active {
 		c.report("fleet-accounting", now, "ActiveCount %d != counted active %d", a, active)
 	}
-	// Cross-validate the fleet's incrementally maintained aggregates
-	// (SoA power plane, running totals, per-group sums) against a full
-	// recompute, so a mutation path that skipped its notification — or
-	// float drift escaping the rebase policy — fails loudly.
-	if err := f.VerifyAggregates(); err != nil {
-		c.report("fleet-aggregates", now, "%v", err)
-	}
 }
 
-// checkServer validates one server's state value, lifecycle transition
-// since the last observation, utilization range, power bounds, and the
-// energy accumulator against the integral of the observed power history.
-// The check is read-only: it reconciles against the server's own last
-// sync instant instead of forcing one.
-func (c *Checker) checkServer(now time.Duration, s *server.Server) {
-	st := s.State()
-	cfg := s.Config()
+// checkServer reads one server and checks the reading against the slot's
+// last one. The check is read-only: it reconciles against the server's
+// own last sync instant instead of forcing one.
+func (c *Checker) checkServer(now time.Duration, tr *serverTrack, s *server.Server) {
+	peakW, bootJ := tr.peakW, tr.bootJ
+	if !tr.seen {
+		cfg := s.Config()
+		peakW, bootJ = cfg.PeakPower, cfg.BootEnergy
+	}
+	c.checkReading(now, tr, reading{
+		name:    s.Name(),
+		state:   s.State(),
+		util:    s.Utilization(),
+		powerW:  s.Power(),
+		energyJ: s.EnergyJ(),
+		boots:   s.Boots(),
+		at:      s.LastSyncAt(),
+		peakW:   peakW,
+		bootJ:   bootJ,
+	})
+}
 
-	switch st {
+// checkReading validates one server reading — state value, utilization
+// range, power bounds and, against the previous reading, the lifecycle
+// transition and the energy accumulator against the integral of the
+// observed power history — and records it as the slot's last reading.
+func (c *Checker) checkReading(now time.Duration, tr *serverTrack, r reading) {
+	switch r.state {
 	case server.StateOff, server.StateBooting, server.StateActive, server.StateShuttingDown:
 	default:
-		c.report("server-state", now, "%s: unknown state %v", cfg.Name, st)
+		c.report("server-state", now, "%s: unknown state %v", r.name, r.state)
 	}
 
-	u := s.Utilization()
-	if u < 0 || u > 1 {
-		c.report("server-utilization", now, "%s: utilization %v out of [0,1]", cfg.Name, u)
+	if r.util < 0 || r.util > 1 {
+		c.report("server-utilization", now, "%s: utilization %v out of [0,1]", r.name, r.util)
 	}
-	if st != server.StateActive && u != 0 {
-		c.report("server-utilization", now, "%s: utilization %v while %v", cfg.Name, u, st)
-	}
-
-	p := s.Power()
-	if math.IsNaN(p) || p < 0 || p > cfg.PeakPower*(1+1e-9) {
-		c.report("server-power-bounds", now, "%s: power %v W outside [0, peak %v W]", cfg.Name, p, cfg.PeakPower)
-	}
-	if st == server.StateOff && p != 0 {
-		c.report("server-power-bounds", now, "%s: draws %v W while off", cfg.Name, p)
+	if r.state != server.StateActive && r.util != 0 {
+		c.report("server-utilization", now, "%s: utilization %v while %v", r.name, r.util, r.state)
 	}
 
-	ts := s.LastSyncAt()
-	en := s.EnergyJ()
-	boots := s.Boots()
-	tr, seen := c.servers[s]
-	if !seen {
-		tr = &serverTrack{}
-		c.servers[s] = tr
-	} else {
-		if !legalTransition(tr.state, st) {
-			c.report("server-legal-transition", now, "%s: illegal transition %v -> %v", cfg.Name, tr.state, st)
+	p := r.powerW
+	if math.IsNaN(p) || p < 0 || p > r.peakW*(1+1e-9) {
+		c.report("server-power-bounds", now, "%s: power %v W outside [0, peak %v W]", r.name, p, r.peakW)
+	}
+	if r.state == server.StateOff && p != 0 {
+		c.report("server-power-bounds", now, "%s: draws %v W while off", r.name, p)
+	}
+
+	if tr.seen {
+		if !legalTransition(tr.state, r.state) {
+			c.report("server-legal-transition", now, "%s: illegal transition %v -> %v", r.name, tr.state, r.state)
 		}
-		if ts < tr.at {
-			c.report("server-energy-integral", now, "%s: sync time moved backwards %v -> %v", cfg.Name, tr.at, ts)
+		if r.at < tr.at {
+			c.report("server-energy-integral", now, "%s: sync time moved backwards %v -> %v", r.name, tr.at, r.at)
 		} else {
-			bootDelta := boots - tr.boots
+			bootDelta := r.boots - tr.boots
 			if bootDelta < 0 {
-				c.report("server-legal-transition", now, "%s: boot counter decreased %d -> %d", cfg.Name, tr.boots, boots)
+				c.report("server-legal-transition", now, "%s: boot counter decreased %d -> %d", r.name, tr.boots, r.boots)
 				bootDelta = 0
 			}
-			expected := tr.energyJ + tr.power*(ts-tr.at).Seconds() + float64(bootDelta)*cfg.BootEnergy
+			expected := tr.energyJ + tr.powerW*(r.at-tr.at).Seconds() + float64(bootDelta)*r.bootJ
 			tol := energyAbsTolJ + energyRelTol*math.Abs(expected)
-			if math.Abs(en-expected) > tol {
+			if math.Abs(r.energyJ-expected) > tol {
 				c.report("server-energy-integral", now,
 					"%s: energy %v J != integral of sampled power %v J (Δ %v J over %v)",
-					cfg.Name, en, expected, en-expected, ts-tr.at)
+					r.name, r.energyJ, expected, r.energyJ-expected, r.at-tr.at)
 			}
-			if en < tr.energyJ {
-				c.report("server-energy-integral", now, "%s: energy decreased %v -> %v J", cfg.Name, tr.energyJ, en)
+			if r.energyJ < tr.energyJ {
+				c.report("server-energy-integral", now, "%s: energy decreased %v -> %v J", r.name, tr.energyJ, r.energyJ)
 			}
 		}
 	}
-	tr.state, tr.power, tr.energyJ, tr.boots, tr.at = st, p, en, boots, ts
+	tr.reading, tr.seen = r, true
 }
 
 // checkRoom validates the thermal model: CRAC setpoints clamped to their
@@ -331,10 +442,10 @@ func saneTemp(t float64) bool {
 func (c *Checker) checkTopology(now time.Duration, t *power.Topology) {
 	flow := t.Feed.EvaluateInto(&c.flows)
 	strict := t.Oversubscription <= 1
-	c.walkFlow(now, strict, flow)
+	c.walkFlow(now, strict, &flow)
 }
 
-func (c *Checker) walkFlow(now time.Duration, strict bool, f power.Flow) {
+func (c *Checker) walkFlow(now time.Duration, strict bool, f *power.Flow) {
 	if math.IsNaN(f.OutW) || f.OutW < 0 || math.IsNaN(f.InW) || f.InW < f.OutW {
 		c.report("power-flow-sane", now, "%s[%s]: out %v W in %v W", f.Name, f.Kind, f.OutW, f.InW)
 	}
@@ -346,7 +457,7 @@ func (c *Checker) walkFlow(now time.Duration, strict bool, f power.Flow) {
 		c.report("power-tier-capacity", now, "%s[%s]: output %v W over surge ceiling without oversubscription",
 			f.Name, f.Kind, f.OutW)
 	}
-	for _, ch := range f.Children {
-		c.walkFlow(now, strict, ch)
+	for i := range f.Children {
+		c.walkFlow(now, strict, &f.Children[i])
 	}
 }

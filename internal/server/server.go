@@ -207,7 +207,7 @@ func (c Config) Validate() error {
 }
 
 // dynFraction evaluates the configured power curve (linear when nil).
-func (c Config) dynFraction(u float64) float64 {
+func (c *Config) dynFraction(u float64) float64 {
 	if len(c.PowerCurve) == 0 {
 		return u
 	}
