@@ -43,17 +43,14 @@ func run(migrate bool) (maxInletB float64, trips int, supplyRise float64) {
 	room.Attach(e)
 
 	cfg := server.DefaultConfig()
-	cfg.TripTempC = 33
-	servers := make([]*server.Server, 0, 2*perZone)
-	for i := 0; i < 2*perZone; i++ {
-		c := cfg
-		c.Name = fmt.Sprintf("srv-%03d", i)
-		s, err := server.New(c)
-		if err != nil {
-			log.Fatal(err)
-		}
+	cfg.Name, cfg.TripTempC = "srv", 33
+	b, err := server.NewBlock(cfg, 2*perZone)
+	if err != nil {
+		log.Fatal(err)
+	}
+	servers := b.Servers()
+	for _, s := range servers {
 		s.PowerOn(e)
-		servers = append(servers, s)
 	}
 	if err := e.Run(2 * time.Minute); err != nil {
 		log.Fatal(err)

@@ -63,12 +63,15 @@ func BenchmarkFleetAggregateReads(b *testing.B) {
 }
 
 // BenchmarkFleetDispatch measures one spread-dispatch round over the
-// whole fleet — the per-decision hot path of every manager mode. Must be
-// allocation-free: capacities and utilizations live in fleet-owned
-// scratch buffers.
+// whole fleet — the per-decision hot path of every manager mode — at 1k,
+// 10k and (outside -short) 100k servers. Must be allocation-free:
+// capacities and utilizations live in fleet-owned scratch buffers.
 func BenchmarkFleetDispatch(b *testing.B) {
-	for _, n := range []int{1_000, 10_000} {
+	for _, n := range []int{1_000, 10_000, 100_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			if n > 10_000 && testing.Short() {
+				b.Skip("100k tier skipped in -short mode")
+			}
 			e, f := benchFleet(b, n)
 			cfg := server.DefaultConfig()
 			offered := 0.6 * float64(n) * cfg.Capacity
@@ -193,6 +196,33 @@ func TestDispatchSteadyStateAllocFree(t *testing.T) {
 				t.Errorf("steady-state dispatch over %d servers allocates %v objects per call, want 0", n, allocs)
 			}
 		})
+	}
+}
+
+// TestSetTargetCycleAllocFree: once warm, shedding all 10,000 servers
+// of a fleet and booting them back — one shutdown and one boot completion
+// event each — allocates nothing. Completions pop their slot from a
+// block-owned queue instead of capturing it in a closure.
+func TestSetTargetCycleAllocFree(t *testing.T) {
+	const n = 10_000
+	e, f := benchFleet(t, n)
+	cfg := server.DefaultConfig()
+	cycle := func() {
+		f.SetTarget(0)
+		if err := e.Run(e.Now() + cfg.ShutdownDelay + time.Second); err != nil {
+			t.Fatal(err)
+		}
+		f.SetTarget(n)
+		if err := e.Run(e.Now() + cfg.BootDelay + time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(3, cycle); allocs != 0 {
+		t.Errorf("SetTarget down/up cycle over %d servers allocates %v objects, want 0", n, allocs)
+	}
+	if f.ActiveCount() != n {
+		t.Fatalf("active = %d after the cycle, want %d", f.ActiveCount(), n)
 	}
 }
 

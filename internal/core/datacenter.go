@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"time"
 
@@ -65,19 +64,10 @@ type DataCenter struct {
 	// zoneServers lists server indexes per zone (rebuilt on reorder), so
 	// zone-scoped control loops avoid O(N) scans.
 	zoneServers [][]int
-	// zoneMinTripC is the lowest protective-trip threshold in each zone:
-	// the physics tick only walks a zone's servers when its inlet exceeds
-	// this, keeping the steady-state tick O(zones) instead of O(servers)
-	// while preserving exact trip semantics.
-	zoneMinTripC []float64
-	// Sharded physics-scan machinery: per-zone shard lists over the zone's
-	// server index, a slot → shard routing map covering every zone, and
-	// padded per-shard trip counters so concurrent shards never bounce a
-	// cache line while counting. A zone never has more shards than its
-	// fleet, so the counters are sized by the fleet's shard count.
+	// Each zone's servers as slots, and the zone's shard list over them; a
+	// zone has no more shards than its fleet, whose partials the scan uses.
+	zoneSlots  [][]int32
 	zoneShards [][]par.Range
-	physRoute  []int32
-	tripCnt    []padCount
 	tripped    int
 	cancels    []sim.Cancel
 	attached   bool
@@ -88,14 +78,7 @@ type DataCenter struct {
 	fillFn    func(int, par.Range)
 	scanNow   time.Duration
 	scanInlet float64
-	scanList  []int
-}
-
-// padCount is an int64 counter padded to a full cache line, for slabs of
-// per-shard counters written concurrently.
-type padCount struct {
-	v int64
-	_ [56]byte
+	scanList  []int32
 }
 
 // NewDataCenter builds and wires the facility.
@@ -218,39 +201,28 @@ func (dc *DataCenter) RackOfServer(i int) int { return dc.rackOf[i] }
 // mutate.
 func (dc *DataCenter) ServersInZone(z int) []int { return dc.zoneServers[z] }
 
-// rebuildZoneIndex recomputes the zone→servers index and per-zone
-// minimum trip thresholds from the current order-indexed zone map, plus
-// the per-zone shard lists and the slot-level routing map the trip scan
-// folds its deltas through.
+// rebuildZoneIndex recomputes the zone→servers index (by activation
+// position and by slot) and the per-zone shard lists from the current
+// order-indexed zone map.
 func (dc *DataCenter) rebuildZoneIndex() {
 	if dc.zoneServers == nil {
 		dc.zoneServers = make([][]int, dc.room.Zones())
-		dc.zoneMinTripC = make([]float64, dc.room.Zones())
+		dc.zoneSlots = make([][]int32, dc.room.Zones())
 		dc.zoneShards = make([][]par.Range, dc.room.Zones())
-		dc.physRoute = make([]int32, dc.fleet.Size())
-		dc.tripCnt = make([]padCount, len(dc.fleet.shards))
 	}
 	for z := range dc.zoneServers {
 		dc.zoneServers[z] = dc.zoneServers[z][:0]
-		dc.zoneMinTripC[z] = math.Inf(1)
+		dc.zoneSlots[z] = dc.zoneSlots[z][:0]
 	}
-	servers := dc.fleet.Servers()
 	for i, z := range dc.zoneOf {
 		dc.zoneServers[z] = append(dc.zoneServers[z], i)
-		if t := servers[i].Config().TripTempC; t < dc.zoneMinTripC[z] {
-			dc.zoneMinTripC[z] = t
-		}
+		dc.zoneSlots[z] = append(dc.zoneSlots[z], dc.fleet.slotOfPos[i])
 	}
 	for z, list := range dc.zoneServers {
 		// Shards depend only on the zone's size, so the scan's float
 		// grouping — and therefore every downstream bit — is the same for
 		// every worker count.
 		dc.zoneShards[z] = par.Shards(len(list))
-		for sh, r := range dc.zoneShards[z] {
-			for k := r.Lo; k < r.Hi; k++ {
-				dc.physRoute[dc.fleet.slotOfPos[list[k]]] = int32(sh)
-			}
-		}
 	}
 }
 
@@ -267,8 +239,9 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 	// Couple servers ↔ room on the physics tick: zone heat in, inlet
 	// temperatures (and protective trips, §2.2) out. Zone heat comes from
 	// the fleet's maintained per-zone sums and the trip scan only enters
-	// zones whose inlet exceeds the zone's lowest trip threshold, so the
-	// steady-state tick is O(zones), not O(servers).
+	// server-holding zones whose inlet exceeds the servers' trip threshold
+	// (one config for the whole fleet), so the steady-state tick is
+	// O(zones), not O(servers).
 	dc.cancels = append(dc.cancels, dc.engine.Every(dc.room.PhysicsTick(), func(e *sim.Engine) {
 		now := e.Now()
 		for z := 0; z < dc.room.Zones(); z++ {
@@ -276,9 +249,9 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 				panic(fmt.Sprintf("core: zone heat: %v", err)) // zones validated at construction
 			}
 		}
-		for z := range dc.zoneServers {
+		for z, slots := range dc.zoneSlots {
 			inlet := dc.room.ZoneInletC(z)
-			if inlet <= dc.zoneMinTripC[z] {
+			if len(slots) == 0 || inlet <= dc.cfg.ServerConfig.TripTempC {
 				continue
 			}
 			dc.tripped += dc.scanZone(now, inlet, z)
@@ -298,34 +271,25 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 }
 
 // scanZone is the trip scan for hot zone z, fanned out over the zone's
-// shard list. ObserveInlet advances each server and may trip it; the
-// resulting power/energy/state deltas route to per-shard accumulators
-// (merged in shard order at endShardPhase), and each shard counts its
-// trips into a padded counter folded serially afterwards.
+// shard list. Each shard reports the inlet to its slots, which may trip
+// them, folding the deltas — trips included — into the shard's partial
+// sums, merged in shard order afterwards.
 func (dc *DataCenter) scanZone(now time.Duration, inlet float64, z int) int {
 	f := dc.fleet
-	dc.scanNow, dc.scanInlet, dc.scanList = now, inlet, dc.zoneServers[z]
-	f.beginShardPhase(dc.physRoute)
+	dc.scanNow, dc.scanInlet, dc.scanList = now, inlet, dc.zoneSlots[z]
 	f.pool.RunRanges(dc.zoneShards[z], dc.scanFn)
-	f.endShardPhase()
 	total := 0
 	for sh := range dc.zoneShards[z] {
-		total += int(dc.tripCnt[sh].v)
-		dc.tripCnt[sh].v = 0
+		total += f.acc[sh].sums.Trips
 	}
+	f.mergeShards()
 	return total
 }
 
-// scanShard is scanZone's body over one shard of the zone's server list.
+// scanShard is scanZone's body over one shard of the zone's slot list.
 func (dc *DataCenter) scanShard(sh int, r par.Range) {
-	servers := dc.fleet.servers
-	var n int64
-	for k := r.Lo; k < r.Hi; k++ {
-		if servers[dc.scanList[k]].ObserveInlet(dc.scanNow, dc.scanInlet) {
-			n++
-		}
-	}
-	dc.tripCnt[sh].v = n
+	f := dc.fleet
+	f.block.ObserveInlets(&f.acc[sh].sums, dc.scanNow, dc.scanList[r.Lo:r.Hi], dc.scanInlet)
 }
 
 // sample pushes one telemetry round into the store as a single columnar
@@ -350,13 +314,13 @@ func (dc *DataCenter) sample(now time.Duration) {
 }
 
 // fillShard is sample's body over one fleet shard: copy each server's
-// power and utilization into its two frame columns.
+// power and utilization columns into its two frame columns.
 func (dc *DataCenter) fillShard(_ int, r par.Range) {
-	servers := dc.fleet.servers
+	f := dc.fleet
 	for i := r.Lo; i < r.Hi; i++ {
-		s := servers[i]
-		dc.frameBuf[2*i] = s.Power()
-		dc.frameBuf[2*i+1] = s.Utilization()
+		slot := int(f.slotOfPos[i])
+		dc.frameBuf[2*i] = f.block.PowerAt(slot)
+		dc.frameBuf[2*i+1] = f.block.UtilizationAt(slot)
 	}
 }
 

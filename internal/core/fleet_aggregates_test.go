@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -25,6 +26,11 @@ func scanAggregates(f *Fleet) (on, active, trips int, powerW, energyJ float64) {
 		energyJ += s.EnergyJ()
 	}
 	return on, active, trips, powerW, energyJ
+}
+
+// withinTol reports |a-b| <= relTol*max(|a|,|b|) + absTol.
+func withinTol(a, b, relTol, absTol float64) bool {
+	return math.Abs(a-b) <= relTol*math.Max(math.Abs(a), math.Abs(b))+absTol
 }
 
 func requireAggregatesMatchScan(t *testing.T, f *Fleet) {
@@ -200,8 +206,8 @@ func TestRebaseRecordsDrift(t *testing.T) {
 	}
 
 	// Inject drift well past what a rebase window can accumulate —
-	// the shape of a lost notification delta.
-	f.powerTotal += 3.5
+	// the shape of a lost column-write delta.
+	f.block.Sums().PowerW += 3.5
 	f.Rebase()
 	last, max = f.RebaseDrift()
 	if last < 3.4 || last > 3.6 {
@@ -243,7 +249,7 @@ func TestRebaseDriftCoversGroups(t *testing.T) {
 	if last, _ := f.RebaseDrift(); last != 0 {
 		t.Fatalf("SetPowerGroups installation measured as drift: %v W", last)
 	}
-	f.zonePower[1] -= 2.0 // negative drift: exactly what the clamp hides
+	f.block.Sums().Zone[1] -= 2.0 // negative drift: exactly what the clamp hides
 	f.Rebase()
 	if last, _ := f.RebaseDrift(); last < 1.9 || last > 2.1 {
 		t.Fatalf("zone drift recorded as %v W, want ~2", last)

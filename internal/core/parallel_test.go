@@ -260,40 +260,6 @@ func TestRebaseOncePerSampleRoundSharded(t *testing.T) {
 	}
 }
 
-// TestRebaseGuardsDuringShardPhase pins the serial-only contract of the
-// rebase entry points: recomputing the running sums while per-shard
-// accumulators hold unmerged deltas would corrupt them, so both paths
-// panic inside a phase, and VerifyAggregates refuses to certify one. Every
-// fleet folds through shards, so a small single-shard fleet has the same
-// guards.
-func TestRebaseGuardsDuringShardPhase(t *testing.T) {
-	e := sim.NewEngine(1)
-	f, err := NewFleet(e, testServerConfig(), 40)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustPanic := func(name string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s inside a shard phase did not panic", name)
-			}
-		}()
-		fn()
-	}
-	f.beginShardPhase(f.dispatchShard)
-	mustPanic("Rebase", f.Rebase)
-	mustPanic("MaybeRebase", f.MaybeRebase)
-	if err := f.VerifyAggregates(); err == nil {
-		t.Error("VerifyAggregates inside a shard phase did not fail")
-	}
-	f.endShardPhase()
-	f.Rebase() // must be fine again outside the phase
-	if err := f.VerifyAggregates(); err != nil {
-		t.Errorf("VerifyAggregates after phase end: %v", err)
-	}
-}
-
 // BenchmarkPhysicsTickParallel measures the sharded per-zone trip scan —
 // the physics-tick hot loop — at 1/2/4/8 workers over a 4096-server
 // zone. The sub-trip inlet keeps every server active, so iterations are

@@ -258,17 +258,14 @@ func (r CRACResult) Report() string {
 // 25 °C; protection engages well above the envelope).
 func crackServers(e *sim.Engine, n int) ([]*server.Server, error) {
 	cfg := server.DefaultConfig()
-	cfg.TripTempC = 33
-	out := make([]*server.Server, 0, 2*n)
-	for i := 0; i < 2*n; i++ {
-		c := cfg
-		c.Name = fmt.Sprintf("srv-%02d", i)
-		s, err := server.New(c)
-		if err != nil {
-			return nil, err
-		}
+	cfg.Name, cfg.TripTempC = "srv", 33
+	b, err := server.NewBlock(cfg, 2*n)
+	if err != nil {
+		return nil, err
+	}
+	out := b.Servers()
+	for _, s := range out {
 		s.PowerOn(e)
-		out = append(out, s)
 	}
 	return out, nil
 }

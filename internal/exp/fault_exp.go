@@ -402,16 +402,13 @@ func RunFaultSensor(env *Env) (Result, error) {
 		}
 		room.Attach(e)
 		srvCfg := server.DefaultConfig()
-		var servers []*server.Server
-		for i := 0; i < zones*perZone; i++ {
-			c := srvCfg
-			c.Name = fmt.Sprintf("srv-%03d", i)
-			sv, err := server.New(c)
-			if err != nil {
-				return s, nil, 0, 0, 0, err
-			}
+		blk, err := server.NewBlock(srvCfg, zones*perZone)
+		if err != nil {
+			return s, nil, 0, 0, 0, err
+		}
+		servers := blk.Servers()
+		for _, sv := range servers {
 			sv.PowerOn(e)
-			servers = append(servers, sv)
 		}
 		net, err := sensornet.NewNetwork(sensornet.DefaultNetworkConfig(zones), e.RNG().Fork("sensors"))
 		if err != nil {

@@ -52,16 +52,13 @@ func RunHetero(env *Env) (Result, error) {
 		e := env.NewEngine(seed)
 		cfg := server.DefaultConfig()
 		cfg.PowerCurve = curve
-		servers := make([]*server.Server, 0, n)
-		for i := 0; i < n; i++ {
-			c := cfg
-			c.Name = fmt.Sprintf("srv-%02d", i)
-			s, err := server.New(c)
-			if err != nil {
-				return 0, err
-			}
+		b, err := server.NewBlock(cfg, n)
+		if err != nil {
+			return 0, err
+		}
+		servers := b.Servers()
+		for _, s := range servers {
 			s.PowerOn(e)
-			servers = append(servers, s)
 		}
 		if err := e.Run(cfg.BootDelay); err != nil {
 			return 0, err

@@ -59,16 +59,13 @@ func RunParking(env *Env) (Result, error) {
 
 	runStrategy := func(strategy string) (float64, error) {
 		e := env.NewEngine(seed)
-		servers := make([]*server.Server, 0, n)
-		for i := 0; i < n; i++ {
-			c := cfg
-			c.Name = fmt.Sprintf("srv-%02d", i)
-			s, err := server.New(c)
-			if err != nil {
-				return 0, err
-			}
+		b, err := server.NewBlock(cfg, n)
+		if err != nil {
+			return 0, err
+		}
+		servers := b.Servers()
+		for _, s := range servers {
 			s.PowerOn(e)
-			servers = append(servers, s)
 		}
 		if err := e.Run(cfg.BootDelay); err != nil {
 			return 0, err

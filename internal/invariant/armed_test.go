@@ -25,31 +25,11 @@ func rules(c *Checker) []string {
 	return out
 }
 
-// bootedFleet builds an n-server fleet on an engine no checker rides,
-// with its first on servers booted to active.
-func bootedFleet(t testing.TB, n, on int) (*sim.Engine, *core.Fleet) {
-	t.Helper()
-	e := sim.NewEngine(1)
-	cfg := server.DefaultConfig()
-	f, err := core.NewFleet(e, cfg, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.SetTarget(on)
-	if err := e.Run(cfg.BootDelay + time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if f.ActiveCount() != on {
-		t.Fatalf("active = %d after boot, want %d", f.ActiveCount(), on)
-	}
-	return e, f
-}
-
 // TestReadingRules seeds the per-server bugs the server's own clamps
 // prevent by fabricating readings, and requires each to be reported
 // under its own rule and no other.
 func TestReadingRules(t *testing.T) {
-	ok := reading{name: "s", state: server.StateActive, util: 0.5, powerW: 240,
+	ok := reading{srv: server.MustNew(server.DefaultConfig()), state: server.StateActive, util: 0.5, powerW: 240,
 		energyJ: 1000, boots: 1, at: time.Minute, peakW: 300, bootJ: 20_000}
 	cases := []struct {
 		name string
@@ -100,93 +80,6 @@ func TestReadingRules(t *testing.T) {
 	c.checkReading(time.Minute, &tr, next)
 	if len(c.violations) != 0 {
 		t.Fatalf("consistent readings flagged: %v", c.violations)
-	}
-}
-
-// checkUntilSweep checks f once per simulated event until the fleet's
-// next full sweep, requiring the change-set checks before it to report
-// nothing.
-func checkUntilSweep(t *testing.T, c *Checker, f *core.Fleet, now time.Duration) {
-	t.Helper()
-	for i := 1; i < f.Size(); i++ {
-		c.CheckComponent(now, f)
-		if len(c.violations) != 0 {
-			t.Fatalf("reported at change-set check %d, before the sweep: %v", i, c.violations)
-		}
-	}
-	c.CheckComponent(now, f)
-}
-
-// TestSkippedNotificationReportedAtNextSweep: a load change the fleet
-// never hears marks no slot, so the change-set checks cannot see it; the
-// next full sweep reports it as fleet-aggregates, and so does a sweep
-// on Err.
-func TestSkippedNotificationReportedAtNextSweep(t *testing.T) {
-	for _, viaErr := range []bool{false, true} {
-		e, f := bootedFleet(t, 8, 8)
-		now := e.Now()
-		c := NewChecker()
-		c.CheckComponent(now, f) // first sight: sweep
-		s := f.ServerAt(3)
-		s.Watch(3, nil)
-		s.SetUtilization(now, 0.7)
-		if viaErr {
-			if c.Err() == nil {
-				t.Fatal("Err did not sweep")
-			}
-		} else {
-			checkUntilSweep(t, c, f, now)
-		}
-		if got := rules(c); !slices.Equal(got, []string{"fleet-aggregates"}) {
-			t.Fatalf("viaErr=%v: reported %v, want [fleet-aggregates]: %v", viaErr, got, c.violations)
-		}
-	}
-}
-
-// TestSilentBootReportedAtNextSweep: a server booted while unwatched,
-// then watched again, jumped Off→Active in the checker's history with
-// energy it never saw. The next sweep reports the illegal transition,
-// the energy jump and the fleet's stale counts.
-func TestSilentBootReportedAtNextSweep(t *testing.T) {
-	e, f := bootedFleet(t, 8, 4)
-	c := NewChecker()
-	c.CheckComponent(e.Now(), f)
-	s := f.ServerAt(6)
-	s.Watch(6, nil)
-	s.PowerOn(e)
-	if err := e.Run(e.Now() + s.Config().BootDelay + time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if s.State() != server.StateActive {
-		t.Fatalf("silent boot left the server %v", s.State())
-	}
-	s.Watch(6, f)
-	checkUntilSweep(t, c, f, e.Now())
-	for _, want := range []string{"server-legal-transition", "server-energy-integral", "fleet-aggregates"} {
-		if !slices.Contains(rules(c), want) {
-			t.Errorf("%s not reported: %v", want, c.violations)
-		}
-	}
-}
-
-// TestMisroutedNotificationDriftsAccounting: a server that notifies the
-// wrong fleet drifts that fleet's counters away from its own servers'
-// states, and the change-set check of the event reports fleet-accounting
-// without waiting for a sweep.
-func TestMisroutedNotificationDriftsAccounting(t *testing.T) {
-	e, f := bootedFleet(t, 8, 4)
-	other, err := core.NewFleet(e, server.DefaultConfig(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := NewChecker()
-	c.CheckComponent(e.Now(), other)
-	s := f.ServerAt(6)
-	s.Watch(6, other)
-	s.PowerOn(e)
-	c.CheckComponent(e.Now(), other)
-	if got := rules(c); !slices.Equal(got, []string{"fleet-accounting"}) {
-		t.Fatalf("reported %v, want [fleet-accounting]: %v", got, c.violations)
 	}
 }
 

@@ -12,15 +12,15 @@
 // scans the engine's registered components (fleets, cooling rooms, power
 // topologies, and anything implementing Checkable). Rooms, topologies and
 // checkables are checked in full after every event. A fleet is checked at
-// O(changes): after each event the checker checks only the servers that
-// notified the fleet since its last check (core.Fleet.Changed) and
-// compares its own per-state counts with the fleet's O(1) counters. Once
-// every Size() events, and whenever Err or Violations is read, it sweeps
-// every server of the fleet and cross-validates the fleet's maintained
-// aggregates, so a mutation that skipped its notification is reported,
-// under its own rule, at the next sweep. Checks are read-only — the
-// checker never advances, syncs, or otherwise mutates a substrate — so an
-// armed run is behaviourally identical to an unarmed one.
+// O(changes): after each event the checker checks only the servers whose
+// columns changed since its last check (core.Fleet.Changed) and compares
+// its own per-state counts with the fleet's O(1) counters. Once every
+// Size() events, and whenever Err or Violations is read, it sweeps every
+// server of the fleet and cross-validates the fleet's derived columns and
+// maintained aggregates against a full recompute. A server's name is
+// formatted only for a report. Checks are read-only — the checker never
+// advances, syncs, or otherwise mutates a substrate — so an armed run is
+// behaviourally identical to an unarmed one.
 package invariant
 
 import (
@@ -83,7 +83,8 @@ const (
 // rules read. checkServer takes it from a live server; tests fabricate
 // readings that the server's own clamps would never produce.
 type reading struct {
-	name    string
+	// srv is the server read; its name is formatted only for a report.
+	srv     *server.Server
 	state   server.State
 	util    float64
 	powerW  float64
@@ -259,9 +260,9 @@ func (c *Checker) checkFleet(now time.Duration, f *core.Fleet) {
 }
 
 // sweep checks every server of the fleet and its state counts, then
-// cross-validates the fleet's incrementally maintained aggregates (SoA
-// power plane, running totals, per-group sums) against a full recompute,
-// so a mutation path that skipped its notification — or float drift
+// cross-validates the fleet's derived columns and incrementally
+// maintained aggregates (power column, running totals, per-group sums)
+// against a full recompute, so an accounting bug — or float drift
 // escaping the rebase policy — fails loudly.
 func (c *Checker) sweep(ft *fleetTrack) {
 	ft.due = len(ft.slots) - 1
@@ -330,7 +331,7 @@ func (c *Checker) checkServer(now time.Duration, tr *serverTrack, s *server.Serv
 		peakW, bootJ = cfg.PeakPower, cfg.BootEnergy
 	}
 	c.checkReading(now, tr, reading{
-		name:    s.Name(),
+		srv:     s,
 		state:   s.State(),
 		util:    s.Utilization(),
 		powerW:  s.Power(),
@@ -350,34 +351,34 @@ func (c *Checker) checkReading(now time.Duration, tr *serverTrack, r reading) {
 	switch r.state {
 	case server.StateOff, server.StateBooting, server.StateActive, server.StateShuttingDown:
 	default:
-		c.report("server-state", now, "%s: unknown state %v", r.name, r.state)
+		c.report("server-state", now, "%s: unknown state %v", r.srv.Name(), r.state)
 	}
 
 	if r.util < 0 || r.util > 1 {
-		c.report("server-utilization", now, "%s: utilization %v out of [0,1]", r.name, r.util)
+		c.report("server-utilization", now, "%s: utilization %v out of [0,1]", r.srv.Name(), r.util)
 	}
 	if r.state != server.StateActive && r.util != 0 {
-		c.report("server-utilization", now, "%s: utilization %v while %v", r.name, r.util, r.state)
+		c.report("server-utilization", now, "%s: utilization %v while %v", r.srv.Name(), r.util, r.state)
 	}
 
 	p := r.powerW
 	if math.IsNaN(p) || p < 0 || p > r.peakW*(1+1e-9) {
-		c.report("server-power-bounds", now, "%s: power %v W outside [0, peak %v W]", r.name, p, r.peakW)
+		c.report("server-power-bounds", now, "%s: power %v W outside [0, peak %v W]", r.srv.Name(), p, r.peakW)
 	}
 	if r.state == server.StateOff && p != 0 {
-		c.report("server-power-bounds", now, "%s: draws %v W while off", r.name, p)
+		c.report("server-power-bounds", now, "%s: draws %v W while off", r.srv.Name(), p)
 	}
 
 	if tr.seen {
 		if !legalTransition(tr.state, r.state) {
-			c.report("server-legal-transition", now, "%s: illegal transition %v -> %v", r.name, tr.state, r.state)
+			c.report("server-legal-transition", now, "%s: illegal transition %v -> %v", r.srv.Name(), tr.state, r.state)
 		}
 		if r.at < tr.at {
-			c.report("server-energy-integral", now, "%s: sync time moved backwards %v -> %v", r.name, tr.at, r.at)
+			c.report("server-energy-integral", now, "%s: sync time moved backwards %v -> %v", r.srv.Name(), tr.at, r.at)
 		} else {
 			bootDelta := r.boots - tr.boots
 			if bootDelta < 0 {
-				c.report("server-legal-transition", now, "%s: boot counter decreased %d -> %d", r.name, tr.boots, r.boots)
+				c.report("server-legal-transition", now, "%s: boot counter decreased %d -> %d", r.srv.Name(), tr.boots, r.boots)
 				bootDelta = 0
 			}
 			expected := tr.energyJ + tr.powerW*(r.at-tr.at).Seconds() + float64(bootDelta)*r.bootJ
@@ -385,10 +386,10 @@ func (c *Checker) checkReading(now time.Duration, tr *serverTrack, r reading) {
 			if math.Abs(r.energyJ-expected) > tol {
 				c.report("server-energy-integral", now,
 					"%s: energy %v J != integral of sampled power %v J (Δ %v J over %v)",
-					r.name, r.energyJ, expected, r.energyJ-expected, r.at-tr.at)
+					r.srv.Name(), r.energyJ, expected, r.energyJ-expected, r.at-tr.at)
 			}
 			if r.energyJ < tr.energyJ {
-				c.report("server-energy-integral", now, "%s: energy decreased %v -> %v J", r.name, tr.energyJ, r.energyJ)
+				c.report("server-energy-integral", now, "%s: energy decreased %v -> %v J", r.srv.Name(), tr.energyJ, r.energyJ)
 			}
 		}
 	}
