@@ -50,10 +50,9 @@ func (r TelemetryResult) Report() string {
 // RunTelemetry ingests a scaled copy of the paper's 10,000-server ×
 // 100-counter × 15-second scenario and measures rates with the wall
 // clock (the only experiment where wall time, not virtual time, is the
-// metric).
+// metric). Its synthetic values are deterministic, so it reads nothing
+// from env.
 func RunTelemetry(env *Env) (Result, error) {
-	seed := env.Seed
-	_ = seed // deterministic synthetic values; no randomness needed
 	store, err := telemetry.NewStore(telemetry.Config{
 		RawInterval:  15 * stdtime.Second,
 		RawRetention: stdtime.Hour,
@@ -64,7 +63,8 @@ func RunTelemetry(env *Env) (Result, error) {
 	}
 	// Scaled scenario: 200 servers × 20 counters × 2 simulated days of
 	// 15 s samples = 46.08 M points is too slow for a default run; use
-	// 200×10×1day = 5.76 M points and measure the rate.
+	// 200 servers × 10 counters × 5,760 samples (one day) = 11.52 M
+	// points and measure the rate.
 	const (
 		servers  = 200
 		counters = 10

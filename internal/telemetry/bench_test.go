@@ -86,3 +86,32 @@ func BenchmarkAppendByHandle(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkAppendRounds ingests round by round through 2,000 resolved
+// Appenders, one point per key per 15 s round: the telemetry
+// experiment's shape. BenchmarkAppendByHandle's 100 series fit in cache;
+// 2,000 do not, so each append pays for the memory it touches. One op
+// is one round; ns/point divides by the keys.
+func BenchmarkAppendRounds(b *testing.B) {
+	store, err := NewStore(DefaultConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const keys = 2000
+	handles := make([]*Appender, keys)
+	for k := range handles {
+		handles[k] = store.Appender(fmt.Sprintf("srv%04d/cpu", k))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ts := time.Duration(i) * 15 * time.Second
+		v := float64(i % 960)
+		for _, a := range handles {
+			if err := a.Append(ts, v); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*keys), "ns/point")
+}

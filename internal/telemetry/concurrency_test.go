@@ -10,9 +10,13 @@ import (
 
 // TestConcurrentScrapeWhileIngest is the live-exporter shape: one
 // goroutine ingests frame rounds, one runs Batch bursts over plain
-// series, and scrapers hammer every read path the serving layer uses
+// series, one appends point by point through Appenders to plain series
+// of its own, and scrapers hammer every read path the serving layer uses
 // (Query at several resolutions, LatestInto, Stats, Keys, the derived
-// analyses). Run under -race this proves the store's concurrency
+// analyses) until the writers finish, at least minScrapes times each. A
+// scraper's Query or Stats of a per-point series folds its pending
+// points, so under -race this also races those folds against per-point
+// appends. Run under -race this proves the store's concurrency
 // contract; without -race it is still a torn-read smoke test because
 // every observed bucket must be internally consistent.
 func TestConcurrentScrapeWhileIngest(t *testing.T) {
@@ -31,15 +35,21 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 		plainKeys[i] = fmt.Sprintf("plain/%d", i)
 		appenders[i] = s.Appender(plainKeys[i])
 	}
+	pointKeys := make([]string, 4)
+	pointApps := make([]*Appender, len(pointKeys))
+	for i := range pointKeys {
+		pointKeys[i] = fmt.Sprintf("point/%d", i)
+		pointApps[i] = s.Appender(pointKeys[i])
+	}
 
-	const rounds = 2000
+	const rounds, minScrapes = 2000, 1000
 	var stop atomic.Bool
-	var wg sync.WaitGroup
+	var writers, readers sync.WaitGroup
 
 	// Frame ingester.
-	wg.Add(1)
+	writers.Add(1)
 	go func() {
-		defer wg.Done()
+		defer writers.Done()
 		vals := make([]float64, len(frameKeys))
 		for r := 0; r < rounds; r++ {
 			ts := time.Duration(r) * 15 * time.Second
@@ -54,9 +64,9 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 	}()
 
 	// Batched plain-series ingester.
-	wg.Add(1)
+	writers.Add(1)
 	go func() {
-		defer wg.Done()
+		defer writers.Done()
 		for r := 0; r < rounds; r++ {
 			ts := time.Duration(r) * 15 * time.Second
 			b := s.BeginBatch()
@@ -71,18 +81,38 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 		}
 	}()
 
+	// Per-point ingester, one Appender.Append per sample.
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		for r := 0; r < rounds; r++ {
+			ts := time.Duration(r) * 15 * time.Second
+			for i, a := range pointApps {
+				if err := a.Append(ts, float64(r+i)+0.5); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+	}()
+
 	// Scrapers.
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
+		readers.Add(1)
 		go func(g int) {
-			defer wg.Done()
+			defer readers.Done()
 			latest := make([]float64, fw.Width())
-			for i := 0; !stop.Load(); i++ {
-				key := frameKeys[i%len(frameKeys)]
-				if i%2 == 1 {
+			for i := 0; i < minScrapes || !stop.Load(); i++ {
+				var key string
+				switch i % 3 {
+				case 0:
+					key = frameKeys[i%len(frameKeys)]
+				case 1:
 					key = plainKeys[i%len(plainKeys)]
+				default:
+					key = pointKeys[(i+g)%len(pointKeys)]
 				}
-				res := []Resolution{ResRaw, ResMinute, ResHour}[i%3]
+				res := []Resolution{ResRaw, ResMinute, ResQuarter, ResHour}[i%4]
 				bs, err := s.Query(key, 0, 1<<62, res)
 				if err != nil {
 					t.Errorf("query %q: %v", key, err)
@@ -111,8 +141,13 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 				}
 				if i%64 == 0 {
 					s.Keys()
-					// Derived analyses share Query's locking; exercise one.
+					// Derived analyses share Query's locking; exercise them
+					// on a framed and a per-point key.
 					if _, err := s.DailyAverages(frameKeys[0]); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := s.HourlyPattern(pointKeys[g%len(pointKeys)]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -121,21 +156,35 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 		}(g)
 	}
 
-	// Let writers finish, then release scrapers.
+	// Scrape until the writers finish.
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		wg.Wait()
-	}()
-	go func() {
-		// Writers are the first two Adds; give them time then stop readers.
-		time.Sleep(50 * time.Millisecond)
+		writers.Wait()
 		stop.Store(true)
+		readers.Wait()
 	}()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
 		t.Fatal("concurrent soak wedged")
+	}
+	// Every per-point sample reached the levels exactly once.
+	for i, key := range pointKeys {
+		bs, err := s.Query(key, 0, 1<<62, ResHour)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var count int64
+		var sum float64
+		for _, b := range bs {
+			count += b.Count
+			sum += b.Sum
+		}
+		want := float64(rounds)*float64(rounds-1)/2 + float64(rounds)*(float64(i)+0.5)
+		if count != rounds || sum != want {
+			t.Errorf("%s: hour buckets hold %d samples summing to %v, want %d and %v", key, count, sum, rounds, want)
+		}
 	}
 }
 

@@ -127,9 +127,9 @@ func (s *Store) Frames(keys []string) (*FrameWriter, error) {
 			return nil, fmt.Errorf("telemetry: key %q already belongs to a frame", k)
 		}
 		sh := s.shardFor(k)
-		sh.mu.RLock()
+		sh.mu.Lock()
 		_, exists := sh.series[k]
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 		if exists {
 			return nil, fmt.Errorf("telemetry: key %q already exists as a plain series", k)
 		}

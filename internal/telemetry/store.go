@@ -21,6 +21,13 @@
 // acquired before any shard lock, and no path holds a shard lock while
 // acquiring another store lock, so the lock order is acyclic.
 //
+// A per-point append writes only the raw band; the pyramid levels catch
+// up on the points they have not seen when the band fills or when a
+// reader needs them. Reads of a per-point series' levels (Query at an
+// aggregate resolution, Stats, the derived analyses) therefore fold
+// pending points, and each shard lock is a plain mutex: readers of one
+// shard serialize with each other as well as with its appenders.
+//
 // Reads are internally consistent but only per call: a Query observes
 // one atomic state of its series (no torn open-tail buckets), while a
 // sequence of calls (e.g. Stats then Query, or the multi-Query derived
@@ -121,12 +128,10 @@ type point struct {
 // is allocated at exactly its final size.
 const chunkLen = 32
 
-// level is one aggregation level of a key's pyramid. The open tail
-// bucket lives inline (cur) rather than in the closed storage: a fold
-// that lands in the open bucket — the overwhelmingly common case for the
-// coarse levels — updates the level struct itself and touches no other
-// memory, so one ingested point dirties a handful of contiguous cache
-// lines instead of four scattered slice tails.
+// level is one aggregation level of a key's pyramid: an open tail
+// bucket (cur) and the closed buckets before it. Points reach a level
+// only through foldRun, in runs of consecutive raw points, never one
+// append at a time.
 //
 // Closed buckets go in fixed-size chunks, each allocated once at its
 // final size when the first bucket lands in it and never regrown:
@@ -146,36 +151,51 @@ type level struct {
 	n      int
 }
 
-func (l *level) fold(t time.Duration, v float64) {
-	if t < l.curEnd {
-		l.cur.Count++
-		l.cur.Sum += v
-		if v < l.cur.Min {
-			l.cur.Min = v
+// foldRun folds ps, which are in time order and no earlier than any
+// point the level has seen, holding the open bucket in locals for the
+// run.
+// Each bucket still adds its points one by one in time order, so its
+// Sum, Count, Min and Max do not depend on how the points were split
+// into runs.
+func (l *level) foldRun(ps []point) {
+	width, curEnd, cur := l.width, l.curEnd, l.cur
+	for _, p := range ps {
+		if p.t < curEnd {
+			cur.Count++
+			cur.Sum += p.v
+			if p.v < cur.Min {
+				cur.Min = p.v
+			}
+			if p.v > cur.Max {
+				cur.Max = p.v
+			}
+			continue
 		}
-		if v > l.cur.Max {
-			l.cur.Max = v
+		var start time.Duration
+		if p.t < curEnd+width {
+			// Adjacent bucket — the steady-state rollover for a level
+			// whose width matches the sampling cadence. No division.
+			start = curEnd
+		} else {
+			start = p.t / width * width
 		}
-		return
-	}
-	var start time.Duration
-	if t < l.curEnd+l.width {
-		// Adjacent bucket — the steady-state rollover for a level whose
-		// width matches the sampling cadence. No division.
-		start = l.curEnd
-	} else {
-		start = t / l.width * l.width
-	}
-	if l.curEnd != 0 {
-		i := l.n % chunkLen
-		if i == 0 {
-			l.chunks = append(l.chunks, new([chunkLen]Bucket))
+		if curEnd != 0 {
+			l.close(cur)
 		}
-		l.chunks[len(l.chunks)-1][i] = l.cur
-		l.n++
+		curEnd = start + width
+		cur = Bucket{Start: start, Count: 1, Sum: p.v, Min: p.v, Max: p.v}
 	}
-	l.curEnd = start + l.width
-	l.cur = Bucket{Start: start, Count: 1, Sum: v, Min: v, Max: v}
+	l.curEnd, l.cur = curEnd, cur
+}
+
+// close appends b as the level's newest closed bucket.
+func (l *level) close(b Bucket) {
+	i := l.n % chunkLen
+	if i == 0 {
+		l.chunks = append(l.chunks, new([chunkLen]Bucket))
+	}
+	l.chunks[len(l.chunks)-1][i] = b
+	l.n++
 }
 
 // open reports whether the level has an open tail bucket.
@@ -203,13 +223,33 @@ func (l *level) appendClosed(out []Bucket, lo, hi int) []Bucket {
 // band is read (expired) and reclaimed only when raw is full (push), so
 // an append writes the band's newest end and never reads its cold oldest
 // point.
+//
+// Appends do not fold: raw[:folded] are in the levels, and raw[folded:]
+// wait for catchUp, which runs when raw fills and before any read of the
+// levels. Pending points already sit in the band, so deferring their
+// folds costs no memory.
 type series struct {
 	raw    []point
-	levels [4]level // minute, quarter, hour, day — inline for locality
+	folded int
+	levels [4]level // minute, quarter, hour, day
 	lastT  time.Duration
 	hasAny bool
 	// reclaimed counts expired raw points already cut from raw.
 	reclaimed int64
+}
+
+// catchUp folds the pending points raw[folded:] into every level. It is
+// the only path by which points reach the levels; its caller holds the
+// series' shard lock.
+func (ser *series) catchUp() {
+	pending := ser.raw[ser.folded:]
+	if len(pending) == 0 {
+		return
+	}
+	for i := range ser.levels {
+		ser.levels[i].foldRun(pending)
+	}
+	ser.folded = len(ser.raw)
 }
 
 // expired returns how many of raw's points lie outside the retention
@@ -223,13 +263,16 @@ func (ser *series) expired(ret time.Duration) int {
 }
 
 // push appends a raw point; lastT must already be its timestamp. When
-// raw is full, its expired prefix is reclaimed first: in place when the
-// retained points fill at most three quarters of it, else into a new
-// slice of twice the capacity. Either way the copy is amortized O(1) per
-// append, and under retention the slice stays within 8/3 of the
-// retained band.
+// raw is full, the levels catch up on it and its expired prefix is
+// reclaimed: in place when the retained points fill at most three
+// quarters of it, else into a new slice of twice the capacity. Either
+// way the copy is amortized O(1) per append, and under retention the
+// slice stays within 8/3 of the retained band. Catching up first means
+// no point leaves the band unfolded, and pending work never exceeds
+// raw's capacity.
 func (ser *series) push(p point, ret time.Duration) {
 	if c := cap(ser.raw); len(ser.raw) == c {
+		ser.catchUp()
 		dead := ser.expired(ret)
 		keep := ser.raw[dead:]
 		if len(keep)*4 > c*3 {
@@ -238,6 +281,7 @@ func (ser *series) push(p point, ret time.Duration) {
 		} else {
 			ser.raw = ser.raw[:copy(ser.raw, keep)]
 		}
+		ser.folded -= dead
 		ser.reclaimed += int64(dead)
 	}
 	ser.raw = append(ser.raw, p)
@@ -297,7 +341,7 @@ type Store struct {
 }
 
 type shard struct {
-	mu     sync.RWMutex
+	mu     sync.Mutex
 	series map[string]*series
 }
 
@@ -370,9 +414,6 @@ func (s *Store) appendLocked(key string, ser *series, t time.Duration, v float64
 	ser.lastT = t
 	ser.hasAny = true
 	ser.push(point{t: t, v: v}, s.cfg.RawRetention)
-	for i := range ser.levels {
-		ser.levels[i].fold(t, v)
-	}
 	return nil
 }
 
@@ -461,11 +502,11 @@ func (b Batch) End() {
 func (s *Store) Keys() []string {
 	var keys []string
 	for _, sh := range s.shards {
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for k := range sh.series {
 			keys = append(keys, k)
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	s.framesMu.RLock()
 	for k := range s.frames {
@@ -489,11 +530,14 @@ type Stats struct {
 }
 
 // Stats reports storage accounting — the §5.3 storage-reduction measure.
+// Bucket counts include every appended point: each per-point series
+// folds its pending points first.
 func (s *Store) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for _, ser := range sh.series {
+			ser.catchUp()
 			dead := ser.expired(s.cfg.RawRetention)
 			out.Keys++
 			out.RawPoints += int64(len(ser.raw) - dead)
@@ -506,7 +550,7 @@ func (s *Store) Stats() Stats {
 				}
 			}
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	s.framesMu.RLock()
 	writers := s.frameWriters
@@ -519,7 +563,8 @@ func (s *Store) Stats() Stats {
 
 // Query returns the buckets of key overlapping [from, to) at the given
 // resolution. Raw queries synthesize one bucket per sample from the
-// retained raw band.
+// retained raw band; aggregate queries of a per-point series fold its
+// pending points first.
 //
 // Framed keys are resolved against the frame registry first and answer
 // entirely from their FrameWriter's columns: a scrape of framed
@@ -538,13 +583,13 @@ func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Buc
 		return ref.w.query(ref.col, from, to, res)
 	}
 	sh := s.shardFor(key)
-	sh.mu.RLock()
+	sh.mu.Lock()
 	ser, ok := sh.series[key]
 	if !ok {
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 		return nil, fmt.Errorf("telemetry: unknown key %q", key)
 	}
-	defer sh.mu.RUnlock()
+	defer sh.mu.Unlock()
 	if res == ResRaw {
 		return rawBuckets(ser.raw[ser.expired(s.cfg.RawRetention):], from, to), nil
 	}
@@ -552,6 +597,7 @@ func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Buc
 	if err != nil {
 		return nil, err
 	}
+	ser.catchUp()
 	lv := &ser.levels[li]
 	// Binary search the dense, sorted closed buckets, then splice in the
 	// open tail bucket if it overlaps the range.
