@@ -364,8 +364,15 @@ func (dc *DataCenter) Flow() power.Flow { return dc.topo.Feed.Evaluate() }
 // IT power from the fleet, distribution losses from the tree, plant power
 // for removing the room's current cooling load.
 func (dc *DataCenter) PUEAt(outsideC, outsideRH float64) (float64, cooling.PlantPower, error) {
+	return dc.PUEOf(dc.Flow(), outsideC, outsideRH)
+}
+
+// PUEOf is PUEAt with the distribution losses taken from flow, a power
+// tree evaluation the caller already holds (for example one made with
+// Feed.EvaluateInto into a reused buffer), so the tree is not walked
+// twice. flow must describe the tree's current state.
+func (dc *DataCenter) PUEOf(flow power.Flow, outsideC, outsideRH float64) (float64, cooling.PlantPower, error) {
 	it := dc.ITPowerW()
-	flow := dc.Flow()
 	plant, err := dc.cfg.Plant.Power(dc.room.CoolingLoadW(), outsideC, outsideRH)
 	if err != nil {
 		return 0, plant, err

@@ -165,6 +165,12 @@ func TestDataCenterAttachCouplesHeatAndTelemetry(t *testing.T) {
 	if plant.TotalW() <= 0 {
 		t.Error("plant drew no power under load")
 	}
+	// PUEOf over a tree evaluation into a reused buffer reads the same.
+	var flows []power.Flow
+	pueOf, plantOf, err := dc.PUEOf(dc.Topology().Feed.EvaluateInto(&flows), 20, 0.4)
+	if err != nil || pueOf != pue || plantOf != plant {
+		t.Errorf("PUEOf = %v, %+v, %v; PUEAt = %v, %+v", pueOf, plantOf, err, pue, plant)
+	}
 	cancel()
 }
 

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -67,12 +65,18 @@ type GeoServer struct {
 	seq     atomic.Uint64
 	scrapes atomic.Uint64
 
-	// nextEmit is the next virtual-time SSE boundary; pacer-only.
-	nextEmit time.Duration
+	// nextEmit is the next virtual-time SSE boundary. emitSnap (one
+	// reused section per site), the scratch it is built with, and
+	// emitJSON, its encoding, are reused by every emit. All four are
+	// pacer-only.
+	nextEmit    time.Duration
+	emitSnap    GeoSnapshot
+	emitScratch snapshotScratch
+	emitJSON    []byte
 
-	sse       *broadcaster
-	frameBufs sync.Pool
-	bufs      sync.Pool
+	sse     *broadcaster
+	scratch sync.Pool
+	bufs    sync.Pool
 }
 
 // NewGeoServer validates the options and builds a server around the
@@ -95,8 +99,8 @@ func NewGeoServer(fed *geo.Federation, opts Options) (*GeoServer, error) {
 		opts: opts,
 		sse:  newBroadcaster(),
 	}
-	s.frameBufs.New = func() any { return []float64(nil) }
-	s.bufs.New = func() any { return new(bytes.Buffer) }
+	s.scratch.New = func() any { return new(snapshotScratch) }
+	s.bufs.New = func() any { return new(renderBuf) }
 	s.nextEmit = fed.Now() + opts.EmitEvery
 	return s, nil
 }
@@ -120,14 +124,15 @@ func (s *GeoServer) AdvanceTo(target time.Duration) error {
 }
 
 // emitIfDue publishes one SSE snapshot when the virtual clock has
-// crossed the next cadence boundary. Pacer-goroutine only.
+// crossed the next cadence boundary, and like Server.emitIfDue builds
+// and encodes nothing with no stream subscribed. Pacer-goroutine only.
 func (s *GeoServer) emitIfDue() {
 	s.mu.RLock()
 	now := s.fed.Now()
 	due := now >= s.nextEmit
-	var snap GeoSnapshot
-	if due {
-		snap = s.snapshotLocked()
+	live := due && s.sse.subscribed()
+	if live {
+		s.snapshotLocked(&s.emitSnap, &s.emitScratch)
 	}
 	s.mu.RUnlock()
 	if !due {
@@ -136,8 +141,17 @@ func (s *GeoServer) emitIfDue() {
 	for s.nextEmit <= now {
 		s.nextEmit += s.opts.EmitEvery
 	}
-	snap.Seq = s.seq.Add(1)
-	s.sse.publishEvent(snap.Seq, "snapshot", snap)
+	seq := s.seq.Add(1)
+	if !live {
+		return
+	}
+	s.emitSnap.Seq = seq
+	var err error
+	s.emitJSON, err = appendGeoSnapshotJSON(s.emitJSON[:0], &s.emitSnap)
+	if err != nil {
+		return // no JSON form (NaN or Inf): drop the event
+	}
+	s.sse.publish(sseFrame(seq, "snapshot", s.emitJSON))
 }
 
 // Run paces the federation until ctx is cancelled or the horizon is
@@ -175,25 +189,41 @@ func (s *GeoServer) Run(ctx context.Context) error {
 
 // Snapshot captures a consistent federation view under the read lock.
 func (s *GeoServer) Snapshot() GeoSnapshot {
+	var snap GeoSnapshot
+	sc := s.scratch.Get().(*snapshotScratch)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := s.snapshotLocked()
+	s.snapshotLocked(&snap, sc)
 	snap.Seq = s.seq.Load()
+	s.mu.RUnlock()
+	s.scratch.Put(sc)
 	return snap
 }
 
-// snapshotLocked builds the federated snapshot; callers hold s.mu.
-func (s *GeoServer) snapshotLocked() GeoSnapshot {
+// currentFrame renders the current federated snapshot as one SSE frame
+// of the given event type, or nil when it has no JSON form.
+func (s *GeoServer) currentFrame(event string) []byte {
+	snap := s.Snapshot()
+	data, err := appendGeoSnapshotJSON(nil, &snap)
+	if err != nil {
+		return nil
+	}
+	return sseFrame(snap.Seq, event, data)
+}
+
+// snapshotLocked fills snap with the federated state, building every
+// site with sc and reusing snap's per-site sections as buildSnapshot
+// reuses a snapshot; callers hold s.mu and set Seq.
+func (s *GeoServer) snapshotLocked(snap *GeoSnapshot, sc *snapshotScratch) {
 	now := s.fed.Now()
 	sites := s.fed.Sites()
-	snap := GeoSnapshot{
+	*snap = GeoSnapshot{
 		SimTimeSeconds: now.Seconds(),
 		Speedup:        s.opts.Speedup,
 		Mode:           s.fed.Config().Mode.String(),
 		Epochs:         s.fed.Epochs(),
-		Sites:          make([]GeoSiteSnapshot, 0, len(sites)),
+		Sites:          resize(snap.Sites, len(sites)),
 	}
-	for _, site := range sites {
+	for i, site := range sites {
 		src := Source{
 			Engine:    site.Engine(),
 			Fleet:     site.Fleet(),
@@ -202,12 +232,11 @@ func (s *GeoServer) snapshotLocked() GeoSnapshot {
 			Admission: site.Admission(),
 			Retry:     site.Retry(),
 		}
-		sec := GeoSiteSnapshot{
-			Site:            site.Name(),
-			TZOffsetSeconds: site.TZOffset().Seconds(),
-			RouteWeight:     site.Weight(),
-			Snapshot:        buildSnapshot(src, s.opts.OutsideC, s.opts.OutsideRH, &s.frameBufs),
-		}
+		sec := &snap.Sites[i]
+		sec.Site = site.Name()
+		sec.TZOffsetSeconds = site.TZOffset().Seconds()
+		sec.RouteWeight = site.Weight()
+		buildSnapshot(&sec.Snapshot, src, s.opts.OutsideC, s.opts.OutsideRH, sc)
 		sec.Snapshot.Speedup = s.opts.Speedup
 		// Carbon is evaluated in site-local time against the site's own
 		// grid model; grams come from the barrier-integrated meter.
@@ -221,22 +250,13 @@ func (s *GeoServer) snapshotLocked() GeoSnapshot {
 		snap.PowerW += sec.Snapshot.PowerW
 		snap.EnergyJoules += sec.Snapshot.EnergyJoules
 		snap.GramsCO2e += sec.Snapshot.Carbon.GramsTotal
-		snap.Sites = append(snap.Sites, sec)
 	}
-	return snap
 }
 
 // Shutdown mirrors Server.Shutdown: one final SSE frame, then every
 // stream drains and returns. Safe to call more than once.
 func (s *GeoServer) Shutdown() {
-	snap := s.Snapshot()
-	var final []byte
-	if data, err := json.Marshal(snap); err == nil {
-		var frame bytes.Buffer
-		fmt.Fprintf(&frame, "id: %d\nevent: shutdown\ndata: %s\n\n", snap.Seq, data)
-		final = frame.Bytes()
-	}
-	s.sse.shutdown(final)
+	s.sse.shutdown(s.currentFrame("shutdown"))
 }
 
 // Handler returns the HTTP mux: /metrics (merged OpenMetrics with a
@@ -257,57 +277,23 @@ func (s *GeoServer) Handler() http.Handler {
 func (s *GeoServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	scrapes := s.scrapes.Add(1)
 	snap := s.Snapshot()
-	buf := s.bufs.Get().(*bytes.Buffer)
-	buf.Reset()
-	writeGeoMetrics(buf, &snap, scrapes)
+	rb := s.bufs.Get().(*renderBuf)
+	rb.body.Reset()
+	writeGeoMetrics(&rb.body, &snap, scrapes, s.sse.dropped.Load())
 	w.Header().Set("Content-Type", ContentType)
-	_, _ = w.Write(buf.Bytes())
-	s.bufs.Put(buf)
+	_, _ = w.Write(rb.body.Bytes())
+	s.bufs.Put(rb)
 }
 
 func (s *GeoServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	snap := s.Snapshot()
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(snap); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
+	rb := s.bufs.Get().(*renderBuf)
+	var err error
+	rb.json, err = appendGeoSnapshotJSON(rb.json[:0], &snap)
+	writeIndentedJSON(w, rb, err)
+	s.bufs.Put(rb)
 }
 
 func (s *GeoServer) handleStream(w http.ResponseWriter, r *http.Request) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "text/event-stream")
-	h.Set("Cache-Control", "no-cache")
-	h.Set("X-Accel-Buffering", "no")
-	w.WriteHeader(http.StatusOK)
-
-	ch := s.sse.subscribe()
-	defer s.sse.unsubscribe(ch)
-
-	snap := s.Snapshot()
-	if data, err := json.Marshal(snap); err == nil {
-		fmt.Fprintf(w, "id: %d\nevent: snapshot\ndata: %s\n\n", snap.Seq, data)
-	}
-	fl.Flush()
-
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case frame, ok := <-ch:
-			if !ok {
-				return
-			}
-			if _, err := w.Write(frame); err != nil {
-				return
-			}
-			fl.Flush()
-		}
-	}
+	s.sse.stream(w, r, func() []byte { return s.currentFrame("snapshot") })
 }

@@ -106,8 +106,10 @@ func lbl(base []string, extra ...string) []string {
 }
 
 // writeMetrics renders a snapshot as one OpenMetrics exposition.
-func writeMetrics(buf *bytes.Buffer, snap Snapshot, scrapes uint64) {
-	writeLabeledMetrics(buf, []labeledSnapshot{{snap: &snap}}, scrapes, nil)
+// scrapes and sseDropped are the server's own counters, which live
+// outside the snapshot.
+func writeMetrics(buf *bytes.Buffer, snap Snapshot, scrapes, sseDropped uint64) {
+	writeLabeledMetrics(buf, []labeledSnapshot{{snap: &snap}}, scrapes, sseDropped, nil)
 }
 
 // writeLabeledMetrics renders one exposition covering every snapshot,
@@ -116,7 +118,7 @@ func writeMetrics(buf *bytes.Buffer, snap Snapshot, scrapes uint64) {
 // looped inside; a family whose slice is absent from every snapshot is
 // omitted entirely. prelude, when set, writes caller-specific families
 // (the geo federation's global roll-ups) before the shared ones.
-func writeLabeledMetrics(buf *bytes.Buffer, snaps []labeledSnapshot, scrapes uint64, prelude func(*omWriter)) {
+func writeLabeledMetrics(buf *bytes.Buffer, snaps []labeledSnapshot, scrapes, sseDropped uint64, prelude func(*omWriter)) {
 	w := &omWriter{buf: buf}
 	if prelude != nil {
 		prelude(w)
@@ -143,6 +145,8 @@ func writeLabeledMetrics(buf *bytes.Buffer, snaps []labeledSnapshot, scrapes uin
 		func(s *Snapshot) float64 { return float64(s.EventsProcessed) })
 	w.family("dcsim_scrapes", "counter", "", "Scrapes of this endpoint, including this one.")
 	w.sample("dcsim_scrapes_total", float64(scrapes))
+	w.family("dcsim_sim_sse_dropped_frames", "counter", "", "SSE frames dropped because a stream subscriber's buffer was full.")
+	w.sample("dcsim_sim_sse_dropped_frames_total", float64(sseDropped))
 
 	anyMode := false
 	for _, ls := range snaps {

@@ -9,7 +9,7 @@ import "bytes"
 // sample. Families stay contiguous — sites are looped inside each
 // family, never the other way around — so the output passes the same
 // Lint the single-facility exposition does.
-func writeGeoMetrics(buf *bytes.Buffer, snap *GeoSnapshot, scrapes uint64) {
+func writeGeoMetrics(buf *bytes.Buffer, snap *GeoSnapshot, scrapes, sseDropped uint64) {
 	snaps := make([]labeledSnapshot, 0, len(snap.Sites))
 	for i := range snap.Sites {
 		snaps = append(snaps, labeledSnapshot{
@@ -39,5 +39,5 @@ func writeGeoMetrics(buf *bytes.Buffer, snap *GeoSnapshot, scrapes uint64) {
 		w.family("dcsim_geo_carbon_grams", "counter", "grams", "Federation-wide cumulative emissions in gCO2e.")
 		w.sample("dcsim_geo_carbon_grams_total", snap.GramsCO2e)
 	}
-	writeLabeledMetrics(buf, snaps, scrapes, prelude)
+	writeLabeledMetrics(buf, snaps, scrapes, sseDropped, prelude)
 }

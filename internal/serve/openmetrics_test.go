@@ -85,7 +85,7 @@ func TestWriterOutputLints(t *testing.T) {
 		Degrader: &DegraderSnapshot{LadderStage: 2, CapEvents: 1, SurvivalSheds: 0, ShedServers: 3, Fallbacks: 2, DarkRounds: 1},
 	}
 	var buf bytes.Buffer
-	writeMetrics(&buf, snap, 7)
+	writeMetrics(&buf, snap, 7, 3)
 	text := buf.String()
 	if err := Lint(buf.Bytes()); err != nil {
 		t.Fatalf("writer output fails lint: %v\n%s", err, text)
@@ -94,6 +94,7 @@ func TestWriterOutputLints(t *testing.T) {
 		"dcsim_degrader_ladder_stage 2\n",
 		`dcsim_rack_power_watts{rack="rack1"} 700`,
 		"dcsim_scrapes_total 7\n",
+		"dcsim_sim_sse_dropped_frames_total 3\n",
 		"# UNIT dcsim_zone_inlet_celsius celsius\n",
 		"# EOF\n",
 	} {

@@ -31,13 +31,22 @@
 // open row of the facility's columnar telemetry frame (one memcpy via
 // FrameWriter.LatestInto) and fleet/rack/zone power from the fleet's
 // O(1) maintained aggregates, so a scrape costs microseconds and never
-// re-aggregates per-server state.
+// re-aggregates per-server state. Each snapshot evaluates the power
+// tree once, into scratch buffers, and reads both the distribution
+// view and PUE from that one evaluation. Handlers build snapshots
+// concurrently, so each takes its scratch from a pool; the pacer keeps
+// its own.
+//
+// SSE frames are encoded once, by the pacer: it rebuilds one snapshot
+// it owns, encodes it into a buffer it owns with the package's
+// append-style JSON encoder (byte-identical to encoding/json, which the
+// tests use as its oracle), and hands every subscriber the same
+// exact-size copy. With no stream subscribed, an emit builds and
+// encodes nothing.
 package serve
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync"
@@ -150,12 +159,19 @@ type Server struct {
 	seq     atomic.Uint64
 	scrapes atomic.Uint64
 
-	// nextEmit is the next virtual-time SSE boundary; pacer-only.
-	nextEmit time.Duration
+	// nextEmit is the next virtual-time SSE boundary. emitSnap, the
+	// scratch it is built with, and emitJSON, its encoding, are reused
+	// by every emit. All four are pacer-only.
+	nextEmit    time.Duration
+	emitSnap    Snapshot
+	emitScratch snapshotScratch
+	emitJSON    []byte
 
-	sse       *broadcaster
-	frameBufs sync.Pool
-	bufs      sync.Pool
+	sse *broadcaster
+	// scratch pools *snapshotScratch for handler snapshot builds; bufs
+	// pools *renderBuf for handler responses.
+	scratch sync.Pool
+	bufs    sync.Pool
 }
 
 // NewServer validates the wiring and builds a server around the
@@ -181,8 +197,8 @@ func NewServer(src Source, opts Options) (*Server, error) {
 		meter: meter,
 		sse:   newBroadcaster(),
 	}
-	s.frameBufs.New = func() any { return []float64(nil) }
-	s.bufs.New = func() any { return new(bytes.Buffer) }
+	s.scratch.New = func() any { return new(snapshotScratch) }
+	s.bufs.New = func() any { return new(renderBuf) }
 	// Anchor the emissions meter and the SSE cadence at the current
 	// clock so restarts from a warm engine do not back-fill.
 	now := src.Engine.Now()
@@ -218,15 +234,17 @@ func (s *Server) AdvanceTo(target time.Duration) error {
 }
 
 // emitIfDue publishes one SSE snapshot when the virtual clock has
-// crossed the next cadence boundary. Called only from the pacer
-// goroutine (via AdvanceTo), so nextEmit needs no lock of its own.
+// crossed the next cadence boundary. With no stream subscribed it only
+// advances the cadence and the sequence number. Called only from the
+// pacer goroutine (via AdvanceTo), so nextEmit and the emit buffers need
+// no lock of their own.
 func (s *Server) emitIfDue() {
 	s.mu.RLock()
 	now := s.src.Engine.Now()
 	due := now >= s.nextEmit
-	var snap Snapshot
-	if due {
-		snap = s.snapshotLocked()
+	live := due && s.sse.subscribed()
+	if live {
+		s.snapshotLocked(&s.emitSnap, &s.emitScratch)
 	}
 	s.mu.RUnlock()
 	if !due {
@@ -237,8 +255,19 @@ func (s *Server) emitIfDue() {
 	for s.nextEmit <= now {
 		s.nextEmit += s.opts.EmitEvery
 	}
-	snap.Seq = s.seq.Add(1)
-	s.sse.publish(snap)
+	seq := s.seq.Add(1)
+	if !live {
+		return
+	}
+	s.emitSnap.Seq = seq
+	var err error
+	s.emitJSON, err = appendSnapshotJSON(s.emitJSON[:0], &s.emitSnap)
+	if err != nil {
+		// A NaN or Inf has no JSON form. Drop the event rather than
+		// kill the pacer.
+		return
+	}
+	s.sse.publish(sseFrame(seq, "snapshot", s.emitJSON))
 }
 
 // Run paces the engine until ctx is cancelled or the horizon is
@@ -282,11 +311,25 @@ func (s *Server) Run(ctx context.Context) error {
 // Snapshot captures a consistent view of the simulation under the read
 // lock.
 func (s *Server) Snapshot() Snapshot {
+	var snap Snapshot
+	sc := s.scratch.Get().(*snapshotScratch)
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	snap := s.snapshotLocked()
+	s.snapshotLocked(&snap, sc)
 	snap.Seq = s.seq.Load()
+	s.mu.RUnlock()
+	s.scratch.Put(sc)
 	return snap
+}
+
+// currentFrame renders the current snapshot as one SSE frame of the
+// given event type, or nil when it has no JSON form.
+func (s *Server) currentFrame(event string) []byte {
+	snap := s.Snapshot()
+	data, err := appendSnapshotJSON(nil, &snap)
+	if err != nil {
+		return nil
+	}
+	return sseFrame(snap.Seq, event, data)
 }
 
 // Shutdown ends the SSE side of the server gracefully: every connected
@@ -296,14 +339,7 @@ func (s *Server) Snapshot() Snapshot {
 // server itself stops; call this before http.Server.Shutdown so stream
 // handlers exit inside its drain window. Safe to call more than once.
 func (s *Server) Shutdown() {
-	snap := s.Snapshot()
-	var final []byte
-	if data, err := json.Marshal(snap); err == nil {
-		var frame bytes.Buffer
-		fmt.Fprintf(&frame, "id: %d\nevent: shutdown\ndata: %s\n\n", snap.Seq, data)
-		final = frame.Bytes()
-	}
-	s.sse.shutdown(final)
+	s.sse.shutdown(s.currentFrame("shutdown"))
 }
 
 // Handler returns the HTTP mux: /metrics (OpenMetrics), /api/v1/snapshot

@@ -27,7 +27,7 @@ import (
 
 // testFacility assembles a small managed facility — the same wiring
 // cmd/dcsim uses, shrunk for test speed — and returns it unstarted.
-func testFacility(t *testing.T, seed int64, fleetSize int) (*sim.Engine, *core.Manager, *core.DataCenter) {
+func testFacility(t testing.TB, seed int64, fleetSize int) (*sim.Engine, *core.Manager, *core.DataCenter) {
 	t.Helper()
 	srvCfg := server.DefaultConfig()
 	e := sim.NewEngine(seed)
@@ -83,7 +83,7 @@ func testFacility(t *testing.T, seed int64, fleetSize int) (*sim.Engine, *core.M
 	return e, mgr, dc
 }
 
-func testServer(t *testing.T, seed int64, fleetSize int, opts Options) (*Server, *core.DataCenter) {
+func testServer(t testing.TB, seed int64, fleetSize int, opts Options) (*Server, *core.DataCenter) {
 	t.Helper()
 	e, mgr, dc := testFacility(t, seed, fleetSize)
 	mgr.Start()
@@ -324,7 +324,8 @@ func TestSSEStream(t *testing.T) {
 }
 
 // TestScrapeWhileSimulating is the -race soak: the pacer advances the
-// engine while scrapers hammer every endpoint concurrently.
+// engine, building and encoding SSE frames for a live subscriber, while
+// scrapers hammer every endpoint concurrently.
 func TestScrapeWhileSimulating(t *testing.T) {
 	s, _ := testServer(t, 3, 10, Options{
 		Speedup:   7200,
@@ -337,6 +338,59 @@ func TestScrapeWhileSimulating(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+
+	// The stream subscriber decodes every data line; ids must not
+	// decrease and simulated time must not go back. It is primed (the
+	// handler has subscribed) before the pacer starts, so every emit is
+	// published while handlers build their own snapshots.
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ts.URL+"/api/v1/stream", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	primed := make(chan struct{})
+	streamed := make(chan int, 1)
+	go func() {
+		events := 0
+		var lastID uint64
+		lastSim := -1.0
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+		for sc.Scan() {
+			line := sc.Text()
+			switch {
+			case strings.HasPrefix(line, "id: "):
+				id, err := strconv.ParseUint(line[4:], 10, 64)
+				if err != nil || id < lastID {
+					t.Errorf("SSE id %q after %d (%v)", line, lastID, err)
+				}
+				lastID = id
+			case strings.HasPrefix(line, "data: "):
+				var snap Snapshot
+				if err := json.Unmarshal([]byte(line[6:]), &snap); err != nil {
+					t.Errorf("SSE data does not decode: %v", err)
+				} else if snap.SimTimeSeconds < lastSim {
+					t.Errorf("SSE sim time went back: %v after %v", snap.SimTimeSeconds, lastSim)
+				} else {
+					lastSim = snap.SimTimeSeconds
+				}
+				if events++; events == 1 {
+					close(primed)
+				}
+			}
+		}
+		streamed <- events
+	}()
+	select {
+	case <-primed:
+	case <-ctx.Done():
+		t.Fatal("no priming SSE event")
+	}
+
 	paceDone := make(chan error, 1)
 	go func() { paceDone <- s.Run(ctx) }()
 
@@ -395,9 +449,13 @@ func TestScrapeWhileSimulating(t *testing.T) {
 		}
 	}()
 
-	err := <-paceDone
+	err = <-paceDone
 	close(stop)
 	wg.Wait()
+	s.Shutdown() // ends the stream
+	if events := <-streamed; events < 2 {
+		t.Errorf("stream carried %d events, want the priming one and cadence events", events)
+	}
 	if err != nil {
 		t.Fatalf("pacer: %v", err)
 	}

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"sync"
-	"time"
-
+	"repro/internal/power"
 	"repro/internal/workload"
 )
 
@@ -168,31 +166,64 @@ type DegraderSnapshot struct {
 	DarkRounds    int `json:"telemetry_dark_rounds"`
 }
 
-// snapshotLocked builds a snapshot; the caller holds s.mu (read or
-// write).
-func (s *Server) snapshotLocked() Snapshot {
+// snapshotLocked fills snap with the current state, building with sc;
+// the caller holds s.mu (read or write) and sets Seq.
+func (s *Server) snapshotLocked(snap *Snapshot, sc *snapshotScratch) {
 	now := s.src.Engine.Now()
-	snap := buildSnapshot(s.src, s.opts.OutsideC, s.opts.OutsideRH, &s.frameBufs)
+	buildSnapshot(snap, s.src, s.opts.OutsideC, s.opts.OutsideRH, sc)
 	snap.Speedup = s.opts.Speedup
 	snap.Carbon = CarbonSnapshot{
 		IntensityGPerKWh: s.opts.Carbon.IntensityAt(now),
 		RateGPerHour:     s.opts.Carbon.RateGPerHour(now, snap.PowerW),
 		GramsTotal:       s.meter.Grams(),
 	}
-	return snap
 }
 
-// buildSnapshot captures one simulation's state — the engine, fleet,
-// manager, facility, degrader, and user slices. It is the shared core
-// under the single-facility server and each per-site section of the geo
-// server; the caller fills Speedup and the Carbon slice (pacing and
-// emission metering live with the owner, not the simulation). The
-// caller must hold whatever lock guards the source.
-func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool) Snapshot {
+// snapshotScratch holds the buffers a snapshot build uses: the
+// telemetry frame row the zone inlets are read from and the power-tree
+// flows. Handlers build snapshots concurrently under the read lock, so
+// each handler build takes its own from a pool (by pointer, so Get and
+// Put allocate nothing); the pacer keeps one for its emits.
+type snapshotScratch struct {
+	row  []float64
+	flow []power.Flow
+}
+
+// resize returns s with length n, reusing its backing array when it is
+// large enough. It never returns nil, so an empty section encodes as
+// [] rather than null.
+func resize[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// reuse returns p, or a new T when p is nil.
+func reuse[T any](p *T) *T {
+	if p == nil {
+		return new(T)
+	}
+	return p
+}
+
+// buildSnapshot fills snap with one simulation's state — the engine,
+// fleet, manager, facility, degrader, and user slices. It is the one
+// builder under every serving path: the single-facility server and each
+// per-site section of the geo server, for handler snapshots (a zero snap)
+// and the pacer's emits (the same snap every time). Every field is
+// overwritten, but the Facility, Degrader, Users and Retry structs and
+// the Racks, Zones and Classes slices snap already holds are reused, so
+// a snapshot kept across builds is rebuilt without allocating. The
+// caller fills Seq, Speedup and the Carbon slice (pacing and emission
+// metering live with the owner, not the simulation) and must hold
+// whatever lock guards the source. Building only reads the simulation.
+func buildSnapshot(snap *Snapshot, src Source, outsideC, outsideRH float64, sc *snapshotScratch) {
 	now := src.Engine.Now()
 	fleet := src.Fleet
 	driftLast, driftMax := fleet.RebaseDrift()
-	snap := Snapshot{
+	fac, deg, users := snap.Facility, snap.Degrader, snap.Users
+	*snap = Snapshot{
 		SimTimeSeconds:  now.Seconds(),
 		EventsProcessed: src.Engine.Processed(),
 		FleetSize:       fleet.Size(),
@@ -212,11 +243,13 @@ func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool
 		snap.SLAViolationRate = m.SLAViolationRate()
 		snap.WorstResponseSeconds = m.WorstResponse().Seconds()
 	}
-	if dc := src.DC; dc != nil {
-		snap.Facility = buildFacilitySnapshot(src, now, outsideC, outsideRH, frameBufs)
+	if src.DC != nil {
+		snap.Facility = reuse(fac)
+		buildFacilitySnapshot(snap.Facility, src, outsideC, outsideRH, sc)
 	}
 	if d := src.Degrader; d != nil {
-		snap.Degrader = &DegraderSnapshot{
+		snap.Degrader = reuse(deg)
+		*snap.Degrader = DegraderSnapshot{
 			LadderStage:   d.LadderStage(),
 			CapEvents:     d.CapEvents(),
 			SurvivalSheds: d.SurvivalSheds(),
@@ -237,7 +270,9 @@ func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool
 		adm = rl.Admission()
 	}
 	if adm != nil {
-		u := &UsersSnapshot{
+		u := reuse(users)
+		retry := u.Retry
+		*u = UsersSnapshot{
 			OfferedTotal:    adm.OfferedUsers(),
 			AdmittedTotal:   adm.AdmittedUsers(),
 			RejectedTotal:   adm.RejectedUsers(),
@@ -245,10 +280,11 @@ func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool
 			DeferredBacklog: adm.DeferredBacklog(),
 			FairShareQ:      adm.Q(),
 			ShedLevel:       adm.ShedLevel(),
-			Classes:         make([]UserClassSnapshot, workload.NumClasses),
+			Classes:         resize(u.Classes, workload.NumClasses),
 		}
 		if rl != nil {
-			u.Retry = &RetrySnapshot{
+			u.Retry = reuse(retry)
+			*u.Retry = RetrySnapshot{
 				FreshTotal:     rl.FreshUsers(),
 				RetriedTotal:   rl.RetriedUsers(),
 				AbandonedTotal: rl.AbandonedUsers(),
@@ -271,22 +307,23 @@ func buildSnapshot(src Source, outsideC, outsideRH float64, frameBufs *sync.Pool
 		}
 		snap.Users = u
 	}
-	return snap
 }
 
-// buildFacilitySnapshot builds the facility slice. Zone inlets come
-// from the open row of the columnar telemetry frame — the same bytes
-// batch-mode analysis reads, one memcpy, no re-aggregation; per-rack and
-// per-zone power are the fleet's O(1) maintained sums.
-func buildFacilitySnapshot(src Source, now time.Duration, outsideC, outsideRH float64, frameBufs *sync.Pool) *FacilitySnapshot {
+// buildFacilitySnapshot fills the facility slice, reusing fs's Racks
+// and Zones. Zone inlets come from the open row of the columnar
+// telemetry frame — the same bytes batch-mode analysis reads, one
+// memcpy, no re-aggregation; per-rack and per-zone power are the
+// fleet's O(1) maintained sums. The power tree is evaluated once, into
+// sc, and both the distribution view and PUE read that one evaluation.
+func buildFacilitySnapshot(fs *FacilitySnapshot, src Source, outsideC, outsideRH float64, sc *snapshotScratch) {
 	dc := src.DC
 	fleet := src.Fleet
 	topo := dc.Topology()
 	room := dc.Room()
 
-	fs := &FacilitySnapshot{
-		Racks:          make([]RackSnapshot, len(topo.Racks)),
-		Zones:          make([]ZoneSnapshot, room.Zones()),
+	*fs = FacilitySnapshot{
+		Racks:          resize(fs.Racks, len(topo.Racks)),
+		Zones:          resize(fs.Zones, room.Zones()),
 		FrameAtSeconds: -1,
 	}
 	for r := range topo.Racks {
@@ -294,15 +331,10 @@ func buildFacilitySnapshot(src Source, now time.Duration, outsideC, outsideRH fl
 	}
 	var frameRow []float64
 	if fw := dc.Frames(); fw != nil {
-		buf := frameBufs.Get().([]float64)
-		if len(buf) < fw.Width() {
-			buf = make([]float64, fw.Width())
-		}
-		if at, ok := fw.LatestInto(buf); ok {
-			frameRow = buf
+		sc.row = resize(sc.row, fw.Width())
+		if at, ok := fw.LatestInto(sc.row); ok {
+			frameRow = sc.row
 			fs.FrameAtSeconds = at.Seconds()
-		} else {
-			frameBufs.Put(buf) //nolint:staticcheck // slice reuse, not pointer identity
 		}
 	}
 	for z := 0; z < room.Zones(); z++ {
@@ -312,14 +344,10 @@ func buildFacilitySnapshot(src Source, now time.Duration, outsideC, outsideRH fl
 		}
 		fs.Zones[z] = ZoneSnapshot{Zone: room.ZoneName(z), PowerW: fleet.ZonePowerW(z), InletC: inlet}
 	}
-	if frameRow != nil {
-		frameBufs.Put(frameRow) //nolint:staticcheck
-	}
-	flow := dc.Flow()
+	flow := topo.Feed.EvaluateInto(&sc.flow)
 	fs.FeedInputW = flow.InW
 	fs.DistLossW = flow.TotalLoss()
-	if pue, _, err := dc.PUEAt(outsideC, outsideRH); err == nil {
+	if pue, _, err := dc.PUEOf(flow, outsideC, outsideRH); err == nil {
 		fs.PUE = pue
 	}
-	return fs
 }
