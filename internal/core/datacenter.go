@@ -297,9 +297,10 @@ func (dc *DataCenter) scanShard(sh int, r par.Range) {
 // per-server Sync is needed to read it; the fleet's running sums are
 // rebased here periodically to shed incremental float drift. The
 // per-server columns fill per fleet shard — pure slot-local reads into
-// disjoint frame columns — and the columnar fold inside AppendPar fans
-// out per column. MaybeRebase stays strictly serial, once per round,
-// after the append.
+// disjoint frame columns. AppendPar copies the round into the frame's
+// raw band; when the pyramid levels must catch up on the pending rounds,
+// it fans their column folds out over the fleet's pool by column shard.
+// MaybeRebase stays strictly serial, once per round, after the append.
 func (dc *DataCenter) sample(now time.Duration) {
 	f := dc.fleet
 	f.pool.RunRanges(f.shards, dc.fillFn)

@@ -6,25 +6,33 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 // TestConcurrentScrapeWhileIngest is the live-exporter shape: one
-// goroutine ingests frame rounds, one runs Batch bursts over plain
-// series, one appends point by point through Appenders to plain series
-// of its own, and scrapers hammer every read path the serving layer uses
-// (Query at several resolutions, LatestInto, Stats, Keys, the derived
-// analyses) until the writers finish, at least minScrapes times each. A
-// scraper's Query or Stats of a per-point series folds its pending
-// points, so under -race this also races those folds against per-point
-// appends. Run under -race this proves the store's concurrency
-// contract; without -race it is still a torn-read smoke test because
-// every observed bucket must be internally consistent.
+// goroutine ingests frame rounds through AppendPar on a 2-worker pool,
+// one runs Batch bursts over plain series, one appends point by point
+// through Appenders to plain series of its own, and scrapers hammer every
+// read path the serving layer uses (Query at several resolutions,
+// LatestInto, Stats, Keys, the derived analyses) until the writers
+// finish, at least minScrapes times each. A scraper's aggregate Query or
+// Stats folds the pending points of a per-point series, and the pending
+// rounds of the frame under the writer's lock, while the frame's own
+// catch-ups fan its 1,024 columns out over two column shards. Run under
+// -race this proves the store's concurrency contract; without -race it
+// is still a torn-read smoke test because every observed bucket must be
+// internally consistent.
 func TestConcurrentScrapeWhileIngest(t *testing.T) {
 	s, err := NewStore(Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frameKeys := []string{"f/power", "f/util", "f/inlet", "f/cap"}
+	// Two column shards (par.MinShardLen is 512).
+	frameKeys := make([]string, 1024)
+	for i := range frameKeys {
+		frameKeys[i] = fmt.Sprintf("f/%04d", i)
+	}
 	fw, err := s.Frames(frameKeys)
 	if err != nil {
 		t.Fatal(err)
@@ -47,6 +55,8 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 	var writers, readers sync.WaitGroup
 
 	// Frame ingester.
+	pool := par.New(2)
+	defer pool.Close()
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
@@ -56,7 +66,7 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 			for k := range vals {
 				vals[k] = float64(r + k)
 			}
-			if err := fw.Append(ts, vals); err != nil {
+			if err := fw.AppendPar(ts, vals, pool); err != nil {
 				t.Error(err)
 				return
 			}
@@ -191,9 +201,10 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 // TestFramedReadsDoNotBlockBehindBatch pins the scrape-latency fix: a
 // Batch burst holds every shard lock, but framed keys live outside the
 // shards, so Query and LatestInto on them must complete while the batch
-// is open. Before Query consulted the frame registry first, a framed
-// scrape blocked on the (irrelevant) shard its key hashed to until the
-// burst ended.
+// is open — a minute-resolution Query too, which catches up the frame's
+// pending rounds. Before Query consulted the frame registry first, a
+// framed scrape blocked on the (irrelevant) shard its key hashed to
+// until the burst ended.
 func TestFramedReadsDoNotBlockBehindBatch(t *testing.T) {
 	s, err := NewStore(Config{RawInterval: 15 * time.Second, Shards: 2})
 	if err != nil {
@@ -203,8 +214,13 @@ func TestFramedReadsDoNotBlockBehindBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := fw.Append(0, []float64{1, 2}); err != nil {
-		t.Fatal(err)
+	for r := 0; r < 3; r++ {
+		if err := fw.Append(time.Duration(r)*15*time.Second, []float64{1, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if fw.folded == len(fw.raw) {
+		t.Fatal("no frame round pending")
 	}
 
 	b := s.BeginBatch()
@@ -214,6 +230,15 @@ func TestFramedReadsDoNotBlockBehindBatch(t *testing.T) {
 	go func() {
 		if _, err := s.Query("f/a", 0, 1<<62, ResRaw); err != nil {
 			done <- err
+			return
+		}
+		bs, err := s.Query("f/b", 0, 1<<62, ResMinute)
+		if err != nil {
+			done <- err
+			return
+		}
+		if len(bs) != 1 || bs[0].Count != 3 || bs[0].Sum != 6 {
+			done <- fmt.Errorf("minute buckets %+v, want one of 3 rounds summing to 6", bs)
 			return
 		}
 		buf := make([]float64, fw.Width())

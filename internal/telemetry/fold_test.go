@@ -3,8 +3,11 @@ package telemetry
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 // eagerSeries is the reference a per-point series must match: every
@@ -237,4 +240,128 @@ func TestDeferredFoldMatchesEagerReference(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestDeferredFrameFoldMatchesEagerReference drives frames through
+// AppendPar, inline and on a 2-worker pool, with reads interleved at
+// random rounds: Query at every resolution over random ranges, and
+// Stats. Every column must match its own eager per-append reference bit
+// for bit, and the storage counts must match the references'. The
+// cadence switches at random between steps of 0, 15 s, 1 min and 15 min,
+// with gaps of up to 5 h, so single-round buckets open and close at
+// every level, some while their round's row leaves the retention band.
+// 1,100 columns make two column shards of several blocks each.
+func TestDeferredFrameFoldMatchesEagerReference(t *testing.T) {
+	resolutions := []Resolution{ResRaw, ResMinute, ResQuarter, ResHour, ResDay}
+	steps := []time.Duration{0, 15 * time.Second, time.Minute, 15 * time.Minute}
+	pool := par.New(2)
+	defer pool.Close()
+	for _, width := range []int{1, 5, 1100} {
+		for _, ret := range []time.Duration{0, time.Minute, 7 * time.Minute, time.Hour} {
+			for seed := int64(1); seed <= 4; seed++ {
+				for _, p := range []*par.Pool{nil, pool} {
+					name := fmt.Sprintf("width=%d/ret=%v/seed=%d/workers=%d", width, ret, seed, p.Workers())
+					// The wide frame runs fewer rounds: its per-column
+					// references dominate the test's time.
+					rounds := 400
+					if width > 5 {
+						rounds = 120
+					}
+					t.Run(name, func(t *testing.T) {
+						checkFrameAgainstEager(t, width, ret, seed, p, rounds, resolutions, steps)
+					})
+				}
+			}
+		}
+	}
+}
+
+func checkFrameAgainstEager(t *testing.T, width int, ret time.Duration, seed int64, p *par.Pool, rounds int, resolutions []Resolution, steps []time.Duration) {
+	rng := rand.New(rand.NewSource(seed))
+	s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: ret, Shards: 2})
+	keys := make([]string, width)
+	refs := make([]*eagerSeries, width)
+	for c := range keys {
+		keys[c] = fmt.Sprintf("srv%04d/power", c)
+		refs[c] = newEagerSeries()
+		refs[c].raw = make([]point, 0, rounds)
+	}
+	fw, err := s.Frames(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(c int, from, to time.Duration, res Resolution) {
+		t.Helper()
+		got, err := s.Query(keys[c], from, to, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The context is formatted only on a mismatch: the final check
+		// queries every column.
+		if want := refs[c].query(from, to, res, ret); !slices.Equal(got, want) {
+			requireSameBuckets(t, got, want, fmt.Sprintf("%s %v [%v, %v)", keys[c], res, from, to))
+		}
+	}
+	checkStats := func() {
+		t.Helper()
+		want := Stats{Keys: width}
+		for _, ref := range refs {
+			kept := int64(len(ref.retained(ret)))
+			want.RawPoints += kept
+			want.DroppedRaw += int64(len(ref.raw)) - kept
+			for i := range ref.levels {
+				l := &ref.levels[i]
+				want.AggBuckets += int64(len(l.closed))
+				if l.curEnd != 0 {
+					want.AggBuckets++
+				}
+			}
+		}
+		if got := s.Stats(); got != want {
+			t.Fatalf("stats %+v, want %+v", got, want)
+		}
+	}
+	vals := make([]float64, width)
+	step := steps[rng.Intn(len(steps))]
+	var ts time.Duration
+	for r := 0; r < rounds; r++ {
+		for c := range vals {
+			vals[c] = rng.NormFloat64()*40 + 100
+		}
+		if err := fw.AppendPar(ts, vals, p); err != nil {
+			t.Fatal(err)
+		}
+		for c, v := range vals {
+			refs[c].append(ts, v)
+		}
+		// Rejected rounds change nothing.
+		if ts > 0 && rng.Intn(50) == 0 {
+			if err := fw.AppendPar(ts-1, vals, p); err == nil {
+				t.Fatal("out-of-order round accepted")
+			}
+		}
+		switch x := rng.Intn(100); {
+		case x < 6:
+			from := time.Duration(rng.Int63n(int64(ts) + 1))
+			to := from + time.Duration(rng.Int63n(int64(ts-from)+int64(time.Hour)))
+			check(rng.Intn(width), from, to, resolutions[rng.Intn(len(resolutions))])
+		case x < 8:
+			check(rng.Intn(width), 0, 1<<62, resolutions[rng.Intn(len(resolutions))])
+		case x < 9:
+			checkStats()
+		}
+		switch x := rng.Intn(100); {
+		case x < 4:
+			step = steps[rng.Intn(len(steps))]
+		case x < 5:
+			ts += time.Duration(rng.Int63n(int64(5 * time.Hour)))
+		}
+		ts += step
+	}
+	for c := range keys {
+		for _, res := range resolutions {
+			check(c, 0, 1<<62, res)
+		}
+	}
+	checkStats()
 }

@@ -14,17 +14,25 @@ import (
 // collector shape, where one sweep reads every server's counters at
 // once. Because the timestamp is shared, the whole frame has one
 // ordering check, one bucket boundary per pyramid level, and one count
-// per bucket; per-key state reduces to K-wide sum/min/max columns. One
-// round is therefore a handful of sequential array writes instead of
-// per-key pyramid walks — the structure-of-arrays ingest path that keeps
-// a 10,000-server sample round cache-friendly.
+// per bucket; per-key state reduces to K-wide sum/min/max columns.
+//
+// An append writes only the round's raw row. The pyramid levels catch up
+// on the pending rounds in one pass (catchUp) when a pending row is
+// about to leave the retention band, when the band's header slice is
+// full, and when a read needs the levels (Query at an aggregate
+// resolution, Stats). A pass makes every pending round's boundary
+// decisions first, then folds the columns in blocks of frameBlock, so
+// each level's open sum/min/max block stays in cache while the pending
+// rows stream through it once. Each bucket still adds its rounds one at
+// a time in time order, so its sum, min and max do not depend on when
+// the passes ran.
 //
 // Storage is rows, each allocated once at its exact size and never
 // regrown: one per round, and one per closed bucket of several rounds.
 // Growing the store copies only row headers, never values. A bucket that
 // closes holding a single round shares that round's row instead of
 // copying it, and rows that retention expires are recycled for later
-// rounds unless a bucket shares them.
+// rounds unless a bucket shares them or may yet share them.
 //
 // Framed keys live in the parent Store's namespace: Query, Stats, Keys
 // and the derived analyses (DailyAverages, HourlyPattern, Anomalies,
@@ -39,24 +47,53 @@ type FrameWriter struct {
 	hasAny bool
 	// Raw band: the retained rounds, oldest first from rawHead, each a
 	// K-wide row. Retention advances rawHead and moves each expired row
-	// that no bucket shares to spare; a new round takes its row from
-	// spare before allocating one. Compaction moves the row headers down,
-	// amortized exactly as the per-series raw band's trim.
+	// that no bucket shares or may share to spare; a new round takes its
+	// row from spare before allocating one. Compaction moves the row
+	// headers down, amortized exactly as the per-series raw band's trim,
+	// and adds the rounds it cuts to rawBase, the absolute index of
+	// raw[0].
 	raw           []frameRound
 	rawHead       int
+	rawBase       int64
 	spare         [][]float64
 	droppedRounds int64
-	levels        [4]frameLevel
-	// colShards partitions the column space for AppendPar, fixed at
-	// construction (a pure function of the frame width).
+	// raw[:folded] are in the levels; raw[folded:] wait for catchUp.
+	// Pending rows already sit in the band, so deferring their folds
+	// costs no memory.
+	folded int
+	levels [4]frameLevel
+	// colShards partitions the column space for the catch-up's fan-out,
+	// fixed at construction (a pure function of the frame width).
 	colShards []par.Range
-	// AppendPar's shard body, bound once in Frames so a fan-out allocates
-	// no closure, and the round it folds: the values plus, per level,
-	// whether the round landed in the already-open bucket.
+	// The catch-up's shard body, bound once in Frames so a fan-out
+	// allocates no closure, and the plan it applies: per pending round,
+	// one op per level, and the rows of the closing buckets of several
+	// rounds in (round, level) order.
 	foldFn    func(int, par.Range)
-	foldRound []float64
-	foldOpen  [4]bool
+	plan      [][4]frameOp
+	closeRows [][]float64
 }
+
+// frameBlock is the catch-up's column block. 256 columns keep the four
+// levels' open sum/min/max blocks (4 × 3 × 2 KB) in a 32 KB L1 while the
+// pending rows stream through.
+const frameBlock = 256
+
+// frameOp is what one pending round does to one level in a catch-up:
+// opFold alone, or opClose, opSeed, both or neither.
+type frameOp uint8
+
+const (
+	// opFold: the round lands in the open bucket.
+	opFold frameOp = 1 << iota
+	// opClose: the open bucket, of several rounds, closes; its columns
+	// are copied into its closed row.
+	opClose
+	// opSeed: the round opens a bucket and seeds the open columns. A
+	// bucket that closes again in the same catch-up holding only this
+	// round shares the round's row instead, so the plan drops its seed.
+	opSeed
+)
 
 // frameRound is one retained raw round: its timestamp and K-wide row.
 // shared marks a row a closed single-round bucket also holds, which
@@ -69,16 +106,21 @@ type frameRound struct {
 
 // frameLevel is one aggregation level of the frame pyramid. The open
 // bucket is columnar: a shared start/count plus K-wide sum/min/max
-// columns, the aligned buffers AppendPar shards over. Closing a bucket
-// of several rounds copies them into one exact-size row.
+// columns, the aligned buffers a catch-up shards over. Closing a bucket
+// of several rounds copies them into one exact-size row. openAt and
+// openRow name the round that opened the open bucket (its absolute
+// index and its row): a bucket that closes holding only that round
+// shares the row.
 type frameLevel struct {
-	width  time.Duration
-	curEnd time.Duration // exclusive end of the open bucket; 0 while empty
-	curCnt int64
-	curSum []float64
-	curMin []float64
-	curMax []float64
-	closed []frameBucket
+	width   time.Duration
+	curEnd  time.Duration // exclusive end of the open bucket; 0 while empty
+	curCnt  int64
+	curSum  []float64
+	curMin  []float64
+	curMax  []float64
+	openAt  int64
+	openRow []float64
+	closed  []frameBucket
 }
 
 // frameBucket is one closed bucket of a frame level. cols holds the
@@ -109,37 +151,42 @@ type frameRef struct {
 // Frames declares keys as one synchronously-sampled frame and returns
 // its writer. The keys must be distinct and must not already exist in
 // the store (as plain series or in another frame); they are created
-// empty. Lock order: the store's frame registry is always acquired
-// before any shard lock.
+// empty. The keys are registered into a new registry map, sized once,
+// which replaces the old one only when every key is accepted. Lock
+// order: the store's frame registry is always acquired before any shard
+// lock.
 func (s *Store) Frames(keys []string) (*FrameWriter, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("telemetry: frame needs at least one key")
 	}
 	s.framesMu.Lock()
 	defer s.framesMu.Unlock()
-	seen := make(map[string]bool, len(keys))
-	for _, k := range keys {
-		if seen[k] {
-			return nil, fmt.Errorf("telemetry: duplicate frame key %q", k)
+	w := &FrameWriter{store: s, keys: append([]string(nil), keys...)}
+	frames := make(map[string]frameRef, len(s.frames)+len(keys))
+	for key, ref := range s.frames {
+		frames[key] = ref
+	}
+	for col, key := range keys {
+		if ref, ok := frames[key]; ok {
+			if ref.w == w {
+				return nil, fmt.Errorf("telemetry: duplicate frame key %q", key)
+			}
+			return nil, fmt.Errorf("telemetry: key %q already belongs to a frame", key)
 		}
-		seen[k] = true
-		if _, ok := s.frames[k]; ok {
-			return nil, fmt.Errorf("telemetry: key %q already belongs to a frame", k)
-		}
-		sh := s.shardFor(k)
+		sh := s.shardFor(key)
 		sh.mu.Lock()
-		_, exists := sh.series[k]
+		_, exists := sh.series[key]
 		sh.mu.Unlock()
 		if exists {
-			return nil, fmt.Errorf("telemetry: key %q already exists as a plain series", k)
+			return nil, fmt.Errorf("telemetry: key %q already exists as a plain series", key)
 		}
+		frames[key] = frameRef{w: w, col: col}
 	}
-	w := &FrameWriter{store: s, keys: append([]string(nil), keys...)}
 	k := len(keys)
 	w.colShards = par.Shards(k)
 	w.foldFn = w.foldShard
 	for i := range w.levels {
-		// Cache-line-aligned columns: AppendPar shards these by column
+		// Cache-line-aligned columns: a catch-up shards these by column
 		// range on 64-byte boundaries, so aligned bases keep concurrent
 		// shards off each other's lines.
 		w.levels[i] = frameLevel{
@@ -152,9 +199,7 @@ func (s *Store) Frames(keys []string) (*FrameWriter, error) {
 	w.levels[1].width = 15 * time.Minute
 	w.levels[2].width = time.Hour
 	w.levels[3].width = 24 * time.Hour
-	for col, key := range w.keys {
-		s.frames[key] = frameRef{w: w, col: col}
-	}
+	s.frames = frames
 	s.frameWriters = append(s.frameWriters, w)
 	return w, nil
 }
@@ -194,12 +239,15 @@ func (w *FrameWriter) Append(t time.Duration, values []float64) error {
 	return w.AppendPar(t, values, nil)
 }
 
-// AppendPar is Append with the K-wide column updates fanned out over the
-// pool. Every per-column fold (sum/min/max) touches only that column's
-// state, so the result is bit-identical for any worker count — a nil
-// pool runs the column shards inline. All boundary decisions,
-// closed-bucket rows, raw rows, and retention trimming stay on the
-// calling goroutine; only the in-bucket column arithmetic fans out.
+// AppendPar is Append with any catch-up it runs fanned out over the
+// pool. An append copies the round into its raw row and folds nothing;
+// before a pending row would leave the retention band, and before the
+// band's header slice regrows, the levels catch up on every pending
+// round. A catch-up's boundary decisions, closed-bucket rows and
+// retention bookkeeping stay on the calling goroutine; only the column
+// arithmetic fans out, by column shard. Every column's folds touch only
+// that column's state, so the result is bit-identical for any worker
+// count, and a nil pool runs the column shards inline.
 func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) error {
 	if len(values) != len(w.keys) {
 		return fmt.Errorf("telemetry: frame round has %d values for %d keys", len(values), len(w.keys))
@@ -214,145 +262,195 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 	}
 	w.lastT = t
 	w.hasAny = true
-	// Boundaries first, while the previous round is still the band's
-	// newest row: a bucket closing with a single round holds exactly that
-	// round, and shares its row.
-	var prev *frameRound
-	if n := len(w.raw); n > 0 {
-		prev = &w.raw[n-1]
-	}
-	anyIn := false
-	for i := range w.levels {
-		w.foldOpen[i] = w.levels[i].foldBoundary(t, values, prev)
-		anyIn = anyIn || w.foldOpen[i]
-	}
-	// Expire next, so a full window's round reuses the row it expires.
+	// Expire first, so a full window's round reuses the row it expires.
 	// The new round itself is never expired: t is not before t-ret.
 	if ret := w.store.cfg.RawRetention; ret > 0 {
 		cutoff := t - ret
-		head := w.rawHead
-		for w.rawHead < len(w.raw) && w.raw[w.rawHead].t < cutoff {
-			if r := &w.raw[w.rawHead]; !r.shared {
-				w.spare = append(w.spare, r.vals)
-			}
-			w.rawHead++
+		end := w.rawHead
+		for end < len(w.raw) && w.raw[end].t < cutoff {
+			end++
 		}
-		if drop := w.rawHead - head; drop > 0 {
+		if end > w.folded {
+			w.catchUp(p)
+		}
+		if drop := end - w.rawHead; drop > 0 {
+			for ; w.rawHead < end; w.rawHead++ {
+				if r := &w.raw[w.rawHead]; !r.shared && !w.heldOpen(w.rawBase+int64(w.rawHead)) {
+					w.spare = append(w.spare, r.vals)
+				}
+			}
 			w.droppedRounds += int64(drop)
 			if w.rawHead*2 >= len(w.raw) {
 				n := copy(w.raw, w.raw[w.rawHead:])
 				w.raw = w.raw[:n]
+				w.folded -= w.rawHead
+				w.rawBase += int64(w.rawHead)
 				w.rawHead = 0
 			}
 		}
+	}
+	if len(w.raw) == cap(w.raw) {
+		w.catchUp(p)
 	}
 	var row []float64
 	if n := len(w.spare); n > 0 {
 		row = w.spare[n-1]
 		w.spare = w.spare[:n-1]
+		copy(row, values)
 	} else {
-		row = make([]float64, len(w.keys))
+		// make then copy is one allocation the runtime does not zero.
+		row = make([]float64, len(values))
+		copy(row, values)
 	}
-	copy(row, values)
 	w.raw = append(w.raw, frameRound{t: t, vals: row})
-	if anyIn {
-		w.foldRound = values
-		p.RunRanges(w.colShards, w.foldFn)
-		w.foldRound = nil
-	}
 	return nil
 }
 
-// foldBoundary makes the level's single per-round boundary decision and,
-// on rollover, closes the open bucket and seeds the new one from the
-// round's values. A closing bucket that holds one round takes prev, the
-// previous round's raw row; any other is copied into one exact-size row.
-// It reports whether the round lands in the already-open bucket, i.e.
-// whether the K-wide column updates are still pending (foldColumns).
-func (l *frameLevel) foldBoundary(t time.Duration, values []float64, prev *frameRound) bool {
-	if t < l.curEnd {
-		l.curCnt++
-		return true
-	}
-	var start time.Duration
-	if t < l.curEnd+l.width {
-		// Adjacent bucket — the steady-state rollover. No division.
-		start = l.curEnd
-	} else {
-		start = t / l.width * l.width
-	}
-	if l.curEnd != 0 {
-		var cols []float64
-		if l.curCnt == 1 {
-			prev.shared = true
-			cols = prev.vals
-		} else {
-			k := len(l.curSum)
-			cols = make([]float64, 3*k)
-			copy(cols, l.curSum)
-			copy(cols[k:], l.curMin)
-			copy(cols[2*k:], l.curMax)
+// heldOpen reports whether some level's open bucket holds only round at,
+// and so may yet close sharing that round's row.
+func (w *FrameWriter) heldOpen(at int64) bool {
+	for i := range w.levels {
+		if l := &w.levels[i]; l.curCnt == 1 && l.openAt == at {
+			return true
 		}
-		l.closed = append(l.closed, frameBucket{start: l.curEnd - l.width, count: l.curCnt, cols: cols})
 	}
-	l.curEnd = start + l.width
-	l.curCnt = 1
-	copy(l.curSum, values)
-	copy(l.curMin, values)
-	copy(l.curMax, values)
 	return false
 }
 
-// foldShard is AppendPar's shard body: it folds the round into every
-// level whose bucket stayed open, over the shard's column range.
-func (w *FrameWriter) foldShard(_ int, r par.Range) {
-	for i := range w.levels {
-		if w.foldOpen[i] {
-			w.levels[i].foldColumns(w.foldRound, r.Lo, r.Hi)
-		}
+// catchUp folds the pending rounds raw[folded:] into every level. It is
+// the only path by which rounds reach the levels; its caller holds w.mu
+// for writing. Every boundary decision is made here first, serially:
+// which bucket each round lands in, which buckets close, and the rows
+// they close into. The column arithmetic then fans out over p by column
+// shard (foldShard).
+func (w *FrameWriter) catchUp(p *par.Pool) {
+	pending := w.raw[w.folded:]
+	if len(pending) == 0 {
+		return
 	}
-}
-
-// foldColumns folds the round's values into the open bucket over the
-// column range [lo, hi).
-func (l *frameLevel) foldColumns(values []float64, lo, hi int) {
-	for k := lo; k < hi; k++ {
-		v := values[k]
-		l.curSum[k] += v
-		if v < l.curMin[k] {
-			l.curMin[k] = v
-		}
-		if v > l.curMax[k] {
-			l.curMax[k] = v
-		}
+	if cap(w.plan) < len(pending) {
+		w.plan = make([][4]frameOp, len(pending))
 	}
-}
-
-// query materializes one column's buckets over [from, to) at res.
-func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]Bucket, error) {
-	w.mu.RLock()
-	defer w.mu.RUnlock()
+	w.plan = w.plan[:len(pending)]
 	k := len(w.keys)
+	first := w.rawBase + int64(w.folded)
+	for j := range pending {
+		t := pending[j].t
+		for i := range w.levels {
+			l := &w.levels[i]
+			if t < l.curEnd {
+				l.curCnt++
+				w.plan[j][i] = opFold
+				continue
+			}
+			var start time.Duration
+			if t < l.curEnd+l.width {
+				// Adjacent bucket — the steady-state rollover. No division.
+				start = l.curEnd
+			} else {
+				start = t / l.width * l.width
+			}
+			op := opSeed
+			if l.curEnd != 0 {
+				b := frameBucket{start: l.curEnd - l.width, count: l.curCnt}
+				if l.curCnt == 1 {
+					b.cols = l.openRow
+					if h := l.openAt - w.rawBase; h >= int64(w.rawHead) {
+						w.raw[h].shared = true
+					}
+					if l.openAt >= first {
+						w.plan[l.openAt-first][i] &^= opSeed
+					}
+				} else {
+					b.cols = make([]float64, 3*k)
+					w.closeRows = append(w.closeRows, b.cols)
+					op |= opClose
+				}
+				l.closed = append(l.closed, b)
+			}
+			l.curEnd = start + l.width
+			l.curCnt = 1
+			l.openAt = first + int64(j)
+			l.openRow = pending[j].vals
+			w.plan[j][i] = op
+		}
+	}
+	p.RunRanges(w.colShards, w.foldFn)
+	w.folded = len(w.raw)
+	clear(w.closeRows)
+	w.closeRows = w.closeRows[:0]
+}
+
+// foldShard is the catch-up's shard body. It walks the shard's columns
+// in blocks of frameBlock and replays the whole plan over each block:
+// the pending rounds in time order, and for each its op on every level.
+func (w *FrameWriter) foldShard(_ int, r par.Range) {
+	k := len(w.keys)
+	pending := w.raw[w.folded:]
+	for lo := r.Lo; lo < r.Hi; lo += frameBlock {
+		hi := min(lo+frameBlock, r.Hi)
+		next := 0 // closeRows cursor: the plan closes the same rows per block
+		for j, ops := range w.plan {
+			vals := pending[j].vals[lo:hi]
+			for i, op := range ops {
+				l := &w.levels[i]
+				if op == opFold {
+					l.foldColumns(vals, lo)
+					continue
+				}
+				if op&opClose != 0 {
+					cols := w.closeRows[next]
+					next++
+					copy(cols[lo:hi], l.curSum[lo:hi])
+					copy(cols[k+lo:k+hi], l.curMin[lo:hi])
+					copy(cols[2*k+lo:2*k+hi], l.curMax[lo:hi])
+				}
+				if op&opSeed != 0 {
+					l.seed(vals, lo)
+				}
+			}
+		}
+	}
+}
+
+// seed opens the bucket's columns from lo on with one round's values.
+func (l *frameLevel) seed(vals []float64, lo int) {
+	copy(l.curSum[lo:], vals)
+	copy(l.curMin[lo:], vals)
+	copy(l.curMax[lo:], vals)
+}
+
+// foldColumns folds one round's values into the open bucket's columns
+// from lo on.
+func (l *frameLevel) foldColumns(vals []float64, lo int) {
+	hi := lo + len(vals)
+	sum, mn, mx := l.curSum[lo:hi], l.curMin[lo:hi], l.curMax[lo:hi]
+	for c, v := range vals {
+		sum[c] += v
+		if v < mn[c] {
+			mn[c] = v
+		}
+		if v > mx[c] {
+			mx[c] = v
+		}
+	}
+}
+
+// query materializes one column's buckets over [from, to) at res. Raw
+// reads share the read lock with LatestInto; an aggregate read takes the
+// lock for writing and catches the levels up inline first.
+func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]Bucket, error) {
 	if res == ResRaw {
-		// Bound the range by binary search and allocate the result once
-		// at its exact size, as for a per-point series.
-		band := w.raw[w.rawHead:]
-		lo := sort.Search(len(band), func(i int) bool { return band[i].t >= from })
-		hi := sort.Search(len(band), func(i int) bool { return band[i].t >= to })
-		if lo == hi {
-			return nil, nil
-		}
-		out := make([]Bucket, hi-lo)
-		for i, r := range band[lo:hi] {
-			v := r.vals[col]
-			out[i] = Bucket{Start: r.t, Count: 1, Sum: v, Min: v, Max: v}
-		}
-		return out, nil
+		return w.queryRaw(col, from, to), nil
 	}
 	li, err := levelIndex(res)
 	if err != nil {
 		return nil, err
 	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.catchUp(nil)
+	k := len(w.keys)
 	l := &w.levels[li]
 	lo := sort.Search(len(l.closed), func(i int) bool {
 		return l.closed[i].start+l.width > from
@@ -378,10 +476,32 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	return out, nil
 }
 
-// stats folds the frame's storage accounting into out.
-func (w *FrameWriter) stats(out *Stats) {
+// queryRaw synthesizes one bucket per retained round of column col in
+// [from, to), bounding the range by binary search and allocating the
+// result once at its exact size, as for a per-point series.
+func (w *FrameWriter) queryRaw(col int, from, to time.Duration) []Bucket {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
+	band := w.raw[w.rawHead:]
+	lo := sort.Search(len(band), func(i int) bool { return band[i].t >= from })
+	hi := sort.Search(len(band), func(i int) bool { return band[i].t >= to })
+	if lo == hi {
+		return nil
+	}
+	out := make([]Bucket, hi-lo)
+	for i, r := range band[lo:hi] {
+		v := r.vals[col]
+		out[i] = Bucket{Start: r.t, Count: 1, Sum: v, Min: v, Max: v}
+	}
+	return out
+}
+
+// stats folds the frame's storage accounting into out, catching the
+// levels up inline first.
+func (w *FrameWriter) stats(out *Stats) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.catchUp(nil)
 	k := int64(len(w.keys))
 	out.Keys += len(w.keys)
 	out.RawPoints += int64(len(w.raw)-w.rawHead) * k

@@ -134,8 +134,9 @@ func TestFrameAllocationTracksRetention(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			runtime.ReadMemStats(&after)
+			// Stats first, so the fold it forces is counted.
 			st := s.Stats()
+			runtime.ReadMemStats(&after)
 			kept := float64(st.RawPoints*8 + st.AggBuckets*24)
 			allocated := float64(after.TotalAlloc - before.TotalAlloc)
 			t.Logf("allocated %.1f MB for %.1f MB kept (%.2fx)", allocated/1e6, kept/1e6, allocated/kept)
@@ -213,6 +214,19 @@ func TestFramesValidation(t *testing.T) {
 	}
 	if _, err := s.Frames([]string{"f2", "f3"}); err == nil {
 		t.Error("frame over an already-framed key should error")
+	}
+	// A frame that fails on its last key registers none of its keys, so
+	// the same keys without the bad one still form a frame.
+	for _, bad := range []string{"g1", "taken", "f1"} {
+		if _, err := s.Frames([]string{"g1", "g2", bad}); err == nil {
+			t.Errorf("frame ending in %q should error", bad)
+		}
+		if _, err := s.Query("g1", 0, 1<<62, ResRaw); err == nil {
+			t.Errorf("failed frame ending in %q registered g1", bad)
+		}
+	}
+	if _, err := s.Frames([]string{"g1", "g2"}); err != nil {
+		t.Errorf("frame over the keys of failed frames: %v", err)
 	}
 	if err := fw.Append(0, []float64{1}); err == nil {
 		t.Error("short round should error")

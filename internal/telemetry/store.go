@@ -21,12 +21,15 @@
 // acquired before any shard lock, and no path holds a shard lock while
 // acquiring another store lock, so the lock order is acyclic.
 //
-// A per-point append writes only the raw band; the pyramid levels catch
-// up on the points they have not seen when the band fills or when a
-// reader needs them. Reads of a per-point series' levels (Query at an
-// aggregate resolution, Stats, the derived analyses) therefore fold
-// pending points, and each shard lock is a plain mutex: readers of one
-// shard serialize with each other as well as with its appenders.
+// An append, per-point or framed, writes only the raw band; the pyramid
+// levels catch up on what they have not seen when the band fills or
+// when a reader needs them. Reads of the levels (Query at an aggregate
+// resolution, Stats, the derived analyses) therefore fold pending
+// samples. Each shard lock is a plain mutex: readers of one shard
+// serialize with each other as well as with its appenders. A
+// FrameWriter's aggregate reads and Stats take the writer's lock
+// exclusively; LatestInto and raw-resolution reads of framed keys take
+// it shared, so live scrapes of the latest round run concurrently.
 //
 // Reads are internally consistent but only per call: a Query observes
 // one atomic state of its series (no torn open-tail buckets), while a

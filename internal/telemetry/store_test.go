@@ -513,8 +513,9 @@ func TestSeriesAllocationTracksRetention(t *testing.T) {
 					}
 				}
 			}
-			runtime.ReadMemStats(&after)
+			// Stats first, so the fold it forces is counted.
 			st := s.Stats()
+			runtime.ReadMemStats(&after)
 			kept := float64(st.RawPoints*16 + st.AggBuckets*40)
 			allocated := float64(after.TotalAlloc - before.TotalAlloc)
 			t.Logf("allocated %.1f MB for %.1f MB kept (%.2fx)", allocated/1e6, kept/1e6, allocated/kept)
