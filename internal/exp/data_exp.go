@@ -53,11 +53,7 @@ func (r TelemetryResult) Report() string {
 // metric). Its synthetic values are deterministic, so it reads nothing
 // from env.
 func RunTelemetry(env *Env) (Result, error) {
-	store, err := telemetry.NewStore(telemetry.Config{
-		RawInterval:  15 * stdtime.Second,
-		RawRetention: stdtime.Hour,
-		Shards:       32,
-	})
+	store, err := telemetry.NewStore(telemetry.Config{RawRetention: stdtime.Hour})
 	if err != nil {
 		return nil, err
 	}
@@ -70,44 +66,50 @@ func RunTelemetry(env *Env) (Result, error) {
 		counters = 10
 		day      = 24 * 60 * 4 // 15s samples per day
 	)
-	// Resolve one Appender per key up front: the collector pipeline pays
-	// the key hash and map lookup once at registration, not per point.
+	// The collector reads every counter in one sweep per 15 s, so the
+	// keys form one frame and each sweep is one round.
 	keys := make([]string, 0, servers*counters)
-	apps := make([]*telemetry.Appender, 0, servers*counters)
 	for s := 0; s < servers; s++ {
 		for c := 0; c < counters; c++ {
-			k := fmt.Sprintf("srv%04d/c%02d", s, c)
-			keys = append(keys, k)
-			apps = append(apps, store.Appender(k))
+			keys = append(keys, fmt.Sprintf("srv%04d/c%02d", s, c))
 		}
 	}
+	fw, err := store.Frames(keys)
+	if err != nil {
+		return nil, err
+	}
+	row := make([]float64, len(keys))
 	start := stdtime.Now()
-	total := 0
 	for i := 0; i < day; i++ {
-		ts := stdtime.Duration(i) * 15 * stdtime.Second
 		v := float64(i % 960)
-		for _, a := range apps {
-			if err := a.Append(ts, v); err != nil {
-				return nil, err
-			}
-			total++
+		for k := range row {
+			row[k] = v
+		}
+		if err := fw.Append(stdtime.Duration(i)*15*stdtime.Second, row); err != nil {
+			return nil, err
 		}
 	}
+	// Stats folds the rounds still pending, so the timed ingest covers
+	// every fold and the queries below fold nothing.
+	st := store.Stats()
 	elapsed := stdtime.Since(start)
+	total := day * len(keys)
 	perMin := float64(total) / elapsed.Minutes()
 
 	// Query speedup: daily trend via the pyramid vs scanning raw-rate
 	// data reconstructed from minute buckets (raw band was dropped —
 	// that IS the design; compare against an un-aggregated store).
-	flat, err := telemetry.NewStore(telemetry.Config{
-		RawInterval: 15 * stdtime.Second, RawRetention: 0, Shards: 4,
-	})
+	flat, err := telemetry.NewStore(telemetry.Config{RawRetention: 0})
+	if err != nil {
+		return nil, err
+	}
+	one, err := flat.Frames([]string{"one"})
 	if err != nil {
 		return nil, err
 	}
 	for i := 0; i < day; i++ {
 		ts := stdtime.Duration(i) * 15 * stdtime.Second
-		if err := flat.Append("one", ts, float64(i%960)); err != nil {
+		if err := one.Append(ts, []float64{float64(i % 960)}); err != nil {
 			return nil, err
 		}
 	}
@@ -141,7 +143,6 @@ func RunTelemetry(env *Env) (Result, error) {
 	}
 	rawTime := stdtime.Since(qStart)
 
-	st := store.Stats()
 	appended := float64(total)
 	kept := float64(st.RawPoints + st.AggBuckets)
 	res := TelemetryResult{

@@ -137,15 +137,6 @@ func (v *Env) InvariantErr() error {
 	return v.checker.Err()
 }
 
-// InvariantViolations returns the accumulated violations (empty when
-// disarmed or clean).
-func (v *Env) InvariantViolations() []invariant.Violation {
-	if v.checker == nil {
-		return nil
-	}
-	return v.checker.Violations()
-}
-
 // Runner executes an experiment in a run environment.
 type Runner func(env *Env) (Result, error)
 

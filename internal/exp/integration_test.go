@@ -28,14 +28,16 @@ func TestAnomalyDetectionFindsFlashCrowds(t *testing.T) {
 	if len(m.FlashTimes) == 0 {
 		t.Skip("no flash crowds drawn for this seed")
 	}
-	store, err := telemetry.NewStore(telemetry.Config{
-		RawInterval: time.Minute, RawRetention: 0, Shards: 2,
-	})
+	store, err := telemetry.NewStore(telemetry.Config{RawRetention: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	logins, err := store.Frames([]string{"logins"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range m.Logins.Values {
-		if err := store.Append("logins", time.Duration(i)*time.Minute, v); err != nil {
+		if err := logins.Append(time.Duration(i)*time.Minute, []float64{v}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -83,9 +85,12 @@ func TestAnomalyDetectionFindsFlashCrowds(t *testing.T) {
 // correlate positively while a failover pair (one takes what the other
 // drops) correlates negatively.
 func TestTelemetryCorrelationSeparatesBalancedServers(t *testing.T) {
-	store, err := telemetry.NewStore(telemetry.Config{
-		RawInterval: time.Minute, RawRetention: 0, Shards: 2,
-	})
+	store, err := telemetry.NewStore(telemetry.Config{RawRetention: 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The four servers are sampled together, one frame round per minute.
+	fw, err := store.Frames([]string{"rr-a", "rr-b", "fo-a", "fo-b"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,22 +103,17 @@ func TestTelemetryCorrelationSeparatesBalancedServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := sim.NewRNG(6)
+	round := make([]float64, 4)
 	for i, v := range total.Values {
-		ts := time.Duration(i) * time.Minute
 		// Round-robin pair: each takes half plus small independent noise.
-		if err := store.Append("rr-a", ts, v/2+rng.Normal(0, 0.002)); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Append("rr-b", ts, v/2+rng.Normal(0, 0.002)); err != nil {
-			t.Fatal(err)
-		}
+		round[0] = v/2 + rng.Normal(0, 0.002)
+		round[1] = v/2 + rng.Normal(0, 0.002)
 		// Failover pair: a jittery split where one's gain is the other's
 		// loss.
 		split := 0.5 + rng.Normal(0, 0.1)
-		if err := store.Append("fo-a", ts, v*split); err != nil {
-			t.Fatal(err)
-		}
-		if err := store.Append("fo-b", ts, v*(1-split)); err != nil {
+		round[2] = v * split
+		round[3] = v * (1 - split)
+		if err := fw.Append(time.Duration(i)*time.Minute, round); err != nil {
 			t.Fatal(err)
 		}
 	}

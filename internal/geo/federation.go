@@ -236,14 +236,6 @@ func (f *Federation) Weights() []float64 {
 	return out
 }
 
-// LastStats returns the aggregates read at the most recent barrier, in
-// site order (zero values before the first barrier).
-func (f *Federation) LastStats() []SiteStats {
-	out := make([]SiteStats, len(f.stats))
-	copy(out, f.stats)
-	return out
-}
-
 // InvariantErr reports the first physical-law violation observed by
 // any site's checker, scanning sites in fixed order (nil when checking
 // is off or every site is clean).

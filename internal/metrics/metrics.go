@@ -1,129 +1,11 @@
-// Package metrics provides the accounting used by experiments and the
-// macro-resource manager: exact energy integration for piecewise-constant
-// power, named counters, time-in-state tracking, and SLA violation
-// accumulation.
+// Package metrics provides the SLA accounting used by the
+// macro-resource manager: response-time observations against a target.
 package metrics
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 )
-
-// EnergyMeter integrates a piecewise-constant power signal exactly:
-// Observe(t, w) states that the draw is w from t onward; energy between
-// observations accrues at the previously observed level.
-type EnergyMeter struct {
-	lastAt  time.Duration
-	lastW   float64
-	joules  float64
-	started bool
-}
-
-// Observe records the power level w (watts) effective from now onward.
-func (m *EnergyMeter) Observe(now time.Duration, w float64) error {
-	if m.started && now < m.lastAt {
-		return fmt.Errorf("metrics: time moved backwards %v -> %v", m.lastAt, now)
-	}
-	if m.started {
-		m.joules += m.lastW * (now - m.lastAt).Seconds()
-	}
-	m.lastAt = now
-	m.lastW = w
-	m.started = true
-	return nil
-}
-
-// Finish integrates up to now without changing the level.
-func (m *EnergyMeter) Finish(now time.Duration) error {
-	return m.Observe(now, m.lastW)
-}
-
-// Joules reports the accumulated energy.
-func (m *EnergyMeter) Joules() float64 { return m.joules }
-
-// KWh reports the accumulated energy in kilowatt-hours.
-func (m *EnergyMeter) KWh() float64 { return m.joules / 3.6e6 }
-
-// Tally is a set of named counters (not safe for concurrent use; the
-// simulation kernel is single-threaded).
-type Tally struct {
-	counts map[string]int64
-}
-
-// Inc adds one to a counter.
-func (t *Tally) Inc(name string) { t.Add(name, 1) }
-
-// Add adds delta to a counter.
-func (t *Tally) Add(name string, delta int64) {
-	if t.counts == nil {
-		t.counts = make(map[string]int64)
-	}
-	t.counts[name] += delta
-}
-
-// Get reads a counter (0 when absent).
-func (t *Tally) Get(name string) int64 { return t.counts[name] }
-
-// String renders counters sorted by name.
-func (t *Tally) String() string {
-	names := make([]string, 0, len(t.counts))
-	for n := range t.counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, 0, len(names))
-	for _, n := range names {
-		parts = append(parts, fmt.Sprintf("%s=%d", n, t.counts[n]))
-	}
-	return strings.Join(parts, " ")
-}
-
-// StateTracker accumulates time spent in named states.
-type StateTracker struct {
-	current string
-	since   time.Duration
-	total   map[string]time.Duration
-	started bool
-}
-
-// Observe records that the tracked entity is in `state` from now onward.
-func (s *StateTracker) Observe(now time.Duration, state string) error {
-	if s.started && now < s.since {
-		return fmt.Errorf("metrics: time moved backwards %v -> %v", s.since, now)
-	}
-	if s.total == nil {
-		s.total = make(map[string]time.Duration)
-	}
-	if s.started {
-		s.total[s.current] += now - s.since
-	}
-	s.current = state
-	s.since = now
-	s.started = true
-	return nil
-}
-
-// Finish closes the current interval at now.
-func (s *StateTracker) Finish(now time.Duration) error {
-	return s.Observe(now, s.current)
-}
-
-// In reports the accumulated time in a state.
-func (s *StateTracker) In(state string) time.Duration { return s.total[state] }
-
-// Fraction reports the share of total tracked time spent in a state.
-func (s *StateTracker) Fraction(state string) float64 {
-	var total time.Duration
-	for _, d := range s.total {
-		total += d
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(s.total[state]) / float64(total)
-}
 
 // SLAAccumulator tracks response-time observations against a target.
 type SLAAccumulator struct {

@@ -1,111 +1,9 @@
 package metrics
 
 import (
-	"math"
-	"strings"
 	"testing"
 	"time"
 )
-
-func TestEnergyMeterExactIntegration(t *testing.T) {
-	var m EnergyMeter
-	if err := m.Observe(0, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Observe(time.Hour, 200); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Finish(2 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	// 100 W for 1 h + 200 W for 1 h = 0.3 kWh.
-	if math.Abs(m.KWh()-0.3) > 1e-12 {
-		t.Errorf("KWh = %v, want 0.3", m.KWh())
-	}
-	if math.Abs(m.Joules()-1.08e6) > 1e-3 {
-		t.Errorf("Joules = %v, want 1.08e6", m.Joules())
-	}
-}
-
-func TestEnergyMeterBackwardsTime(t *testing.T) {
-	var m EnergyMeter
-	if err := m.Observe(time.Hour, 100); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Observe(time.Minute, 100); err == nil {
-		t.Error("backwards time should error")
-	}
-}
-
-func TestEnergyMeterZeroValueUsable(t *testing.T) {
-	var m EnergyMeter
-	if m.Joules() != 0 || m.KWh() != 0 {
-		t.Error("zero-value meter should read zero")
-	}
-	// Finish before any observation just sets the mark.
-	if err := m.Finish(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if m.Joules() != 0 {
-		t.Error("finish without observations should accrue nothing")
-	}
-}
-
-func TestTally(t *testing.T) {
-	var c Tally
-	c.Inc("trips")
-	c.Inc("trips")
-	c.Add("boots", 5)
-	if c.Get("trips") != 2 || c.Get("boots") != 5 {
-		t.Errorf("Tally = %s", c.String())
-	}
-	if c.Get("missing") != 0 {
-		t.Error("missing counter should read 0")
-	}
-	s := c.String()
-	if !strings.Contains(s, "boots=5") || !strings.Contains(s, "trips=2") {
-		t.Errorf("String = %q", s)
-	}
-	// Sorted output: boots before trips.
-	if strings.Index(s, "boots") > strings.Index(s, "trips") {
-		t.Errorf("String not sorted: %q", s)
-	}
-}
-
-func TestStateTracker(t *testing.T) {
-	var s StateTracker
-	if err := s.Observe(0, "off"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Observe(time.Hour, "on"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Observe(3*time.Hour, "off"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Finish(4 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if s.In("off") != 2*time.Hour {
-		t.Errorf("off time = %v, want 2h", s.In("off"))
-	}
-	if s.In("on") != 2*time.Hour {
-		t.Errorf("on time = %v, want 2h", s.In("on"))
-	}
-	if math.Abs(s.Fraction("on")-0.5) > 1e-12 {
-		t.Errorf("on fraction = %v, want 0.5", s.Fraction("on"))
-	}
-	if err := s.Observe(time.Hour, "x"); err == nil {
-		t.Error("backwards time should error")
-	}
-}
-
-func TestStateTrackerEmpty(t *testing.T) {
-	var s StateTracker
-	if s.Fraction("anything") != 0 {
-		t.Error("empty tracker fraction should be 0")
-	}
-}
 
 func TestSLAAccumulator(t *testing.T) {
 	a, err := NewSLAAccumulator(100 * time.Millisecond)

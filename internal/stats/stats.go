@@ -1,8 +1,8 @@
 // Package stats provides the statistical substrate used throughout the
 // elastic power-management library: streaming moments, percentiles,
-// histograms, correlation, Gaussian tail bounds, and the Erlang-C queueing
-// formula. Everything is allocation-conscious and deterministic; no global
-// state is kept.
+// correlation, Gaussian tail bounds, and the Erlang-C queueing formula.
+// Everything is allocation-conscious and deterministic; no global state
+// is kept.
 package stats
 
 import (

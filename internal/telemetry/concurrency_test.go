@@ -11,20 +11,19 @@ import (
 )
 
 // TestConcurrentScrapeWhileIngest is the live-exporter shape: one
-// goroutine ingests frame rounds through AppendPar on a 2-worker pool,
-// one runs Batch bursts over plain series, one appends point by point
-// through Appenders to plain series of its own, and scrapers hammer every
-// read path the serving layer uses (Query at several resolutions,
-// LatestInto, Stats, Keys, the derived analyses) until the writers
-// finish, at least minScrapes times each. A scraper's aggregate Query or
-// Stats folds the pending points of a per-point series, and the pending
-// rounds of the frame under the writer's lock, while the frame's own
-// catch-ups fan its 1,024 columns out over two column shards. Run under
-// -race this proves the store's concurrency contract; without -race it
-// is still a torn-read smoke test because every observed bucket must be
-// internally consistent.
+// goroutine ingests a wide frame's rounds through AppendPar on a
+// 2-worker pool, one ingests a small frame's rounds through Append, and
+// scrapers hammer every read path the serving layer uses (Query at
+// several resolutions, LatestInto, Stats, Keys, the derived analyses)
+// until the writers finish, at least minScrapes times each. A scraper's
+// aggregate Query or Stats folds a frame's pending rounds under its
+// writer's lock, while the wide frame's own catch-ups fan its 1,024
+// columns out over two column shards. Run under -race this proves the
+// store's concurrency contract; without -race it is still a torn-read
+// smoke test because every observed bucket must be internally
+// consistent.
 func TestConcurrentScrapeWhileIngest(t *testing.T) {
-	s, err := NewStore(Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
+	s, err := NewStore(Config{RawRetention: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +36,13 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plainKeys := make([]string, 8)
-	appenders := make([]*Appender, len(plainKeys))
-	for i := range plainKeys {
-		plainKeys[i] = fmt.Sprintf("plain/%d", i)
-		appenders[i] = s.Appender(plainKeys[i])
+	smallKeys := make([]string, 8)
+	for i := range smallKeys {
+		smallKeys[i] = fmt.Sprintf("small/%d", i)
 	}
-	pointKeys := make([]string, 4)
-	pointApps := make([]*Appender, len(pointKeys))
-	for i := range pointKeys {
-		pointKeys[i] = fmt.Sprintf("point/%d", i)
-		pointApps[i] = s.Appender(pointKeys[i])
+	small, err := s.Frames(smallKeys)
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	const rounds, minScrapes = 2000, 1000
@@ -73,35 +68,19 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 		}
 	}()
 
-	// Batched plain-series ingester.
+	// Small-frame ingester, catching up inline.
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
+		vals := make([]float64, len(smallKeys))
 		for r := 0; r < rounds; r++ {
 			ts := time.Duration(r) * 15 * time.Second
-			b := s.BeginBatch()
-			for i, a := range appenders {
-				if err := b.Append(a, ts, float64(r*i)); err != nil {
-					b.End()
-					t.Error(err)
-					return
-				}
+			for i := range vals {
+				vals[i] = float64(r+i) + 0.5
 			}
-			b.End()
-		}
-	}()
-
-	// Per-point ingester, one Appender.Append per sample.
-	writers.Add(1)
-	go func() {
-		defer writers.Done()
-		for r := 0; r < rounds; r++ {
-			ts := time.Duration(r) * 15 * time.Second
-			for i, a := range pointApps {
-				if err := a.Append(ts, float64(r+i)+0.5); err != nil {
-					t.Error(err)
-					return
-				}
+			if err := small.Append(ts, vals); err != nil {
+				t.Error(err)
+				return
 			}
 		}
 	}()
@@ -113,16 +92,11 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 			defer readers.Done()
 			latest := make([]float64, fw.Width())
 			for i := 0; i < minScrapes || !stop.Load(); i++ {
-				var key string
-				switch i % 3 {
-				case 0:
-					key = frameKeys[i%len(frameKeys)]
-				case 1:
-					key = plainKeys[i%len(plainKeys)]
-				default:
-					key = pointKeys[(i+g)%len(pointKeys)]
+				key := frameKeys[i%len(frameKeys)]
+				if i%2 == 1 {
+					key = smallKeys[(i+g)%len(smallKeys)]
 				}
-				res := []Resolution{ResRaw, ResMinute, ResQuarter, ResHour}[i%4]
+				res := []Resolution{ResRaw, ResMinute, ResQuarter, ResHour}[i/2%4]
 				bs, err := s.Query(key, 0, 1<<62, res)
 				if err != nil {
 					t.Errorf("query %q: %v", key, err)
@@ -152,12 +126,12 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 				if i%64 == 0 {
 					s.Keys()
 					// Derived analyses share Query's locking; exercise them
-					// on a framed and a per-point key.
+					// on both frames.
 					if _, err := s.DailyAverages(frameKeys[0]); err != nil {
 						t.Error(err)
 						return
 					}
-					if _, err := s.HourlyPattern(pointKeys[g%len(pointKeys)]); err != nil {
+					if _, err := s.HourlyPattern(smallKeys[g%len(smallKeys)]); err != nil {
 						t.Error(err)
 						return
 					}
@@ -179,8 +153,8 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("concurrent soak wedged")
 	}
-	// Every per-point sample reached the levels exactly once.
-	for i, key := range pointKeys {
+	// Every small-frame sample reached the levels exactly once.
+	for i, key := range smallKeys {
 		bs, err := s.Query(key, 0, 1<<62, ResHour)
 		if err != nil {
 			t.Fatal(err)
@@ -198,63 +172,102 @@ func TestConcurrentScrapeWhileIngest(t *testing.T) {
 	}
 }
 
-// TestFramedReadsDoNotBlockBehindBatch pins the scrape-latency fix: a
-// Batch burst holds every shard lock, but framed keys live outside the
-// shards, so Query and LatestInto on them must complete while the batch
-// is open — a minute-resolution Query too, which catches up the frame's
-// pending rounds. Before Query consulted the frame registry first, a
-// framed scrape blocked on the (irrelevant) shard its key hashed to
-// until the burst ended.
-func TestFramedReadsDoNotBlockBehindBatch(t *testing.T) {
-	s, err := NewStore(Config{RawInterval: 15 * time.Second, Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fw, err := s.Frames([]string{"f/a", "f/b"})
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestFramesDoNotWaitOnEachOther pins the lock order of the concurrency
+// contract: no call holds the registry lock while it takes a frame's
+// lock, so a frame whose lock is held, as by a writer in a long
+// catch-up, stalls no call on any other frame, nor Keys, nor the
+// registration of a new frame. Stats walks every frame, so it waits for
+// the held one; it must not hold the registry lock while it waits.
+func TestFramesDoNotWaitOnEachOther(t *testing.T) {
+	s := mustStore(t, noRetention())
+	busy := mustFrame(t, s, "busy/a", "busy/b")
+	fw := mustFrame(t, s, "f/a", "f/b")
 	for r := 0; r < 3; r++ {
-		if err := fw.Append(time.Duration(r)*15*time.Second, []float64{1, 2}); err != nil {
-			t.Fatal(err)
-		}
+		ts := time.Duration(r) * 15 * time.Second
+		mustAppend(t, busy, ts, 1, 2)
+		mustAppend(t, fw, ts, 1, 2)
 	}
 	if fw.folded == len(fw.raw) {
 		t.Fatal("no frame round pending")
 	}
-
-	b := s.BeginBatch()
-	defer b.End()
-
-	done := make(chan error, 1)
-	go func() {
-		if _, err := s.Query("f/a", 0, 1<<62, ResRaw); err != nil {
-			done <- err
-			return
-		}
-		bs, err := s.Query("f/b", 0, 1<<62, ResMinute)
-		if err != nil {
-			done <- err
-			return
-		}
-		if len(bs) != 1 || bs[0].Count != 3 || bs[0].Sum != 6 {
-			done <- fmt.Errorf("minute buckets %+v, want one of 3 rounds summing to 6", bs)
-			return
-		}
-		buf := make([]float64, fw.Width())
-		if _, ok := fw.LatestInto(buf); !ok {
-			done <- fmt.Errorf("no latest round")
-			return
-		}
-		done <- nil
-	}()
+	busy.mu.Lock()
+	release := sync.OnceFunc(busy.mu.Unlock)
+	defer release()
+	statsDone := make(chan Stats, 1)
+	go func() { statsDone <- s.Stats() }()
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"QueryRaw", func() error {
+			bs, err := s.Query("f/a", 0, 1<<62, ResRaw)
+			if err == nil && len(bs) != 3 {
+				err = fmt.Errorf("%d raw buckets, want 3", len(bs))
+			}
+			return err
+		}},
+		{"QueryMinute", func() error {
+			// The read catches f up on its pending rounds first.
+			bs, err := s.Query("f/b", 0, 1<<62, ResMinute)
+			if err == nil && (len(bs) != 1 || bs[0].Count != 3 || bs[0].Sum != 6) {
+				err = fmt.Errorf("minute buckets %+v, want one of 3 rounds summing to 6", bs)
+			}
+			return err
+		}},
+		{"DailyAverages", func() error {
+			days, err := s.DailyAverages("f/a")
+			if err == nil && (len(days) != 1 || days[0] != 1) {
+				err = fmt.Errorf("daily averages %v, want [1]", days)
+			}
+			return err
+		}},
+		{"Keys", func() error {
+			if keys := s.Keys(); len(keys) != 4 {
+				return fmt.Errorf("keys %v, want 4", keys)
+			}
+			return nil
+		}},
+		{"Frames", func() error {
+			_, err := s.Frames([]string{"new/a"})
+			return err
+		}},
+		{"Append", func() error {
+			return fw.Append(45*time.Second, []float64{3, 4})
+		}},
+		{"AppendPar", func() error {
+			pool := par.New(2)
+			defer pool.Close()
+			return fw.AppendPar(time.Minute, []float64{5, 6}, pool)
+		}},
+		{"LatestInto", func() error {
+			buf := make([]float64, fw.Width())
+			if ts, ok := fw.LatestInto(buf); !ok || ts != time.Minute || buf[1] != 6 {
+				return fmt.Errorf("latest round %v %v at %v", buf, ok, ts)
+			}
+			return nil
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			done := make(chan error, 1)
+			go func() { done <- c.call() }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("waited on another frame's lock")
+			}
+		})
+	}
+	release()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
+	case st := <-statsDone:
+		if st.Keys < 4 {
+			t.Errorf("stats count %d keys, want at least 4", st.Keys)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("framed read blocked behind an open batch")
+		t.Fatal("Stats still waiting after the frame's lock was released")
 	}
 }
 

@@ -10,7 +10,13 @@ import (
 	"repro/internal/par"
 )
 
-// eagerSeries is the reference a per-point series must match: every
+// point is one raw sample of an eager reference.
+type point struct {
+	t time.Duration
+	v float64
+}
+
+// eagerSeries is the reference each frame column must match: every
 // append folds its point into all four levels at once, and the raw band
 // keeps every point.
 type eagerSeries struct {
@@ -104,14 +110,15 @@ func (e *eagerSeries) query(from, to time.Duration, res Resolution, ret time.Dur
 	return out
 }
 
-// TestDeferredFoldMatchesEagerReference drives per-point series through
-// all three append paths (Appender, Store.Append, Batch) with reads
-// interleaved: Query at every resolution over random ranges, and Stats.
-// Every read must match the eager per-append fold bit for bit, so a read
-// path that skipped catching up on pending points would fail. Timestamps
-// repeat, step by the 15 s cadence, or jump by up to 100 h; values are
-// finite and non-integer, and none is -0, so == on buckets compares
-// their bits.
+// TestDeferredFoldMatchesEagerReference drives keys that are each
+// sampled on their own schedule, so each is its own one-column frame,
+// with reads interleaved: Query at every resolution over random ranges,
+// and Stats across all the store's frames. Every read must match the
+// eager per-append fold bit for bit, so a read path that skipped
+// catching up on pending rounds would fail. The keys advance
+// independently, in bursts of up to 8 appends; timestamps repeat, step
+// by the 15 s cadence, or jump by up to 100 h. Values are finite and
+// non-integer, and none is -0, so == on buckets compares their bits.
 func TestDeferredFoldMatchesEagerReference(t *testing.T) {
 	const (
 		keys        = 4
@@ -122,14 +129,14 @@ func TestDeferredFoldMatchesEagerReference(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			t.Run(fmt.Sprintf("ret=%v/seed=%d", ret, seed), func(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
-				s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: ret, Shards: 2})
+				s := mustStore(t, Config{RawRetention: ret})
 				names := make([]string, keys)
-				apps := make([]*Appender, keys)
+				fws := make([]*FrameWriter, keys)
 				refs := make([]*eagerSeries, keys)
 				next := make([]time.Duration, keys)
 				for k := range names {
 					names[k] = fmt.Sprintf("srv%d/cpu", k)
-					apps[k] = s.Appender(names[k])
+					fws[k] = mustFrame(t, s, names[k])
 					refs[k] = newEagerSeries()
 				}
 				var horizon time.Duration
@@ -175,48 +182,32 @@ func TestDeferredFoldMatchesEagerReference(t *testing.T) {
 						t.Fatalf("stats %+v, want %+v", got, want)
 					}
 				}
+				row := make([]float64, 1)
 				for n := 0; n < keys*appendsEach; {
 					k := rng.Intn(keys)
 					burst := 1
-					path := rng.Intn(3)
-					if path == 2 {
+					if rng.Intn(3) == 0 {
 						burst = 1 + rng.Intn(8)
-					}
-					var b Batch
-					if path == 2 {
-						b = s.BeginBatch()
 					}
 					for i := 0; i < burst; i++ {
 						ts := next[k]
-						v := rng.NormFloat64()*40 + 100
-						var err error
-						switch path {
-						case 0:
-							err = apps[k].Append(ts, v)
-						case 1:
-							err = s.Append(names[k], ts, v)
-						default:
-							err = b.Append(apps[k], ts, v)
-						}
-						if err != nil {
+						row[0] = rng.NormFloat64()*40 + 100
+						if err := fws[k].Append(ts, row); err != nil {
 							t.Fatal(err)
 						}
-						refs[k].append(ts, v)
+						refs[k].append(ts, row[0])
 						horizon = max(horizon, ts)
 						next[k] = ts + step()
 						n++
 					}
-					if path == 2 {
-						b.End()
-					}
 					// Rejected samples change nothing.
 					if rng.Intn(50) == 0 {
 						if last := refs[k].raw[len(refs[k].raw)-1].t; last > 0 {
-							if err := apps[k].Append(last-1, 1); err == nil {
+							if err := fws[k].Append(last-1, row); err == nil {
 								t.Fatal("out-of-order sample accepted")
 							}
 						}
-						if err := s.Append(names[k], -time.Second, 1); err == nil {
+						if err := fws[k].Append(-time.Second, row); err == nil {
 							t.Fatal("negative timestamp accepted")
 						}
 					}
@@ -278,7 +269,7 @@ func TestDeferredFrameFoldMatchesEagerReference(t *testing.T) {
 
 func checkFrameAgainstEager(t *testing.T, width int, ret time.Duration, seed int64, p *par.Pool, rounds int, resolutions []Resolution, steps []time.Duration) {
 	rng := rand.New(rand.NewSource(seed))
-	s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: ret, Shards: 2})
+	s := mustStore(t, Config{RawRetention: ret})
 	keys := make([]string, width)
 	refs := make([]*eagerSeries, width)
 	for c := range keys {

@@ -27,17 +27,21 @@ import (
 // a time in time order, so its sum, min and max do not depend on when
 // the passes ran.
 //
-// Storage is rows, each allocated once at its exact size and never
-// regrown: one per round, and one per closed bucket of several rounds.
-// Growing the store copies only row headers, never values. A bucket that
+// Storage is rows, each written once and never regrown: one per round,
+// and one per closed bucket of several rounds. A row longer than slabRow
+// is an allocation of its own, at its exact size; shorter rows are
+// carved from shared slabs, so a narrow frame (a key sampled on its own
+// schedule is a one-column frame) makes no allocation per row. An 8-byte
+// rowRef names each row, and closed buckets go in fixed-size chunks, so
+// growing the store copies no values and no closed bucket. A bucket that
 // closes holding a single round shares that round's row instead of
 // copying it, and rows that retention expires are recycled for later
 // rounds unless a bucket shares them or may yet share them.
 //
-// Framed keys live in the parent Store's namespace: Query, Stats, Keys
-// and the derived analyses (DailyAverages, HourlyPattern, Anomalies,
-// CorrelateDetrended) see identical buckets to what per-point ingestion
-// of the same values would have produced.
+// Framed keys live in the parent Store's namespace, where Query, Stats,
+// Keys and the derived analyses (DailyAverages, HourlyPattern,
+// Anomalies, CorrelateDetrended) read them. Every bucket is bit-identical
+// to folding each round into every level as it is appended.
 type FrameWriter struct {
 	store *Store
 	keys  []string
@@ -49,19 +53,24 @@ type FrameWriter struct {
 	// K-wide row. Retention advances rawHead and moves each expired row
 	// that no bucket shares or may share to spare; a new round takes its
 	// row from spare before allocating one. Compaction moves the row
-	// headers down, amortized exactly as the per-series raw band's trim,
-	// and adds the rounds it cuts to rawBase, the absolute index of
-	// raw[0].
+	// headers down once at least half of raw has expired, so its copying
+	// is amortized O(1) per round, and adds the rounds it cuts to
+	// rawBase, the absolute index of raw[0].
 	raw           []frameRound
 	rawHead       int
 	rawBase       int64
-	spare         [][]float64
+	spare         []rowRef
 	droppedRounds int64
 	// raw[:folded] are in the levels; raw[folded:] wait for catchUp.
 	// Pending rows already sit in the band, so deferring their folds
 	// costs no memory.
 	folded int
 	levels [4]frameLevel
+	// Row storage (alloc, row): each slab is one long row, or a slab of
+	// short rows filled up to its length. tail indexes the slab short
+	// rows are carved from, -1 before the first.
+	slabs [][]float64
+	tail  int
 	// colShards partitions the column space for the catch-up's fan-out,
 	// fixed at construction (a pure function of the frame width).
 	colShards []par.Range
@@ -95,22 +104,73 @@ const (
 	opSeed
 )
 
+// rowRef names a row of a frame's storage: its slab's index in bits
+// 32–62, and its offset in that slab in the low 32. In a raw round's
+// ref, bit 63 (sharedRow) marks a row that a closed single-round bucket
+// also holds, which retention must not recycle.
+type rowRef uint64
+
+const sharedRow rowRef = 1 << 63
+
+const (
+	// slabLen is the size of a full slab of short rows, in floats: 4 KB.
+	// A frame's first slab holds slabRow floats and each next one twice
+	// its predecessor up to slabLen, so a frame of few rounds keeps a
+	// small slab.
+	slabLen = 512
+	// slabRow is the longest row carved from a slab, so a full slab
+	// wastes less than an eighth of itself at its tail.
+	slabRow = slabLen / 8
+)
+
+// alloc stores a new row of n floats, a copy of src (zero past it), and
+// returns its ref.
+func (w *FrameWriter) alloc(n int, src []float64) rowRef {
+	if n > slabRow {
+		// make then copy is one allocation the runtime does not zero
+		// under the copy.
+		row := make([]float64, n)
+		copy(row, src)
+		w.slabs = append(w.slabs, row)
+		return rowRef(len(w.slabs)-1) << 32
+	}
+	if w.tail < 0 || len(w.slabs[w.tail])+n > cap(w.slabs[w.tail]) {
+		size := slabRow
+		if w.tail >= 0 {
+			size = min(2*cap(w.slabs[w.tail]), slabLen)
+		}
+		w.tail = len(w.slabs)
+		w.slabs = append(w.slabs, make([]float64, 0, size))
+	}
+	slab := w.slabs[w.tail]
+	off := len(slab)
+	w.slabs[w.tail] = slab[:off+n]
+	copy(slab[off:off+n], src)
+	return rowRef(w.tail)<<32 | rowRef(off)
+}
+
+// row returns the n floats of the row ref names.
+func (w *FrameWriter) row(ref rowRef, n int) []float64 {
+	off := int(uint32(ref))
+	return w.slabs[(ref&^sharedRow)>>32][off : off+n : off+n]
+}
+
 // frameRound is one retained raw round: its timestamp and K-wide row.
-// shared marks a row a closed single-round bucket also holds, which
-// retention must not recycle.
 type frameRound struct {
-	t      time.Duration
-	vals   []float64
-	shared bool
+	t   time.Duration
+	row rowRef
 }
 
 // frameLevel is one aggregation level of the frame pyramid. The open
 // bucket is columnar: a shared start/count plus K-wide sum/min/max
 // columns, the aligned buffers a catch-up shards over. Closing a bucket
-// of several rounds copies them into one exact-size row. openAt and
-// openRow name the round that opened the open bucket (its absolute
-// index and its row): a bucket that closes holding only that round
-// shares the row.
+// of several rounds copies them into one row. openAt and openRow name
+// the round that opened the open bucket (its absolute index and its
+// row): a bucket that closes holding only that round shares the row.
+//
+// Closed buckets go in fixed-size chunks, each allocated once when the
+// first bucket lands in it and never regrown: closing a bucket copies no
+// earlier bucket, and growing the level copies only chunk pointers.
 type frameLevel struct {
 	width   time.Duration
 	curEnd  time.Duration // exclusive end of the open bucket; 0 while empty
@@ -119,27 +179,50 @@ type frameLevel struct {
 	curMin  []float64
 	curMax  []float64
 	openAt  int64
-	openRow []float64
-	closed  []frameBucket
+	openRow rowRef
+	// Closed buckets, dense and in time order: bucket i is
+	// chunks[i/chunkLen][i%chunkLen], and n counts them.
+	chunks []*[chunkLen]frameBucket
+	n      int
 }
 
-// frameBucket is one closed bucket of a frame level. cols holds the
+// chunkLen is the number of closed buckets in one chunk of a level. 32
+// buckets are 768 bytes, one of the runtime's size classes, so a chunk
+// is allocated at exactly its final size.
+const chunkLen = 32
+
+// close appends b as the level's newest closed bucket.
+func (l *frameLevel) close(b frameBucket) {
+	i := l.n % chunkLen
+	if i == 0 {
+		l.chunks = append(l.chunks, new([chunkLen]frameBucket))
+	}
+	l.chunks[len(l.chunks)-1][i] = b
+	l.n++
+}
+
+// at returns closed bucket i.
+func (l *frameLevel) at(i int) *frameBucket { return &l.chunks[i/chunkLen][i%chunkLen] }
+
+// frameBucket is one closed bucket of a frame level. Its row holds the
 // bucket's columns as sum | min | max, 3K wide — or, when the bucket
 // holds a single round, whose min, max and sum are that round's values
 // bit for bit, the round's K-wide raw row itself.
 type frameBucket struct {
 	start time.Duration
 	count int64
-	cols  []float64
+	row   rowRef
 }
 
-// bucket materializes column col of a frame of width k.
-func (b *frameBucket) bucket(col, k int) Bucket {
-	sum := b.cols[col]
+// bucket materializes column col of closed bucket b.
+func (w *FrameWriter) bucket(b *frameBucket, col int) Bucket {
+	k := len(w.keys)
 	if b.count == 1 {
-		return Bucket{Start: b.start, Count: 1, Sum: sum, Min: sum, Max: sum}
+		v := w.row(b.row, k)[col]
+		return Bucket{Start: b.start, Count: 1, Sum: v, Min: v, Max: v}
 	}
-	return Bucket{Start: b.start, Count: b.count, Sum: sum, Min: b.cols[k+col], Max: b.cols[2*k+col]}
+	cols := w.row(b.row, 3*k)
+	return Bucket{Start: b.start, Count: b.count, Sum: cols[col], Min: cols[k+col], Max: cols[2*k+col]}
 }
 
 // frameRef resolves a framed key to its writer and column.
@@ -149,57 +232,47 @@ type frameRef struct {
 }
 
 // Frames declares keys as one synchronously-sampled frame and returns
-// its writer. The keys must be distinct and must not already exist in
-// the store (as plain series or in another frame); they are created
-// empty. The keys are registered into a new registry map, sized once,
-// which replaces the old one only when every key is accepted. Lock
-// order: the store's frame registry is always acquired before any shard
-// lock.
+// its writer. The keys must be distinct and must not already belong to
+// another frame; they are created empty. The keys go into the registry
+// in place, under its lock, so registering costs O(len(keys)); if one is
+// rejected, those this call already added are removed before the lock
+// is released, so no reader sees a partial frame.
 func (s *Store) Frames(keys []string) (*FrameWriter, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("telemetry: frame needs at least one key")
 	}
+	k := len(keys)
+	w := &FrameWriter{store: s, keys: append([]string(nil), keys...), tail: -1, colShards: par.Shards(k)}
+	w.foldFn = w.foldShard
+	// Cache-line-aligned columns, all twelve in one buffer, each starting
+	// on a 64-byte line: a catch-up shards them by column range on 64-byte
+	// boundaries, so aligned bases keep concurrent shards off each other's
+	// lines.
+	stride := (k + 7) / 8 * 8
+	cols := par.AlignedFloats(12 * stride)
+	col := func(i int) []float64 { return cols[i*stride : i*stride+k : i*stride+k] }
+	for i, width := range [...]time.Duration{time.Minute, 15 * time.Minute, time.Hour, 24 * time.Hour} {
+		w.levels[i] = frameLevel{width: width, curSum: col(3 * i), curMin: col(3*i + 1), curMax: col(3*i + 2)}
+	}
 	s.framesMu.Lock()
 	defer s.framesMu.Unlock()
-	w := &FrameWriter{store: s, keys: append([]string(nil), keys...)}
-	frames := make(map[string]frameRef, len(s.frames)+len(keys))
-	for key, ref := range s.frames {
-		frames[key] = ref
+	if s.frames == nil {
+		// The first frame sizes the registry, so a fleet-wide frame
+		// fills it without regrowing it.
+		s.frames = make(map[string]frameRef, k)
 	}
-	for col, key := range keys {
-		if ref, ok := frames[key]; ok {
+	for c, key := range keys {
+		if ref, ok := s.frames[key]; ok {
+			for _, added := range keys[:c] {
+				delete(s.frames, added)
+			}
 			if ref.w == w {
 				return nil, fmt.Errorf("telemetry: duplicate frame key %q", key)
 			}
 			return nil, fmt.Errorf("telemetry: key %q already belongs to a frame", key)
 		}
-		sh := s.shardFor(key)
-		sh.mu.Lock()
-		_, exists := sh.series[key]
-		sh.mu.Unlock()
-		if exists {
-			return nil, fmt.Errorf("telemetry: key %q already exists as a plain series", key)
-		}
-		frames[key] = frameRef{w: w, col: col}
+		s.frames[key] = frameRef{w: w, col: c}
 	}
-	k := len(keys)
-	w.colShards = par.Shards(k)
-	w.foldFn = w.foldShard
-	for i := range w.levels {
-		// Cache-line-aligned columns: a catch-up shards these by column
-		// range on 64-byte boundaries, so aligned bases keep concurrent
-		// shards off each other's lines.
-		w.levels[i] = frameLevel{
-			curSum: par.AlignedFloats(k),
-			curMin: par.AlignedFloats(k),
-			curMax: par.AlignedFloats(k),
-		}
-	}
-	w.levels[0].width = time.Minute
-	w.levels[1].width = 15 * time.Minute
-	w.levels[2].width = time.Hour
-	w.levels[3].width = 24 * time.Hour
-	s.frames = frames
 	s.frameWriters = append(s.frameWriters, w)
 	return w, nil
 }
@@ -214,8 +287,8 @@ func (w *FrameWriter) Width() int { return len(w.keys) }
 // have at least Width elements) and returns the round's timestamp. It
 // reports false if no round has been ingested yet. This is the
 // zero-copy scrape path for live exporters: one memcpy of the latest row
-// under the frame's read lock — no bucket materialization, no
-// aggregation, and no contention with the store's shard locks.
+// under the frame's read lock — no bucket materialization and no
+// aggregation.
 func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 	k := len(w.keys)
 	if len(dst) < k {
@@ -228,7 +301,7 @@ func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 		return 0, false
 	}
 	last := w.raw[n-1]
-	copy(dst, last.vals)
+	copy(dst, w.row(last.row, k))
 	return last.t, true
 }
 
@@ -275,8 +348,8 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 		}
 		if drop := end - w.rawHead; drop > 0 {
 			for ; w.rawHead < end; w.rawHead++ {
-				if r := &w.raw[w.rawHead]; !r.shared && !w.heldOpen(w.rawBase+int64(w.rawHead)) {
-					w.spare = append(w.spare, r.vals)
+				if r := &w.raw[w.rawHead]; r.row&sharedRow == 0 && !w.heldOpen(w.rawBase+int64(w.rawHead)) {
+					w.spare = append(w.spare, r.row)
 				}
 			}
 			w.droppedRounds += int64(drop)
@@ -292,17 +365,15 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 	if len(w.raw) == cap(w.raw) {
 		w.catchUp(p)
 	}
-	var row []float64
+	var row rowRef
 	if n := len(w.spare); n > 0 {
 		row = w.spare[n-1]
 		w.spare = w.spare[:n-1]
-		copy(row, values)
+		copy(w.row(row, len(values)), values)
 	} else {
-		// make then copy is one allocation the runtime does not zero.
-		row = make([]float64, len(values))
-		copy(row, values)
+		row = w.alloc(len(values), values)
 	}
-	w.raw = append(w.raw, frameRound{t: t, vals: row})
+	w.raw = append(w.raw, frameRound{t: t, row: row})
 	return nil
 }
 
@@ -354,24 +425,24 @@ func (w *FrameWriter) catchUp(p *par.Pool) {
 			if l.curEnd != 0 {
 				b := frameBucket{start: l.curEnd - l.width, count: l.curCnt}
 				if l.curCnt == 1 {
-					b.cols = l.openRow
+					b.row = l.openRow
 					if h := l.openAt - w.rawBase; h >= int64(w.rawHead) {
-						w.raw[h].shared = true
+						w.raw[h].row |= sharedRow
 					}
 					if l.openAt >= first {
 						w.plan[l.openAt-first][i] &^= opSeed
 					}
 				} else {
-					b.cols = make([]float64, 3*k)
-					w.closeRows = append(w.closeRows, b.cols)
+					b.row = w.alloc(3*k, nil)
+					w.closeRows = append(w.closeRows, w.row(b.row, 3*k))
 					op |= opClose
 				}
-				l.closed = append(l.closed, b)
+				l.close(b)
 			}
 			l.curEnd = start + l.width
 			l.curCnt = 1
 			l.openAt = first + int64(j)
-			l.openRow = pending[j].vals
+			l.openRow = pending[j].row
 			w.plan[j][i] = op
 		}
 	}
@@ -391,7 +462,7 @@ func (w *FrameWriter) foldShard(_ int, r par.Range) {
 		hi := min(lo+frameBlock, r.Hi)
 		next := 0 // closeRows cursor: the plan closes the same rows per block
 		for j, ops := range w.plan {
-			vals := pending[j].vals[lo:hi]
+			vals := w.row(pending[j].row, k)[lo:hi]
 			for i, op := range ops {
 				l := &w.levels[i]
 				if op == opFold {
@@ -450,13 +521,12 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.catchUp(nil)
-	k := len(w.keys)
 	l := &w.levels[li]
-	lo := sort.Search(len(l.closed), func(i int) bool {
-		return l.closed[i].start+l.width > from
+	lo := sort.Search(l.n, func(i int) bool {
+		return l.at(i).start+l.width > from
 	})
-	hi := sort.Search(len(l.closed), func(i int) bool {
-		return l.closed[i].start >= to
+	hi := sort.Search(l.n, func(i int) bool {
+		return l.at(i).start >= to
 	})
 	takeCur := l.curEnd != 0 && l.curEnd > from && l.curEnd-l.width < to
 	n := hi - lo
@@ -465,7 +535,7 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 	}
 	out := make([]Bucket, 0, n)
 	for i := lo; i < hi; i++ {
-		out = append(out, l.closed[i].bucket(col, k))
+		out = append(out, w.bucket(l.at(i), col))
 	}
 	if takeCur {
 		out = append(out, Bucket{
@@ -478,10 +548,11 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 
 // queryRaw synthesizes one bucket per retained round of column col in
 // [from, to), bounding the range by binary search and allocating the
-// result once at its exact size, as for a per-point series.
+// result once at its exact size (nil when the range holds no round).
 func (w *FrameWriter) queryRaw(col int, from, to time.Duration) []Bucket {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
+	k := len(w.keys)
 	band := w.raw[w.rawHead:]
 	lo := sort.Search(len(band), func(i int) bool { return band[i].t >= from })
 	hi := sort.Search(len(band), func(i int) bool { return band[i].t >= to })
@@ -490,7 +561,7 @@ func (w *FrameWriter) queryRaw(col int, from, to time.Duration) []Bucket {
 	}
 	out := make([]Bucket, hi-lo)
 	for i, r := range band[lo:hi] {
-		v := r.vals[col]
+		v := w.row(r.row, k)[col]
 		out[i] = Bucket{Start: r.t, Count: 1, Sum: v, Min: v, Max: v}
 	}
 	return out
@@ -508,7 +579,7 @@ func (w *FrameWriter) stats(out *Stats) {
 	out.DroppedRaw += w.droppedRounds * k
 	for i := range w.levels {
 		l := &w.levels[i]
-		n := int64(len(l.closed))
+		n := int64(l.n)
 		if l.curEnd != 0 {
 			n++
 		}

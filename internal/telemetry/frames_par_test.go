@@ -35,7 +35,7 @@ func TestAppendParMatchesAppendAcrossWorkers(t *testing.T) {
 		data[r] = row
 	}
 
-	cfg := Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4}
+	cfg := Config{RawRetention: time.Hour}
 	type variant struct {
 		name    string
 		workers int

@@ -8,38 +8,35 @@
 // be eliminated" — is implemented here as a streaming multi-resolution
 // aggregation pyramid with raw-band retention.
 //
+// Keys are ingested in frames: a fixed key set sampled at shared
+// timestamps, one round per sweep (Store.Frames, FrameWriter). A key
+// sampled on its own schedule is a one-column frame.
+//
 // # Concurrency contract
 //
 // A Store is safe for concurrent use: any number of goroutines may mix
-// appends (Store.Append, Appender.Append, FrameWriter.Append, Batch
-// bursts) with reads (Query, Stats, Keys, the derived analyses, and
-// FrameWriter.LatestInto). Internally the store is lock-sharded by key;
-// framed keys are guarded by their FrameWriter's own lock and never
-// touch the shard locks, so scraping a framed key (Query or LatestInto)
-// stays wait-free with respect to BeginBatch bursts, which hold every
-// shard lock for their duration. The frame registry lock is always
-// acquired before any shard lock, and no path holds a shard lock while
-// acquiring another store lock, so the lock order is acyclic.
+// frame registration (Frames), appends (FrameWriter.Append, AppendPar)
+// and reads (Query, Stats, Keys, the derived analyses, and
+// FrameWriter.LatestInto). There are two kinds of lock. The store's
+// registry lock guards the key-to-column map and the writer list:
+// Frames adds its keys under it held exclusively, and every other call
+// holds it shared, only to read the map or to copy the writer list,
+// never while it takes a frame's lock. Each FrameWriter has one RWMutex
+// over its rounds and pyramid.
 //
-// An append, per-point or framed, writes only the raw band; the pyramid
-// levels catch up on what they have not seen when the band fills or
-// when a reader needs them. Reads of the levels (Query at an aggregate
-// resolution, Stats, the derived analyses) therefore fold pending
-// samples. Each shard lock is a plain mutex: readers of one shard
-// serialize with each other as well as with its appenders. A
-// FrameWriter's aggregate reads and Stats take the writer's lock
-// exclusively; LatestInto and raw-resolution reads of framed keys take
-// it shared, so live scrapes of the latest round run concurrently.
+// An append writes only the raw band, under the frame's lock held
+// exclusively. The pyramid levels catch up on the pending rounds when
+// the band needs room or a read needs the levels, so aggregate reads
+// (Query at an aggregate resolution, Stats, the derived analyses) take
+// the frame's lock exclusively too. LatestInto and raw-resolution reads
+// take it shared, so live scrapes of the latest round run concurrently.
 //
 // Reads are internally consistent but only per call: a Query observes
-// one atomic state of its series (no torn open-tail buckets), while a
+// one atomic state of its frame (no torn open-tail buckets), while a
 // sequence of calls (e.g. Stats then Query, or the multi-Query derived
-// analyses) may straddle concurrent appends. Per-key sample ordering
-// remains the appender's obligation: timestamps per key (and per frame)
-// must be non-decreasing regardless of which goroutine delivers them.
-// The one exception to general thread-safety is Batch itself: a Batch
-// value must stay on the goroutine that began it, and End must be
-// called promptly.
+// analyses) may straddle concurrent appends. Round ordering remains the
+// appender's obligation: timestamps per frame must be non-decreasing
+// regardless of which goroutine delivers them.
 package telemetry
 
 import (
@@ -82,25 +79,6 @@ func (r Resolution) String() string {
 	}
 }
 
-// Interval returns the bucket width of a resolution given the raw
-// sampling interval.
-func (r Resolution) Interval(raw time.Duration) (time.Duration, error) {
-	switch r {
-	case ResRaw:
-		return raw, nil
-	case ResMinute:
-		return time.Minute, nil
-	case ResQuarter:
-		return 15 * time.Minute, nil
-	case ResHour:
-		return time.Hour, nil
-	case ResDay:
-		return 24 * time.Hour, nil
-	default:
-		return 0, fmt.Errorf("telemetry: unknown resolution %d", int(r))
-	}
-}
-
 // Bucket is one aggregated interval.
 type Bucket struct {
 	// Start is the bucket's inclusive start time.
@@ -120,232 +98,39 @@ func (b Bucket) Mean() float64 {
 	return b.Sum / float64(b.Count)
 }
 
-// point is one raw sample.
-type point struct {
-	t time.Duration
-	v float64
-}
-
-// chunkLen is the number of closed buckets in one chunk of a level. 32
-// buckets are 1,280 bytes, one of the runtime's size classes, so a chunk
-// is allocated at exactly its final size.
-const chunkLen = 32
-
-// level is one aggregation level of a key's pyramid: an open tail
-// bucket (cur) and the closed buckets before it. Points reach a level
-// only through foldRun, in runs of consecutive raw points, never one
-// append at a time.
-//
-// Closed buckets go in fixed-size chunks, each allocated once at its
-// final size when the first bucket lands in it and never regrown:
-// closing a bucket copies no earlier bucket, and growing the level
-// copies only chunk pointers.
-type level struct {
-	width time.Duration
-	// curEnd caches cur's exclusive end time (zero while the level is
-	// empty). Timestamps per key are non-decreasing, so a sample lands
-	// either in cur or in a new bucket past it; the cached end turns the
-	// common tail hit into one comparison, no division.
-	curEnd time.Duration
-	cur    Bucket // open tail bucket; empty iff curEnd == 0
-	// Closed buckets, dense and in time order: bucket i is
-	// chunks[i/chunkLen][i%chunkLen], and n counts them.
-	chunks []*[chunkLen]Bucket
-	n      int
-}
-
-// foldRun folds ps, which are in time order and no earlier than any
-// point the level has seen, holding the open bucket in locals for the
-// run.
-// Each bucket still adds its points one by one in time order, so its
-// Sum, Count, Min and Max do not depend on how the points were split
-// into runs.
-func (l *level) foldRun(ps []point) {
-	width, curEnd, cur := l.width, l.curEnd, l.cur
-	for _, p := range ps {
-		if p.t < curEnd {
-			cur.Count++
-			cur.Sum += p.v
-			if p.v < cur.Min {
-				cur.Min = p.v
-			}
-			if p.v > cur.Max {
-				cur.Max = p.v
-			}
-			continue
-		}
-		var start time.Duration
-		if p.t < curEnd+width {
-			// Adjacent bucket — the steady-state rollover for a level
-			// whose width matches the sampling cadence. No division.
-			start = curEnd
-		} else {
-			start = p.t / width * width
-		}
-		if curEnd != 0 {
-			l.close(cur)
-		}
-		curEnd = start + width
-		cur = Bucket{Start: start, Count: 1, Sum: p.v, Min: p.v, Max: p.v}
-	}
-	l.curEnd, l.cur = curEnd, cur
-}
-
-// close appends b as the level's newest closed bucket.
-func (l *level) close(b Bucket) {
-	i := l.n % chunkLen
-	if i == 0 {
-		l.chunks = append(l.chunks, new([chunkLen]Bucket))
-	}
-	l.chunks[len(l.chunks)-1][i] = b
-	l.n++
-}
-
-// open reports whether the level has an open tail bucket.
-func (l *level) open() bool { return l.curEnd != 0 }
-
-// at returns closed bucket i.
-func (l *level) at(i int) *Bucket { return &l.chunks[i/chunkLen][i%chunkLen] }
-
-// appendClosed appends closed buckets [lo, hi) to out, one copy per
-// chunk.
-func (l *level) appendClosed(out []Bucket, lo, hi int) []Bucket {
-	for lo < hi {
-		off := lo % chunkLen
-		end := min(chunkLen, off+hi-lo)
-		out = append(out, l.chunks[lo/chunkLen][off:end]...)
-		lo += end - off
-	}
-	return out
-}
-
-// series is the pyramid for one key.
-//
-// raw holds the raw band, oldest first. A point expires once a later
-// sample is more than RawRetention newer; expiry is resolved when the
-// band is read (expired) and reclaimed only when raw is full (push), so
-// an append writes the band's newest end and never reads its cold oldest
-// point.
-//
-// Appends do not fold: raw[:folded] are in the levels, and raw[folded:]
-// wait for catchUp, which runs when raw fills and before any read of the
-// levels. Pending points already sit in the band, so deferring their
-// folds costs no memory.
-type series struct {
-	raw    []point
-	folded int
-	levels [4]level // minute, quarter, hour, day
-	lastT  time.Duration
-	hasAny bool
-	// reclaimed counts expired raw points already cut from raw.
-	reclaimed int64
-}
-
-// catchUp folds the pending points raw[folded:] into every level. It is
-// the only path by which points reach the levels; its caller holds the
-// series' shard lock.
-func (ser *series) catchUp() {
-	pending := ser.raw[ser.folded:]
-	if len(pending) == 0 {
-		return
-	}
-	for i := range ser.levels {
-		ser.levels[i].foldRun(pending)
-	}
-	ser.folded = len(ser.raw)
-}
-
-// expired returns how many of raw's points lie outside the retention
-// window ret: those older than lastT-ret. Timestamps are non-decreasing,
-// so they are a prefix.
-func (ser *series) expired(ret time.Duration) int {
-	if ret <= 0 {
-		return 0
-	}
-	return searchPoints(ser.raw, ser.lastT-ret)
-}
-
-// push appends a raw point; lastT must already be its timestamp. When
-// raw is full, the levels catch up on it and its expired prefix is
-// reclaimed: in place when the retained points fill at most three
-// quarters of it, else into a new slice of twice the capacity. Either
-// way the copy is amortized O(1) per append, and under retention the
-// slice stays within 8/3 of the retained band. Catching up first means
-// no point leaves the band unfolded, and pending work never exceeds
-// raw's capacity.
-func (ser *series) push(p point, ret time.Duration) {
-	if c := cap(ser.raw); len(ser.raw) == c {
-		ser.catchUp()
-		dead := ser.expired(ret)
-		keep := ser.raw[dead:]
-		if len(keep)*4 > c*3 {
-			ser.raw = make([]point, len(keep), 2*c)
-			copy(ser.raw, keep)
-		} else {
-			ser.raw = ser.raw[:copy(ser.raw, keep)]
-		}
-		ser.folded -= dead
-		ser.reclaimed += int64(dead)
-	}
-	ser.raw = append(ser.raw, p)
-}
-
-// searchPoints returns the index of the first point at or after t.
-func searchPoints(ps []point, t time.Duration) int {
-	return sort.Search(len(ps), func(i int) bool { return ps[i].t >= t })
-}
-
 // Config configures a Store.
 type Config struct {
-	// RawInterval is the base sampling period (the paper uses 15 s).
-	RawInterval time.Duration
-	// RawRetention bounds how long raw points are kept; zero keeps
-	// everything. A point older than the key's newest sample by more
+	// RawRetention bounds how long raw rounds are kept; zero keeps
+	// everything. A round older than its frame's newest round by more
 	// than RawRetention is gone from Query and Stats at once, and its
-	// memory is reused once the key's raw band fills. Aggregates are
-	// kept forever (they are the "bands" of interest; rawer data "can be
-	// considered as noise and be eliminated").
+	// row is reused by a later round unless a bucket shares it.
+	// Aggregates are kept forever (they are the "bands" of interest;
+	// rawer data "can be considered as noise and be eliminated").
 	RawRetention time.Duration
-	// Shards is the number of lock shards for concurrent ingestion.
-	Shards int
 }
 
-// DefaultConfig matches the paper's scenario: 15-second samples, one hour
-// of raw retention, enough shards for a many-core collector.
+// DefaultConfig matches the paper's scenario: one hour of raw retention.
 func DefaultConfig() Config {
-	return Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 32}
+	return Config{RawRetention: time.Hour}
 }
 
 // Validate checks the configuration.
 func (c Config) Validate() error {
-	if c.RawInterval <= 0 {
-		return fmt.Errorf("telemetry: raw interval %v must be positive", c.RawInterval)
-	}
 	if c.RawRetention < 0 {
 		return fmt.Errorf("telemetry: raw retention %v must be non-negative", c.RawRetention)
-	}
-	if c.Shards <= 0 {
-		return fmt.Errorf("telemetry: shards %d must be positive", c.Shards)
 	}
 	return nil
 }
 
-// Store is a sharded multi-resolution time-series store, safe for
+// Store is a multi-resolution time-series store over frames, safe for
 // concurrent appends and queries.
 type Store struct {
-	cfg    Config
-	shards []*shard
-	// Frame registry (see Frames). framesMu is always acquired before
-	// any shard lock; the per-point hot paths (Appender.Append,
-	// Batch.Append) never touch it.
+	cfg Config
+	// Frame registry (see Frames). Frames only appends to frameWriters,
+	// so Stats may walk the slice it loaded after releasing framesMu.
 	framesMu     sync.RWMutex
 	frames       map[string]frameRef
 	frameWriters []*FrameWriter
-}
-
-type shard struct {
-	mu     sync.Mutex
-	series map[string]*series
 }
 
 // NewStore builds a store.
@@ -353,165 +138,13 @@ func NewStore(cfg Config) (*Store, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Store{cfg: cfg, shards: make([]*shard, cfg.Shards), frames: make(map[string]frameRef)}
-	for i := range s.shards {
-		s.shards[i] = &shard{series: make(map[string]*series)}
-	}
-	return s, nil
+	return &Store{cfg: cfg}, nil
 }
 
-func (s *Store) shardFor(key string) *shard {
-	var h uint64 = 1469598103934665603
-	for i := 0; i < len(key); i++ {
-		h ^= uint64(key[i])
-		h *= 1099511628211
-	}
-	return s.shards[h%uint64(len(s.shards))]
-}
-
-func newSeries() *series {
-	return &series{
-		levels: [4]level{
-			{width: time.Minute},
-			{width: 15 * time.Minute},
-			{width: time.Hour},
-			{width: 24 * time.Hour},
-		},
-	}
-}
-
-// Append ingests one sample. Timestamps per key must be non-decreasing
-// (collection pipelines deliver in order); regressions are rejected.
-// Pipelines appending the same key repeatedly should resolve an Appender
-// once and use its Append, which skips the per-point key hash and map
-// lookup.
-func (s *Store) Append(key string, t time.Duration, v float64) error {
-	// Hold the frame registry read lock across the shard operation so a
-	// concurrent Frames() cannot register key between the check and the
-	// series creation (registry before shard is the package lock order).
-	s.framesMu.RLock()
-	defer s.framesMu.RUnlock()
-	if _, framed := s.frames[key]; framed {
-		return fmt.Errorf("telemetry: key %q belongs to a frame; append through its FrameWriter", key)
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ser, ok := sh.series[key]
-	if !ok {
-		ser = newSeries()
-		sh.series[key] = ser
-	}
-	return s.appendLocked(key, ser, t, v)
-}
-
-// appendLocked ingests one sample into a resolved series. The caller
-// holds the series' shard lock.
-func (s *Store) appendLocked(key string, ser *series, t time.Duration, v float64) error {
-	if t < 0 {
-		return fmt.Errorf("telemetry: negative timestamp %v", t)
-	}
-	if ser.hasAny && t < ser.lastT {
-		return fmt.Errorf("telemetry: out-of-order sample for %q: %v after %v", key, t, ser.lastT)
-	}
-	ser.lastT = t
-	ser.hasAny = true
-	ser.push(point{t: t, v: v}, s.cfg.RawRetention)
-	return nil
-}
-
-// Appender is a resolved handle to one series: the shard and series are
-// looked up once at construction, so the per-point ingest path skips the
-// key hash and map lookup entirely. An Appender is safe for concurrent
-// use with other Appenders and with Store methods (appends still take
-// the shard lock); per-key sample ordering rules are unchanged.
-type Appender struct {
-	store *Store
-	sh    *shard
-	ser   *series
-	key   string
-}
-
-// Appender interns key and returns its append handle, creating the
-// series if it does not exist yet. Keys belonging to a frame have no
-// per-point series; resolving one is a programming error and panics.
-func (s *Store) Appender(key string) *Appender {
-	s.framesMu.RLock()
-	defer s.framesMu.RUnlock()
-	if _, framed := s.frames[key]; framed {
-		panic(fmt.Sprintf("telemetry: key %q belongs to a frame; append through its FrameWriter", key))
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	ser, ok := sh.series[key]
-	if !ok {
-		ser = newSeries()
-		sh.series[key] = ser
-	}
-	sh.mu.Unlock()
-	return &Appender{store: s, sh: sh, ser: ser, key: key}
-}
-
-// Key returns the series key the handle is bound to.
-func (a *Appender) Key() string { return a.key }
-
-// Append ingests one sample through the resolved handle.
-func (a *Appender) Append(t time.Duration, v float64) error {
-	a.sh.mu.Lock()
-	err := a.store.appendLocked(a.key, a.ser, t, v)
-	a.sh.mu.Unlock()
-	return err
-}
-
-// Batch is a write burst that holds every shard lock, so a sampling
-// round over N series pays two lock operations per shard instead of two
-// per point — the difference between 20,000 atomic RMWs and 64 when a
-// 10,000-server collector flushes one round. Queries and other appenders
-// block for the duration, so End must be called promptly (it is safe and
-// idiomatic to defer it). A Batch must not outlive one burst: it is not
-// safe for concurrent use.
-type Batch struct {
-	s *Store
-}
-
-// BeginBatch locks the store for a burst of appends through resolved
-// Appenders. Shards are locked in index order — the only multi-lock
-// acquisition in the package, so lock ordering stays consistent.
-func (s *Store) BeginBatch() Batch {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	return Batch{s: s}
-}
-
-// Append ingests one sample through a resolved handle under the batch's
-// locks. The handle must come from the same store the batch was begun
-// on.
-func (b Batch) Append(a *Appender, t time.Duration, v float64) error {
-	if a.store != b.s {
-		return fmt.Errorf("telemetry: appender %q belongs to a different store", a.key)
-	}
-	return b.s.appendLocked(a.key, a.ser, t, v)
-}
-
-// End releases every shard lock acquired by BeginBatch.
-func (b Batch) End() {
-	for _, sh := range b.s.shards {
-		sh.mu.Unlock()
-	}
-}
-
-// Keys returns all stored keys in sorted order, framed keys included.
+// Keys returns all stored keys in sorted order.
 func (s *Store) Keys() []string {
-	var keys []string
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for k := range sh.series {
-			keys = append(keys, k)
-		}
-		sh.mu.Unlock()
-	}
 	s.framesMu.RLock()
+	keys := make([]string, 0, len(s.frames))
 	for k := range s.frames {
 		keys = append(keys, k)
 	}
@@ -522,7 +155,7 @@ func (s *Store) Keys() []string {
 
 // Stats summarizes storage.
 type Stats struct {
-	// Keys is the number of series.
+	// Keys is the number of keys.
 	Keys int
 	// RawPoints is the number of retained raw samples.
 	RawPoints int64
@@ -533,31 +166,13 @@ type Stats struct {
 }
 
 // Stats reports storage accounting — the §5.3 storage-reduction measure.
-// Bucket counts include every appended point: each per-point series
-// folds its pending points first.
+// Bucket counts include every appended round: each frame catches its
+// levels up first.
 func (s *Store) Stats() Stats {
-	var out Stats
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		for _, ser := range sh.series {
-			ser.catchUp()
-			dead := ser.expired(s.cfg.RawRetention)
-			out.Keys++
-			out.RawPoints += int64(len(ser.raw) - dead)
-			out.DroppedRaw += ser.reclaimed + int64(dead)
-			for i := range ser.levels {
-				l := &ser.levels[i]
-				out.AggBuckets += int64(l.n)
-				if l.open() {
-					out.AggBuckets++
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
 	s.framesMu.RLock()
 	writers := s.frameWriters
 	s.framesMu.RUnlock()
+	var out Stats
 	for _, w := range writers {
 		w.stats(&out)
 	}
@@ -565,76 +180,20 @@ func (s *Store) Stats() Stats {
 }
 
 // Query returns the buckets of key overlapping [from, to) at the given
-// resolution. Raw queries synthesize one bucket per sample from the
-// retained raw band; aggregate queries of a per-point series fold its
-// pending points first.
-//
-// Framed keys are resolved against the frame registry first and answer
-// entirely from their FrameWriter's columns: a scrape of framed
-// telemetry never waits on a shard lock, so it cannot stall behind a
-// BeginBatch ingest burst (which holds every shard lock). Before this
-// ordering, a framed-key query blocked on the — always irrelevant —
-// shard its key hashed to for the whole burst.
+// resolution. Raw queries synthesize one bucket per retained round;
+// aggregate queries catch the key's frame up on its pending rounds
+// first.
 func (s *Store) Query(key string, from, to time.Duration, res Resolution) ([]Bucket, error) {
 	if to < from {
 		return nil, fmt.Errorf("telemetry: inverted range [%v, %v)", from, to)
 	}
 	s.framesMu.RLock()
-	ref, framed := s.frames[key]
+	ref, ok := s.frames[key]
 	s.framesMu.RUnlock()
-	if framed {
-		return ref.w.query(ref.col, from, to, res)
-	}
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	ser, ok := sh.series[key]
 	if !ok {
-		sh.mu.Unlock()
 		return nil, fmt.Errorf("telemetry: unknown key %q", key)
 	}
-	defer sh.mu.Unlock()
-	if res == ResRaw {
-		return rawBuckets(ser.raw[ser.expired(s.cfg.RawRetention):], from, to), nil
-	}
-	li, err := levelIndex(res)
-	if err != nil {
-		return nil, err
-	}
-	ser.catchUp()
-	lv := &ser.levels[li]
-	// Binary search the dense, sorted closed buckets, then splice in the
-	// open tail bucket if it overlaps the range.
-	lo := sort.Search(lv.n, func(i int) bool {
-		return lv.at(i).Start+lv.width > from
-	})
-	hi := sort.Search(lv.n, func(i int) bool {
-		return lv.at(i).Start >= to
-	})
-	takeCur := lv.open() && lv.curEnd > from && lv.cur.Start < to
-	n := hi - lo
-	if takeCur {
-		n++
-	}
-	out := lv.appendClosed(make([]Bucket, 0, n), lo, hi)
-	if takeCur {
-		out = append(out, lv.cur)
-	}
-	return out, nil
-}
-
-// rawBuckets synthesizes one bucket per raw point of band in [from, to),
-// bounding the range by binary search and allocating the result once at
-// its exact size (nil when the range holds no point).
-func rawBuckets(band []point, from, to time.Duration) []Bucket {
-	lo, hi := searchPoints(band, from), searchPoints(band, to)
-	if lo == hi {
-		return nil
-	}
-	out := make([]Bucket, hi-lo)
-	for i, p := range band[lo:hi] {
-		out[i] = Bucket{Start: p.t, Count: 1, Sum: p.v, Min: p.v, Max: p.v}
-	}
-	return out
+	return ref.w.query(ref.col, from, to, res)
 }
 
 func levelIndex(res Resolution) (int, error) {

@@ -3,8 +3,8 @@ package telemetry
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -18,19 +18,31 @@ func mustStore(t *testing.T, cfg Config) *Store {
 	return s
 }
 
+// mustFrame registers keys as one frame of s.
+func mustFrame(t *testing.T, s *Store, keys ...string) *FrameWriter {
+	t.Helper()
+	fw, err := s.Frames(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fw
+}
+
+// mustAppend appends one round to fw.
+func mustAppend(t *testing.T, fw *FrameWriter, ts time.Duration, vals ...float64) {
+	t.Helper()
+	if err := fw.Append(ts, vals); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func noRetention() Config {
-	return Config{RawInterval: 15 * time.Second, RawRetention: 0, Shards: 4}
+	return Config{RawRetention: 0}
 }
 
 func TestConfigValidation(t *testing.T) {
-	if _, err := NewStore(Config{RawInterval: 0, Shards: 1}); err == nil {
-		t.Error("zero interval should error")
-	}
-	if _, err := NewStore(Config{RawInterval: time.Second, RawRetention: -1, Shards: 1}); err == nil {
+	if _, err := NewStore(Config{RawRetention: -1}); err == nil {
 		t.Error("negative retention should error")
-	}
-	if _, err := NewStore(Config{RawInterval: time.Second, Shards: 0}); err == nil {
-		t.Error("zero shards should error")
 	}
 	if _, err := NewStore(DefaultConfig()); err != nil {
 		t.Error("default config rejected")
@@ -39,10 +51,9 @@ func TestConfigValidation(t *testing.T) {
 
 func TestAppendAndRawQuery(t *testing.T) {
 	s := mustStore(t, noRetention())
+	fw := mustFrame(t, s, "cpu")
 	for i := 0; i < 10; i++ {
-		if err := s.Append("cpu", time.Duration(i)*15*time.Second, float64(i)); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, fw, time.Duration(i)*15*time.Second, float64(i))
 	}
 	bs, err := s.Query("cpu", 0, time.Hour, ResRaw)
 	if err != nil {
@@ -66,17 +77,16 @@ func TestAppendAndRawQuery(t *testing.T) {
 
 func TestAppendErrors(t *testing.T) {
 	s := mustStore(t, noRetention())
-	if err := s.Append("k", -time.Second, 1); err == nil {
+	fw := mustFrame(t, s, "k")
+	if err := fw.Append(-time.Second, []float64{1}); err == nil {
 		t.Error("negative time should error")
 	}
-	if err := s.Append("k", time.Minute, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append("k", time.Second, 2); err == nil {
+	mustAppend(t, fw, time.Minute, 1)
+	if err := fw.Append(time.Second, []float64{2}); err == nil {
 		t.Error("out-of-order append should error")
 	}
-	// Equal timestamps are fine (multiple counters can share an instant).
-	if err := s.Append("k", time.Minute, 3); err != nil {
+	// Equal timestamps are fine (a key can be read twice in an instant).
+	if err := fw.Append(time.Minute, []float64{3}); err != nil {
 		t.Errorf("equal timestamp rejected: %v", err)
 	}
 	if _, err := s.Query("missing", 0, time.Hour, ResRaw); err == nil {
@@ -93,14 +103,13 @@ func TestAppendErrors(t *testing.T) {
 func TestAggregationPyramidConsistency(t *testing.T) {
 	// Invariant: every level's total Sum and Count equal the raw totals.
 	s := mustStore(t, noRetention())
+	fw := mustFrame(t, s, "m")
 	var wantSum float64
 	const n = 4 * 24 * 60 * 4 // 4 days of 15s samples
 	for i := 0; i < n; i++ {
 		v := math.Sin(float64(i)/100) + 2
 		wantSum += v
-		if err := s.Append("m", time.Duration(i)*15*time.Second, v); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, fw, time.Duration(i)*15*time.Second, v)
 	}
 	for _, res := range []Resolution{ResMinute, ResQuarter, ResHour, ResDay} {
 		bs, err := s.Query("m", 0, 1<<62, res)
@@ -137,13 +146,11 @@ func TestAggregationPyramidConsistency(t *testing.T) {
 }
 
 func TestBandRetentionDropsRawKeepsAggregates(t *testing.T) {
-	cfg := Config{RawInterval: 15 * time.Second, RawRetention: 10 * time.Minute, Shards: 2}
-	s := mustStore(t, cfg)
+	s := mustStore(t, Config{RawRetention: 10 * time.Minute})
+	fw := mustFrame(t, s, "m")
 	const n = 24 * 60 * 4 // one day of 15s samples
 	for i := 0; i < n; i++ {
-		if err := s.Append("m", time.Duration(i)*15*time.Second, 1); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, fw, time.Duration(i)*15*time.Second, 1)
 	}
 	st := s.Stats()
 	if st.RawPoints > 10*4+4 {
@@ -171,14 +178,13 @@ func TestBandRetentionDropsRawKeepsAggregates(t *testing.T) {
 
 func TestHourlyPattern(t *testing.T) {
 	s := mustStore(t, noRetention())
+	fw := mustFrame(t, s, "m")
 	// Two days where hour h has value h.
 	for d := 0; d < 2; d++ {
 		for h := 0; h < 24; h++ {
 			for q := 0; q < 4; q++ {
 				ts := time.Duration(d)*24*time.Hour + time.Duration(h)*time.Hour + time.Duration(q)*15*time.Minute
-				if err := s.Append("m", ts, float64(h)); err != nil {
-					t.Fatal(err)
-				}
+				mustAppend(t, fw, ts, float64(h))
 			}
 		}
 	}
@@ -195,13 +201,11 @@ func TestHourlyPattern(t *testing.T) {
 
 func TestDailyAverages(t *testing.T) {
 	s := mustStore(t, noRetention())
+	fw := mustFrame(t, s, "m")
 	// Day 0 at value 1, day 1 at value 3.
 	for d := 0; d < 2; d++ {
 		for i := 0; i < 24; i++ {
-			ts := time.Duration(d)*24*time.Hour + time.Duration(i)*time.Hour
-			if err := s.Append("m", ts, float64(1+2*d)); err != nil {
-				t.Fatal(err)
-			}
+			mustAppend(t, fw, time.Duration(d)*24*time.Hour+time.Duration(i)*time.Hour, float64(1+2*d))
 		}
 	}
 	days, err := s.DailyAverages("m")
@@ -215,17 +219,12 @@ func TestDailyAverages(t *testing.T) {
 
 func TestCorrelateDetrended(t *testing.T) {
 	s := mustStore(t, noRetention())
+	fw := mustFrame(t, s, "a", "b")
 	// Both keys share a rising trend; their *residuals* are opposite.
 	for i := 0; i < 240; i++ {
-		ts := time.Duration(i) * time.Minute
 		trend := float64(i) * 0.1
 		wiggle := math.Sin(float64(i) / 3)
-		if err := s.Append("a", ts, trend+wiggle); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append("b", ts, trend-wiggle); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, fw, time.Duration(i)*time.Minute, trend+wiggle, trend-wiggle)
 	}
 	// Raw correlation is dominated by the shared trend (strongly
 	// positive); detrended correlation exposes the opposition.
@@ -246,6 +245,7 @@ func TestCorrelateDetrended(t *testing.T) {
 
 func TestAnomalies(t *testing.T) {
 	s := mustStore(t, noRetention())
+	fw := mustFrame(t, s, "m")
 	// Flat signal with one big spike.
 	spikeAt := 30 * time.Hour
 	for i := 0; i < 48*60; i++ {
@@ -254,9 +254,7 @@ func TestAnomalies(t *testing.T) {
 		if ts == spikeAt {
 			v = 100
 		}
-		if err := s.Append("m", ts, v); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, fw, ts, v)
 	}
 	as, err := s.Anomalies("m", 5)
 	if err != nil {
@@ -275,10 +273,9 @@ func TestAnomalies(t *testing.T) {
 		t.Error("zero threshold should error")
 	}
 	// A constant series has no anomalies (sd = 0 path).
+	flat := mustFrame(t, s, "flat")
 	for i := 0; i < 100; i++ {
-		if err := s.Append("flat", time.Duration(i)*time.Minute, 5); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, flat, time.Duration(i)*time.Minute, 5)
 	}
 	as, err = s.Anomalies("flat", 3)
 	if err != nil {
@@ -289,40 +286,69 @@ func TestAnomalies(t *testing.T) {
 	}
 }
 
+// TestKeysSorted checks Keys sorts across frames, not by frame or
+// column.
 func TestKeysSorted(t *testing.T) {
 	s := mustStore(t, noRetention())
-	for _, k := range []string{"zeta", "alpha", "mid"} {
-		if err := s.Append(k, 0, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustFrame(t, s, "zeta", "alpha")
+	mustFrame(t, s, "mid")
 	keys := s.Keys()
-	if len(keys) != 3 || keys[0] != "alpha" || keys[2] != "zeta" {
+	if len(keys) != 3 || keys[0] != "alpha" || keys[1] != "mid" || keys[2] != "zeta" {
 		t.Errorf("Keys = %v", keys)
 	}
 }
 
+// TestConcurrentIngestion races frame registration against ingestion
+// and reads: each of 8 writers registers its own frame, adding its keys
+// to the registry map while the others append rounds, and a reader loops
+// over Keys, Stats and Query meanwhile. Every key Keys returns must
+// answer Query.
 func TestConcurrentIngestion(t *testing.T) {
 	s := mustStore(t, DefaultConfig())
 	const workers = 8
 	const perWorker = 2000
-	var wg sync.WaitGroup
-	errs := make(chan error, workers)
-	for w := 0; w < workers; w++ {
-		w := w
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			key := fmt.Sprintf("srv%d/cpu", w)
-			for i := 0; i < perWorker; i++ {
-				if err := s.Append(key, time.Duration(i)*15*time.Second, float64(i)); err != nil {
+	errs := make(chan error, workers+1)
+	var stop atomic.Bool
+	reader := make(chan struct{})
+	go func() {
+		defer close(reader)
+		for i := 0; i == 0 || !stop.Load(); i++ {
+			res := []Resolution{ResRaw, ResHour}[i%2]
+			for _, key := range s.Keys() {
+				if _, err := s.Query(key, 0, 1<<62, res); err != nil {
 					errs <- err
 					return
 				}
 			}
-		}()
+			if st := s.Stats(); st.Keys > workers {
+				errs <- fmt.Errorf("stats count %d keys of %d frames", st.Keys, workers)
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fw, err := s.Frames([]string{fmt.Sprintf("srv%d/cpu", w)})
+			if err != nil {
+				errs <- err
+				return
+			}
+			row := make([]float64, 1)
+			for i := 0; i < perWorker; i++ {
+				row[0] = float64(i)
+				if err := fw.Append(time.Duration(i)*15*time.Second, row); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
 	}
 	wg.Wait()
+	stop.Store(true)
+	<-reader
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
@@ -331,7 +357,7 @@ func TestConcurrentIngestion(t *testing.T) {
 	if st.Keys != workers {
 		t.Errorf("keys = %d, want %d", st.Keys, workers)
 	}
-	// Aggregates account for every appended point.
+	// Aggregates account for every appended round.
 	var total int64
 	for w := 0; w < workers; w++ {
 		bs, err := s.Query(fmt.Sprintf("srv%d/cpu", w), 0, 1<<62, ResHour)
@@ -356,15 +382,6 @@ func TestResolutionHelpers(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", int(res), res.String(), want)
 		}
 	}
-	if iv, err := ResQuarter.Interval(15 * time.Second); err != nil || iv != 15*time.Minute {
-		t.Errorf("ResQuarter.Interval = %v, %v", iv, err)
-	}
-	if iv, err := ResRaw.Interval(15 * time.Second); err != nil || iv != 15*time.Second {
-		t.Errorf("ResRaw.Interval = %v, %v", iv, err)
-	}
-	if _, err := Resolution(99).Interval(time.Second); err == nil {
-		t.Error("unknown resolution interval should error")
-	}
 	b := Bucket{Count: 4, Sum: 10}
 	if b.Mean() != 2.5 {
 		t.Errorf("Mean = %v", b.Mean())
@@ -374,88 +391,14 @@ func TestResolutionHelpers(t *testing.T) {
 	}
 }
 
-func TestAppenderMatchesByKeyIngest(t *testing.T) {
-	mk := func() *Store {
-		s, err := NewStore(Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	byKey, byHandle := mk(), mk()
-	a := byHandle.Appender("srv/cpu")
-	if a.Key() != "srv/cpu" {
-		t.Fatalf("handle key = %q", a.Key())
-	}
-	for i := 0; i < 2000; i++ {
-		ts := time.Duration(i) * 15 * time.Second
-		v := float64(i % 97)
-		if err := byKey.Append("srv/cpu", ts, v); err != nil {
-			t.Fatal(err)
-		}
-		if err := a.Append(ts, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, res := range []Resolution{ResRaw, ResMinute, ResHour} {
-		b1, err := byKey.Query("srv/cpu", 0, 1<<62, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := byHandle.Query("srv/cpu", 0, 1<<62, res)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(b1) != len(b2) {
-			t.Fatalf("%v: %d vs %d buckets", res, len(b1), len(b2))
-		}
-		for i := range b1 {
-			if b1[i] != b2[i] {
-				t.Fatalf("%v bucket %d: %+v vs %+v", res, i, b1[i], b2[i])
-			}
-		}
-	}
-	s1, s2 := byKey.Stats(), byHandle.Stats()
-	if s1 != s2 {
-		t.Fatalf("stats diverge: %+v vs %+v", s1, s2)
-	}
-}
-
-func TestAppenderRejectsOutOfOrderAndNegative(t *testing.T) {
-	s, err := NewStore(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := s.Appender("k")
-	if err := a.Append(-time.Second, 1); err == nil {
-		t.Error("negative timestamp accepted")
-	}
-	if err := a.Append(time.Minute, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Append(time.Second, 1); err == nil {
-		t.Error("out-of-order sample accepted through handle")
-	}
-	// The same-key by-key path shares the series and sees the regression
-	// too.
-	if err := s.Append("k", time.Second, 1); err == nil {
-		t.Error("out-of-order sample accepted through store after handle append")
-	}
-}
-
 func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	interval := time.Second
 	const window = 512
-	s, err := NewStore(Config{RawInterval: interval, RawRetention: window * interval, Shards: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := s.Appender("k")
+	s := mustStore(t, Config{RawRetention: window * interval})
+	fw := mustFrame(t, s, "k")
 	const n = 20000
 	for i := 0; i < n; i++ {
-		if err := a.Append(time.Duration(i)*interval, float64(i)); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, fw, time.Duration(i)*interval, float64(i))
 	}
 	st := s.Stats()
 	// Window is [t-ret, t]: the cutoff is exclusive, so window+1 points
@@ -466,11 +409,14 @@ func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	if st.DroppedRaw != n-(window+1) {
 		t.Fatalf("dropped %d, want %d", st.DroppedRaw, n-(window+1))
 	}
-	// The backing slice must stay bounded near the window size, not grow
-	// with total appends: expired points are reclaimed whenever it fills.
-	ser := s.shardFor("k").series["k"]
-	if got := cap(ser.raw); got > 3*window {
-		t.Fatalf("backing slice has room for %d points for a %d-point window", got, window)
+	// The band must stay bounded near the window size, not grow with
+	// total appends: expired row headers are compacted away and expired
+	// rows are reused.
+	if got := cap(fw.raw); got > 3*window {
+		t.Fatalf("band has room for %d rounds for a %d-round window", got, window)
+	}
+	if got := len(fw.spare); got > window {
+		t.Fatalf("%d spare rows for a %d-round window", got, window)
 	}
 	// And the retained view matches what Query sees.
 	bs, err := s.Query("k", 0, 1<<62, ResRaw)
@@ -485,69 +431,22 @@ func TestRetentionCompactionBoundsMemory(t *testing.T) {
 	}
 }
 
-// TestSeriesAllocationTracksRetention is the per-point twin of
-// TestFrameAllocationTracksRetention: a run allocates about the bytes
-// the store keeps (16 per retained raw point, 40 per bucket), because
-// closed buckets go in chunks allocated once at their final size and the
-// raw band is reclaimed in place once it has grown to its window.
-// Storage regrown by copy allocates several times what it keeps.
-func TestSeriesAllocationTracksRetention(t *testing.T) {
-	const (
-		keys    = 256
-		horizon = 48 * time.Hour
-		bound   = 1.5
-	)
-	for _, step := range []time.Duration{15 * time.Second, time.Minute, 15 * time.Minute} {
-		t.Run(step.String(), func(t *testing.T) {
-			s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
-			apps := make([]*Appender, keys)
-			for k := range apps {
-				apps[k] = s.Appender(fmt.Sprintf("k%03d", k))
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for now := time.Duration(0); now < horizon; now += step {
-				for k, a := range apps {
-					if err := a.Append(now, float64(k)+now.Minutes()); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			// Stats first, so the fold it forces is counted.
-			st := s.Stats()
-			runtime.ReadMemStats(&after)
-			kept := float64(st.RawPoints*16 + st.AggBuckets*40)
-			allocated := float64(after.TotalAlloc - before.TotalAlloc)
-			t.Logf("allocated %.1f MB for %.1f MB kept (%.2fx)", allocated/1e6, kept/1e6, allocated/kept)
-			if allocated > bound*kept {
-				t.Errorf("allocated %.0f bytes for %.0f kept: %.2fx, want at most %.2fx", allocated, kept, allocated/kept, bound)
-			}
-		})
-	}
-}
-
 // TestRawQueryAllocatesOnce pins the raw read path: Query bounds the
 // range by binary search and allocates its result once, at exact size,
-// for a per-point series and for a frame column alike.
+// for a one-column frame and for a column of a wider one alike.
 func TestRawQueryAllocatesOnce(t *testing.T) {
-	s := mustStore(t, Config{RawInterval: 15 * time.Second, RawRetention: time.Hour, Shards: 4})
-	a := s.Appender("plain")
-	fw, err := s.Frames([]string{"f0", "f1"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := mustStore(t, Config{RawRetention: time.Hour})
+	solo := mustFrame(t, s, "solo")
+	fw := mustFrame(t, s, "f0", "f1")
 	const rounds = 2000
 	for i := 0; i < rounds; i++ {
 		ts := time.Duration(i) * 15 * time.Second
-		if err := a.Append(ts, float64(i)); err != nil {
-			t.Fatal(err)
-		}
-		if err := fw.Append(ts, []float64{float64(i), -float64(i)}); err != nil {
-			t.Fatal(err)
-		}
+		mustAppend(t, solo, ts, float64(i))
+		mustAppend(t, fw, ts, float64(i), -float64(i))
 	}
 	last := time.Duration(rounds-1) * 15 * time.Second
-	for _, key := range []string{"plain", "f1"} {
+	var err error
+	for _, key := range []string{"solo", "f1"} {
 		for _, span := range []struct {
 			from, to time.Duration
 			want     int
