@@ -1,15 +1,8 @@
 package main
 
 import (
-	"context"
-	"errors"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
-	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"repro/internal/geo"
@@ -65,7 +58,15 @@ func runGeo(o options, stdout io.Writer) error {
 	defer fed.Close()
 
 	if o.serveMode {
-		return runServeGeo(fed, o, stdout)
+		srv, err := serve.NewGeoServer(fed, serve.Options{Speedup: o.speedup})
+		if err != nil {
+			return err
+		}
+		return serveLive(srv, o.listen, fmt.Sprintf("sites=%d fleet=%d/site", o.sites, o.fleet), stdout, func() (float64, string) {
+			snap := srv.Snapshot()
+			return snap.SimTimeSeconds, fmt.Sprintf("%d epochs, %.2f kWh, %.0f gCO2e",
+				snap.Epochs, snap.EnergyJoules/3.6e6, snap.GramsCO2e)
+		})
 	}
 
 	if err := fed.Run(); err != nil {
@@ -85,51 +86,5 @@ func runGeo(o options, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "%-10s %9.1f kWh  mean %5.1f active  rejected %6.2f%%  weight %.3f  trips %d\n",
 			s.Name, s.EnergyKWh, s.MeanActive, s.RejectedFrac*100, s.MeanWeight, s.ThermalTrips)
 	}
-	return nil
-}
-
-// runServeGeo paces the federation against the wall clock and serves
-// the merged multi-site state over HTTP, mirroring runServe.
-func runServeGeo(fed *geo.Federation, o options, stdout io.Writer) error {
-	srv, err := serve.NewGeoServer(fed, serve.Options{Speedup: o.speedup})
-	if err != nil {
-		return err
-	}
-
-	ln, err := net.Listen("tcp", o.listen)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "dcsim: serving %d federated sites on http://%s (fleet=%d/site speedup=%gx horizon=%s)\n",
-		len(fed.Sites()), ln.Addr(), o.fleet, o.speedup, fed.Config().Horizon)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	httpErr := make(chan error, 1)
-	go func() { httpErr <- httpSrv.Serve(ln) }()
-
-	paceErr := srv.Run(ctx)
-
-	srv.Shutdown()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = httpSrv.Shutdown(shutdownCtx)
-
-	select {
-	case err := <-httpErr:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			return err
-		}
-	default:
-	}
-	if paceErr != nil && !errors.Is(paceErr, context.Canceled) {
-		return paceErr
-	}
-	snap := srv.Snapshot()
-	fmt.Fprintf(stdout, "dcsim: stopped at sim time %s (%d epochs, %.2f kWh, %.0f gCO2e)\n",
-		time.Duration(snap.SimTimeSeconds*float64(time.Second)).Round(time.Second),
-		snap.Epochs, snap.EnergyJoules/3.6e6, snap.GramsCO2e)
 	return nil
 }

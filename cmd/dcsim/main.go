@@ -146,6 +146,9 @@ func (o options) validate() error {
 	if o.speedup <= 0 {
 		bad("-speedup %v must be positive", o.speedup)
 	}
+	if o.serveMode && o.csvPath != "" {
+		bad("-csv is not supported with -serve (samples are written when a batch run ends)")
+	}
 	if _, enabled, err := parseRetry(o.retryStr); err != nil {
 		bad("-retry: %v", err)
 	} else if enabled && !o.users && o.sites == 0 {
@@ -300,7 +303,19 @@ func run(args []string, stdout io.Writer) error {
 
 	horizon := time.Duration(o.days) * 24 * time.Hour
 	if o.serveMode {
-		return runServe(e, mgr, dc, o, horizon, stdout)
+		srv, err := serve.NewServer(serve.Source{Engine: e, Fleet: mgr.Fleet(), Manager: mgr, DC: dc}, serve.Options{
+			Speedup: o.speedup,
+			Horizon: horizon,
+			Carbon:  o.carbonModel(),
+		})
+		if err != nil {
+			return err
+		}
+		return serveLive(srv, o.listen, fmt.Sprintf("mode=%s fleet=%d", o.modeStr, o.fleet), stdout, func() (float64, string) {
+			snap := srv.Snapshot()
+			return snap.SimTimeSeconds, fmt.Sprintf("%d events, %.2f kWh, %.0f gCO2e",
+				snap.EventsProcessed, snap.EnergyJoules/3.6e6, snap.Carbon.GramsTotal)
+		})
 	}
 
 	var pueSum float64
@@ -361,26 +376,28 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runServe paces the assembled simulation against the wall clock and
-// serves it over HTTP until the horizon is reached or the process gets
-// SIGINT/SIGTERM.
-func runServe(e *sim.Engine, mgr *core.Manager, dc *core.DataCenter, o options, horizon time.Duration, stdout io.Writer) error {
-	src := serve.Source{Engine: e, Fleet: mgr.Fleet(), Manager: mgr, DC: dc}
-	srv, err := serve.NewServer(src, serve.Options{
-		Speedup: o.speedup,
-		Horizon: horizon,
-		Carbon:  o.carbonModel(),
-	})
-	if err != nil {
-		return err
-	}
+// liveServer is what serveLive drives: a serve.Server or a
+// serve.GeoServer.
+type liveServer interface {
+	Options() serve.Options
+	Handler() http.Handler
+	Run(ctx context.Context) error
+	Shutdown()
+}
 
-	ln, err := net.Listen("tcp", o.listen)
+// serveLive serves srv over HTTP on listen and paces it against the
+// wall clock until the horizon is reached or the process gets
+// SIGINT/SIGTERM. It prints the bound address with about, which names
+// what is served, and once drained a closing line with the virtual time
+// reached and the tally that stopped reports.
+func serveLive(srv liveServer, listen, about string, stdout io.Writer, stopped func() (simSeconds float64, tally string)) error {
+	ln, err := net.Listen("tcp", listen)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(stdout, "dcsim: serving on http://%s (mode=%s fleet=%d speedup=%gx horizon=%s)\n",
-		ln.Addr(), o.modeStr, o.fleet, o.speedup, horizon)
+	opts := srv.Options()
+	fmt.Fprintf(stdout, "dcsim: serving on http://%s (%s speedup=%gx horizon=%s)\n",
+		ln.Addr(), about, opts.Speedup, opts.Horizon)
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -409,10 +426,9 @@ func runServe(e *sim.Engine, mgr *core.Manager, dc *core.DataCenter, o options, 
 	if paceErr != nil && !errors.Is(paceErr, context.Canceled) {
 		return paceErr
 	}
-	snap := srv.Snapshot()
-	fmt.Fprintf(stdout, "dcsim: stopped at sim time %s (%d events, %.2f kWh, %.0f gCO2e)\n",
-		time.Duration(snap.SimTimeSeconds*float64(time.Second)).Round(time.Second),
-		snap.EventsProcessed, snap.EnergyJoules/3.6e6, snap.Carbon.GramsTotal)
+	sim, tally := stopped()
+	fmt.Fprintf(stdout, "dcsim: stopped at sim time %s (%s)\n",
+		time.Duration(sim*float64(time.Second)).Round(time.Second), tally)
 	return nil
 }
 

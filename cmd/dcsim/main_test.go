@@ -98,6 +98,7 @@ func TestRunValidation(t *testing.T) {
 		{"-carbon", "-10"},
 		{"-carbon-swing", "1.5"},
 		{"-not-a-flag"},
+		{"-serve", "-csv", "x.csv", "-days", "1", "-speedup", "1e7"},
 	}
 	for _, args := range cases {
 		if err := run(args, io.Discard); err == nil {
@@ -118,6 +119,31 @@ func TestRunGeoSites(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("geo output missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestRunServe runs both live forms end to end. At this speedup the
+// pacer's first tick reaches the one-day horizon.
+func TestRunServe(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		extra []string
+	}{
+		{"facility", []string{"-facility"}},
+		{"sites", []string{"-sites", "2"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-serve", "-fleet", "20", "-days", "1", "-speedup", "1e7", "-listen", "127.0.0.1:0"}, tc.extra...)
+			var out strings.Builder
+			if err := run(args, &out); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{"dcsim: serving on http://", "stopped at sim time 24h0m0s"} {
+				if !strings.Contains(out.String(), want) {
+					t.Errorf("output missing %q:\n%s", want, out.String())
+				}
+			}
+		})
 	}
 }
 

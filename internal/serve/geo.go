@@ -1,11 +1,8 @@
 package serve
 
 import (
-	"context"
+	"bytes"
 	"fmt"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geo"
@@ -52,171 +49,56 @@ type GeoSnapshot struct {
 // GeoServer paces a geo.Federation and serves its merged state over
 // HTTP: one OpenMetrics exposition with a site label on every per-site
 // family, a JSON snapshot with per-site sections, and an SSE stream.
-// It mirrors Server's concurrency discipline — the pacer advances the
-// federation under the write lock, handlers copy a snapshot out under
-// the read lock and render outside it — which is safe because site
-// state only mutates inside Federation.AdvanceTo, even in parallel
-// mode.
+// Its pacing, snapshot and HTTP methods come from the pacer it shares
+// with Server (its Snapshot returns a GeoSnapshot); it supplies the
+// federation clock, the federation step, and the federated snapshot
+// and exposition. The pacer's locking
+// covers the federation because site state only mutates inside
+// Federation.AdvanceTo, even in parallel mode.
 type GeoServer struct {
-	mu   sync.RWMutex
-	fed  *geo.Federation
-	opts Options
-
-	seq     atomic.Uint64
-	scrapes atomic.Uint64
-
-	// nextEmit is the next virtual-time SSE boundary. emitSnap (one
-	// reused section per site), the scratch it is built with, and
-	// emitJSON, its encoding, are reused by every emit. All four are
-	// pacer-only.
-	nextEmit    time.Duration
-	emitSnap    GeoSnapshot
-	emitScratch snapshotScratch
-	emitJSON    []byte
-
-	sse     *broadcaster
-	scratch sync.Pool
-	bufs    sync.Pool
+	pacer[GeoSnapshot]
+	fed *geo.Federation
 }
 
 // NewGeoServer validates the options and builds a server around the
 // federation. Options.Carbon is ignored: each site carries its own
 // grid model (geo.SiteConfig.Carbon) and the exposition reports
 // site-local intensities. A zero Horizon defaults to the federation's
-// own horizon so Run terminates instead of idling past it.
+// own horizon, and a later one is rejected: the federation never
+// advances past its horizon, so Run would never reach it.
 func NewGeoServer(fed *geo.Federation, opts Options) (*GeoServer, error) {
 	if fed == nil {
 		return nil, fmt.Errorf("serve: nil federation")
 	}
-	if opts.Horizon == 0 {
-		opts.Horizon = fed.Config().Horizon
+	if end := fed.Config().Horizon; opts.Horizon == 0 {
+		opts.Horizon = end
+	} else if opts.Horizon > end {
+		return nil, fmt.Errorf("serve: horizon %v is past the federation's horizon %v", opts.Horizon, end)
 	}
 	if err := opts.withDefaults(); err != nil {
 		return nil, err
 	}
-	s := &GeoServer{
-		fed:  fed,
-		opts: opts,
-		sse:  newBroadcaster(),
-	}
-	s.scratch.New = func() any { return new(snapshotScratch) }
-	s.bufs.New = func() any { return new(renderBuf) }
-	s.nextEmit = fed.Now() + opts.EmitEvery
+	s := &GeoServer{fed: fed}
+	s.pacer.init(s, opts)
 	return s, nil
 }
 
-// Options reports the effective options after defaulting.
-func (s *GeoServer) Options() Options { return s.opts }
+func (s *GeoServer) clock() time.Duration { return s.fed.Now() }
 
-// AdvanceTo drives the federation to the target virtual time under the
-// write lock. Slicing Federation.AdvanceTo is outcome-neutral (barriers
-// fire at fixed epoch boundaries regardless of pacing), so a served
-// federation stays bit-identical to a batch run over the same horizon.
-func (s *GeoServer) AdvanceTo(target time.Duration) error {
-	s.mu.Lock()
-	err := s.fed.AdvanceTo(target)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	s.emitIfDue()
-	return nil
-}
+// step drives the federation to target. Slicing Federation.AdvanceTo is
+// outcome-neutral (barriers fire at fixed epoch boundaries regardless
+// of pacing), so a served federation stays bit-identical to a batch run
+// over the same horizon.
+func (s *GeoServer) step(target time.Duration) error { return s.fed.AdvanceTo(target) }
 
-// emitIfDue publishes one SSE snapshot when the virtual clock has
-// crossed the next cadence boundary, and like Server.emitIfDue builds
-// and encodes nothing with no stream subscribed. Pacer-goroutine only.
-func (s *GeoServer) emitIfDue() {
-	s.mu.RLock()
-	now := s.fed.Now()
-	due := now >= s.nextEmit
-	live := due && s.sse.subscribed()
-	if live {
-		s.snapshotLocked(&s.emitSnap, &s.emitScratch)
-	}
-	s.mu.RUnlock()
-	if !due {
-		return
-	}
-	for s.nextEmit <= now {
-		s.nextEmit += s.opts.EmitEvery
-	}
-	seq := s.seq.Add(1)
-	if !live {
-		return
-	}
-	s.emitSnap.Seq = seq
-	var err error
-	s.emitJSON, err = appendGeoSnapshotJSON(s.emitJSON[:0], &s.emitSnap)
-	if err != nil {
-		return // no JSON form (NaN or Inf): drop the event
-	}
-	s.sse.publish(sseFrame(seq, "snapshot", s.emitJSON))
-}
-
-// Run paces the federation until ctx is cancelled or the horizon is
-// reached, exactly like Server.Run.
-func (s *GeoServer) Run(ctx context.Context) error {
-	tick := time.NewTicker(s.opts.Slice)
-	defer tick.Stop()
-	step := time.Duration(float64(s.opts.Slice) * s.opts.Speedup)
-	if step <= 0 {
-		step = 1
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-		s.mu.RLock()
-		target := s.fed.Now() + step
-		s.mu.RUnlock()
-		if target > s.opts.Horizon {
-			target = s.opts.Horizon
-		}
-		if err := s.AdvanceTo(target); err != nil {
-			return err
-		}
-		s.mu.RLock()
-		done := s.fed.Now() >= s.opts.Horizon
-		s.mu.RUnlock()
-		if done {
-			return nil
-		}
-	}
-}
-
-// Snapshot captures a consistent federation view under the read lock.
-func (s *GeoServer) Snapshot() GeoSnapshot {
-	var snap GeoSnapshot
-	sc := s.scratch.Get().(*snapshotScratch)
-	s.mu.RLock()
-	s.snapshotLocked(&snap, sc)
-	snap.Seq = s.seq.Load()
-	s.mu.RUnlock()
-	s.scratch.Put(sc)
-	return snap
-}
-
-// currentFrame renders the current federated snapshot as one SSE frame
-// of the given event type, or nil when it has no JSON form.
-func (s *GeoServer) currentFrame(event string) []byte {
-	snap := s.Snapshot()
-	data, err := appendGeoSnapshotJSON(nil, &snap)
-	if err != nil {
-		return nil
-	}
-	return sseFrame(snap.Seq, event, data)
-}
-
-// snapshotLocked fills snap with the federated state, building every
-// site with sc and reusing snap's per-site sections as buildSnapshot
-// reuses a snapshot; callers hold s.mu and set Seq.
-func (s *GeoServer) snapshotLocked(snap *GeoSnapshot, sc *snapshotScratch) {
+// build fills snap with the federated state, building every site with
+// sc and reusing snap's per-site sections as buildSnapshot reuses a
+// snapshot.
+func (s *GeoServer) build(snap *GeoSnapshot, sc *snapshotScratch, seq uint64) {
 	now := s.fed.Now()
 	sites := s.fed.Sites()
 	*snap = GeoSnapshot{
+		Seq:            seq,
 		SimTimeSeconds: now.Seconds(),
 		Speedup:        s.opts.Speedup,
 		Mode:           s.fed.Config().Mode.String(),
@@ -225,18 +107,16 @@ func (s *GeoServer) snapshotLocked(snap *GeoSnapshot, sc *snapshotScratch) {
 	}
 	for i, site := range sites {
 		src := Source{
-			Engine:    site.Engine(),
-			Fleet:     site.Fleet(),
-			Manager:   site.Manager(),
-			DC:        site.DC(),
-			Admission: site.Admission(),
-			Retry:     site.Retry(),
+			Engine:  site.Engine(),
+			Fleet:   site.Fleet(),
+			Manager: site.Manager(),
+			DC:      site.DC(),
 		}
 		sec := &snap.Sites[i]
 		sec.Site = site.Name()
 		sec.TZOffsetSeconds = site.TZOffset().Seconds()
 		sec.RouteWeight = site.Weight()
-		buildSnapshot(&sec.Snapshot, src, s.opts.OutsideC, s.opts.OutsideRH, sc)
+		buildSnapshot(&sec.Snapshot, src, sc)
 		sec.Snapshot.Speedup = s.opts.Speedup
 		// Carbon is evaluated in site-local time against the site's own
 		// grid model; grams come from the barrier-integrated meter.
@@ -253,47 +133,46 @@ func (s *GeoServer) snapshotLocked(snap *GeoSnapshot, sc *snapshotScratch) {
 	}
 }
 
-// Shutdown mirrors Server.Shutdown: one final SSE frame, then every
-// stream drains and returns. Safe to call more than once.
-func (s *GeoServer) Shutdown() {
-	s.sse.shutdown(s.currentFrame("shutdown"))
+func (s *GeoServer) encode(dst []byte, snap *GeoSnapshot) ([]byte, error) {
+	return appendGeoSnapshotJSON(dst, snap)
 }
 
-// Handler returns the HTTP mux: /metrics (merged OpenMetrics with a
-// site label), /api/v1/snapshot (JSON with per-site sections),
-// /api/v1/stream (SSE), and /healthz.
-func (s *GeoServer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/api/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/api/v1/stream", s.handleStream)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
-}
-
-func (s *GeoServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	scrapes := s.scrapes.Add(1)
-	snap := s.Snapshot()
-	rb := s.bufs.Get().(*renderBuf)
-	rb.body.Reset()
-	writeGeoMetrics(&rb.body, &snap, scrapes, s.sse.dropped.Load())
-	w.Header().Set("Content-Type", ContentType)
-	_, _ = w.Write(rb.body.Bytes())
-	s.bufs.Put(rb)
-}
-
-func (s *GeoServer) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	rb := s.bufs.Get().(*renderBuf)
-	var err error
-	rb.json, err = appendGeoSnapshotJSON(rb.json[:0], &snap)
-	writeIndentedJSON(w, rb, err)
-	s.bufs.Put(rb)
-}
-
-func (s *GeoServer) handleStream(w http.ResponseWriter, r *http.Request) {
-	s.sse.stream(w, r, func() []byte { return s.currentFrame("snapshot") })
+// expose renders the federation as one merged OpenMetrics exposition:
+// a prelude of dcsim_geo_* roll-up families (federation size, barrier
+// count, routing weights, global power/energy/grams), then every
+// standard per-facility family with a site label on each sample.
+// Families stay contiguous — sites are looped inside each family, never
+// the other way around — so the output passes the same Lint the
+// single-facility exposition does.
+func (s *GeoServer) expose(buf *bytes.Buffer, snap *GeoSnapshot, scrapes, sseDropped uint64) {
+	snaps := make([]labeledSnapshot, 0, len(snap.Sites))
+	for i := range snap.Sites {
+		snaps = append(snaps, labeledSnapshot{
+			labels: []string{"site", snap.Sites[i].Site},
+			snap:   &snap.Sites[i].Snapshot,
+		})
+	}
+	prelude := func(w *omWriter) {
+		w.family("dcsim_geo_sites", "gauge", "", "Federated sites behind the global router.")
+		w.sample("dcsim_geo_sites", float64(len(snap.Sites)))
+		w.family("dcsim_geo_epochs", "counter", "", "Routing barriers crossed by the federation.")
+		w.sample("dcsim_geo_epochs_total", float64(snap.Epochs))
+		w.family("dcsim_geo_route_mode", "gauge", "", "Active global routing mode (1 on the active mode).")
+		w.sample("dcsim_geo_route_mode", 1, "mode", snap.Mode)
+		w.family("dcsim_geo_route_weight", "gauge", "", "Share of global demand routed to each site.")
+		for i := range snap.Sites {
+			w.sample("dcsim_geo_route_weight", snap.Sites[i].RouteWeight, "site", snap.Sites[i].Site)
+		}
+		w.family("dcsim_geo_tz_offset_seconds", "gauge", "seconds", "Diurnal phase shift of each site's local demand.")
+		for i := range snap.Sites {
+			w.sample("dcsim_geo_tz_offset_seconds", snap.Sites[i].TZOffsetSeconds, "site", snap.Sites[i].Site)
+		}
+		w.family("dcsim_geo_power_watts", "gauge", "watts", "Federation-wide instantaneous IT power draw.")
+		w.sample("dcsim_geo_power_watts", snap.PowerW)
+		w.family("dcsim_geo_energy_joules", "counter", "joules", "Federation-wide cumulative fleet energy.")
+		w.sample("dcsim_geo_energy_joules_total", snap.EnergyJoules)
+		w.family("dcsim_geo_carbon_grams", "counter", "grams", "Federation-wide cumulative emissions in gCO2e.")
+		w.sample("dcsim_geo_carbon_grams_total", snap.GramsCO2e)
+	}
+	writeLabeledMetrics(buf, snaps, scrapes, sseDropped, prelude)
 }

@@ -103,15 +103,6 @@ func (w *jsonWriter) snapshotBody(s *Snapshot) {
 	w.float(`,"rate_g_per_hour":`, s.Carbon.RateGPerHour)
 	w.float(`,"grams_total":`, s.Carbon.GramsTotal)
 	w.raw(`}`)
-	if d := s.Degrader; d != nil {
-		w.int(`,"degrader":{"ladder_stage":`, int64(d.LadderStage))
-		w.int(`,"cap_events":`, int64(d.CapEvents))
-		w.int(`,"survival_sheds":`, int64(d.SurvivalSheds))
-		w.int(`,"shed_servers":`, int64(d.ShedServers))
-		w.int(`,"telemetry_fallbacks":`, int64(d.Fallbacks))
-		w.int(`,"telemetry_dark_rounds":`, int64(d.DarkRounds))
-		w.raw(`}`)
-	}
 	if u := s.Users; u != nil {
 		w.float(`,"users":{"offered_total":`, u.OfferedTotal)
 		w.float(`,"admitted_total":`, u.AdmittedTotal)

@@ -99,9 +99,6 @@ func randSnapshot(rng *rand.Rand) Snapshot {
 		}
 		s.Facility = fs
 	}
-	if rng.Intn(2) == 0 {
-		s.Degrader = &DegraderSnapshot{LadderStage: n(), CapEvents: n(), SurvivalSheds: n(), ShedServers: n(), Fallbacks: n(), DarkRounds: n()}
-	}
 	if rng.Intn(3) > 0 {
 		u := &UsersSnapshot{
 			OfferedTotal: f(), AdmittedTotal: f(), RejectedTotal: f(), DegradedTotal: f(),

@@ -368,33 +368,6 @@ func writeLabeledMetrics(buf *bytes.Buffer, snaps []labeledSnapshot, scrapes, ss
 			})
 	}
 
-	anyDegrader := false
-	for _, ls := range snaps {
-		anyDegrader = anyDegrader || ls.snap.Degrader != nil
-	}
-	if anyDegrader {
-		degrader := func(name, typ, unit, help, sampleName string, val func(*DegraderSnapshot) float64) {
-			w.family(name, typ, unit, help)
-			for _, ls := range snaps {
-				if ls.snap.Degrader != nil {
-					w.sample(sampleName, val(ls.snap.Degrader), ls.labels...)
-				}
-			}
-		}
-		degrader("dcsim_degrader_ladder_stage", "gauge", "", "Current graceful-degradation ladder stage.", "dcsim_degrader_ladder_stage",
-			func(d *DegraderSnapshot) float64 { return float64(d.LadderStage) })
-		degrader("dcsim_degrader_cap_events", "counter", "", "Power-cap engagements.", "dcsim_degrader_cap_events_total",
-			func(d *DegraderSnapshot) float64 { return float64(d.CapEvents) })
-		degrader("dcsim_degrader_survival_sheds", "counter", "", "Survival-mode shed actions.", "dcsim_degrader_survival_sheds_total",
-			func(d *DegraderSnapshot) float64 { return float64(d.SurvivalSheds) })
-		degrader("dcsim_degrader_shed_servers", "counter", "", "Servers shed by degradation responses.", "dcsim_degrader_shed_servers_total",
-			func(d *DegraderSnapshot) float64 { return float64(d.ShedServers) })
-		degrader("dcsim_telemetry_fallbacks", "counter", "", "Telemetry-guard fallbacks to estimated zone maps.", "dcsim_telemetry_fallbacks_total",
-			func(d *DegraderSnapshot) float64 { return float64(d.Fallbacks) })
-		degrader("dcsim_telemetry_dark_rounds", "counter", "", "Consecutive telemetry-dark rounds observed.", "dcsim_telemetry_dark_rounds_total",
-			func(d *DegraderSnapshot) float64 { return float64(d.DarkRounds) })
-	}
-
 	w.eof()
 }
 

@@ -64,8 +64,8 @@ func TestLintAcceptsEscapedLabels(t *testing.T) {
 	}
 }
 
-// TestWriterOutputLints feeds a fully-populated snapshot (facility and
-// degrader sections included) through the writer and the linter.
+// TestWriterOutputLints feeds a fully-populated snapshot (facility
+// section included) through the writer and the linter.
 func TestWriterOutputLints(t *testing.T) {
 	snap := Snapshot{
 		SimTimeSeconds: 3600, Speedup: 60, EventsProcessed: 12345,
@@ -81,8 +81,7 @@ func TestWriterOutputLints(t *testing.T) {
 			Zones:          []ZoneSnapshot{{Zone: "z0", PowerW: 1500, InletC: 24.5}},
 			FrameAtSeconds: 3585,
 		},
-		Carbon:   CarbonSnapshot{IntensityGPerKWh: 475, RateGPerHour: 712.5, GramsTotal: 700},
-		Degrader: &DegraderSnapshot{LadderStage: 2, CapEvents: 1, SurvivalSheds: 0, ShedServers: 3, Fallbacks: 2, DarkRounds: 1},
+		Carbon: CarbonSnapshot{IntensityGPerKWh: 475, RateGPerHour: 712.5, GramsTotal: 700},
 	}
 	var buf bytes.Buffer
 	writeMetrics(&buf, snap, 7, 3)
@@ -91,7 +90,6 @@ func TestWriterOutputLints(t *testing.T) {
 		t.Fatalf("writer output fails lint: %v\n%s", err, text)
 	}
 	for _, want := range []string{
-		"dcsim_degrader_ladder_stage 2\n",
 		`dcsim_rack_power_watts{rack="rack1"} 700`,
 		"dcsim_scrapes_total 7\n",
 		"dcsim_sim_sse_dropped_frames_total 3\n",

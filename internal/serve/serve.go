@@ -12,23 +12,28 @@
 //
 // # Pacing and determinism
 //
-// A Server owns the sim.Engine and is its only driver. The Run loop
-// advances the engine in short virtual slices sized so that virtual time
-// tracks wall time times Options.Speedup. Slicing Engine.Run is
-// outcome-neutral: the event order, every model state, and the telemetry
-// frames are byte-identical to one monolithic Run over the same horizon
-// (the engine's heap ordering and RNG consumption depend only on events,
-// never on where Run calls pause). The pacer never injects Sync or
-// Rebase calls of its own — those would perturb float summation order
-// and break replay equivalence with batch mode.
+// A Server owns the sim.Engine, a GeoServer the geo.Federation, and each
+// is its only driver. The Run loop advances it in short virtual slices
+// sized so that virtual time tracks wall time times Options.Speedup.
+// Slicing Engine.Run is outcome-neutral: the event order, every model
+// state, and the telemetry frames are byte-identical to one monolithic
+// Run over the same horizon (the engine's heap ordering and RNG
+// consumption depend only on events, never on where Run calls pause).
+// The pacer never injects Sync or Rebase calls of its own — those would
+// perturb float summation order and break replay equivalence with batch
+// mode.
 //
 // # Concurrency
 //
 // The engine and every model hanging off it are single-threaded by
-// design. Server serializes access with one RWMutex: the pacer advances
-// under the write lock, HTTP handlers copy a Snapshot out under the read
-// lock and render outside it. Zone inlet temperatures are read from the
-// open row of the facility's columnar telemetry frame (one memcpy via
+// design. Server and GeoServer run on one pacer, which serializes
+// access with one RWMutex: it advances the simulation under the write
+// lock, and HTTP handlers copy a snapshot out under the read lock and
+// render outside it. A federation may step its site engines on their
+// own goroutines, but only inside Federation.AdvanceTo, which returns
+// once every site has reached the target, so the write lock covers
+// them too. Zone inlet temperatures are read from the open row of the
+// facility's columnar telemetry frame (one memcpy via
 // FrameWriter.LatestInto) and fleet/rack/zone power from the fleet's
 // O(1) maintained aggregates, so a scrape costs microseconds and never
 // re-aggregates per-server state. Each snapshot evaluates the power
@@ -46,17 +51,13 @@
 package serve
 
 import (
-	"context"
+	"bytes"
 	"fmt"
-	"net/http"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/carbon"
 	"repro/internal/core"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Source bundles the live simulation objects a Server exposes. Engine
@@ -68,22 +69,13 @@ type Source struct {
 	// Fleet is the server pool the power metrics come from.
 	Fleet *core.Fleet
 	// Manager, when set, adds policy mode, decision counts, and SLA
-	// tracking to the exposition.
+	// tracking to the exposition, plus request-level user outcomes when
+	// it runs admission control (Manager.Admission) and closed-loop
+	// retry metrics when it runs a retry loop (Manager.Retry).
 	Manager *core.Manager
 	// DC, when set, adds the facility view: per-rack/zone power, zone
 	// inlets from the telemetry frame, distribution losses, and PUE.
 	DC *core.DataCenter
-	// Degrader, when set, adds graceful-degradation state.
-	Degrader *core.Degrader
-	// Admission, when set, adds request-level user outcomes (admission,
-	// rejection, degradation, per-class SLO misses). When nil, the
-	// Manager's admission controller (if any) is used.
-	Admission *workload.Admission
-	// Retry, when set, adds closed-loop retry metrics (retried and
-	// abandoned users, goodput, amplification, breaker state). When
-	// nil, the Manager's retry loop (if any) is used; its wrapped
-	// admission controller also backs the user-outcome view.
-	Retry *workload.RetryLoop
 }
 
 // Options tunes the pacer and the exposition.
@@ -91,7 +83,9 @@ type Options struct {
 	// Speedup is virtual seconds per wall second; must be positive.
 	// 1 is real time; 3600 runs a day in 24 wall seconds.
 	Speedup float64
-	// Horizon stops the virtual clock there (0: run until ctx ends).
+	// Horizon stops the virtual clock there (0: run until ctx ends). A
+	// GeoServer defaults it to the federation's horizon and rejects a
+	// later one.
 	Horizon time.Duration
 	// Slice is the wall-clock pacing quantum (default 50ms). Virtual
 	// time advances by Slice*Speedup per step.
@@ -100,12 +94,9 @@ type Options struct {
 	// most one event is published per pacer step even when a step
 	// crosses several cadence boundaries.
 	EmitEvery time.Duration
-	// Carbon is the grid-intensity model (zero value: DefaultModel).
+	// Carbon is the grid-intensity model (zero value: DefaultModel). A
+	// GeoServer ignores it: each site carries its own.
 	Carbon carbon.Model
-	// OutsideC / OutsideRH are the outdoor conditions PUE is evaluated
-	// at (defaults 18°C, 0.5 when both are zero).
-	OutsideC  float64
-	OutsideRH float64
 }
 
 func (o *Options) withDefaults() error {
@@ -130,48 +121,18 @@ func (o *Options) withDefaults() error {
 	if o.Carbon == (carbon.Model{}) {
 		o.Carbon = carbon.DefaultModel()
 	}
-	if err := o.Carbon.Validate(); err != nil {
-		return err
-	}
-	if o.OutsideC == 0 && o.OutsideRH == 0 {
-		o.OutsideC, o.OutsideRH = 18, 0.5
-	}
-	if o.OutsideRH <= 0 || o.OutsideRH > 1 {
-		return fmt.Errorf("serve: outside RH %v out of (0,1]", o.OutsideRH)
-	}
-	return nil
+	return o.Carbon.Validate()
 }
 
-// Server paces a simulation and serves its state over HTTP.
+// Server paces a simulation and serves its state over HTTP. Its pacing,
+// snapshot and HTTP methods come from the pacer it shares with
+// GeoServer (its Snapshot returns a Snapshot); it supplies the engine
+// clock, the engine step, and the single-facility snapshot.
 type Server struct {
-	// mu serializes the engine (write side: AdvanceTo) against snapshot
-	// readers (read side: HTTP handlers). Everything reachable from src
-	// is guarded by it.
-	mu   sync.RWMutex
-	src  Source
-	opts Options
-
+	pacer[Snapshot]
+	// src and meter are guarded by the pacer's lock.
+	src   Source
 	meter *carbon.Meter
-
-	// seq numbers published SSE events; scrapes counts /metrics hits.
-	// Atomic because handlers read them under the shared read lock
-	// while the pacer bumps seq between steps.
-	seq     atomic.Uint64
-	scrapes atomic.Uint64
-
-	// nextEmit is the next virtual-time SSE boundary. emitSnap, the
-	// scratch it is built with, and emitJSON, its encoding, are reused
-	// by every emit. All four are pacer-only.
-	nextEmit    time.Duration
-	emitSnap    Snapshot
-	emitScratch snapshotScratch
-	emitJSON    []byte
-
-	sse *broadcaster
-	// scratch pools *snapshotScratch for handler snapshot builds; bufs
-	// pools *renderBuf for handler responses.
-	scratch sync.Pool
-	bufs    sync.Pool
 }
 
 // NewServer validates the wiring and builds a server around the
@@ -191,167 +152,46 @@ func NewServer(src Source, opts Options) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{
-		src:   src,
-		opts:  opts,
-		meter: meter,
-		sse:   newBroadcaster(),
-	}
-	s.scratch.New = func() any { return new(snapshotScratch) }
-	s.bufs.New = func() any { return new(renderBuf) }
-	// Anchor the emissions meter and the SSE cadence at the current
-	// clock so restarts from a warm engine do not back-fill.
-	now := src.Engine.Now()
-	if err := s.meter.Observe(now, src.Fleet.EnergyJ()); err != nil {
+	// Anchor the emissions meter at the current clock so restarts from
+	// a warm engine do not back-fill.
+	if err := meter.Observe(src.Engine.Now(), src.Fleet.EnergyJ()); err != nil {
 		return nil, err
 	}
-	s.nextEmit = now + opts.EmitEvery
+	s := &Server{src: src, meter: meter}
+	s.pacer.init(s, opts)
 	return s, nil
 }
 
-// Options reports the effective options after defaulting.
-func (s *Server) Options() Options { return s.opts }
+func (s *Server) clock() time.Duration { return s.src.Engine.Now() }
 
-// AdvanceTo drives the engine to the target virtual time under the
-// write lock and integrates emissions over the step. It is the only
-// path that mutates simulation state; Run calls it on a wall-clock
-// pace, and tests call it directly for deterministic stepping.
-func (s *Server) AdvanceTo(target time.Duration) error {
-	s.mu.Lock()
-	if target < s.src.Engine.Now() {
-		target = s.src.Engine.Now()
-	}
-	err := s.src.Engine.Run(target)
-	if err == nil {
-		err = s.meter.Observe(s.src.Engine.Now(), s.src.Fleet.EnergyJ())
-	}
-	s.mu.Unlock()
-	if err != nil {
+// step runs the engine to target and integrates emissions over the
+// step.
+func (s *Server) step(target time.Duration) error {
+	e := s.src.Engine
+	if err := e.Run(max(target, e.Now())); err != nil {
 		return err
 	}
-	s.emitIfDue()
-	return nil
+	return s.meter.Observe(e.Now(), s.src.Fleet.EnergyJ())
 }
 
-// emitIfDue publishes one SSE snapshot when the virtual clock has
-// crossed the next cadence boundary. With no stream subscribed it only
-// advances the cadence and the sequence number. Called only from the
-// pacer goroutine (via AdvanceTo), so nextEmit and the emit buffers need
-// no lock of their own.
-func (s *Server) emitIfDue() {
-	s.mu.RLock()
+// build fills snap with the facility's state, the pacer's speedup, and
+// the emissions view from the server's carbon model and meter.
+func (s *Server) build(snap *Snapshot, sc *snapshotScratch, seq uint64) {
 	now := s.src.Engine.Now()
-	due := now >= s.nextEmit
-	live := due && s.sse.subscribed()
-	if live {
-		s.snapshotLocked(&s.emitSnap, &s.emitScratch)
-	}
-	s.mu.RUnlock()
-	if !due {
-		return
-	}
-	// Skip boundaries the step overran: one event per pacer step keeps
-	// the wall-clock publish rate bounded at high speedups.
-	for s.nextEmit <= now {
-		s.nextEmit += s.opts.EmitEvery
-	}
-	seq := s.seq.Add(1)
-	if !live {
-		return
-	}
-	s.emitSnap.Seq = seq
-	var err error
-	s.emitJSON, err = appendSnapshotJSON(s.emitJSON[:0], &s.emitSnap)
-	if err != nil {
-		// A NaN or Inf has no JSON form. Drop the event rather than
-		// kill the pacer.
-		return
-	}
-	s.sse.publish(sseFrame(seq, "snapshot", s.emitJSON))
-}
-
-// Run paces the engine until ctx is cancelled or the horizon is
-// reached. Virtual time tracks wall time times Speedup; if a slice
-// takes longer to simulate than its wall quantum, the loop simply runs
-// behind (it never skips virtual time to catch up, which would change
-// outcomes versus batch mode).
-func (s *Server) Run(ctx context.Context) error {
-	tick := time.NewTicker(s.opts.Slice)
-	defer tick.Stop()
-	step := time.Duration(float64(s.opts.Slice) * s.opts.Speedup)
-	if step <= 0 {
-		step = 1
-	}
-	for {
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-tick.C:
-		}
-		s.mu.RLock()
-		target := s.src.Engine.Now() + step
-		s.mu.RUnlock()
-		if s.opts.Horizon > 0 && target > s.opts.Horizon {
-			target = s.opts.Horizon
-		}
-		if err := s.AdvanceTo(target); err != nil {
-			return err
-		}
-		if s.opts.Horizon > 0 {
-			s.mu.RLock()
-			done := s.src.Engine.Now() >= s.opts.Horizon
-			s.mu.RUnlock()
-			if done {
-				return nil
-			}
-		}
+	buildSnapshot(snap, s.src, sc)
+	snap.Seq = seq
+	snap.Speedup = s.opts.Speedup
+	snap.Carbon = CarbonSnapshot{
+		IntensityGPerKWh: s.opts.Carbon.IntensityAt(now),
+		RateGPerHour:     s.opts.Carbon.RateGPerHour(now, snap.PowerW),
+		GramsTotal:       s.meter.Grams(),
 	}
 }
 
-// Snapshot captures a consistent view of the simulation under the read
-// lock.
-func (s *Server) Snapshot() Snapshot {
-	var snap Snapshot
-	sc := s.scratch.Get().(*snapshotScratch)
-	s.mu.RLock()
-	s.snapshotLocked(&snap, sc)
-	snap.Seq = s.seq.Load()
-	s.mu.RUnlock()
-	s.scratch.Put(sc)
-	return snap
+func (s *Server) encode(dst []byte, snap *Snapshot) ([]byte, error) {
+	return appendSnapshotJSON(dst, snap)
 }
 
-// currentFrame renders the current snapshot as one SSE frame of the
-// given event type, or nil when it has no JSON form.
-func (s *Server) currentFrame(event string) []byte {
-	snap := s.Snapshot()
-	data, err := appendSnapshotJSON(nil, &snap)
-	if err != nil {
-		return nil
-	}
-	return sseFrame(snap.Seq, event, data)
-}
-
-// Shutdown ends the SSE side of the server gracefully: every connected
-// stream receives one final "shutdown" event carrying the closing
-// snapshot, then its channel is closed so the handler drains and
-// returns. Scrape and snapshot endpoints keep answering until the HTTP
-// server itself stops; call this before http.Server.Shutdown so stream
-// handlers exit inside its drain window. Safe to call more than once.
-func (s *Server) Shutdown() {
-	s.sse.shutdown(s.currentFrame("shutdown"))
-}
-
-// Handler returns the HTTP mux: /metrics (OpenMetrics), /api/v1/snapshot
-// (JSON), /api/v1/stream (SSE), and /healthz.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/api/v1/snapshot", s.handleSnapshot)
-	mux.HandleFunc("/api/v1/stream", s.handleStream)
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprintln(w, "ok")
-	})
-	return mux
+func (s *Server) expose(buf *bytes.Buffer, snap *Snapshot, scrapes, sseDropped uint64) {
+	writeMetrics(buf, *snap, scrapes, sseDropped)
 }

@@ -146,33 +146,6 @@ func TestServeRetryOmittedWithoutLoop(t *testing.T) {
 	}
 }
 
-func TestServeStandaloneRetrySource(t *testing.T) {
-	// Source.Retry works without a manager; its wrapped admission backs
-	// the user view too.
-	e, mgr, _ := testFacility(t, 2, 5)
-	adm, err := workload.NewAdmission(workload.DefaultAdmissionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl, err := workload.NewRetryLoop(workload.DefaultRetryConfig(workload.RetryNaive), adm, e.RNG().Fork("retry"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := [workload.NumClasses]float64{1000, 100, 50}
-	rl.Tick(time.Minute, &fresh, 4)
-	s, err := NewServer(Source{Engine: e, Fleet: mgr.Fleet(), Retry: rl}, Options{Speedup: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	if snap.Users == nil || snap.Users.Retry == nil {
-		t.Fatal("standalone retry source produced no retry section")
-	}
-	if snap.Users.Retry.FreshTotal != 1150 {
-		t.Errorf("fresh = %v, want 1150", snap.Users.Retry.FreshTotal)
-	}
-}
-
 func TestServerShutdownClosesStreams(t *testing.T) {
 	s, _ := testServer(t, 1, 5, Options{Speedup: 3600})
 	ts := httptest.NewServer(s.Handler())

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cooling"
 	"repro/internal/core"
+	"repro/internal/geo"
 	"repro/internal/onoff"
 	"repro/internal/power"
 	"repro/internal/server"
@@ -324,15 +325,85 @@ func TestSSEStream(t *testing.T) {
 }
 
 // TestScrapeWhileSimulating is the -race soak: the pacer advances the
-// engine, building and encoding SSE frames for a live subscriber, while
-// scrapers hammer every endpoint concurrently.
+// simulation, building and encoding SSE frames for a live subscriber,
+// while scrapers hammer every endpoint concurrently. The geo subtest
+// paces a parallel federation, whose site engines step on their own
+// goroutines as under dcsim -sites.
 func TestScrapeWhileSimulating(t *testing.T) {
-	s, _ := testServer(t, 3, 10, Options{
+	opts := Options{
 		Speedup:   7200,
 		Horizon:   2 * time.Hour,
 		Slice:     2 * time.Millisecond,
 		EmitEvery: 15 * time.Second,
+	}
+	t.Run("server", func(t *testing.T) {
+		s, _ := testServer(t, 3, 10, opts)
+		soakWhileScraping(t, s, "dcsim_fleet_energy_joules_total", func(data []byte) (float64, error) {
+			var snap Snapshot
+			if err := json.Unmarshal(data, &snap); err != nil {
+				return 0, err
+			}
+			return snap.SimTimeSeconds, physicalInlets(snap.Facility)
+		})
+		if got := s.Snapshot().SimTimeSeconds; got != opts.Horizon.Seconds() {
+			t.Fatalf("horizon not reached: %v", got)
+		}
 	})
+	t.Run("geo", func(t *testing.T) {
+		cfg := geoTestConfig(3, 2)
+		cfg.Parallel = true
+		fed, err := geo.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fed.Close)
+		s, err := NewGeoServer(fed, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		soakWhileScraping(t, s, "dcsim_geo_energy_joules_total", func(data []byte) (float64, error) {
+			var snap GeoSnapshot
+			if err := json.Unmarshal(data, &snap); err != nil {
+				return 0, err
+			}
+			for _, site := range snap.Sites {
+				if err := physicalInlets(site.Facility); err != nil {
+					return 0, fmt.Errorf("site %s: %w", site.Site, err)
+				}
+			}
+			return snap.SimTimeSeconds, nil
+		})
+		if got := s.Snapshot().SimTimeSeconds; got != opts.Horizon.Seconds() {
+			t.Fatalf("horizon not reached: %v", got)
+		}
+	})
+}
+
+// physicalInlets rejects a zone inlet no facility could reach, the mark
+// of a torn read. A nil facility has none to check.
+func physicalInlets(f *FacilitySnapshot) error {
+	if f == nil {
+		return nil
+	}
+	for _, z := range f.Zones {
+		if z.InletC < -50 || z.InletC > 200 {
+			return fmt.Errorf("non-physical inlet %v in zone %s (torn read?)", z.InletC, z.Zone)
+		}
+	}
+	return nil
+}
+
+// soakWhileScraping runs s to its horizon while a stream subscriber,
+// three /metrics scrapers and a snapshot poller read it. decode checks
+// one JSON snapshot, a stream event's data or a snapshot body, and
+// returns its virtual time; energy names the exposition counter that
+// must never decrease.
+func soakWhileScraping(t *testing.T, s interface {
+	Handler() http.Handler
+	Run(ctx context.Context) error
+	Shutdown()
+}, energy string, decode func(data []byte) (float64, error)) {
+	t.Helper()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -370,13 +441,12 @@ func TestScrapeWhileSimulating(t *testing.T) {
 				}
 				lastID = id
 			case strings.HasPrefix(line, "data: "):
-				var snap Snapshot
-				if err := json.Unmarshal([]byte(line[6:]), &snap); err != nil {
-					t.Errorf("SSE data does not decode: %v", err)
-				} else if snap.SimTimeSeconds < lastSim {
-					t.Errorf("SSE sim time went back: %v after %v", snap.SimTimeSeconds, lastSim)
+				if sim, err := decode([]byte(line[6:])); err != nil {
+					t.Errorf("SSE data: %v", err)
+				} else if sim < lastSim {
+					t.Errorf("SSE sim time went back: %v after %v", sim, lastSim)
 				} else {
-					lastSim = snap.SimTimeSeconds
+					lastSim = sim
 				}
 				if events++; events == 1 {
 					close(primed)
@@ -400,7 +470,7 @@ func TestScrapeWhileSimulating(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var lastEnergy float64
+			var last float64
 			for {
 				select {
 				case <-stop:
@@ -408,11 +478,11 @@ func TestScrapeWhileSimulating(t *testing.T) {
 				default:
 				}
 				samples, _ := scrape(t, ts.URL)
-				if e := samples["dcsim_fleet_energy_joules_total"]; e < lastEnergy {
-					t.Errorf("energy counter regressed: %v -> %v", lastEnergy, e)
+				if e := samples[energy]; e < last {
+					t.Errorf("%s regressed: %v -> %v", energy, last, e)
 					return
 				} else {
-					lastEnergy = e
+					last = e
 				}
 			}
 		}()
@@ -431,20 +501,14 @@ func TestScrapeWhileSimulating(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			var snap Snapshot
-			err = json.NewDecoder(resp.Body).Decode(&snap)
+			body, err := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			if err != nil {
-				t.Error(err)
-				return
+			if err == nil {
+				_, err = decode(body)
 			}
-			if snap.Facility != nil {
-				for _, z := range snap.Facility.Zones {
-					if z.InletC < -50 || z.InletC > 200 {
-						t.Errorf("non-physical inlet %v (torn read?)", z.InletC)
-						return
-					}
-				}
+			if err != nil {
+				t.Errorf("snapshot: %v", err)
+				return
 			}
 		}
 	}()
@@ -458,10 +522,6 @@ func TestScrapeWhileSimulating(t *testing.T) {
 	}
 	if err != nil {
 		t.Fatalf("pacer: %v", err)
-	}
-	snap := s.Snapshot()
-	if snap.SimTimeSeconds != (2 * time.Hour).Seconds() {
-		t.Fatalf("horizon not reached: %v", snap.SimTimeSeconds)
 	}
 }
 
@@ -530,7 +590,6 @@ func TestOptionsValidation(t *testing.T) {
 		{Speedup: 1, Horizon: -time.Hour},
 		{Speedup: 1, Slice: -time.Second},
 		{Speedup: 1, EmitEvery: -time.Second},
-		{Speedup: 1, OutsideC: 20, OutsideRH: 1.5},
 	} {
 		if _, err := NewServer(src, opts); err == nil {
 			t.Errorf("NewServer(%+v) should reject", opts)
@@ -550,7 +609,14 @@ func TestOptionsValidation(t *testing.T) {
 	if o.Carbon.BaseGPerKWh <= 0 {
 		t.Error("carbon model not defaulted")
 	}
-	if o.OutsideC != 18 || o.OutsideRH != 0.5 {
-		t.Errorf("outside conditions not defaulted: %v %v", o.OutsideC, o.OutsideRH)
+	// A geo horizon past the federation's would never end Run.
+	fed, err := geo.New(geoTestConfig(11, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Close()
+	_, err = NewGeoServer(fed, Options{Speedup: 1, Horizon: 5 * time.Hour})
+	if err == nil || !strings.Contains(err.Error(), "5h0m0s") || !strings.Contains(err.Error(), "4h0m0s") {
+		t.Errorf("geo horizon past the federation's: err %v, want one naming 5h0m0s and 4h0m0s", err)
 	}
 }

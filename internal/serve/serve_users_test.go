@@ -127,26 +127,3 @@ func TestServeUsersOmittedWithoutAdmission(t *testing.T) {
 		t.Error("fluid-only exposition carries user metrics")
 	}
 }
-
-func TestServeStandaloneAdmissionSource(t *testing.T) {
-	// Source.Admission works without a manager (e.g. an analytic loop
-	// feeding the controller out-of-band).
-	e, mgr, _ := testFacility(t, 2, 5)
-	adm, err := workload.NewAdmission(workload.DefaultAdmissionConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := [workload.NumClasses]float64{1000, 100, 50}
-	adm.Tick(time.Minute, &fresh, 4)
-	s, err := NewServer(Source{Engine: e, Fleet: mgr.Fleet(), Admission: adm}, Options{Speedup: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Snapshot()
-	if snap.Users == nil {
-		t.Fatal("standalone admission source produced no users section")
-	}
-	if snap.Users.OfferedTotal != 1150 {
-		t.Errorf("offered = %v, want 1150", snap.Users.OfferedTotal)
-	}
-}

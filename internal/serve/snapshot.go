@@ -56,9 +56,6 @@ type Snapshot struct {
 	// Carbon is the emissions view.
 	Carbon CarbonSnapshot `json:"carbon"`
 
-	// Degrader reports graceful-degradation state when one is wired.
-	Degrader *DegraderSnapshot `json:"degrader,omitempty"`
-
 	// Users reports request-level user outcomes when an admission
 	// controller is wired.
 	Users *UsersSnapshot `json:"users,omitempty"`
@@ -118,8 +115,8 @@ type UserClassSnapshot struct {
 // FacilitySnapshot is the facility-level (power tree + cooling) slice of
 // a snapshot.
 type FacilitySnapshot struct {
-	// PUE is facility power over IT power at the configured outside
-	// conditions (0 when it could not be evaluated).
+	// PUE is facility power over IT power at 18 °C and 0.5 RH outside
+	// (0 when it could not be evaluated).
 	PUE float64 `json:"pue"`
 	// FeedInputW is the utility draw at the feed; DistLossW the total
 	// distribution loss through the tree.
@@ -156,28 +153,12 @@ type CarbonSnapshot struct {
 	GramsTotal float64 `json:"grams_total"`
 }
 
-// DegraderSnapshot is the graceful-degradation slice of a snapshot.
-type DegraderSnapshot struct {
-	LadderStage   int `json:"ladder_stage"`
-	CapEvents     int `json:"cap_events"`
-	SurvivalSheds int `json:"survival_sheds"`
-	ShedServers   int `json:"shed_servers"`
-	Fallbacks     int `json:"telemetry_fallbacks"`
-	DarkRounds    int `json:"telemetry_dark_rounds"`
-}
-
-// snapshotLocked fills snap with the current state, building with sc;
-// the caller holds s.mu (read or write) and sets Seq.
-func (s *Server) snapshotLocked(snap *Snapshot, sc *snapshotScratch) {
-	now := s.src.Engine.Now()
-	buildSnapshot(snap, s.src, s.opts.OutsideC, s.opts.OutsideRH, sc)
-	snap.Speedup = s.opts.Speedup
-	snap.Carbon = CarbonSnapshot{
-		IntensityGPerKWh: s.opts.Carbon.IntensityAt(now),
-		RateGPerHour:     s.opts.Carbon.RateGPerHour(now, snap.PowerW),
-		GramsTotal:       s.meter.Grams(),
-	}
-}
+// PUE is evaluated at these outside conditions, the ones batch runs
+// report PUE at.
+const (
+	outsideC  = 18
+	outsideRH = 0.5
+)
 
 // snapshotScratch holds the buffers a snapshot build uses: the
 // telemetry frame row the zone inlets are read from and the power-tree
@@ -208,21 +189,21 @@ func reuse[T any](p *T) *T {
 }
 
 // buildSnapshot fills snap with one simulation's state — the engine,
-// fleet, manager, facility, degrader, and user slices. It is the one
-// builder under every serving path: the single-facility server and each
+// fleet, manager, facility, and user slices. It is the one builder
+// under every serving path: the single-facility server and each
 // per-site section of the geo server, for handler snapshots (a zero snap)
 // and the pacer's emits (the same snap every time). Every field is
-// overwritten, but the Facility, Degrader, Users and Retry structs and
-// the Racks, Zones and Classes slices snap already holds are reused, so
-// a snapshot kept across builds is rebuilt without allocating. The
-// caller fills Seq, Speedup and the Carbon slice (pacing and emission
-// metering live with the owner, not the simulation) and must hold
-// whatever lock guards the source. Building only reads the simulation.
-func buildSnapshot(snap *Snapshot, src Source, outsideC, outsideRH float64, sc *snapshotScratch) {
+// overwritten, but the Facility, Users and Retry structs and the Racks,
+// Zones and Classes slices snap already holds are reused, so a snapshot
+// kept across builds is rebuilt without allocating. The caller fills
+// Seq, Speedup and the Carbon slice (pacing and emission metering live
+// with the owner, not the simulation) and must hold whatever lock
+// guards the source. Building only reads the simulation.
+func buildSnapshot(snap *Snapshot, src Source, sc *snapshotScratch) {
 	now := src.Engine.Now()
 	fleet := src.Fleet
 	driftLast, driftMax := fleet.RebaseDrift()
-	fac, deg, users := snap.Facility, snap.Degrader, snap.Users
+	fac, users := snap.Facility, snap.Users
 	*snap = Snapshot{
 		SimTimeSeconds:  now.Seconds(),
 		EventsProcessed: src.Engine.Processed(),
@@ -236,38 +217,19 @@ func buildSnapshot(snap *Snapshot, src Source, outsideC, outsideRH float64, sc *
 		RebaseDriftMaxW: driftMax,
 	}
 	snap.SwitchOns, snap.SwitchOffs = fleet.Switches()
+	var adm *workload.Admission
+	var rl *workload.RetryLoop
 	if m := src.Manager; m != nil {
 		snap.Mode = m.Mode().String()
 		snap.PState = m.PState()
 		snap.Decisions = m.Decisions()
 		snap.SLAViolationRate = m.SLAViolationRate()
 		snap.WorstResponseSeconds = m.WorstResponse().Seconds()
+		adm, rl = m.Admission(), m.Retry()
 	}
 	if src.DC != nil {
 		snap.Facility = reuse(fac)
-		buildFacilitySnapshot(snap.Facility, src, outsideC, outsideRH, sc)
-	}
-	if d := src.Degrader; d != nil {
-		snap.Degrader = reuse(deg)
-		*snap.Degrader = DegraderSnapshot{
-			LadderStage:   d.LadderStage(),
-			CapEvents:     d.CapEvents(),
-			SurvivalSheds: d.SurvivalSheds(),
-			ShedServers:   d.ShedServers(),
-			Fallbacks:     d.Telemetry().Fallbacks(),
-			DarkRounds:    d.Telemetry().DarkRounds(),
-		}
-	}
-	rl := src.Retry
-	if rl == nil && src.Manager != nil {
-		rl = src.Manager.Retry()
-	}
-	adm := src.Admission
-	if adm == nil && src.Manager != nil {
-		adm = src.Manager.Admission()
-	}
-	if adm == nil && rl != nil {
-		adm = rl.Admission()
+		buildFacilitySnapshot(snap.Facility, src, sc)
 	}
 	if adm != nil {
 		u := reuse(users)
@@ -315,7 +277,7 @@ func buildSnapshot(snap *Snapshot, src Source, outsideC, outsideRH float64, sc *
 // memcpy, no re-aggregation; per-rack and per-zone power are the
 // fleet's O(1) maintained sums. The power tree is evaluated once, into
 // sc, and both the distribution view and PUE read that one evaluation.
-func buildFacilitySnapshot(fs *FacilitySnapshot, src Source, outsideC, outsideRH float64, sc *snapshotScratch) {
+func buildFacilitySnapshot(fs *FacilitySnapshot, src Source, sc *snapshotScratch) {
 	dc := src.DC
 	fleet := src.Fleet
 	topo := dc.Topology()

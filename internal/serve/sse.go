@@ -182,34 +182,3 @@ func writeIndentedJSON(w http.ResponseWriter, rb *renderBuf, err error) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")
 	_, _ = w.Write(rb.body.Bytes())
 }
-
-// handleStream serves /api/v1/stream: an SSE stream of snapshot events
-// on the configured virtual-time cadence. The first event is the
-// current snapshot so clients render immediately.
-func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	s.sse.stream(w, r, func() []byte { return s.currentFrame("snapshot") })
-}
-
-// handleSnapshot serves /api/v1/snapshot as pretty-printed JSON.
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	snap := s.Snapshot()
-	rb := s.bufs.Get().(*renderBuf)
-	var err error
-	rb.json, err = appendSnapshotJSON(rb.json[:0], &snap)
-	writeIndentedJSON(w, rb, err)
-	s.bufs.Put(rb)
-}
-
-// handleMetrics serves /metrics in the OpenMetrics text format. The
-// snapshot is taken under the read lock; rendering happens outside it
-// into a pooled buffer.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	scrapes := s.scrapes.Add(1)
-	snap := s.Snapshot()
-	rb := s.bufs.Get().(*renderBuf)
-	rb.body.Reset()
-	writeMetrics(&rb.body, snap, scrapes, s.sse.dropped.Load())
-	w.Header().Set("Content-Type", ContentType)
-	_, _ = w.Write(rb.body.Bytes())
-	s.bufs.Put(rb)
-}
