@@ -166,6 +166,9 @@ func (o options) validate() error {
 	if o.sites != 0 && o.sites < 2 {
 		bad("-sites %d must be at least 2 (0 = single site)", o.sites)
 	}
+	if o.sites == 0 && o.facility && o.fleet%serversPerRack != 0 {
+		bad("-facility needs -fleet %d divisible by %d servers per rack", o.fleet, serversPerRack)
+	}
 	if o.sites != 0 {
 		if o.csvPath != "" {
 			bad("-csv is not supported with -sites (per-decision samples are single-manager)")
@@ -322,7 +325,7 @@ func run(args []string, stdout io.Writer) error {
 	var pueN int
 	if dc != nil {
 		e.Every(15*time.Minute, func(*sim.Engine) {
-			if pue, _, err := dc.PUEAt(18, 0.5); err == nil {
+			if pue, _, err := dc.PUEAt(core.PUEOutsideC, core.PUEOutsideRH); err == nil {
 				pueSum += pue
 				pueN++
 			}
@@ -432,14 +435,14 @@ func serveLive(srv liveServer, listen, about string, stdout io.Writer, stopped f
 	return nil
 }
 
+// serversPerRack is the rack size of the single-site facility; validate
+// requires -fleet to fill whole racks.
+const serversPerRack = 10
+
 // buildFacility wraps the managed fleet in a power tree and cooling room
 // sized for the fleet.
 func buildFacility(e *sim.Engine, srvCfg server.Config, mgrCfg core.ManagerConfig, demand core.DemandFunc) (*core.DataCenter, *core.Manager, error) {
-	perRack := 10
-	racks := (mgrCfg.FleetSize + perRack - 1) / perRack
-	if racks < 1 {
-		racks = 1
-	}
+	racks := mgrCfg.FleetSize / serversPerRack
 	// One zone per pair of racks, at least one.
 	zones := (racks + 1) / 2
 	roomCfg := cooling.RoomConfig{PhysicsTick: cooling.DefaultPhysicsTick}
@@ -458,10 +461,10 @@ func buildFacility(e *sim.Engine, srvCfg server.Config, mgrCfg core.ManagerConfi
 	dcCfg := core.DataCenterConfig{
 		Name:           "dcsim",
 		ServerConfig:   srvCfg,
-		ServersPerRack: perRack,
+		ServersPerRack: serversPerRack,
 		Topology: power.TopologyConfig{
 			UPSCount: 1, PDUsPerUPS: 1, RacksPerPDU: racks,
-			RackRatedW: float64(perRack) * srvCfg.PeakPower * 1.1, Oversubscription: 1,
+			RackRatedW: float64(serversPerRack) * srvCfg.PeakPower * 1.1, Oversubscription: 1,
 		},
 		Room:        roomCfg,
 		ZoneOfRack:  zoneOfRack,

@@ -6,16 +6,42 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/workload"
 )
 
+// TestParseMode: each policy mode's -mode value is the name the summary
+// prints for it.
 func TestParseMode(t *testing.T) {
-	for _, name := range []string{"always-on", "onoff-only", "dvfs-only", "oblivious", "coordinated"} {
-		if _, err := parseMode(name); err != nil {
-			t.Errorf("parseMode(%q): %v", name, err)
-		}
+	for _, m := range []core.PolicyMode{
+		core.ModeAlwaysOn, core.ModeOnOffOnly, core.ModeDVFSOnly, core.ModeOblivious, core.ModeCoordinated,
+	} {
+		t.Run(m.String(), func(t *testing.T) {
+			if got, err := parseMode(m.String()); err != nil || got != m {
+				t.Errorf("parseMode(%q) = %v, %v; want %v", m.String(), got, err, m)
+			}
+		})
 	}
 	if _, err := parseMode("nope"); err == nil {
 		t.Error("unknown mode should error")
+	}
+}
+
+// TestParseRetry: each retry policy's -retry value is the policy's name,
+// and "none" (or no value) leaves the closed loop off.
+func TestParseRetry(t *testing.T) {
+	for _, p := range []workload.RetryPolicy{workload.RetryNaive, workload.RetryBackoff, workload.RetryBudget} {
+		t.Run(p.String(), func(t *testing.T) {
+			if got, on, err := parseRetry(p.String()); err != nil || !on || got != p {
+				t.Errorf("parseRetry(%q) = %v, %v, %v; want %v, true, nil", p.String(), got, on, err, p)
+			}
+		})
+	}
+	for _, s := range []string{"", "none"} {
+		if _, on, err := parseRetry(s); err != nil || on {
+			t.Errorf("parseRetry(%q) = on %v, %v; want off", s, on, err)
+		}
 	}
 }
 
@@ -85,25 +111,31 @@ func TestRunFacility(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	cases := [][]string{
-		{"-mode", "bogus"},
-		{"-days", "0"},
-		{"-fleet", "0"},
-		{"-min-load", "0.9", "-max-load", "0.5"},
-		{"-min-load", "-0.1"},
-		{"-max-load", "1.5"},
-		{"-speedup", "0"},
-		{"-speedup", "-2"},
-		{"-sla", "0"},
-		{"-carbon", "-10"},
-		{"-carbon-swing", "1.5"},
-		{"-not-a-flag"},
-		{"-serve", "-csv", "x.csv", "-days", "1", "-speedup", "1e7"},
-	}
-	for _, args := range cases {
-		if err := run(args, io.Discard); err == nil {
-			t.Errorf("run(%v) should error", args)
-		}
+	for _, tc := range []struct {
+		args []string
+		want string // a fragment of the error
+	}{
+		{[]string{"-mode", "bogus"}, `-mode: unknown mode "bogus"`},
+		{[]string{"-days", "0"}, "-days 0 must be positive"},
+		{[]string{"-fleet", "0"}, "-fleet 0 must be positive"},
+		{[]string{"-min-load", "0.9", "-max-load", "0.5"}, "-min-load 0.9 must be below -max-load 0.5"},
+		{[]string{"-min-load", "-0.1"}, "-min-load -0.1 must be non-negative"},
+		{[]string{"-max-load", "1.5"}, "-max-load 1.5 must be at most 1"},
+		{[]string{"-speedup", "0"}, "-speedup 0 must be positive"},
+		{[]string{"-speedup", "-2"}, "-speedup -2 must be positive"},
+		{[]string{"-sla", "0"}, "-sla 0 must be positive"},
+		{[]string{"-carbon", "-10"}, "base intensity -10"},
+		{[]string{"-carbon-swing", "1.5"}, "swing 1.5"},
+		{[]string{"-not-a-flag"}, "flag provided but not defined: -not-a-flag"},
+		{[]string{"-serve", "-csv", "x.csv", "-days", "1", "-speedup", "1e7"}, "-csv is not supported with -serve"},
+		{[]string{"-facility", "-fleet", "25", "-days", "1"}, "-facility needs -fleet 25 divisible by 10 servers per rack"},
+	} {
+		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
+			err := run(tc.args, io.Discard)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run(%q) = %v, want an error containing %q", tc.args, err, tc.want)
+			}
+		})
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package control provides the feedback-control substrate the paper's
 // coordination arguments rely on (§5.1): PID controllers with anti-windup,
 // first-order lags and transport delays for the slow cooling dynamics,
-// load forecasters for provisioning, and hysteresis/deadband elements for
-// on/off decisions.
+// load forecasters for provisioning, and a deadband for the CRAC
+// controllers.
 package control
 
 import (
@@ -134,36 +134,6 @@ func (d *DelayLine) Step(u float64) float64 {
 	d.head = (d.head + 1) % len(d.buf)
 	return out
 }
-
-// Hysteresis is a two-threshold switch: the output turns on when the input
-// rises above high and off when it falls below low, suppressing chatter in
-// on/off provisioning decisions.
-type Hysteresis struct {
-	low, high float64
-	on        bool
-}
-
-// NewHysteresis builds a switch with the given thresholds (low < high) and
-// initial state.
-func NewHysteresis(low, high float64, initiallyOn bool) (*Hysteresis, error) {
-	if !(low < high) {
-		return nil, fmt.Errorf("control: hysteresis thresholds [%v, %v] invalid", low, high)
-	}
-	return &Hysteresis{low: low, high: high, on: initiallyOn}, nil
-}
-
-// Update folds in a new measurement and returns the switch state.
-func (h *Hysteresis) Update(x float64) bool {
-	if x > h.high {
-		h.on = true
-	} else if x < h.low {
-		h.on = false
-	}
-	return h.on
-}
-
-// On reports the current state.
-func (h *Hysteresis) On() bool { return h.on }
 
 // Deadband passes its input through unchanged but reports zero change when
 // the input moved less than width from the last emitted value. CRAC

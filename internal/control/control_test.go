@@ -149,35 +149,6 @@ func TestDelayLine(t *testing.T) {
 	}
 }
 
-func TestHysteresis(t *testing.T) {
-	h, err := NewHysteresis(0.3, 0.7, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := []struct {
-		x    float64
-		want bool
-	}{
-		{0.5, false}, // inside band, stays off
-		{0.8, true},  // crosses high
-		{0.5, true},  // inside band, stays on
-		{0.31, true}, // still above low
-		{0.2, false}, // crosses low
-		{0.69, false},
-	}
-	for i, s := range steps {
-		if got := h.Update(s.x); got != s.want {
-			t.Fatalf("step %d: Update(%v) = %v, want %v", i, s.x, got, s.want)
-		}
-	}
-	if h.On() {
-		t.Error("On() inconsistent with last update")
-	}
-	if _, err := NewHysteresis(0.7, 0.3, false); err == nil {
-		t.Error("inverted thresholds should error")
-	}
-}
-
 func TestDeadband(t *testing.T) {
 	d, err := NewDeadband(1.0)
 	if err != nil {

@@ -46,9 +46,6 @@ func (e *EWMA) Observe(x float64) {
 // Forecast returns the current level regardless of horizon.
 func (e *EWMA) Forecast(int) float64 { return e.level }
 
-// Level reports the current smoothed level.
-func (e *EWMA) Level() float64 { return e.level }
-
 // Holt is a Holt linear-trend (double exponential) forecaster, which
 // tracks ramping demand such as flash-crowd onsets much faster than a flat
 // EWMA.

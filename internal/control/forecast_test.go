@@ -16,7 +16,7 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 	if math.Abs(e.Forecast(1)-7) > 1e-9 {
 		t.Errorf("EWMA forecast = %v, want 7", e.Forecast(1))
 	}
-	if e.Level() != e.Forecast(5) {
+	if e.Forecast(1) != e.Forecast(5) {
 		t.Error("EWMA forecast should be flat across horizons")
 	}
 }
@@ -24,8 +24,8 @@ func TestEWMAConvergesToConstant(t *testing.T) {
 func TestEWMAFirstObservationSetsLevel(t *testing.T) {
 	e, _ := NewEWMA(0.1)
 	e.Observe(42)
-	if e.Level() != 42 {
-		t.Errorf("first observation level = %v, want 42", e.Level())
+	if e.Forecast(1) != 42 {
+		t.Errorf("first observation level = %v, want 42", e.Forecast(1))
 	}
 }
 

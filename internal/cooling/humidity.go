@@ -89,11 +89,6 @@ func NewHumidifier(cfg HumidifierConfig) (*Humidifier, error) {
 // RH reports the current room relative humidity.
 func (h *Humidifier) RH() float64 { return h.rh.Output() }
 
-// InBand reports whether the current RH sits inside the controlled band.
-func (h *Humidifier) InBand() bool {
-	return h.RH() >= h.cfg.LowRH && h.RH() <= h.cfg.HighRH
-}
-
 // Active reports whether either actuator is currently running.
 func (h *Humidifier) Active() (humidify, dehumidify bool) {
 	return h.humidifying, h.dehumidifying

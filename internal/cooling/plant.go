@@ -13,13 +13,6 @@ const (
 	ASHRAEMaxRH    = 0.45
 )
 
-// InASHRAEEnvelope reports whether an inlet condition is inside the
-// recommended temperature and humidity envelope.
-func InASHRAEEnvelope(tempC, rh float64) bool {
-	return tempC >= ASHRAEMinTempC && tempC <= ASHRAEMaxTempC &&
-		rh >= ASHRAEMinRH && rh <= ASHRAEMaxRH
-}
-
 // PlantConfig describes the heat-rejection plant behind the CRACs: the
 // chiller (compressor + pumps) and CRAC fans, plus an optional air-side
 // economizer.

@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestASHRAEEnvelope(t *testing.T) {
-	tests := []struct {
-		tempC, rh float64
-		want      bool
-	}{
-		{22, 0.40, true},
-		{20, 0.30, true},
-		{25, 0.45, true},
-		{19.9, 0.40, false},
-		{25.1, 0.40, false},
-		{22, 0.29, false},
-		{22, 0.46, false},
-	}
-	for _, tt := range tests {
-		if got := InASHRAEEnvelope(tt.tempC, tt.rh); got != tt.want {
-			t.Errorf("InASHRAEEnvelope(%v, %v) = %v, want %v", tt.tempC, tt.rh, got, tt.want)
-		}
-	}
-}
-
 func TestPlantValidation(t *testing.T) {
 	tests := []struct {
 		name   string

@@ -278,13 +278,6 @@ func (r *Room) ZoneSensitivity(z int) float64 { return 1 - r.zones[z].recirc }
 // ZoneInletC reports the current inlet temperature of zone z.
 func (r *Room) ZoneInletC(z int) float64 { return r.zones[z].inlet.Output() }
 
-// ZoneExhaustC reports the current exhaust (hot-aisle) temperature of
-// zone z: inlet plus the temperature rise across the racks.
-func (r *Room) ZoneExhaustC(z int) float64 {
-	zn := r.zones[z]
-	return zn.inlet.Output() + zn.heatW/(airHeatCapacity*zn.cfg.Airflow)
-}
-
 // UnitConfig returns the configuration of CRAC unit c (for observers that
 // need the setpoint bounds, e.g. the invariant checker).
 func (r *Room) UnitConfig(c int) CRACConfig { return r.cracs[c].cfg }

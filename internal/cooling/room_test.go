@@ -88,17 +88,13 @@ func TestZoneHeatAccessors(t *testing.T) {
 	}
 }
 
-func TestMoreHeatRaisesInletAndExhaust(t *testing.T) {
+func TestMoreHeatRaisesInlet(t *testing.T) {
 	r := mustUniform(t, 1, 1, 0.9)
 	if err := r.SetZoneHeat(0, 5_000); err != nil {
 		t.Fatal(err)
 	}
 	settle(r, time.Hour)
 	coolInlet := r.ZoneInletC(0)
-	coolExhaust := r.ZoneExhaustC(0)
-	if coolExhaust <= coolInlet {
-		t.Errorf("exhaust %v not above inlet %v under load", coolExhaust, coolInlet)
-	}
 	if err := r.SetZoneHeat(0, 20_000); err != nil {
 		t.Fatal(err)
 	}

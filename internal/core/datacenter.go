@@ -361,6 +361,14 @@ func (dc *DataCenter) ITPowerW() float64 { return dc.fleet.PowerW() }
 // Flow evaluates the power tree.
 func (dc *DataCenter) Flow() power.Flow { return dc.topo.Feed.Evaluate() }
 
+// PUEOutsideC and PUEOutsideRH are the outside temperature (°C) and
+// relative humidity at which the batch summaries, the figures and the
+// live snapshots all report PUE.
+const (
+	PUEOutsideC  = 18
+	PUEOutsideRH = 0.5
+)
+
 // PUEAt computes the facility PUE under the given outside conditions:
 // IT power from the fleet, distribution losses from the tree, plant power
 // for removing the room's current cooling load.

@@ -14,8 +14,9 @@ import (
 // DegraderConfig shapes the MRM layer's graceful-degradation responses
 // to infrastructure faults (§2's failure realities meeting Figure 4's
 // coordination problem): emergency power caps when the feed loses
-// redundancy, a thermal load-shedding ladder when cooling capacity drops,
-// and last-good telemetry fallback when sensors go dark.
+// redundancy and a thermal load-shedding ladder when cooling capacity
+// drops. Last-good telemetry fallback when sensors go dark is a separate
+// TelemetryGuard, which the fault-sensor supervisor builds directly.
 type DegraderConfig struct {
 	// CheckPeriod is the degradation control period (default 1 min).
 	CheckPeriod time.Duration
@@ -26,22 +27,20 @@ type DegraderConfig struct {
 	// RecoverInletC releases the ladder when the hottest inlet drops
 	// below it (hysteresis; default 27 °C).
 	RecoverInletC float64
-	// ConsolidateFrac is the fraction of active servers the ladder's
-	// consolidation stage sheds (default 0.25).
-	ConsolidateFrac float64
 	// EmergencyCapFrac derates each rack cap to this fraction of its
 	// rating while the facility runs without feed redundancy
 	// (default 0.7).
 	EmergencyCapFrac float64
-	// SurvivalFrac is the fleet fraction kept on when the UPS store
-	// empties with no generator — shed everything else immediately
-	// (default 0.1).
-	SurvivalFrac float64
-	// TelemetryMaxDark is how many consecutive dark telemetry rounds
-	// the guard tolerates before declaring degraded control
-	// (default 3).
-	TelemetryMaxDark int
 }
+
+const (
+	// consolidateFrac is the fraction of active servers the ladder's
+	// consolidation stage sheds.
+	consolidateFrac = 0.25
+	// survivalFrac is the fleet fraction kept on when the UPS store
+	// empties with no generator; everything else is shed immediately.
+	survivalFrac = 0.1
+)
 
 // withDefaults fills zero fields.
 func (c DegraderConfig) withDefaults() DegraderConfig {
@@ -54,17 +53,8 @@ func (c DegraderConfig) withDefaults() DegraderConfig {
 	if c.RecoverInletC == 0 {
 		c.RecoverInletC = 27
 	}
-	if c.ConsolidateFrac == 0 {
-		c.ConsolidateFrac = 0.25
-	}
 	if c.EmergencyCapFrac == 0 {
 		c.EmergencyCapFrac = 0.7
-	}
-	if c.SurvivalFrac == 0 {
-		c.SurvivalFrac = 0.1
-	}
-	if c.TelemetryMaxDark <= 0 {
-		c.TelemetryMaxDark = 3
 	}
 	return c
 }
@@ -75,14 +65,8 @@ func (c DegraderConfig) validate() error {
 		return fmt.Errorf("core: recover threshold %v must sit below shed threshold %v",
 			c.RecoverInletC, c.ShedInletC)
 	}
-	if c.ConsolidateFrac < 0 || c.ConsolidateFrac >= 1 {
-		return fmt.Errorf("core: consolidate fraction %v out of [0,1)", c.ConsolidateFrac)
-	}
 	if c.EmergencyCapFrac <= 0 || c.EmergencyCapFrac > 1 {
 		return fmt.Errorf("core: emergency cap fraction %v out of (0,1]", c.EmergencyCapFrac)
-	}
-	if c.SurvivalFrac < 0 || c.SurvivalFrac > 1 {
-		return fmt.Errorf("core: survival fraction %v out of [0,1]", c.SurvivalFrac)
 	}
 	return nil
 }
@@ -97,7 +81,6 @@ type Degrader struct {
 	cfg    DegraderConfig
 
 	enforcer *CapEnforcer
-	guard    *TelemetryGuard
 
 	capsOn    bool
 	savedCaps []float64
@@ -105,9 +88,10 @@ type Degrader struct {
 	slowest   int // DVFS index with the lowest frequency
 	fastest   int // DVFS index with the highest frequency
 
-	// admission, when linked, mirrors the degradation state onto the
-	// request-level shed ladder so infrastructure trouble is expressed
-	// in users (degraded classes, rejections), not only in watts.
+	// admission, linked through SetRetry, mirrors the degradation state
+	// onto the request-level shed ladder so infrastructure trouble is
+	// expressed in users (degraded classes, rejections), not only in
+	// watts.
 	admission *workload.Admission
 	// retry, when linked, lets the degrader trip the admission-side
 	// circuit breaker the moment a correlated fault guarantees a
@@ -141,11 +125,7 @@ func NewDegrader(e *sim.Engine, dc *DataCenter, cfg DegraderConfig) (*Degrader, 
 	if err != nil {
 		return nil, err
 	}
-	guard, err := NewTelemetryGuard(cfg.TelemetryMaxDark)
-	if err != nil {
-		return nil, err
-	}
-	d := &Degrader{engine: e, dc: dc, cfg: cfg, enforcer: enforcer, guard: guard}
+	d := &Degrader{engine: e, dc: dc, cfg: cfg, enforcer: enforcer}
 	ps := dc.Fleet().Servers()[0].Config().PStates
 	for i, p := range ps {
 		if p.Freq < ps[d.slowest].Freq {
@@ -158,26 +138,16 @@ func NewDegrader(e *sim.Engine, dc *DataCenter, cfg DegraderConfig) (*Degrader, 
 	return d, nil
 }
 
-// Telemetry exposes the last-good telemetry guard for controllers that
-// consume zone maps.
-func (d *Degrader) Telemetry() *TelemetryGuard { return d.guard }
-
-// SetAdmission links the request-level admission controller: from now
-// on every degradation action also moves the user-facing shed ladder
-// (admit → degrade class → reject). Pass nil to unlink.
-func (d *Degrader) SetAdmission(a *workload.Admission) {
-	d.admission = a
-	d.syncAdmission()
-}
-
-// SetRetry links the closed-loop retry controller: infrastructure
-// faults that guarantee a rejection wave (rack loss, capacity dips, UPS
-// depletion) trip its circuit breaker immediately, and the shed ladder
-// will not fully release while the breaker is open or probing. Pass nil
-// to unlink.
+// SetRetry links the closed-loop retry controller and the admission
+// controller it wraps: infrastructure faults that guarantee a rejection
+// wave (rack loss, capacity dips, UPS depletion) trip its circuit
+// breaker immediately, every degradation action moves the user-facing
+// shed ladder (admit → degrade class → reject), and the ladder will not
+// fully release while the breaker is open or probing. Pass nil to
+// unlink both.
 func (d *Degrader) SetRetry(r *workload.RetryLoop) {
-	d.retry = r
-	if r != nil && d.admission == nil {
+	d.retry, d.admission = r, nil
+	if r != nil {
 		d.admission = r.Admission()
 	}
 	d.syncAdmission()
@@ -267,7 +237,7 @@ func (d *Degrader) OnNotice(e *sim.Engine, n fault.Notice) {
 			}
 			// Store empty, no generator: shed to the survival set now;
 			// anything still drawing is unserved load.
-			target := int(math.Ceil(float64(d.dc.Fleet().Size()) * d.cfg.SurvivalFrac))
+			target := int(math.Ceil(float64(d.dc.Fleet().Size()) * survivalFrac))
 			before := d.dc.Fleet().OnCount()
 			d.dc.Fleet().SetTarget(target)
 			if dropped := before - d.dc.Fleet().OnCount(); dropped > 0 {
@@ -356,7 +326,7 @@ func (d *Degrader) escalate(now time.Duration) {
 		d.dvfsDowns++
 	case 2:
 		active := fleet.ActiveCount()
-		shed := int(math.Ceil(float64(active) * d.cfg.ConsolidateFrac))
+		shed := int(math.Ceil(float64(active) * consolidateFrac))
 		before := fleet.OnCount()
 		fleet.SetTarget(fleet.OnCount() - shed)
 		if dropped := before - fleet.OnCount(); dropped > 0 {

@@ -213,9 +213,7 @@ func TestDegraderConfigValidation(t *testing.T) {
 	}
 	bad := []DegraderConfig{
 		{ShedInletC: 25, RecoverInletC: 30},
-		{ConsolidateFrac: 1.5},
 		{EmergencyCapFrac: -0.2},
-		{SurvivalFrac: 2},
 	}
 	for i, cfg := range bad {
 		if _, err := NewDegrader(e, dc, cfg); err == nil {

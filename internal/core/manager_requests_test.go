@@ -175,7 +175,13 @@ func TestDegraderSyncsAdmissionShedLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.SetAdmission(adm)
+	// The default retry config has no breaker, so only the degradation
+	// state moves the linked admission's shed level.
+	rl, err := workload.NewRetryLoop(workload.DefaultRetryConfig(workload.RetryBackoff), adm, e.RNG().Fork("retry"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.SetRetry(rl)
 	if adm.ShedLevel() != 0 {
 		t.Fatalf("initial shed level = %d, want 0", adm.ShedLevel())
 	}
@@ -204,5 +210,12 @@ func TestDegraderSyncsAdmissionShedLevel(t *testing.T) {
 	}
 	if d.AdmissionShedLevel() != 0 {
 		t.Errorf("AdmissionShedLevel = %d, want 0", d.AdmissionShedLevel())
+	}
+
+	// Unlinking the retry loop unlinks its admission controller too.
+	d.SetRetry(nil)
+	d.OnNotice(e, fault.Notice{Kind: fault.UtilityOutage, At: e.Now(), Start: true, Index: -1})
+	if got := adm.ShedLevel(); got != 0 {
+		t.Errorf("unlinked admission moved to shed level %d, want 0", got)
 	}
 }

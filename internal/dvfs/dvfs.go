@@ -1,10 +1,8 @@
 // Package dvfs implements the dynamic voltage and frequency scaling
-// policies of §4.2: a utilization-threshold governor, a control-based
-// response-time policy with request batching (after Elnozahy et al. [21]),
-// and an interval-based per-task governor in the spirit of Vertigo
-// (Flautner & Mudge [22]). Policies are pure deciders over a P-state
-// ladder; actuation belongs to the server model and coordination to the
-// macro layer.
+// policies of §4.2: a utilization-threshold governor and a control-based
+// response-time policy with request batching (after Elnozahy et al.
+// [21]). Policies are pure deciders over a P-state ladder; actuation
+// belongs to the server model and coordination to the macro layer.
 package dvfs
 
 import (
@@ -143,73 +141,3 @@ func absF(x float64) float64 {
 	}
 	return x
 }
-
-// Interval is a Weiser/Vertigo-style interval governor: it tracks recent
-// utilization with an EWMA per task class and picks the slowest state
-// that would have kept the observed interval below the target. Each task
-// class gets its own estimator ("the DVFS policy on per-task basis",
-// [22]).
-type Interval struct {
-	ladder []server.PState
-	target float64
-	alpha  float64
-	tasks  map[string]*control.EWMA
-}
-
-// NewInterval builds a per-task interval governor.
-func NewInterval(ladder []server.PState, target, alpha float64) (*Interval, error) {
-	if err := validLadder(ladder); err != nil {
-		return nil, err
-	}
-	if target <= 0 || target > 1 {
-		return nil, fmt.Errorf("dvfs: target %v out of (0,1]", target)
-	}
-	if alpha <= 0 || alpha > 1 {
-		return nil, fmt.Errorf("dvfs: alpha %v out of (0,1]", alpha)
-	}
-	return &Interval{
-		ladder: append([]server.PState(nil), ladder...),
-		target: target,
-		alpha:  alpha,
-		tasks:  make(map[string]*control.EWMA),
-	}, nil
-}
-
-// Observe folds one interval's utilization (at nominal frequency) for a
-// task class.
-func (iv *Interval) Observe(task string, utilization float64) error {
-	est, ok := iv.tasks[task]
-	if !ok {
-		var err error
-		est, err = control.NewEWMA(iv.alpha)
-		if err != nil {
-			return err
-		}
-		iv.tasks[task] = est
-	}
-	est.Observe(utilization)
-	return nil
-}
-
-// Decide returns the P-state index for a task class based on its smoothed
-// utilization; unknown tasks run fastest (safe default).
-func (iv *Interval) Decide(task string) int {
-	est, ok := iv.tasks[task]
-	if !ok {
-		return 0
-	}
-	u := est.Level()
-	best := 0
-	for i, ps := range iv.ladder {
-		if u <= ps.Freq*iv.target {
-			best = i
-		}
-	}
-	if u > iv.ladder[0].Freq*iv.target {
-		return 0
-	}
-	return best
-}
-
-// Tasks reports the number of tracked task classes.
-func (iv *Interval) Tasks() int { return len(iv.tasks) }

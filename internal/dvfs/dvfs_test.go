@@ -125,46 +125,3 @@ func TestResponseFeedbackBatchSlack(t *testing.T) {
 		t.Error("empty ladder should error")
 	}
 }
-
-func TestIntervalPerTask(t *testing.T) {
-	ladder := server.DefaultPStates()
-	iv, err := NewInterval(ladder, 0.8, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Unknown task: fastest (safe).
-	if iv.Decide("unknown") != 0 {
-		t.Error("unknown task should run fastest")
-	}
-	// A light task converges to a slow state; a heavy one stays fast.
-	for i := 0; i < 20; i++ {
-		if err := iv.Observe("editor", 0.10); err != nil {
-			t.Fatal(err)
-		}
-		if err := iv.Observe("encoder", 0.95); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := iv.Decide("editor"); got != len(ladder)-1 {
-		t.Errorf("light task state = %d, want slowest %d", got, len(ladder)-1)
-	}
-	if got := iv.Decide("encoder"); got != 0 {
-		t.Errorf("heavy task state = %d, want fastest", got)
-	}
-	if iv.Tasks() != 2 {
-		t.Errorf("Tasks = %d, want 2", iv.Tasks())
-	}
-}
-
-func TestIntervalValidation(t *testing.T) {
-	ladder := server.DefaultPStates()
-	if _, err := NewInterval(nil, 0.8, 0.5); err == nil {
-		t.Error("empty ladder should error")
-	}
-	if _, err := NewInterval(ladder, 0, 0.5); err == nil {
-		t.Error("zero target should error")
-	}
-	if _, err := NewInterval(ladder, 0.8, 0); err == nil {
-		t.Error("zero alpha should error")
-	}
-}

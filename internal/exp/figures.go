@@ -446,7 +446,7 @@ func RunFig4(env *Env) (Result, error) {
 	var pueSum float64
 	var pueN, powerViol int
 	e.Every(15*time.Minute, func(eng *sim.Engine) {
-		pue, _, err := dc.PUEAt(18, 0.5)
+		pue, _, err := dc.PUEAt(core.PUEOutsideC, core.PUEOutsideRH)
 		if err == nil {
 			pueSum += pue
 			pueN++

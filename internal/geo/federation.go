@@ -46,7 +46,12 @@ func New(cfg Config) (*Federation, error) {
 	// One global Messenger trace; each site's home population follows
 	// it rotated by the site's time-zone offset and scaled by its
 	// normalized population share. The pooled demand is the sum.
-	base, err := trace.GenerateMessenger(cfg.Trace, NewTraceRNG(cfg.Seed))
+	tc := trace.DefaultMessengerConfig()
+	if tc.Duration < cfg.Horizon {
+		tc.Duration = cfg.Horizon
+	}
+	tc.PeakLoginRate = cfg.PeakLoginRate
+	base, err := trace.GenerateMessenger(tc, NewTraceRNG(cfg.Seed))
 	if err != nil {
 		return nil, fmt.Errorf("geo: %w", err)
 	}

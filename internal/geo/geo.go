@@ -47,7 +47,6 @@ import (
 
 	"repro/internal/carbon"
 	"repro/internal/fault"
-	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -133,22 +132,11 @@ type Config struct {
 	// CarbonAware adds the carbon-intensity term to the weighted
 	// scoring rule (RouteWeighted only).
 	CarbonAware bool
-	// CarbonGain scales the carbon term (default 0.5): a site whose
-	// local intensity sits fraction f below the federation mean gets a
-	// 1+CarbonGain*f score boost.
-	CarbonGain float64
-	// MinShare floors every site's routing weight (default 0.02) so
-	// home users keep a latency-respecting local share even when the
-	// router drains a site. Requires MinShare*len(Sites) < 1.
-	MinShare float64
 	// PeakLoginRate normalizes the global trace's peak (users/second;
-	// default 1400 — the paper's Messenger figure).
+	// default 1400 — the paper's Messenger figure). The trace has the
+	// default Messenger shape, stretched to cover Horizon, and its
+	// arrivals split by workload.DefaultClassMix.
 	PeakLoginRate float64
-	// Trace overrides the Messenger trace shape (zero → defaults with
-	// Duration stretched to cover Horizon).
-	Trace trace.MessengerConfig
-	// Mix is the per-class split of arrivals (zero → DefaultClassMix).
-	Mix workload.ClassMix
 	// Parallel runs each site on its own goroutine between barriers.
 	// Results are bit-identical either way; only wall time moves.
 	Parallel bool
@@ -167,24 +155,8 @@ func (c Config) withDefaults() Config {
 	if c.Mode == 0 {
 		c.Mode = RouteWeighted
 	}
-	if c.MinShare == 0 {
-		c.MinShare = 0.02
-	}
-	if c.CarbonGain == 0 {
-		c.CarbonGain = 0.5
-	}
 	if c.PeakLoginRate == 0 {
 		c.PeakLoginRate = 1400
-	}
-	if c.Trace == (trace.MessengerConfig{}) {
-		c.Trace = trace.DefaultMessengerConfig()
-		if c.Trace.Duration < c.Horizon {
-			c.Trace.Duration = c.Horizon
-		}
-	}
-	c.Trace.PeakLoginRate = c.PeakLoginRate
-	if c.Mix == (workload.ClassMix{}) {
-		c.Mix = workload.DefaultClassMix()
 	}
 	for i := range c.Sites {
 		if c.Sites[i].Carbon == (carbon.Model{}) {
@@ -209,6 +181,10 @@ func (c Config) Validate() error {
 	}
 	if len(c.Sites) == 0 {
 		add("at least one site is required")
+	}
+	if n := len(c.Sites); minShare*float64(n) >= 1 {
+		add("%d sites leave no weight to route above the %v floor per site (at most %d)",
+			n, minShare, int(math.Ceil(1/minShare))-1)
 	}
 	names := make(map[string]bool, len(c.Sites))
 	for i, s := range c.Sites {
@@ -255,19 +231,6 @@ func (c Config) Validate() error {
 	case 0, RouteHome, RouteStatic, RouteWeighted:
 	default:
 		add("unknown route mode %d", int(c.Mode))
-	}
-	if c.MinShare < 0 {
-		add("min share %v must be non-negative", c.MinShare)
-	}
-	min := c.MinShare
-	if min == 0 {
-		min = 0.02
-	}
-	if n := len(c.Sites); n > 0 && min*float64(n) >= 1 {
-		add("min share %v × %d sites leaves no weight to route", min, n)
-	}
-	if c.CarbonGain < 0 {
-		add("carbon gain %v must be non-negative", c.CarbonGain)
 	}
 	if c.PeakLoginRate < 0 {
 		add("peak login rate %v must be non-negative", c.PeakLoginRate)

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -125,8 +126,8 @@ func TestFederationRunsWork(t *testing.T) {
 	}
 	var sum float64
 	for i, w := range weights {
-		if w < 0.02-1e-12 {
-			t.Errorf("site %d weight %v below MinShare floor", i, w)
+		if w < minShare-1e-12 {
+			t.Errorf("site %d weight %v below minShare floor", i, w)
 		}
 		sum += w
 	}
@@ -228,11 +229,25 @@ func TestConfigValidateAggregates(t *testing.T) {
 	}
 }
 
-func TestConfigValidateMinShare(t *testing.T) {
-	cfg := testConfig(1, 4)
-	cfg.MinShare = 0.3
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "leaves no weight") {
-		t.Fatalf("minshare*n >= 1 accepted: %v", err)
+// TestConfigValidateSiteCount: the minShare floor of 0.02 per site leaves
+// weight to route for at most 49 sites.
+func TestConfigValidateSiteCount(t *testing.T) {
+	for _, tc := range []struct {
+		sites int
+		ok    bool
+	}{{1, true}, {49, true}, {50, false}} {
+		t.Run(fmt.Sprintf("sites=%d", tc.sites), func(t *testing.T) {
+			err := testConfig(1, tc.sites).Validate()
+			want := fmt.Sprintf("%d sites leave no weight to route", tc.sites)
+			switch {
+			case tc.ok && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case !tc.ok && err == nil:
+				t.Fatal("accepted")
+			case !tc.ok && !strings.Contains(err.Error(), want):
+				t.Fatalf("error %q does not contain %q", err, want)
+			}
+		})
 	}
 }
 
@@ -252,7 +267,7 @@ func healthyStats(n int) []SiteStats {
 }
 
 func TestComputeWeightsEqualSites(t *testing.T) {
-	cfg := Config{MinShare: 0.02}
+	cfg := Config{}
 	stats := healthyStats(4)
 	dst := make([]float64, 4)
 	computeWeights(&cfg, stats, dst)
@@ -264,7 +279,7 @@ func TestComputeWeightsEqualSites(t *testing.T) {
 }
 
 func TestComputeWeightsDrainsPressure(t *testing.T) {
-	cfg := Config{MinShare: 0.02}
+	cfg := Config{}
 	for _, tc := range []struct {
 		name string
 		hurt func(*SiteStats)
@@ -275,28 +290,30 @@ func TestComputeWeightsDrainsPressure(t *testing.T) {
 		{"hot facility", func(s *SiteStats) { s.ThermalHeadroom = 0.05 }},
 		{"saturated", func(s *SiteStats) { s.Active = 100 }},
 	} {
-		stats := healthyStats(3)
-		tc.hurt(&stats[1])
-		dst := make([]float64, 3)
-		computeWeights(&cfg, stats, dst)
-		if !(dst[1] < dst[0] && dst[1] < dst[2]) {
-			t.Errorf("%s: hurt site not drained: %v", tc.name, dst)
-		}
-		if dst[1] < cfg.MinShare-1e-15 {
-			t.Errorf("%s: weight %v fell through the MinShare floor", tc.name, dst[1])
-		}
-		var sum float64
-		for _, w := range dst {
-			sum += w
-		}
-		if math.Abs(sum-1) > 1e-12 {
-			t.Errorf("%s: weights sum to %v", tc.name, sum)
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			stats := healthyStats(3)
+			tc.hurt(&stats[1])
+			dst := make([]float64, 3)
+			computeWeights(&cfg, stats, dst)
+			if !(dst[1] < dst[0] && dst[1] < dst[2]) {
+				t.Errorf("hurt site not drained: %v", dst)
+			}
+			if dst[1] < minShare-1e-15 {
+				t.Errorf("weight %v fell through the minShare floor", dst[1])
+			}
+			var sum float64
+			for _, w := range dst {
+				sum += w
+			}
+			if math.Abs(sum-1) > 1e-12 {
+				t.Errorf("weights sum to %v", sum)
+			}
+		})
 	}
 }
 
 func TestComputeWeightsCarbonAware(t *testing.T) {
-	cfg := Config{MinShare: 0.02, CarbonAware: true, CarbonGain: 0.5}
+	cfg := Config{CarbonAware: true}
 	stats := healthyStats(2)
 	stats[0].CarbonIntensity = 200
 	stats[1].CarbonIntensity = 600

@@ -44,6 +44,17 @@ type SiteStats struct {
 	At time.Duration
 }
 
+const (
+	// minShare floors every site's routing weight so home users keep a
+	// latency-respecting local share even when the router drains a
+	// site. It bounds a federation to fewer than 1/minShare sites.
+	minShare = 0.02
+	// carbonGain scales the carbon term: a site whose local intensity
+	// sits fraction f below the federation mean gets a 1+carbonGain*f
+	// score boost.
+	carbonGain = 0.5
+)
+
 // computeWeights derives the next epoch's routing weights from the
 // barrier aggregates, writing into dst (len == len(stats)). It is a
 // pure function evaluated in fixed site order, which is what makes the
@@ -53,7 +64,7 @@ type SiteStats struct {
 // pressure terms — regional capacity loss, admission pressure (low fair
 // share), breaker state, utilization headroom, thermal headroom, and
 // (optionally) relative carbon intensity. Scores are then floored at
-// MinShare and normalized.
+// minShare and normalized.
 func computeWeights(cfg *Config, stats []SiteStats, dst []float64) {
 	var fleetTotal int
 	for i := range stats {
@@ -92,7 +103,7 @@ func computeWeights(cfg *Config, stats []SiteStats, dst []float64) {
 		score *= 0.2 + 0.8*clamp01(st.ThermalHeadroom)
 		// Carbon: shift load toward the grid that is greenest right now.
 		if cfg.CarbonAware && meanCarbon > 0 {
-			f := 1 + cfg.CarbonGain*(meanCarbon-st.CarbonIntensity)/meanCarbon
+			f := 1 + carbonGain*(meanCarbon-st.CarbonIntensity)/meanCarbon
 			if f < 0.05 {
 				f = 0.05
 			}
@@ -102,10 +113,10 @@ func computeWeights(cfg *Config, stats []SiteStats, dst []float64) {
 		sum += score
 	}
 	n := float64(len(stats))
-	routable := 1 - cfg.MinShare*n
+	routable := 1 - minShare*n
 	for i := range dst {
 		if sum > 0 {
-			dst[i] = cfg.MinShare + routable*dst[i]/sum
+			dst[i] = minShare + routable*dst[i]/sum
 		} else {
 			dst[i] = 1 / n
 		}

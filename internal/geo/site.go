@@ -166,7 +166,7 @@ func (s *Site) classDemand(now time.Duration) [workload.NumClasses]float64 {
 		rate = s.weight * s.fed.global.At(now)
 	}
 	var fresh [workload.NumClasses]float64
-	s.fed.cfg.Mix.Split(workload.UsersPerTick(rate, s.fed.cfg.Tick), &fresh)
+	workload.DefaultClassMix().Split(workload.UsersPerTick(rate, s.fed.cfg.Tick), &fresh)
 	return fresh
 }
 

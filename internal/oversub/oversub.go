@@ -4,10 +4,11 @@
 // capacity will be exceeded. However, due to the statistical variations
 // of utilization, with overwhelming probability, the host is safe."
 //
-// It offers an analytic Gaussian aggregate (with pairwise correlation —
-// anti-correlated tenants oversubscribe more safely) and empirical,
-// trace-driven violation measurement, plus safe-capacity and
-// safe-ratio searches.
+// It offers empirical, trace-driven violation measurement with
+// safe-capacity and safe-ratio searches, and an analytic Gaussian
+// aggregate (with pairwise correlation — anti-correlated tenants
+// oversubscribe more safely) that the tests hold the empirical path
+// against.
 package oversub
 
 import (
@@ -95,17 +96,6 @@ func (g Gaussian) SafeCapacity(epsilon float64) (float64, error) {
 	return g.Mean() + z*g.SD(), nil
 }
 
-// WorstCase returns the worst-case (all tenants at mean + k·sd
-// simultaneously) provisioning level, the static rule oversubscription
-// replaces. k is the per-tenant peak allowance in standard deviations.
-func (g Gaussian) WorstCase(k float64) float64 {
-	var total float64
-	for i := range g.Means {
-		total += g.Means[i] + k*g.SDs[i]
-	}
-	return total
-}
-
 // Empirical computes trace-driven oversubscription statistics from
 // per-tenant demand series (all series must share the same step; shorter
 // series end early and contribute nothing past their end).
@@ -147,17 +137,6 @@ func NewEmpirical(tenants []*trace.Series) (*Empirical, error) {
 // SumOfPeaks is the static worst-case provisioning level: every tenant at
 // its own peak simultaneously.
 func (e *Empirical) SumOfPeaks() float64 { return stats.Sum(e.peaks) }
-
-// PeakOfSum is the actual peak of the aggregate.
-func (e *Empirical) PeakOfSum() float64 {
-	var m float64
-	for _, v := range e.totals {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
 
 // ViolationFraction is the fraction of time the aggregate exceeds the
 // given capacity.

@@ -1,6 +1,7 @@
 package oversub
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -121,10 +122,55 @@ func TestAntiCorrelationEnablesMoreOversubscription(t *testing.T) {
 	}
 	// Highly correlated tenants cannot be oversubscribed much: their
 	// safe capacity approaches the worst case. Anti-correlated tenants
-	// leave a large gap.
-	worst := antiCorr.WorstCase(3)
+	// leave a large gap below the static rule of every tenant at
+	// mean + 3σ at once.
+	const worst = 2 * (100 + 3*20)
 	if worst <= ca*1.2 {
 		t.Errorf("worst case %v should comfortably exceed anti-correlated safe capacity %v", worst, ca)
+	}
+}
+
+// TestGaussianMatchesEmpirical checks the analytic model against the
+// trace-driven path: tenants drawn with a common factor,
+// x_i = μ_i + σ_i(√ρ·z + √(1−ρ)·e_i), are Gaussian with pairwise
+// correlation ρ, so the empirical violation fraction at the model's safe
+// capacity for ε must sit within four binomial standard errors of ε.
+func TestGaussianMatchesEmpirical(t *testing.T) {
+	const n = 50_000
+	means := []float64{100, 150, 200, 120}
+	sds := []float64{20, 10, 30, 15}
+	for _, rho := range []float64{0, 0.3, 0.8} {
+		t.Run(fmt.Sprintf("rho=%v", rho), func(t *testing.T) {
+			rng := sim.NewRNG(7)
+			tenants := make([]*trace.Series, len(means))
+			for i := range tenants {
+				tenants[i] = &trace.Series{Step: time.Minute, Values: make([]float64, n)}
+			}
+			for k := 0; k < n; k++ {
+				z := rng.Normal(0, 1)
+				for i, s := range tenants {
+					s.Values[k] = means[i] + sds[i]*(math.Sqrt(rho)*z+math.Sqrt(1-rho)*rng.Normal(0, 1))
+				}
+			}
+			e, err := NewEmpirical(tenants)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := Gaussian{Means: means, SDs: sds, Rho: rho}
+			for _, eps := range []float64{0.1, 0.01, 0.001} {
+				t.Run(fmt.Sprintf("eps=%v", eps), func(t *testing.T) {
+					c, err := g.SafeCapacity(eps)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got := e.ViolationFraction(c)
+					if bound := 4 * math.Sqrt(eps*(1-eps)/n); math.Abs(got-eps) > bound {
+						t.Errorf("empirical violation %v at safe capacity %.2f, want within %.5f of %v",
+							got, c, bound, eps)
+					}
+				})
+			}
+		})
 	}
 }
 
@@ -149,21 +195,30 @@ func diurnalPair(t *testing.T, phaseGapHours float64) []*trace.Series {
 }
 
 func TestEmpiricalPeakOfSumVsSumOfPeaks(t *testing.T) {
+	// CapacityFor(0) is the peak of the aggregate.
+	peakOfSum := func(e *Empirical) float64 {
+		t.Helper()
+		c, err := e.CapacityFor(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
 	e, err := NewEmpirical(diurnalPair(t, 12))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.PeakOfSum() >= e.SumOfPeaks() {
+	if peakOfSum(e) >= e.SumOfPeaks() {
 		t.Errorf("peak of sum %v not below sum of peaks %v for anti-correlated tenants",
-			e.PeakOfSum(), e.SumOfPeaks())
+			peakOfSum(e), e.SumOfPeaks())
 	}
 	// In-phase tenants: the two peaks nearly coincide.
 	inPhase, err := NewEmpirical(diurnalPair(t, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ratioAnti := e.PeakOfSum() / e.SumOfPeaks()
-	ratioIn := inPhase.PeakOfSum() / inPhase.SumOfPeaks()
+	ratioAnti := peakOfSum(e) / e.SumOfPeaks()
+	ratioIn := peakOfSum(inPhase) / inPhase.SumOfPeaks()
 	if ratioAnti >= ratioIn {
 		t.Errorf("anti-phase ratio %v not below in-phase ratio %v", ratioAnti, ratioIn)
 	}

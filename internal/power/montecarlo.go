@@ -8,7 +8,7 @@ import (
 	"repro/internal/sim"
 )
 
-// SimulateAvailability validates the analytic tier model by failure
+// SimulateAvailabilityOn validates the analytic tier model by failure
 // injection: every component fails and repairs as an alternating renewal
 // process (exponential times with its MTBF/MTTR), and the facility is up
 // when the same structure function used by Tier2Design.Availability holds
@@ -16,20 +16,10 @@ import (
 // series component. It returns the empirically observed availability over
 // the simulated horizon.
 //
-// The engine is constructed internally; callers that instrument their
-// engines (probes, invariant checkers) should use SimulateAvailabilityOn
-// so the renewal process runs on an engine they observe. The random
-// stream is identical between the two forms: this wrapper burns one Int63
-// draw on the engine seed exactly as the original implementation did.
-func SimulateAvailability(d Tier2Design, horizon time.Duration, rng *sim.RNG) (float64, error) {
-	return SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), d, horizon, rng)
-}
-
-// SimulateAvailabilityOn runs the failure-injection simulation on a
-// caller-supplied engine (which must be fresh: virtual time zero and no
-// pending events), so harness probes and invariant checkers attached to
-// the engine observe the run. All randomness comes from rng; the engine's
-// own random source is untouched.
+// It runs on a caller-supplied engine (which must be fresh: virtual time
+// zero and no pending events), so harness probes and invariant checkers
+// attached to the engine observe the run. All randomness comes from rng;
+// the engine's own random source is untouched.
 func SimulateAvailabilityOn(e *sim.Engine, d Tier2Design, horizon time.Duration, rng *sim.RNG) (float64, error) {
 	if horizon <= 0 {
 		return 0, fmt.Errorf("power: horizon %v must be positive", horizon)

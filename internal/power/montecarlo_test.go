@@ -16,7 +16,8 @@ func TestSimulateAvailabilityMatchesAnalytic(t *testing.T) {
 	}
 	// 200 simulated years of failure injection.
 	const years = 200
-	sim200, err := SimulateAvailability(d, years*365*24*time.Hour, sim.NewRNG(1))
+	rng := sim.NewRNG(1)
+	sim200, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), d, years*365*24*time.Hour, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,11 +41,13 @@ func TestSimulateAvailabilityRedundancyHelps(t *testing.T) {
 	noSpare := DefaultTier2Design()
 	noSpare.GenHave = 1
 
-	a, err := SimulateAvailability(withSpare, years*365*24*time.Hour, sim.NewRNG(2))
+	rng := sim.NewRNG(2)
+	a, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), withSpare, years*365*24*time.Hour, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateAvailability(noSpare, years*365*24*time.Hour, sim.NewRNG(2))
+	rng = sim.NewRNG(2)
+	b, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), noSpare, years*365*24*time.Hour, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,17 +58,18 @@ func TestSimulateAvailabilityRedundancyHelps(t *testing.T) {
 
 func TestSimulateAvailabilityValidation(t *testing.T) {
 	d := DefaultTier2Design()
-	if _, err := SimulateAvailability(d, 0, sim.NewRNG(1)); err == nil {
+	rng := sim.NewRNG(1)
+	if _, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), d, 0, rng); err == nil {
 		t.Error("zero horizon should error")
 	}
 	bad := DefaultTier2Design()
 	bad.Utility.MTBF = 0
-	if _, err := SimulateAvailability(bad, time.Hour, sim.NewRNG(1)); err == nil {
+	if _, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), bad, time.Hour, rng); err == nil {
 		t.Error("invalid component should error")
 	}
 	bad = DefaultTier2Design()
 	bad.GenNeed = 5
-	if _, err := SimulateAvailability(bad, time.Hour, sim.NewRNG(1)); err == nil {
+	if _, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), bad, time.Hour, rng); err == nil {
 		t.Error("invalid redundancy should error")
 	}
 }
@@ -81,12 +85,14 @@ func TestSimulateAvailabilityZeroMTTR(t *testing.T) {
 	// against the same design without the component.
 	d.Path = append(d.Path, Component{Name: "flaky-switch", MTBF: 6 * time.Hour, MTTR: 0})
 	const horizon = 365 * 24 * time.Hour
-	withFlaky, err := SimulateAvailability(d, horizon, sim.NewRNG(3))
+	rng := sim.NewRNG(3)
+	withFlaky, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), d, horizon, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
 	base := DefaultTier2Design()
-	baseA, err := SimulateAvailability(base, horizon, sim.NewRNG(3))
+	rng = sim.NewRNG(3)
+	baseA, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), base, horizon, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +113,8 @@ func TestSimulateAvailabilityZeroMTTRNoEventStorm(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		if _, err := SimulateAvailability(d, 30*24*time.Hour, sim.NewRNG(4)); err != nil {
+		rng := sim.NewRNG(4)
+		if _, err := SimulateAvailabilityOn(sim.NewEngine(rng.Int63()), d, 30*24*time.Hour, rng); err != nil {
 			t.Error(err)
 		}
 	}()

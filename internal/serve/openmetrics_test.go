@@ -2,6 +2,8 @@ package serve
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -99,6 +101,39 @@ func TestWriterOutputLints(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+}
+
+// TestFormatValue pins the sample-value spelling: the shortest decimal
+// that parses back to the same float, and NaN and the infinities spelled
+// as OpenMetrics spells them, which Lint's ParseFloat also reads back.
+func TestFormatValue(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		v    float64
+		want string
+	}{
+		{"zero", 0, "0"},
+		{"integer", 700, "700"},
+		{"fraction", 21.5, "21.5"},
+		{"negative", -3.25, "-3.25"},
+		{"large", 1.5e6, "1.5e+06"},
+		{"tiny", 1e-12, "1e-12"},
+		{"NaN", math.NaN(), "NaN"},
+		{"+Inf", math.Inf(1), "+Inf"},
+		{"-Inf", math.Inf(-1), "-Inf"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := formatValue(tc.v)
+			if got != tc.want {
+				t.Errorf("formatValue(%v) = %q, want %q", tc.v, got, tc.want)
+			}
+			back, err := strconv.ParseFloat(got, 64)
+			same := math.Float64bits(back) == math.Float64bits(tc.v) || math.IsNaN(back) && math.IsNaN(tc.v)
+			if err != nil || !same {
+				t.Errorf("ParseFloat(%q) = %v, %v; want %v", got, back, err, tc.v)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"repro/internal/core"
 	"repro/internal/power"
 	"repro/internal/workload"
 )
@@ -153,13 +154,6 @@ type CarbonSnapshot struct {
 	GramsTotal float64 `json:"grams_total"`
 }
 
-// PUE is evaluated at these outside conditions, the ones batch runs
-// report PUE at.
-const (
-	outsideC  = 18
-	outsideRH = 0.5
-)
-
 // snapshotScratch holds the buffers a snapshot build uses: the
 // telemetry frame row the zone inlets are read from and the power-tree
 // flows. Handlers build snapshots concurrently under the read lock, so
@@ -309,7 +303,7 @@ func buildFacilitySnapshot(fs *FacilitySnapshot, src Source, sc *snapshotScratch
 	flow := topo.Feed.EvaluateInto(&sc.flow)
 	fs.FeedInputW = flow.InW
 	fs.DistLossW = flow.TotalLoss()
-	if pue, _, err := dc.PUEOf(flow, outsideC, outsideRH); err == nil {
+	if pue, _, err := dc.PUEOf(flow, core.PUEOutsideC, core.PUEOutsideRH); err == nil {
 		fs.PUE = pue
 	}
 }

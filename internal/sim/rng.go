@@ -7,8 +7,8 @@ import (
 
 // RNG is the deterministic random source used by every stochastic model in
 // the library. It wraps math/rand with the distributions the simulator
-// needs (exponential, Poisson, normal, lognormal, Pareto) so that call
-// sites stay readable and every draw is attributable to a single seeded
+// needs (exponential, Poisson, normal, Bernoulli) so that call sites
+// stay readable and every draw is attributable to a single seeded
 // stream.
 type RNG struct {
 	r *rand.Rand
@@ -40,11 +40,6 @@ func (g *RNG) Intn(n int) int { return g.r.Intn(n) }
 // Int63 draws a non-negative int64.
 func (g *RNG) Int63() int64 { return g.r.Int63() }
 
-// Uniform draws uniformly from [lo, hi).
-func (g *RNG) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.r.Float64()
-}
-
 // Exp draws from an exponential distribution with the given rate (>0).
 func (g *RNG) Exp(rate float64) float64 {
 	return g.r.ExpFloat64() / rate
@@ -53,22 +48,6 @@ func (g *RNG) Exp(rate float64) float64 {
 // Normal draws from N(mean, sd²).
 func (g *RNG) Normal(mean, sd float64) float64 {
 	return mean + sd*g.r.NormFloat64()
-}
-
-// LogNormal draws from a lognormal with the given parameters of the
-// underlying normal (mu, sigma).
-func (g *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*g.r.NormFloat64())
-}
-
-// Pareto draws from a Pareto distribution with scale xm > 0 and shape
-// alpha > 0. Heavy-tailed service demands use this.
-func (g *RNG) Pareto(xm, alpha float64) float64 {
-	u := g.r.Float64()
-	for u == 0 {
-		u = g.r.Float64()
-	}
-	return xm / math.Pow(u, 1/alpha)
 }
 
 // Poisson draws from a Poisson distribution with the given mean. For small
@@ -99,9 +78,3 @@ func (g *RNG) Poisson(mean float64) int {
 
 // Bernoulli reports true with probability p.
 func (g *RNG) Bernoulli(p float64) bool { return g.r.Float64() < p }
-
-// Shuffle permutes n elements via the provided swap function.
-func (g *RNG) Shuffle(n int, swap func(i, j int)) { g.r.Shuffle(n, swap) }
-
-// Perm returns a random permutation of [0,n).
-func (g *RNG) Perm(n int) []int { return g.r.Perm(n) }

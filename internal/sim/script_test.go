@@ -57,7 +57,7 @@ func runKernelScript() []string {
 	})
 
 	// Periodic anchored at an absolute start, cancelled externally later.
-	cancelQ := e.EveryFrom(500*time.Millisecond, 2*time.Second, log("q"))
+	q := e.Periodic(500*time.Millisecond, 2*time.Second, log("q"))
 
 	// Drive the first chunk one event at a time through Step.
 	for i := 0; i < 4; i++ {
@@ -68,7 +68,7 @@ func runKernelScript() []string {
 	if err := e.Run(6 * time.Second); err != nil {
 		panic(err)
 	}
-	cancelQ()
+	e.Cancel(q)
 	e.Every(3*time.Second, func(eng *Engine) {
 		fired = append(fired, fmt.Sprintf("late@%v", eng.Now()))
 		eng.ScheduleAfter(time.Duration(eng.RNG().Float64()*float64(time.Second)), log("echo"))

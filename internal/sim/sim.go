@@ -327,12 +327,6 @@ func (e *Engine) Every(period time.Duration, fn Handler) Cancel {
 	return func() { e.Cancel(h) }
 }
 
-// EveryFrom behaves like Every but fires the first tick at start (absolute).
-func (e *Engine) EveryFrom(start, period time.Duration, fn Handler) Cancel {
-	h := e.Periodic(start, period, fn)
-	return func() { e.Cancel(h) }
-}
-
 // Stop halts Run after the currently-firing event returns. A stop applies
 // only to the Run in progress: Run clears the flag on entry, so a stopped
 // engine can always be resumed with a fresh call to Run (a Stop issued

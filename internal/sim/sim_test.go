@@ -101,10 +101,10 @@ func TestEveryCancelInsideHandler(t *testing.T) {
 	}
 }
 
-func TestEveryFrom(t *testing.T) {
+func TestPeriodicFromStart(t *testing.T) {
 	e := NewEngine(1)
 	var times []time.Duration
-	e.EveryFrom(0, 15*time.Minute, func(eng *Engine) {
+	e.Periodic(0, 15*time.Minute, func(eng *Engine) {
 		times = append(times, eng.Now())
 	})
 	if err := e.Run(30 * time.Minute); err != nil {
@@ -244,32 +244,14 @@ func TestEveryNonPositivePeriodPanics(t *testing.T) {
 	e.Every(0, func(*Engine) {})
 }
 
-func TestEveryFromNonPositivePeriodPanics(t *testing.T) {
+func TestPeriodicNonPositivePeriodPanics(t *testing.T) {
 	e := NewEngine(1)
 	defer func() {
 		if recover() == nil {
 			t.Error("zero period should panic")
 		}
 	}()
-	e.EveryFrom(time.Second, 0, func(*Engine) {})
-}
-
-func TestEveryFromCancelInsideHandler(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	var cancel Cancel
-	cancel = e.EveryFrom(0, time.Minute, func(*Engine) {
-		count++
-		if count == 2 {
-			cancel()
-		}
-	})
-	if err := e.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if count != 2 {
-		t.Errorf("fired %d times, want 2", count)
-	}
+	e.Periodic(time.Second, 0, func(*Engine) {})
 }
 
 func TestStepSkipsCancelled(t *testing.T) {

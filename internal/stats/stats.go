@@ -43,13 +43,6 @@ func (r *Running) Add(x float64) {
 	r.m2 += delta * (x - r.mean)
 }
 
-// AddN folds the same observation in n times (useful for weighted series).
-func (r *Running) AddN(x float64, n int) {
-	for i := 0; i < n; i++ {
-		r.Add(x)
-	}
-}
-
 // N reports the number of observations.
 func (r *Running) N() int { return r.n }
 
@@ -204,24 +197,6 @@ func Percentile(xs []float64, p float64) (float64, error) {
 	return quantileSorted(sorted, p), nil
 }
 
-// Percentiles returns several quantiles of xs at once, sorting only once.
-func Percentiles(xs []float64, ps ...float64) ([]float64, error) {
-	if len(xs) == 0 {
-		return nil, ErrEmpty
-	}
-	sorted := make([]float64, len(xs))
-	copy(sorted, xs)
-	sort.Float64s(sorted)
-	out := make([]float64, 0, len(ps))
-	for _, p := range ps {
-		if p < 0 || p > 1 {
-			return nil, fmt.Errorf("stats: percentile %v out of [0,1]", p)
-		}
-		out = append(out, quantileSorted(sorted, p))
-	}
-	return out, nil
-}
-
 func quantileSorted(sorted []float64, p float64) float64 {
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -257,14 +232,6 @@ func Correlation(xs, ys []float64) (float64, error) {
 		return 0, nil
 	}
 	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Autocorrelation computes the lag-k autocorrelation of xs.
-func Autocorrelation(xs []float64, lag int) (float64, error) {
-	if lag < 0 || lag >= len(xs) {
-		return 0, fmt.Errorf("stats: lag %d out of range for %d samples", lag, len(xs))
-	}
-	return Correlation(xs[:len(xs)-lag], xs[lag:])
 }
 
 // Detrend subtracts a centered moving average of the given window from xs,
@@ -386,17 +353,3 @@ func MMcWait(c int, lambda, mu float64) (float64, error) {
 	}
 	return pq / (float64(c)*mu - lambda), nil
 }
-
-// Clamp limits x to [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// Lerp linearly interpolates between a and b by t in [0,1].
-func Lerp(a, b, t float64) float64 { return a + (b-a)*t }

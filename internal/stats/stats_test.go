@@ -133,24 +133,6 @@ func TestPercentile(t *testing.T) {
 	}
 }
 
-func TestPercentilesMatchesSingle(t *testing.T) {
-	xs := []float64{9, 1, 4, 7, 3, 8, 2, 6, 5}
-	ps := []float64{0.1, 0.5, 0.9, 0.99}
-	multi, err := Percentiles(xs, ps...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, p := range ps {
-		single, err := Percentile(xs, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almost(multi[i], single, 1e-12) {
-			t.Errorf("Percentiles[%v] = %v, want %v", p, multi[i], single)
-		}
-	}
-}
-
 func TestPercentileDoesNotMutate(t *testing.T) {
 	xs := []float64{3, 1, 2}
 	if _, err := Percentile(xs, 0.5); err != nil {
@@ -207,20 +189,6 @@ func TestCorrelationBounded(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAutocorrelationLagZero(t *testing.T) {
-	xs := []float64{1, 3, 2, 5, 4, 6, 8, 7}
-	got, err := Autocorrelation(xs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(got, 1, 1e-12) {
-		t.Errorf("lag-0 autocorrelation = %v, want 1", got)
-	}
-	if _, err := Autocorrelation(xs, len(xs)); err == nil {
-		t.Error("excessive lag should error")
 	}
 }
 
@@ -354,21 +322,6 @@ func TestMMcWait(t *testing.T) {
 	}
 	if _, err := MMcWait(1, 1, 0); err == nil {
 		t.Error("mu=0 should error")
-	}
-}
-
-func TestClampAndLerp(t *testing.T) {
-	if got := Clamp(5, 0, 1); got != 1 {
-		t.Errorf("Clamp(5,0,1) = %v", got)
-	}
-	if got := Clamp(-5, 0, 1); got != 0 {
-		t.Errorf("Clamp(-5,0,1) = %v", got)
-	}
-	if got := Clamp(0.3, 0, 1); got != 0.3 {
-		t.Errorf("Clamp(0.3,0,1) = %v", got)
-	}
-	if got := Lerp(10, 20, 0.5); got != 15 {
-		t.Errorf("Lerp = %v, want 15", got)
 	}
 }
 

@@ -117,121 +117,3 @@ func FuzzGenerateSurge(f *testing.F) {
 		}
 	})
 }
-
-// FuzzParseCSV feeds the workload parser arbitrary text: it must never
-// panic, never accept a non-physical series (non-positive step,
-// non-finite values), and anything it accepts must survive a
-// render-and-reparse round trip.
-func FuzzParseCSV(f *testing.F) {
-	mess, err := GenerateMessenger(DefaultMessengerConfig(), sim.NewRNG(1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(mess.Logins.Window(0, 2*time.Hour).CSV("logins"))
-	f.Add("seconds,demand\n0,50\n600,3500\n1200,400\n")
-	f.Add("seconds,x\n0,1\n")
-	f.Add("seconds,x\n")
-	f.Add("seconds,x\n0,NaN\n")
-	f.Add("seconds,x\n0,1\n1,2\n3,3\n")
-	f.Add("not,a,csv\n")
-	f.Add("")
-	f.Fuzz(func(t *testing.T, data string) {
-		s, name, err := ParseCSV(data)
-		if err != nil {
-			return
-		}
-		if s.Step <= 0 {
-			t.Fatalf("accepted step %v, want positive", s.Step)
-		}
-		if name == "" {
-			t.Fatal("accepted empty series name")
-		}
-		assertSeriesPhysicalSigned(t, s)
-
-		s2, name2, err := ParseCSV(s.CSV(name))
-		if err != nil {
-			t.Fatalf("re-parse of rendered CSV failed: %v", err)
-		}
-		if name2 != name {
-			t.Fatalf("name round trip: %q != %q", name2, name)
-		}
-		if len(s.Values) > 1 && s2.Step != s.Step {
-			t.Fatalf("step round trip: %v != %v", s2.Step, s.Step)
-		}
-		if len(s2.Values) != len(s.Values) {
-			t.Fatalf("length round trip: %d != %d", len(s2.Values), len(s.Values))
-		}
-		for i := range s.Values {
-			// CSV prints %.6g, so the round trip is only that precise.
-			a, b := s.Values[i], s2.Values[i]
-			if math.Abs(a-b) > 1e-5*math.Max(math.Abs(a), math.Abs(b)) {
-				t.Fatalf("value[%d] round trip: %v != %v", i, a, b)
-			}
-		}
-	})
-}
-
-// assertSeriesPhysicalSigned checks finiteness only: ParseCSV accepts
-// signed series (temperature traces go below zero), unlike the demand
-// generators.
-func assertSeriesPhysicalSigned(t *testing.T, s *Series) {
-	t.Helper()
-	for i, v := range s.Values {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			t.Fatalf("parsed value[%d] = %v, want finite", i, v)
-		}
-	}
-}
-
-// TestParseCSVRoundTrip pins the deterministic inverse property on real
-// generator output (whole-second steps).
-func TestParseCSVRoundTrip(t *testing.T) {
-	surge, err := GenerateSurge(DefaultSurgeConfig(), sim.NewRNG(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, name, err := ParseCSV(surge.CSV("servers"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name != "servers" {
-		t.Errorf("name = %q, want servers", name)
-	}
-	if got.Step != surge.Step {
-		t.Errorf("step = %v, want %v", got.Step, surge.Step)
-	}
-	if got.Len() != surge.Len() {
-		t.Fatalf("len = %d, want %d", got.Len(), surge.Len())
-	}
-	for i := range surge.Values {
-		a, b := surge.Values[i], got.Values[i]
-		if math.Abs(a-b) > 1e-5*math.Abs(a) {
-			t.Fatalf("value[%d]: %v != %v", i, a, b)
-		}
-	}
-}
-
-// TestParseCSVRejects enumerates the malformed inputs the parser must
-// refuse, each with a distinct cause.
-func TestParseCSVRejects(t *testing.T) {
-	cases := []struct{ name, in string }{
-		{"empty", ""},
-		{"bad-header", "time,x\n0,1\n"},
-		{"unnamed", "seconds,\n0,1\n"},
-		{"no-comma", "seconds,x\n01\n"},
-		{"bad-timestamp", "seconds,x\nzero,1\n"},
-		{"bad-value", "seconds,x\n0,one\n"},
-		{"nan-value", "seconds,x\n0,NaN\n"},
-		{"inf-value", "seconds,x\n0,+Inf\n"},
-		{"nonzero-start", "seconds,x\n5,1\n10,2\n"},
-		{"non-increasing", "seconds,x\n0,1\n0,2\n"},
-		{"uneven-spacing", "seconds,x\n0,1\n60,2\n180,3\n"},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			if _, _, err := ParseCSV(tc.in); err == nil {
-				t.Fatalf("ParseCSV(%q) accepted malformed input", tc.in)
-			}
-		})
-	}
-}

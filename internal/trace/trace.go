@@ -27,14 +27,6 @@ type Series struct {
 	Values []float64
 }
 
-// NewSeries builds a series with the given step and values.
-func NewSeries(step time.Duration, values []float64) (*Series, error) {
-	if step <= 0 {
-		return nil, fmt.Errorf("trace: step %v must be positive", step)
-	}
-	return &Series{Step: step, Values: values}, nil
-}
-
 // Len reports the number of samples.
 func (s *Series) Len() int { return len(s.Values) }
 

@@ -8,10 +8,7 @@ import (
 )
 
 func TestSeriesAtInterpolates(t *testing.T) {
-	s, err := NewSeries(time.Minute, []float64{0, 10, 20})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &Series{Step: time.Minute, Values: []float64{0, 10, 20}}
 	tests := []struct {
 		at   time.Duration
 		want float64
@@ -38,15 +35,6 @@ func TestSeriesEmptyAt(t *testing.T) {
 	}
 	if s.Mean() != 0 || s.Max() != 0 || s.Min() != 0 {
 		t.Error("empty series aggregates should be 0")
-	}
-}
-
-func TestNewSeriesValidation(t *testing.T) {
-	if _, err := NewSeries(0, nil); err == nil {
-		t.Error("zero step should error")
-	}
-	if _, err := NewSeries(-time.Second, nil); err == nil {
-		t.Error("negative step should error")
 	}
 }
 

@@ -1,10 +1,6 @@
 package vm
 
-import (
-	"fmt"
-	"sort"
-	"time"
-)
+import "fmt"
 
 // Policy selects a placement strategy.
 type Policy int
@@ -140,100 +136,4 @@ func peakWith(h *Host, v *VM) float64 {
 	peak := h.CPUPeak()
 	h.vms = h.vms[:len(h.vms)-1]
 	return peak
-}
-
-// Migration is one planned VM move.
-type Migration struct {
-	VM, From, To string
-	// Duration is the expected live-migration time.
-	Duration time.Duration
-}
-
-// MigrationModel converts VM memory footprint into live-migration time:
-// pre-copy transfers MemGB at BandwidthGBps while the guest dirties pages
-// at DirtyFactor of the transfer rate, so the effective time inflates by
-// 1/(1−DirtyFactor), plus a fixed stop-and-copy Downtime.
-type MigrationModel struct {
-	BandwidthGBps float64
-	DirtyFactor   float64
-	Downtime      time.Duration
-}
-
-// DefaultMigrationModel is 10 GbE with a moderate dirty rate.
-func DefaultMigrationModel() MigrationModel {
-	return MigrationModel{BandwidthGBps: 1.0, DirtyFactor: 0.2, Downtime: 300 * time.Millisecond}
-}
-
-// Duration estimates the live-migration time for a VM.
-func (m MigrationModel) Duration(v *VM) (time.Duration, error) {
-	if m.BandwidthGBps <= 0 {
-		return 0, fmt.Errorf("vm: migration bandwidth %v must be positive", m.BandwidthGBps)
-	}
-	if m.DirtyFactor < 0 || m.DirtyFactor >= 1 {
-		return 0, fmt.Errorf("vm: dirty factor %v out of [0,1)", m.DirtyFactor)
-	}
-	secs := v.Size.MemGB / m.BandwidthGBps / (1 - m.DirtyFactor)
-	return time.Duration(secs*float64(time.Second)) + m.Downtime, nil
-}
-
-// Consolidate plans migrations that pack all VMs onto as few hosts as
-// possible (best-fit-decreasing by CPU reservation), enabling the rest to
-// be powered off (§4.4: "dynamically migrate VMs … to improve resource
-// utilizations on active servers. And through doing so, shut down
-// inactive servers"). Hosts are mutated to the post-plan state; the
-// returned migrations describe the moves.
-func Consolidate(hosts []*Host, model MigrationModel) ([]Migration, error) {
-	type placed struct {
-		v    *VM
-		from *Host
-	}
-	var all []placed
-	for _, h := range hosts {
-		for _, v := range h.VMs() {
-			all = append(all, placed{v: v, from: h})
-		}
-	}
-	// Detach everything, then re-place best-fit-decreasing.
-	for _, h := range hosts {
-		h.vms = nil
-	}
-	sort.SliceStable(all, func(i, j int) bool {
-		return all[i].v.Size.CPU > all[j].v.Size.CPU
-	})
-	var migrations []Migration
-	for _, p := range all {
-		target, err := choose(p.v, hosts, BestFit)
-		if err != nil {
-			// Out of room (should not happen: we only re-place what
-			// fitted before). Restore to origin.
-			if restoreErr := p.from.Place(p.v); restoreErr != nil {
-				return migrations, fmt.Errorf("vm: consolidation failed and could not restore %s: %w", p.v.Name, restoreErr)
-			}
-			continue
-		}
-		if err := target.Place(p.v); err != nil {
-			return migrations, err
-		}
-		if target != p.from {
-			d, err := model.Duration(p.v)
-			if err != nil {
-				return migrations, err
-			}
-			migrations = append(migrations, Migration{
-				VM: p.v.Name, From: p.from.Name, To: target.Name, Duration: d,
-			})
-		}
-	}
-	return migrations, nil
-}
-
-// EmptyHosts returns the hosts with no VMs (candidates to power off).
-func EmptyHosts(hosts []*Host) []*Host {
-	var out []*Host
-	for _, h := range hosts {
-		if len(h.VMs()) == 0 {
-			out = append(out, h)
-		}
-	}
-	return out
 }

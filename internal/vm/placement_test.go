@@ -137,74 +137,6 @@ func TestInterferenceAwareSeparatesHeavyVMs(t *testing.T) {
 	}
 }
 
-func TestConsolidatePacksAndFreesHosts(t *testing.T) {
-	hs := hosts3(t)
-	// Scatter small VMs across all three hosts.
-	for i, h := range hs {
-		names := []string{"a", "b", "c"}
-		if err := h.Place(mkVM(names[i]+"1", 2)); err != nil {
-			t.Fatal(err)
-		}
-		if err := h.Place(mkVM(names[i]+"2", 1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	migs, err := Consolidate(hs, DefaultMigrationModel())
-	if err != nil {
-		t.Fatal(err)
-	}
-	empty := EmptyHosts(hs)
-	if len(empty) == 0 {
-		t.Error("consolidation freed no hosts")
-	}
-	// Every VM still placed exactly once.
-	total := 0
-	for _, h := range hs {
-		total += len(h.VMs())
-	}
-	if total != 6 {
-		t.Errorf("VM count after consolidation = %d, want 6", total)
-	}
-	if len(migs) == 0 {
-		t.Error("no migrations recorded despite repacking")
-	}
-	for _, m := range migs {
-		if m.Duration <= 0 {
-			t.Errorf("migration %v has non-positive duration", m)
-		}
-		if m.From == m.To {
-			t.Errorf("migration %v moves nowhere", m)
-		}
-	}
-}
-
-func TestConsolidateRespectsCapacity(t *testing.T) {
-	hs := []*Host{mkHost(t, "h1", 4), mkHost(t, "h2", 4)}
-	if err := hs[0].Place(mkVM("a", 3)); err != nil {
-		t.Fatal(err)
-	}
-	if err := hs[1].Place(mkVM("b", 3)); err != nil {
-		t.Fatal(err)
-	}
-	// Cannot fit both on one host; consolidation must keep both placed
-	// without violating capacity.
-	if _, err := Consolidate(hs, DefaultMigrationModel()); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range hs {
-		if h.Used().CPU > h.Capacity.CPU {
-			t.Errorf("host %s over capacity after consolidation", h.Name)
-		}
-	}
-	total := 0
-	for _, h := range hs {
-		total += len(h.VMs())
-	}
-	if total != 2 {
-		t.Errorf("VM count = %d, want 2", total)
-	}
-}
-
 func TestPolicyStrings(t *testing.T) {
 	for p, want := range map[Policy]string{
 		FirstFit: "first-fit", BestFit: "best-fit",

@@ -1,7 +1,7 @@
 // Package vm models the virtualization substrate of §4.4: VMs with
 // multi-resource sizes and time-varying CPU demand, hosts with capacities,
-// live migration with transfer-time cost, and placement policies —
-// including the two phenomena the paper singles out:
+// and placement policies, including the two phenomena the paper singles
+// out:
 //
 //   - non-additive interference: "due to disk contention, putting two disk
 //     IO intensive applications on the same host machine may cause
@@ -158,17 +158,6 @@ func (h *Host) Place(v *VM) error {
 	}
 	h.vms = append(h.vms, v)
 	return nil
-}
-
-// Remove detaches a VM by name and returns it.
-func (h *Host) Remove(name string) (*VM, error) {
-	for i, v := range h.vms {
-		if v.Name == name {
-			h.vms = append(h.vms[:i], h.vms[i+1:]...)
-			return v, nil
-		}
-	}
-	return nil, fmt.Errorf("vm: %s not on host %s", name, h.Name)
 }
 
 // CPUDemandAt returns the host's total CPU demand (cores) at time t.

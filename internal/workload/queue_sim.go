@@ -18,22 +18,17 @@ type QueueSimResult struct {
 	MeanUtilization float64
 }
 
-// SimulateMM1 runs an event-driven M/M/1 (FIFO) queue: Poisson arrivals
-// at rate lambda (1/s), exponential service at rate mu (1/s), for the
-// given virtual horizon. It exists to validate the fluid QueueModel the
-// closed-loop experiments use — the fluid R = S/(1−ρ) is exactly the
-// M/M/1 mean sojourn time, and this simulator measures it from first
-// principles.
-func SimulateMM1(lambda, mu float64, horizon time.Duration, rng *sim.RNG) (QueueSimResult, error) {
-	return SimulateMM1On(sim.NewEngine(rng.Int63()), lambda, mu, horizon, rng)
-}
-
-// SimulateMM1On runs the M/M/1 simulation on a caller-supplied engine
-// (which must be fresh: virtual time zero and no pending events), so
-// probes and invariant checkers attached to the engine observe the run.
-// All randomness comes from rng; the engine's own random source is
-// untouched. SimulateMM1 wraps it with an internally-built engine and an
-// identical random stream (one Int63 draw for the engine seed first).
+// SimulateMM1On runs an event-driven M/M/1 (FIFO) queue: Poisson
+// arrivals at rate lambda (1/s), exponential service at rate mu (1/s),
+// for the given virtual horizon. It exists to validate the fluid
+// QueueModel the closed-loop experiments use — the fluid R = S/(1−ρ) is
+// exactly the M/M/1 mean sojourn time, and this simulator measures it
+// from first principles.
+//
+// It runs on a caller-supplied engine (which must be fresh: virtual time
+// zero and no pending events), so probes and invariant checkers attached
+// to the engine observe the run. All randomness comes from rng; the
+// engine's own random source is untouched.
 func SimulateMM1On(e *sim.Engine, lambda, mu float64, horizon time.Duration, rng *sim.RNG) (QueueSimResult, error) {
 	if lambda <= 0 || mu <= 0 {
 		return QueueSimResult{}, fmt.Errorf("workload: rates must be positive, got lambda=%v mu=%v", lambda, mu)

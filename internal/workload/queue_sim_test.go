@@ -15,7 +15,8 @@ func TestSimulateMM1MatchesFluidModel(t *testing.T) {
 	q := QueueModel{ServiceTime: 20 * time.Millisecond, MaxResponse: time.Minute}
 	for _, rho := range []float64{0.3, 0.6, 0.8} {
 		lambda := rho * mu
-		res, err := SimulateMM1(lambda, mu, 6*time.Hour, sim.NewRNG(int64(rho*100)))
+		rng := sim.NewRNG(int64(rho * 100))
+		res, err := SimulateMM1On(sim.NewEngine(rng.Int63()), lambda, mu, 6*time.Hour, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,27 +45,29 @@ func TestSimulateMM1MatchesFluidModel(t *testing.T) {
 
 func TestSimulateMM1Validation(t *testing.T) {
 	rng := sim.NewRNG(1)
-	if _, err := SimulateMM1(0, 1, time.Hour, rng); err == nil {
+	if _, err := SimulateMM1On(sim.NewEngine(rng.Int63()), 0, 1, time.Hour, rng); err == nil {
 		t.Error("zero lambda should error")
 	}
-	if _, err := SimulateMM1(1, 0, time.Hour, rng); err == nil {
+	if _, err := SimulateMM1On(sim.NewEngine(rng.Int63()), 1, 0, time.Hour, rng); err == nil {
 		t.Error("zero mu should error")
 	}
-	if _, err := SimulateMM1(1, 1, 0, rng); err == nil {
+	if _, err := SimulateMM1On(sim.NewEngine(rng.Int63()), 1, 1, 0, rng); err == nil {
 		t.Error("zero horizon should error")
 	}
 	// A horizon too short for any completion errors rather than lying.
-	if _, err := SimulateMM1(0.0001, 0.0001, time.Millisecond, rng); err == nil {
+	if _, err := SimulateMM1On(sim.NewEngine(rng.Int63()), 0.0001, 0.0001, time.Millisecond, rng); err == nil {
 		t.Error("no-completion run should error")
 	}
 }
 
 func TestSimulateMM1Deterministic(t *testing.T) {
-	a, err := SimulateMM1(30, 50, time.Hour, sim.NewRNG(7))
+	rng := sim.NewRNG(7)
+	a, err := SimulateMM1On(sim.NewEngine(rng.Int63()), 30, 50, time.Hour, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := SimulateMM1(30, 50, time.Hour, sim.NewRNG(7))
+	rng = sim.NewRNG(7)
+	b, err := SimulateMM1On(sim.NewEngine(rng.Int63()), 30, 50, time.Hour, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
