@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/par"
+	"repro/internal/power"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -170,9 +171,43 @@ func TestArmedDispatchAllocationFree(t *testing.T) {
 }
 
 // BenchmarkArmedEvent measures the armed check of one event that changes
-// a single server of an n-server fleet. Checked at O(changes), its cost
-// stays roughly flat in n.
+// a single server of an n-server fleet, and of a 20-rack power tree
+// shaped like a geo site's (2 UPS × 2 PDU × 5 racks) after an event that
+// changes none or all of its rack loads. Checked at O(changes), the
+// fleet's cost stays roughly flat in n, and an unchanged tree is read
+// but not evaluated.
 func BenchmarkArmedEvent(b *testing.B) {
+	for _, changed := range []bool{false, true} {
+		b.Run(fmt.Sprintf("tree=20/changed=%v", changed), func(b *testing.B) {
+			topo, err := power.NewTopology(power.TopologyConfig{
+				UPSCount: 2, PDUsPerUPS: 2, RacksPerPDU: 5, RackRatedW: 10_000, Oversubscription: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			loads := make([]float64, len(topo.Racks))
+			for r, rack := range topo.Racks {
+				loads[r] = 4000 + 200*float64(r)
+				rack.AddLoad(func() float64 { return loads[r] })
+			}
+			c := NewChecker()
+			c.CheckComponent(0, topo)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if changed {
+					for r := range loads {
+						loads[r] = 4000 + 200*float64(r) + float64(i%2)
+					}
+				}
+				c.CheckComponent(time.Duration(i)*time.Second, topo)
+			}
+			b.StopTimer()
+			if err := c.Err(); err != nil {
+				b.Fatal(err)
+			}
+		})
+	}
 	for _, n := range []int{1_000, 10_000} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			e, f, c := armedFleet(b, n, nil)

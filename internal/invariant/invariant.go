@@ -10,22 +10,27 @@
 // The checker rides the kernel's observation hooks: Attach registers an
 // after-event callback on a sim.Engine, and after every fired event it
 // scans the engine's registered components (fleets, cooling rooms, power
-// topologies, and anything implementing Checkable). Rooms, topologies and
-// checkables are checked in full after every event. A fleet is checked at
+// topologies, and anything implementing Checkable). Rooms and checkables
+// are checked in full after every event. A fleet is checked at
 // O(changes): after each event the checker checks only the servers whose
 // columns changed since its last check (core.Fleet.Changed) and compares
 // its own per-state counts with the fleet's O(1) counters. Once every
 // Size() events, and whenever Err or Violations is read, it sweeps every
 // server of the fleet and cross-validates the fleet's derived columns and
-// maintained aggregates against a full recompute. A server's name is
-// formatted only for a report. Checks are read-only — the checker never
-// advances, syncs, or otherwise mutates a substrate — so an armed run is
-// behaviourally identical to an unarmed one.
+// maintained aggregates against a full recompute. A power tree is read
+// after every event but evaluated and walked only when its raw leaf
+// readings, its node count or its strictness differ from its last walk,
+// or when that walk found a violation; ratings and loss models are fixed
+// at construction, so a skipped walk would have reported nothing. A
+// server's name is formatted only for a report. Checks are read-only —
+// the checker never advances, syncs, or otherwise mutates a substrate —
+// so an armed run is behaviourally identical to an unarmed one.
 package invariant
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/cooling"
@@ -115,6 +120,15 @@ type fleetTrack struct {
 	now time.Duration
 }
 
+// topoTrack is what the checker's last walk of one power tree saw.
+type topoTrack struct {
+	// readings holds the raw leaf readings in evaluation order.
+	readings []float64
+	nodes    int
+	strict   bool
+	violated bool
+}
+
 // Checker accumulates invariant violations across every engine it is
 // attached to. A checker is owned by a single run (one experiment × one
 // seed) and is not safe for concurrent use — the parallel harness gives
@@ -127,9 +141,13 @@ type Checker struct {
 	// order lists the fleets in first-check order, so sweeps on Err
 	// report in a deterministic order.
 	order []*fleetTrack
-	// flows backs the power tree checkTopology evaluates, reused across
-	// checks so an armed run does not rebuild the tree on the heap.
-	flows []power.Flow
+	// topos holds the last walk of every power tree checked.
+	topos map[*power.Topology]*topoTrack
+	// readings and flows back the leaf readings and the power tree
+	// checkTopology reads and evaluates, reused across checks so an
+	// armed run does not rebuild them on the heap.
+	readings []float64
+	flows    []power.Flow
 }
 
 // NewChecker builds an armed checker.
@@ -440,25 +458,59 @@ func saneTemp(t float64) bool {
 // policy signed up for (§3.1) and only NaN/negative flows are flagged.
 // Cap excursions are always allowed here — caps are advisory at the tree
 // layer and enforcement is the macro layer's job.
+//
+// A clean tree whose leaf readings, node count and strictness match its
+// last walk is not walked again: its flow would be the same, and a surge
+// ceiling, the one parameter set after construction that the rules read,
+// is at least the rating, so a clean tree cannot exceed it.
 func (c *Checker) checkTopology(now time.Duration, t *power.Topology) {
-	flow := t.Feed.EvaluateInto(&c.flows)
+	tt := c.topos[t]
+	if tt == nil {
+		if c.topos == nil { // most runs register no tree
+			c.topos = make(map[*power.Topology]*topoTrack)
+		}
+		tt = &topoTrack{}
+		c.topos[t] = tt
+	}
+	var nodes int
+	c.readings, nodes = t.Feed.AppendLoads(c.readings[:0])
 	strict := t.Oversubscription <= 1
-	c.walkFlow(now, strict, &flow)
+	if !tt.violated && nodes == tt.nodes && strict == tt.strict &&
+		slices.EqualFunc(c.readings, tt.readings, sameBits) {
+		return
+	}
+	tt.readings = append(tt.readings[:0], c.readings...)
+	tt.nodes, tt.strict = nodes, strict
+	flow := t.Feed.EvaluateInto(&c.flows)
+	tt.violated = c.walkFlow(now, strict, &flow)
 }
 
-func (c *Checker) walkFlow(now time.Duration, strict bool, f *power.Flow) {
+// sameBits reports whether a and b are the same float bit for bit, so a
+// NaN reading matches itself and -0 does not match 0.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// walkFlow checks every node of an evaluated tree and reports whether
+// any broke a rule, also past the violation cap.
+func (c *Checker) walkFlow(now time.Duration, strict bool, f *power.Flow) bool {
+	violated := false
 	if math.IsNaN(f.OutW) || f.OutW < 0 || math.IsNaN(f.InW) || f.InW < f.OutW {
 		c.report("power-flow-sane", now, "%s[%s]: out %v W in %v W", f.Name, f.Kind, f.OutW, f.InW)
+		violated = true
 	}
 	if strict && f.Overloaded {
 		c.report("power-tier-capacity", now, "%s[%s]: output %v W over rating (util %.1f%%) without oversubscription",
 			f.Name, f.Kind, f.OutW, f.Utilization*100)
+		violated = true
 	}
 	if strict && f.SurgeExceeded {
 		c.report("power-tier-capacity", now, "%s[%s]: output %v W over surge ceiling without oversubscription",
 			f.Name, f.Kind, f.OutW)
+		violated = true
 	}
 	for i := range f.Children {
-		c.walkFlow(now, strict, &f.Children[i])
+		if c.walkFlow(now, strict, &f.Children[i]) {
+			violated = true
+		}
 	}
+	return violated
 }

@@ -3,7 +3,9 @@ package invariant
 import (
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -190,19 +192,147 @@ func wideTopology(t *testing.T) (topo *power.Topology, loads []float64) {
 	return topo, loads
 }
 
-// TestTopologyCheckAllocationFree: the armed checker evaluates the power
-// tree after every event, so once its flow buffer is sized a topology
-// check allocates nothing.
+// TestTopologyCheckAllocationFree: the armed checker reads the power
+// tree's loads after every event and evaluates the tree when they
+// change, so once its buffers are sized a topology check allocates
+// nothing, whether it skips the walk or re-walks the tree.
 func TestTopologyCheckAllocationFree(t *testing.T) {
-	topo, _ := wideTopology(t)
+	topo, loads := wideTopology(t)
 	c := NewChecker()
 	c.CheckComponent(0, topo)
-	allocs := testing.AllocsPerRun(100, func() { c.CheckComponent(time.Second, topo) })
+	skipped := testing.AllocsPerRun(100, func() { c.CheckComponent(time.Second, topo) })
+	step := 0.0
+	walked := testing.AllocsPerRun(100, func() {
+		step++
+		for r := range loads {
+			loads[r] = 4000 + 30*float64(r) + step
+		}
+		c.CheckComponent(2*time.Second, topo)
+	})
 	if err := c.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if allocs != 0 {
-		t.Errorf("topology check allocates %v times per call, want 0", allocs)
+	if skipped != 0 {
+		t.Errorf("skipped topology check allocates %v times per call, want 0", skipped)
+	}
+	if walked != 0 {
+		t.Errorf("re-walked topology check allocates %v times per call, want 0", walked)
+	}
+}
+
+// topoStep changes a power tree or the loads wideTopology gave its racks
+// before one check.
+type topoStep func(topo *power.Topology, loads []float64)
+
+// hold returns n steps that change nothing.
+func hold(n int) []topoStep {
+	return make([]topoStep, n) // a nil step changes nothing
+}
+
+// setRack returns a step that makes rack r draw w watts.
+func setRack(r int, w float64) topoStep {
+	return func(_ *power.Topology, loads []float64) { loads[r] = w }
+}
+
+// setOversubscription returns a step that records a new sizing factor
+// on the tree, which decides whether overloads are violations.
+func setOversubscription(x float64) topoStep {
+	return func(topo *power.Topology, _ []float64) { topo.Oversubscription = x }
+}
+
+// steps joins scripts into one.
+func steps(parts ...[]topoStep) []topoStep {
+	var out []topoStep
+	for _, p := range parts {
+		out = append(out, p...)
+	}
+	return out
+}
+
+// checkTopoScript checks topo once per step with one armed checker, and
+// with a fresh checker per step, which has no history and so walks the
+// tree every time. The armed checker must report what the fresh ones
+// report between them, cut at the cap. It returns how many of the armed
+// checks evaluated the tree.
+func checkTopoScript(t *testing.T, topo *power.Topology, loads []float64, script []topoStep) int {
+	t.Helper()
+	armed := NewChecker()
+	var want []Violation
+	walks := 0
+	for i, step := range script {
+		if step != nil {
+			step(topo, loads)
+		}
+		now := time.Duration(i) * time.Second
+		// A walk evaluates into the flow buffer; a skipped check leaves
+		// a cleared one cleared.
+		armed.flows = nil
+		armed.CheckComponent(now, topo)
+		if armed.flows != nil {
+			walks++
+		}
+		ref := NewChecker()
+		ref.CheckComponent(now, topo)
+		want = append(want, ref.Violations()...)
+	}
+	want = want[:min(len(want), armed.max)]
+	if got := armed.Violations(); !slices.Equal(got, want) {
+		t.Fatalf("armed checker reported %d violations, fresh checkers %d:\narmed %v\nfresh %v", len(got), len(want), got, want)
+	}
+	return walks
+}
+
+// TestTopologySkipIsExact: over scripted leaf-reading sequences, a
+// checker that skips the walk of an unchanged clean tree reports exactly
+// what checkers that walk at every event report, rule, time and detail,
+// and walks only after a change or a violation.
+func TestTopologySkipIsExact(t *testing.T) {
+	nan, neg0 := math.NaN(), math.Copysign(0, -1)
+	everyRack := func(dw float64) topoStep {
+		return func(_ *power.Topology, loads []float64) {
+			for r := range loads {
+				loads[r] = 4000 + 30*float64(r) + dw
+			}
+		}
+	}
+	// spare hangs an unloaded rack under the first PDU whose fixed loss
+	// alone pushes the PDU over its 100 kW rating: the readings stay the
+	// same, only the node count says the tree changed.
+	spareRack, err := power.NewNode("spare", power.KindRack, 60_000, power.LossModel{Fixed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spare := func(topo *power.Topology, _ []float64) { topo.PDUs[0].AddChild(spareRack) }
+	extraLoad := func(topo *power.Topology, _ []float64) {
+		topo.Racks[5].AddLoad(func() float64 { return 7000 })
+	}
+	cases := []struct {
+		name   string
+		script []topoStep
+		walks  int
+	}{
+		{"steady", hold(50), 1},
+		{"one rack over its rating and back",
+			steps(hold(5), []topoStep{setRack(7, 12_000)}, hold(5), []topoStep{setRack(7, 4210)}, hold(5)), 8},
+		{"every rack stepped",
+			[]topoStep{everyRack(0), everyRack(1), everyRack(2), everyRack(-3), everyRack(1e-9)}, 5},
+		{"NaN and negative readings",
+			steps([]topoStep{setRack(3, nan)}, hold(2), []topoStep{setRack(3, -500), setRack(3, -500), setRack(3, -600),
+				setRack(3, 0), setRack(3, neg0), setRack(3, 4090)}, hold(2)), 8},
+		{"oversubscription flipped",
+			steps([]topoStep{setRack(0, 12_000), setOversubscription(1.25)}, hold(3),
+				[]topoStep{setOversubscription(1)}, hold(2), []topoStep{setOversubscription(1.25)}, hold(2)), 6},
+		{"standing overload past the cap", steps([]topoStep{setRack(0, 12_000)}, hold(30)), 31},
+		{"load added after the first check", steps(hold(2), []topoStep{extraLoad}, hold(3)), 5},
+		{"rack added after the first check", steps(hold(2), []topoStep{spare}, hold(3)), 5},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			topo, loads := wideTopology(t)
+			if walks := checkTopoScript(t, topo, loads, tc.script); walks != tc.walks {
+				t.Errorf("armed checker walked the tree %d times, want %d", walks, tc.walks)
+			}
+		})
 	}
 }
 

@@ -92,22 +92,33 @@ type Node struct {
 	capW     float64 // active power cap; 0 = uncapped
 }
 
-// NewNode builds a distribution node. ratedW must be positive.
+// NewNode builds a distribution node. ratedW must be finite and
+// positive: no draw exceeds a NaN or infinite rating, so no capacity
+// check could fire against one.
 func NewNode(name string, kind Kind, ratedW float64, loss LossModel) (*Node, error) {
+	if !finite(ratedW) {
+		return nil, fmt.Errorf("power: node %q rated %v W must be finite", name, ratedW)
+	}
 	if ratedW <= 0 {
 		return nil, fmt.Errorf("power: node %q rated %v W must be positive", name, ratedW)
 	}
 	return &Node{name: name, kind: kind, ratedW: ratedW, surgeW: ratedW, loss: loss}, nil
 }
 
-// SetSurge sets the short-term surge ceiling (≥ rated).
+// SetSurge sets the short-term surge ceiling (finite, ≥ rated).
 func (n *Node) SetSurge(w float64) error {
+	if !finite(w) {
+		return fmt.Errorf("power: surge %v must be finite", w)
+	}
 	if w < n.ratedW {
 		return fmt.Errorf("power: surge %v below rating %v", w, n.ratedW)
 	}
 	n.surgeW = w
 	return nil
 }
+
+// finite reports whether x is neither NaN nor infinite.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // AddChild attaches a downstream distribution node.
 func (n *Node) AddChild(c *Node) { n.children = append(n.children, c) }
@@ -173,6 +184,26 @@ func (n *Node) EvaluateInto(buf *[]Flow) Flow {
 	}
 	f, _ := n.evaluate((*buf)[:need])
 	return f
+}
+
+// AppendLoads appends the raw reading of every leaf load in the subtree
+// rooted at n to dst, in the order Evaluate reads them and before it
+// clamps negative demand to zero, and reports how many nodes the subtree
+// has, n included. Ratings and loss models are fixed at construction, so
+// while the node count and the readings hold bit for bit, the subtree
+// evaluates to the same flows, save for the flags SetSurge and SetCap
+// can move.
+func (n *Node) AppendLoads(dst []float64) ([]float64, int) {
+	nodes := 1
+	for _, c := range n.children {
+		var k int
+		dst, k = c.AppendLoads(dst)
+		nodes += k
+	}
+	for _, l := range n.loads {
+		dst = append(dst, l())
+	}
+	return dst, nodes
 }
 
 // descendants counts the nodes below n.
@@ -337,8 +368,14 @@ func NewTopology(cfg TopologyConfig) (*Topology, error) {
 	if cfg.UPSCount <= 0 || cfg.PDUsPerUPS <= 0 || cfg.RacksPerPDU <= 0 {
 		return nil, ErrNoNodes
 	}
+	if !finite(cfg.RackRatedW) {
+		return nil, fmt.Errorf("power: rack rating %v must be finite", cfg.RackRatedW)
+	}
 	if cfg.RackRatedW <= 0 {
 		return nil, fmt.Errorf("power: rack rating %v must be positive", cfg.RackRatedW)
+	}
+	if !finite(cfg.Oversubscription) {
+		return nil, fmt.Errorf("power: oversubscription %v must be finite", cfg.Oversubscription)
 	}
 	if cfg.Oversubscription < 1 {
 		return nil, fmt.Errorf("power: oversubscription %v must be >= 1", cfg.Oversubscription)

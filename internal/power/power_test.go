@@ -265,6 +265,60 @@ func TestTopologyValidation(t *testing.T) {
 	}
 }
 
+// TestNonFiniteRatingsRejected: no draw exceeds a NaN or infinite
+// rating or surge ceiling, so the tier-capacity rule could never fire on
+// such a node. Each is rejected by name instead of accepted.
+func TestNonFiniteRatingsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	node := func(w float64) func() error {
+		return func() error {
+			_, err := NewNode("x", KindPDU, w, DefaultPDULoss)
+			return err
+		}
+	}
+	surge := func(w float64) func() error {
+		return func() error {
+			n, err := NewNode("x", KindUPS, 100, DefaultUPSLoss)
+			if err != nil {
+				return err
+			}
+			return n.SetSurge(w)
+		}
+	}
+	topo := func(rackW, over float64) func() error {
+		return func() error {
+			_, err := NewTopology(TopologyConfig{UPSCount: 1, PDUsPerUPS: 1, RacksPerPDU: 1,
+				RackRatedW: rackW, Oversubscription: over})
+			return err
+		}
+	}
+	cases := []struct {
+		name string
+		call func() error
+		want string
+	}{
+		{"node rated NaN", node(nan), `power: node "x" rated NaN W must be finite`},
+		{"node rated +Inf", node(inf), `power: node "x" rated +Inf W must be finite`},
+		{"node rated -Inf", node(-inf), `power: node "x" rated -Inf W must be finite`},
+		{"surge NaN", surge(nan), "power: surge NaN must be finite"},
+		{"surge +Inf", surge(inf), "power: surge +Inf must be finite"},
+		{"surge -Inf", surge(-inf), "power: surge -Inf must be finite"},
+		{"rack rating NaN", topo(nan, 1), "power: rack rating NaN must be finite"},
+		{"rack rating +Inf", topo(inf, 1), "power: rack rating +Inf must be finite"},
+		{"rack rating -Inf", topo(-inf, 1), "power: rack rating -Inf must be finite"},
+		{"oversubscription NaN", topo(1000, nan), "power: oversubscription NaN must be finite"},
+		{"oversubscription +Inf", topo(1000, inf), "power: oversubscription +Inf must be finite"},
+		{"oversubscription -Inf", topo(1000, -inf), "power: oversubscription -Inf must be finite"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(); err == nil || err.Error() != tc.want {
+				t.Errorf("error %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 func TestHostableServers(t *testing.T) {
 	topo, err := NewTopology(TopologyConfig{
 		UPSCount: 1, PDUsPerUPS: 1, RacksPerPDU: 10,
