@@ -67,11 +67,6 @@ func runScaleDC(b *testing.B, nServers int, o scaleOpts) {
 	airScale := float64(nServers) / 40
 
 	e := sim.NewEngine(1)
-	zone := func(name string) cooling.ZoneConfig {
-		z := cooling.DefaultZone(name)
-		z.Airflow *= airScale
-		return z
-	}
 	plant := cooling.DefaultPlantConfig()
 	plant.FanRatedW = 2_000 * airScale
 	zoneOfRack := make([]int, racks)
@@ -86,12 +81,7 @@ func runScaleDC(b *testing.B, nServers int, o scaleOpts) {
 			UPSCount: 2, PDUsPerUPS: 5, RacksPerPDU: 10,
 			RackRatedW: float64(perRack) * srvCfg.PeakPower * 1.05, Oversubscription: 1,
 		},
-		Room: cooling.RoomConfig{
-			Zones:       []cooling.ZoneConfig{zone("z0"), zone("z1"), zone("z2"), zone("z3")},
-			CRACs:       []cooling.CRACConfig{cooling.DefaultCRAC("c0"), cooling.DefaultCRAC("c1")},
-			Sensitivity: [][]float64{{0.6, 0.3}, {0.5, 0.4}, {0.4, 0.5}, {0.3, 0.6}},
-			PhysicsTick: cooling.DefaultPhysicsTick,
-		},
+		Room:        cooling.FourZoneConfig(airScale),
 		ZoneOfRack:  zoneOfRack,
 		Plant:       plant,
 		SampleEvery: cadence,

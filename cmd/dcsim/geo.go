@@ -15,7 +15,8 @@ import (
 // each running the same per-site stack the single-site path would
 // (admission always, the retry loop when -retry asks, the full facility
 // substrate when -facility is set). Demand comes from the federation's
-// shared global trace, so -min-load/-max-load do not apply here.
+// shared global trace and every site runs a 100 ms SLA, so validate
+// rejects -sla, -min-load and -max-load when -sites is given.
 func (o options) geoConfig() geo.Config {
 	policy, retryOn, _ := parseRetry(o.retryStr)
 	cfg := geo.Config{

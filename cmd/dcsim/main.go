@@ -111,6 +111,8 @@ type options struct {
 	carbonSwing float64
 	workers     int
 	sites       int
+	// set names the flags the command line gave explicitly.
+	set map[string]bool
 }
 
 // validate collects every flag violation into one error, so a user with
@@ -176,6 +178,15 @@ func (o options) validate() error {
 		if o.modeStr != "coordinated" {
 			bad("-mode %q is not supported with -sites (federated sites run coordinated managers)", o.modeStr)
 		}
+		if o.set["sla"] {
+			bad("-sla %d is not supported with -sites (federated sites use a 100 ms SLA)", o.slaMS)
+		}
+		if o.set["min-load"] {
+			bad("-min-load %v is not supported with -sites (demand comes from the federation's global trace)", o.minFrac)
+		}
+		if o.set["max-load"] {
+			bad("-max-load %v is not supported with -sites (demand comes from the federation's global trace)", o.maxFrac)
+		}
 		if o.facility && o.fleet%20 != 0 {
 			bad("-facility with -sites needs -fleet %d divisible by 20 racks", o.fleet)
 		}
@@ -214,6 +225,8 @@ func run(args []string, stdout io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	o.set = map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	if err := o.validate(); err != nil {
 		return err
 	}

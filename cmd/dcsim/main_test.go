@@ -129,6 +129,9 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-not-a-flag"}, "flag provided but not defined: -not-a-flag"},
 		{[]string{"-serve", "-csv", "x.csv", "-days", "1", "-speedup", "1e7"}, "-csv is not supported with -serve"},
 		{[]string{"-facility", "-fleet", "25", "-days", "1"}, "-facility needs -fleet 25 divisible by 10 servers per rack"},
+		{[]string{"-sites", "2", "-sla", "5"}, "-sla 5 is not supported with -sites"},
+		{[]string{"-sites", "2", "-min-load", "0.6", "-max-load", "0.9"}, "-min-load 0.6 is not supported with -sites"},
+		{[]string{"-sites", "2", "-max-load", "0.9"}, "-max-load 0.9 is not supported with -sites"},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			err := run(tc.args, io.Discard)

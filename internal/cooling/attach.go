@@ -8,21 +8,17 @@ import (
 
 // Attach wires the room onto a simulation engine: physics steps on every
 // PhysicsTick and one control decision per CRAC on its control period.
-// The returned cancel stops both.
-func (r *Room) Attach(e *sim.Engine) sim.Cancel {
+// It returns the physics handle, then one handle per CRAC.
+func (r *Room) Attach(e *sim.Engine) []sim.Handle {
 	e.Register(r)
-	cancels := make([]sim.Cancel, 0, 1+len(r.cracs))
-	cancels = append(cancels, e.Every(r.cfg.PhysicsTick, func(*sim.Engine) { r.Step() }))
+	handles := make([]sim.Handle, 0, 1+len(r.cracs))
+	handles = append(handles, e.Every(r.cfg.PhysicsTick, func(*sim.Engine) { r.Step() }))
 	for ci := range r.cracs {
 		ci := ci
 		period := r.cracs[ci].cfg.ControlPeriod
-		cancels = append(cancels, e.Every(period, func(*sim.Engine) { r.ControlTick(ci) }))
+		handles = append(handles, e.Every(period, func(*sim.Engine) { r.ControlTick(ci) }))
 	}
-	return func() {
-		for _, c := range cancels {
-			c()
-		}
-	}
+	return handles
 }
 
 // TwoZoneRoom builds the canonical asymmetric room of the paper's §5.1
@@ -71,4 +67,22 @@ func UniformRoom(zones, cracs int, coverage float64) (*Room, error) {
 		cfg.CRACs = append(cfg.CRACs, DefaultCRAC(fmt.Sprintf("crac-%d", c)))
 	}
 	return NewRoom(cfg)
+}
+
+// FourZoneConfig is the four-zone, two-CRAC room of the paper's §5.1
+// facility: zones z0–z3 graded from c0-dominated to c1-dominated, each
+// with its default airflow times airScale, so a facility carrying
+// airScale times the 40-server load keeps the same temperature regime.
+func FourZoneConfig(airScale float64) RoomConfig {
+	cfg := RoomConfig{
+		CRACs:       []CRACConfig{DefaultCRAC("c0"), DefaultCRAC("c1")},
+		Sensitivity: [][]float64{{0.6, 0.3}, {0.5, 0.4}, {0.4, 0.5}, {0.3, 0.6}},
+		PhysicsTick: DefaultPhysicsTick,
+	}
+	for z := 0; z < 4; z++ {
+		zc := DefaultZone(fmt.Sprintf("z%d", z))
+		zc.Airflow *= airScale
+		cfg.Zones = append(cfg.Zones, zc)
+	}
+	return cfg
 }

@@ -299,7 +299,10 @@ func TestAttachRunsPhysicsAndControl(t *testing.T) {
 	if err := r.SetZoneHeat(0, 40_000); err != nil {
 		t.Fatal(err)
 	}
-	cancel := r.Attach(e)
+	handles := r.Attach(e)
+	if len(handles) != 2 {
+		t.Fatalf("Attach returned %d handles, want physics + 1 CRAC", len(handles))
+	}
 	if err := e.Run(2 * time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +314,9 @@ func TestAttachRunsPhysicsAndControl(t *testing.T) {
 	if r.ZoneInletC(0) <= r.CRACSupplyC(0) {
 		t.Errorf("inlet %v not above supply %v under 40 kW", r.ZoneInletC(0), r.CRACSupplyC(0))
 	}
-	cancel()
+	for _, h := range handles {
+		e.Cancel(h)
+	}
 	processed := e.Processed()
 	if err := e.Run(4 * time.Hour); err != nil {
 		t.Fatal(err)

@@ -69,7 +69,6 @@ type DataCenter struct {
 	zoneSlots  [][]int32
 	zoneShards [][]par.Range
 	tripped    int
-	cancels    []sim.Cancel
 	attached   bool
 	// Shard bodies of the trip scan and the sample fill, bound once in
 	// NewDataCenter so a fan-out allocates no closure, and the trip scan's
@@ -228,13 +227,14 @@ func (dc *DataCenter) rebuildZoneIndex() {
 
 // Attach wires the facility onto the engine: room physics and CRAC
 // control, the heat/thermal-protection coupling loop, and telemetry
-// sampling. Idempotent per instance.
-func (dc *DataCenter) Attach() (sim.Cancel, error) {
+// sampling. It returns their handles in that scheduling order. A data
+// center attaches once; a second call returns an error.
+func (dc *DataCenter) Attach() ([]sim.Handle, error) {
 	if dc.attached {
 		return nil, fmt.Errorf("core: data center already attached")
 	}
 	dc.attached = true
-	dc.cancels = append(dc.cancels, dc.room.Attach(dc.engine))
+	handles := dc.room.Attach(dc.engine)
 
 	// Couple servers ↔ room on the physics tick: zone heat in, inlet
 	// temperatures (and protective trips, §2.2) out. Zone heat comes from
@@ -242,7 +242,7 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 	// server-holding zones whose inlet exceeds the servers' trip threshold
 	// (one config for the whole fleet), so the steady-state tick is
 	// O(zones), not O(servers).
-	dc.cancels = append(dc.cancels, dc.engine.Every(dc.room.PhysicsTick(), func(e *sim.Engine) {
+	handles = append(handles, dc.engine.Every(dc.room.PhysicsTick(), func(e *sim.Engine) {
 		now := e.Now()
 		for z := 0; z < dc.room.Zones(); z++ {
 			if err := dc.room.SetZoneHeat(z, dc.fleet.ZonePowerW(z)); err != nil {
@@ -259,15 +259,11 @@ func (dc *DataCenter) Attach() (sim.Cancel, error) {
 	}))
 
 	if dc.store != nil {
-		dc.cancels = append(dc.cancels, dc.engine.Every(dc.cfg.SampleEvery, func(e *sim.Engine) {
+		handles = append(handles, dc.engine.Every(dc.cfg.SampleEvery, func(e *sim.Engine) {
 			dc.sample(e.Now())
 		}))
 	}
-	return func() {
-		for _, c := range dc.cancels {
-			c()
-		}
-	}, nil
+	return handles, nil
 }
 
 // scanZone is the trip scan for hot zone z, fanned out over the zone's

@@ -121,9 +121,13 @@ func TestDataCenterAttachCouplesHeatAndTelemetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel, err := dc.Attach()
+	handles, err := dc.Attach()
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Room physics, one CRAC, the heat coupling and telemetry sampling.
+	if len(handles) != 4 {
+		t.Fatalf("Attach returned %d handles, want 4", len(handles))
 	}
 	if _, err := dc.Attach(); err == nil {
 		t.Error("double attach should error")
@@ -171,7 +175,17 @@ func TestDataCenterAttachCouplesHeatAndTelemetry(t *testing.T) {
 	if err != nil || pueOf != pue || plantOf != plant {
 		t.Errorf("PUEOf = %v, %+v, %v; PUEAt = %v, %+v", pueOf, plantOf, err, pue, plant)
 	}
-	cancel()
+	// Cancelling the returned handles stops every attached process.
+	for _, h := range handles {
+		e.Cancel(h)
+	}
+	processed := e.Processed()
+	if err := e.Run(e.Now() + 4*time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if e.Processed() != processed {
+		t.Errorf("%d events fired after cancelling every Attach handle", e.Processed()-processed)
+	}
 }
 
 func TestDataCenterThermalProtection(t *testing.T) {

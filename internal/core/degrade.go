@@ -284,8 +284,8 @@ func (d *Degrader) releaseCaps(now time.Duration) {
 	}
 }
 
-// Start runs the periodic degradation check; the Cancel stops it.
-func (d *Degrader) Start() sim.Cancel {
+// Start runs the periodic degradation check and returns its handle.
+func (d *Degrader) Start() sim.Handle {
 	return d.engine.Every(d.cfg.CheckPeriod, func(e *sim.Engine) { d.tick(e.Now()) })
 }
 

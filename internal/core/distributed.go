@@ -82,24 +82,21 @@ func (d *Distributed) Clusters() []*Manager { return d.clusters }
 // Messages reports global→cluster share messages sent so far.
 func (d *Distributed) Messages() int64 { return d.messages }
 
-// Start launches the global share loop and every cluster manager. The
-// global tick is scheduled first so share updates precede local decisions
-// within a period (deterministic FIFO for simultaneous events).
-func (d *Distributed) Start() sim.Cancel {
-	cancels := make([]sim.Cancel, 0, 1+len(d.clusters))
-	cancels = append(cancels, d.engine.Every(d.period, func(*sim.Engine) {
+// Start launches the global share loop and every cluster manager, and
+// returns their handles in that order. The global tick is scheduled first
+// so share updates precede local decisions within a period (deterministic
+// FIFO for simultaneous events).
+func (d *Distributed) Start() []sim.Handle {
+	handles := make([]sim.Handle, 0, 1+len(d.clusters))
+	handles = append(handles, d.engine.Every(d.period, func(*sim.Engine) {
 		// Static proportional split re-announced each period; a richer
 		// policy would reweight by cluster health or efficiency.
 		d.messages += int64(len(d.clusters))
 	}))
 	for _, m := range d.clusters {
-		cancels = append(cancels, m.Start())
+		handles = append(handles, m.Start())
 	}
-	return func() {
-		for _, c := range cancels {
-			c()
-		}
-	}
+	return handles
 }
 
 // Result aggregates the cluster results at now.

@@ -367,8 +367,9 @@ func (m *Manager) WorstResponse() time.Duration { return m.sla.Worst() }
 // PState reports the fleet-wide DVFS operating point last actuated.
 func (m *Manager) PState() int { return m.curPState }
 
-// Start boots the initial servers and schedules the decision loop.
-func (m *Manager) Start() sim.Cancel {
+// Start boots the initial servers and schedules the decision loop,
+// returning its handle.
+func (m *Manager) Start() sim.Handle {
 	m.fleet.SetTarget(m.cfg.InitialOn)
 	return m.engine.Every(m.cfg.DecisionPeriod, func(e *sim.Engine) { m.tick(e.Now()) })
 }

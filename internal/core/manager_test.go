@@ -42,6 +42,31 @@ func runMode(t *testing.T, mode PolicyMode, demand DemandFunc, horizon time.Dura
 	return m.Result(horizon)
 }
 
+// TestManagerStartHandleStopsDecisions: cancelling the handle Start
+// returns stops the decision loop.
+func TestManagerStartHandleStopsDecisions(t *testing.T) {
+	e := sim.NewEngine(42)
+	m, err := NewManager(e, pathologyConfig(ModeCoordinated), func(time.Duration) float64 { return 100 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := m.Start()
+	if err := e.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	decisions := m.Decisions()
+	if decisions == 0 {
+		t.Fatal("no decisions in the first hour")
+	}
+	e.Cancel(h)
+	if err := e.Run(3 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if m.Decisions() != decisions {
+		t.Errorf("decisions grew from %d to %d after cancelling Start's handle", decisions, m.Decisions())
+	}
+}
+
 func TestManagerValidation(t *testing.T) {
 	demand := func(time.Duration) float64 { return 100 }
 	e := sim.NewEngine(1)

@@ -337,7 +337,7 @@ func RunCRAC(env *Env) (Result, error) {
 			}
 		})
 		// Phase 2 at t=4h: the migration decision.
-		e.ScheduleAt(4*time.Hour, func(eng *sim.Engine) {
+		e.At(4*time.Hour, func(eng *sim.Engine) {
 			supplyBefore = room.CRACSetpointC(0)
 			if migrate {
 				// Naive: move everything to B, shut A down.

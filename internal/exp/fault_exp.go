@@ -79,15 +79,7 @@ func outageFacility(e *sim.Engine, scale int, pool *par.Pool) (*core.DataCenter,
 			UPSCount: 1, PDUsPerUPS: 2, RacksPerPDU: 2,
 			RackRatedW: 2_900 * float64(scale), Oversubscription: 1,
 		},
-		Room: cooling.RoomConfig{
-			Zones: []cooling.ZoneConfig{
-				scaledZone("z0", scale), scaledZone("z1", scale),
-				scaledZone("z2", scale), scaledZone("z3", scale),
-			},
-			CRACs:       []cooling.CRACConfig{cooling.DefaultCRAC("c0"), cooling.DefaultCRAC("c1")},
-			Sensitivity: [][]float64{{0.6, 0.3}, {0.5, 0.4}, {0.4, 0.5}, {0.3, 0.6}},
-			PhysicsTick: cooling.DefaultPhysicsTick,
-		},
+		Room:       cooling.FourZoneConfig(float64(scale)),
 		ZoneOfRack: []int{0, 1, 2, 3},
 		Plant:      plant,
 		Pool:       pool,
@@ -424,8 +416,8 @@ func RunFaultSensor(env *Env) (Result, error) {
 			}
 		}
 		setUtil(0.35)
-		e.ScheduleAt(surgeStart, func(*sim.Engine) { setUtil(0.95) })
-		e.ScheduleAt(surgeEnd, func(*sim.Engine) { setUtil(0.35) })
+		e.At(surgeStart, func(*sim.Engine) { setUtil(0.95) })
+		e.At(surgeEnd, func(*sim.Engine) { setUtil(0.35) })
 
 		// Physics coupling: heat in, trip protection out.
 		s.MaxInletC = math.Inf(-1)

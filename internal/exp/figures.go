@@ -200,7 +200,7 @@ func RunFig2(env *Env) (Result, error) {
 			inASHRAE++
 		}
 	})
-	e.ScheduleAt(stepAt, func(*sim.Engine) {
+	e.At(stepAt, func(*sim.Engine) {
 		for z := 0; z < room.Zones(); z++ {
 			_ = room.SetZoneHeat(z, baseHeat*2)
 		}
@@ -368,15 +368,6 @@ func RunFig4(env *Env) (Result, error) {
 	scale := env.FleetScale()
 	e := env.NewEngine(seed)
 	srvCfg := server.DefaultConfig()
-	room := cooling.RoomConfig{
-		Zones: []cooling.ZoneConfig{
-			scaledZone("z0", scale), scaledZone("z1", scale),
-			scaledZone("z2", scale), scaledZone("z3", scale),
-		},
-		CRACs:       []cooling.CRACConfig{cooling.DefaultCRAC("c0"), cooling.DefaultCRAC("c1")},
-		Sensitivity: [][]float64{{0.6, 0.3}, {0.5, 0.4}, {0.4, 0.5}, {0.3, 0.6}},
-		PhysicsTick: cooling.DefaultPhysicsTick,
-	}
 	plant := cooling.DefaultPlantConfig()
 	plant.FanRatedW = 2_000 * float64(scale)
 	dcCfg := core.DataCenterConfig{
@@ -387,7 +378,7 @@ func RunFig4(env *Env) (Result, error) {
 			UPSCount: 1, PDUsPerUPS: 2, RacksPerPDU: 2,
 			RackRatedW: 4_000 * float64(scale), Oversubscription: 1,
 		},
-		Room:        room,
+		Room:        cooling.FourZoneConfig(float64(scale)),
 		ZoneOfRack:  []int{0, 1, 2, 3},
 		Plant:       plant,
 		SampleEvery: 15 * time.Second,

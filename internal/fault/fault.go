@@ -289,7 +289,7 @@ func (in *Injector) Arm(events []Event) error {
 	}
 	for _, ev := range events {
 		ev := ev
-		in.engine.ScheduleAt(ev.At, func(e *sim.Engine) { in.apply(e, ev) })
+		in.engine.At(ev.At, func(e *sim.Engine) { in.apply(e, ev) })
 		in.armed++
 	}
 	return nil
@@ -307,7 +307,7 @@ func (in *Injector) apply(e *sim.Engine, ev Event) {
 		in.record(ev.Kind)
 		in.notify(Notice{Kind: UtilityOutage, At: now, Start: true, Index: -1})
 		if ev.Duration > 0 {
-			e.ScheduleAfter(ev.Duration, func(e *sim.Engine) {
+			e.After(ev.Duration, func(e *sim.Engine) {
 				if in.utility.endOutage(e) {
 					in.reverted++
 					in.notify(Notice{Kind: UtilityOutage, At: e.Now(), Start: false, Index: -1})
@@ -324,7 +324,7 @@ func (in *Injector) apply(e *sim.Engine, ev Event) {
 		in.record(ev.Kind)
 		in.notify(Notice{Kind: CRACFailure, At: now, Start: true, Index: ev.Index})
 		if ev.Duration > 0 {
-			e.ScheduleAfter(ev.Duration, func(e *sim.Engine) {
+			e.After(ev.Duration, func(e *sim.Engine) {
 				if !in.room.UnitFailed(ev.Index) {
 					return
 				}
@@ -341,7 +341,7 @@ func (in *Injector) apply(e *sim.Engine, ev Event) {
 		in.record(ev.Kind)
 		in.notify(Notice{Kind: ServerCrash, At: now, Start: true, Index: ev.Index})
 		if ev.Duration > 0 {
-			e.ScheduleAfter(ev.Duration, func(e *sim.Engine) {
+			e.After(ev.Duration, func(e *sim.Engine) {
 				// Recover only a machine that is still down; the MRM may
 				// have rebooted it already.
 				if s.State() != server.StateOff {
@@ -369,7 +369,7 @@ func (in *Injector) apply(e *sim.Engine, ev Event) {
 		in.record(ev.Kind)
 		in.notify(Notice{Kind: RackFailure, At: now, Start: true, Index: ev.Index})
 		if ev.Duration > 0 {
-			e.ScheduleAfter(ev.Duration, func(e *sim.Engine) {
+			e.After(ev.Duration, func(e *sim.Engine) {
 				// Shared repair: bring back every machine in the domain
 				// that is still down; the MRM may have rebooted some.
 				recovered := 0
@@ -394,7 +394,7 @@ func (in *Injector) apply(e *sim.Engine, ev Event) {
 		in.record(ev.Kind)
 		in.notify(Notice{Kind: CapacityDip, At: now, Start: true, Index: -1, Frac: ev.Frac})
 		if ev.Duration > 0 {
-			e.ScheduleAfter(ev.Duration, func(e *sim.Engine) {
+			e.After(ev.Duration, func(e *sim.Engine) {
 				if in.dipFrac != ev.Frac {
 					return
 				}
@@ -414,7 +414,7 @@ func (in *Injector) apply(e *sim.Engine, ev Event) {
 		in.record(ev.Kind)
 		in.notify(Notice{Kind: ev.Kind, At: now, Start: true, Index: ev.Index})
 		if ev.Duration > 0 {
-			e.ScheduleAfter(ev.Duration, func(e *sim.Engine) {
+			e.After(ev.Duration, func(e *sim.Engine) {
 				if in.net.Fault(ev.Index) != mode {
 					return // a later fault replaced this one
 				}

@@ -429,7 +429,7 @@ func TestRackFailureRepairSkipsRebootedServers(t *testing.T) {
 	}
 	// The MRM reboots one machine mid-repair; the shared repair must not
 	// double-boot it.
-	e.ScheduleAt(10*time.Minute, func(e *sim.Engine) { servers[2].PowerOn(e) })
+	e.At(10*time.Minute, func(e *sim.Engine) { servers[2].PowerOn(e) })
 	boot := server.DefaultConfig().BootDelay
 	if err := e.Run(32*time.Minute + boot); err != nil {
 		t.Fatal(err)
@@ -452,7 +452,7 @@ func TestCapacityDipNotifiesAndCoalesces(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	e.ScheduleAt(6*time.Minute, func(*sim.Engine) {
+	e.At(6*time.Minute, func(*sim.Engine) {
 		if in.ActiveDip() != 0.7 {
 			t.Errorf("active dip %v mid-event, want 0.7", in.ActiveDip())
 		}

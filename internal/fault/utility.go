@@ -74,9 +74,12 @@ type Utility struct {
 	bridgedJ    float64 // energy served from the UPS store
 	unservedJ   float64 // load energy dropped (store empty, no generator)
 
-	bridgeCancel   sim.Cancel
-	attemptCancel  sim.Cancel
-	rechargeCancel sim.Cancel
+	// Handles of the UPS bridge loop, the pending generator start
+	// attempt, and the recharge loop. Cancelling a zero or stale handle
+	// is a no-op.
+	bridge   sim.Handle
+	attempt  sim.Handle
+	recharge sim.Handle
 }
 
 // newUtility validates and builds the state machine.
@@ -121,15 +124,11 @@ func (u *Utility) beginOutage(e *sim.Engine) bool {
 	u.genOn = false
 	u.depleted = false
 	u.outages++
-	if u.rechargeCancel != nil {
-		u.rechargeCancel() // an outage interrupts any recharge in progress
-		u.rechargeCancel = nil
-	}
+	e.Cancel(u.recharge) // an outage interrupts any recharge in progress
 	// Generator start sequence with bounded retry/backoff.
 	attempt := 0
 	var try func(e *sim.Engine)
 	try = func(e *sim.Engine) {
-		u.attemptCancel = nil
 		if u.gridUp || u.genOn {
 			return // outage over or generator already up: stand down
 		}
@@ -138,7 +137,7 @@ func (u *Utility) beginOutage(e *sim.Engine) bool {
 		if u.inj.rng.Bernoulli(u.cfg.GenStartFailProb) {
 			u.genFailures++
 			if attempt <= u.cfg.GenRetries {
-				u.attemptCancel = e.ScheduleAfter(u.cfg.GenRetryBackoff, try)
+				u.attempt = e.After(u.cfg.GenRetryBackoff, try)
 			}
 			return
 		}
@@ -146,10 +145,10 @@ func (u *Utility) beginOutage(e *sim.Engine) bool {
 		u.inj.record(GeneratorOnline)
 		u.inj.notify(Notice{Kind: GeneratorOnline, At: e.Now(), Start: true, Index: -1})
 	}
-	u.attemptCancel = e.ScheduleAfter(u.cfg.GenStartDelay, try)
+	u.attempt = e.After(u.cfg.GenStartDelay, try)
 	// UPS bridge: integrate the critical load out of the store until the
 	// generator is online or the grid returns.
-	u.bridgeCancel = e.Every(u.cfg.Tick, func(e *sim.Engine) {
+	u.bridge = e.Every(u.cfg.Tick, func(e *sim.Engine) {
 		if u.gridUp || u.genOn {
 			return
 		}
@@ -180,23 +179,14 @@ func (u *Utility) endOutage(e *sim.Engine) bool {
 	u.gridUp = true
 	u.genOn = false
 	u.depleted = false
-	if u.bridgeCancel != nil {
-		u.bridgeCancel()
-		u.bridgeCancel = nil
-	}
-	if u.attemptCancel != nil {
-		u.attemptCancel()
-		u.attemptCancel = nil
-	}
+	e.Cancel(u.bridge)
+	e.Cancel(u.attempt)
 	// Recharge from the grid until full; the loop cancels itself when
 	// the battery stops drawing.
-	var cancel sim.Cancel
-	cancel = e.Every(u.cfg.Tick, func(e *sim.Engine) {
+	u.recharge = e.Every(u.cfg.Tick, func(e *sim.Engine) {
 		if gridW := u.cfg.Battery.Recharge(u.cfg.Tick); gridW == 0 {
-			cancel()
-			u.rechargeCancel = nil
+			e.Cancel(u.recharge)
 		}
 	})
-	u.rechargeCancel = cancel
 	return true
 }

@@ -292,11 +292,6 @@ func (s *Site) TZOffset() time.Duration { return s.cfg.TZOffset }
 func buildFacility(e *sim.Engine, name string, srvCfg server.Config, fleetSize int, sampleEvery time.Duration, pool *par.Pool) (*core.DataCenter, error) {
 	perRack := fleetSize / facilityRacks
 	airScale := float64(fleetSize) / 40
-	zone := func(z string) cooling.ZoneConfig {
-		zc := cooling.DefaultZone(z)
-		zc.Airflow *= airScale
-		return zc
-	}
 	plant := cooling.DefaultPlantConfig()
 	plant.FanRatedW = 2_000 * airScale
 	zoneOfRack := make([]int, facilityRacks)
@@ -311,12 +306,7 @@ func buildFacility(e *sim.Engine, name string, srvCfg server.Config, fleetSize i
 			UPSCount: 2, PDUsPerUPS: 2, RacksPerPDU: 5,
 			RackRatedW: float64(perRack) * srvCfg.PeakPower * 1.05, Oversubscription: 1,
 		},
-		Room: cooling.RoomConfig{
-			Zones:       []cooling.ZoneConfig{zone("z0"), zone("z1"), zone("z2"), zone("z3")},
-			CRACs:       []cooling.CRACConfig{cooling.DefaultCRAC("c0"), cooling.DefaultCRAC("c1")},
-			Sensitivity: [][]float64{{0.6, 0.3}, {0.5, 0.4}, {0.4, 0.5}, {0.3, 0.6}},
-			PhysicsTick: cooling.DefaultPhysicsTick,
-		},
+		Room:        cooling.FourZoneConfig(airScale),
 		ZoneOfRack:  zoneOfRack,
 		Plant:       plant,
 		SampleEvery: sampleEvery,

@@ -126,7 +126,7 @@ func TestTopologyOverloadViolation(t *testing.T) {
 	c := NewChecker()
 	c.Attach(e)
 	e.Register(topo)
-	e.ScheduleAfter(time.Second, func(*sim.Engine) {})
+	e.After(time.Second, func(*sim.Engine) {})
 	if err := e.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}

@@ -142,7 +142,7 @@ func SimulateAvailabilityOn(e *sim.Engine, d Tier2Design, horizon time.Duration,
 		if max := (horizon + time.Hour).Seconds(); wait > max {
 			wait = max // beyond the horizon; the event never fires
 		}
-		e.ScheduleAfter(time.Duration(wait*float64(time.Second)), func(eng *sim.Engine) {
+		e.After(time.Duration(wait*float64(time.Second)), func(eng *sim.Engine) {
 			account(eng.Now())
 			if u.up && u.mttr == 0 {
 				// Instant repair: the component fails and is restored

@@ -91,7 +91,7 @@ func TestCrashKeepsEnergyAccountingConsistent(t *testing.T) {
 	}
 	s.SetUtilization(e.Now(), 0.5)
 	crashAt := e.Now() + 30*time.Minute
-	e.ScheduleAt(crashAt, func(eng *sim.Engine) { s.Crash(eng.Now()) })
+	e.At(crashAt, func(eng *sim.Engine) { s.Crash(eng.Now()) })
 	if err := e.Run(crashAt + time.Hour); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // benchSizes are the pending-queue depths the depth-sensitive benches sweep.
 var benchSizes = []int{10_000, 100_000, 1_000_000}
 
-// BenchmarkSchedule measures one ScheduleAt into a queue preloaded with
+// BenchmarkSchedule measures one At into a queue preloaded with
 // size pending events (push cost at depth, plus per-event allocations).
 func BenchmarkSchedule(b *testing.B) {
 	for _, size := range benchSizes {
@@ -23,13 +23,13 @@ func BenchmarkSchedule(b *testing.B) {
 			e := NewEngine(1)
 			fn := func(*Engine) {}
 			for i := 0; i < size; i++ {
-				e.ScheduleAt(time.Duration(i)*time.Millisecond, fn)
+				e.At(time.Duration(i)*time.Millisecond, fn)
 			}
 			base := time.Duration(size) * time.Millisecond
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				e.ScheduleAt(base+time.Duration(i), fn)
+				e.At(base+time.Duration(i), fn)
 			}
 		})
 	}
@@ -47,7 +47,7 @@ func BenchmarkRunLargeQueue(b *testing.B) {
 				b.StopTimer()
 				e := NewEngine(1)
 				for j := 0; j < size; j++ {
-					e.ScheduleAt(time.Duration(j)*time.Microsecond, fn)
+					e.At(time.Duration(j)*time.Microsecond, fn)
 				}
 				b.StartTimer()
 				if err := e.Run(time.Duration(size) * time.Microsecond); err != nil {
@@ -93,14 +93,14 @@ func BenchmarkCancelHeavy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		e := NewEngine(1)
-		cancels := make([]Cancel, 0, size)
+		handles := make([]Handle, 0, size)
 		for j := 0; j < size; j++ {
-			cancels = append(cancels, e.ScheduleAt(time.Duration(j)*time.Microsecond, fn))
+			handles = append(handles, e.At(time.Duration(j)*time.Microsecond, fn))
 		}
 		b.StartTimer()
-		for j, c := range cancels {
+		for j, h := range handles {
 			if j%10 != 0 {
-				c()
+				e.Cancel(h)
 			}
 		}
 		if err := e.Run(time.Duration(size) * time.Microsecond); err != nil {
@@ -119,9 +119,9 @@ func BenchmarkScheduleFireSteady(b *testing.B) {
 	n := 0
 	chain = func(eng *Engine) {
 		n++
-		eng.ScheduleAfter(time.Microsecond, chain)
+		eng.After(time.Microsecond, chain)
 	}
-	e.ScheduleAfter(time.Microsecond, chain)
+	e.After(time.Microsecond, chain)
 	b.ReportAllocs()
 	b.ResetTimer()
 	// Each Step fires exactly one chain event which schedules the next.

@@ -130,13 +130,13 @@ func TestStepPeakPendingConsistentWithRun(t *testing.T) {
 		fn := func(*Engine) {}
 		// Fill to depth 5, drain, refill to depth 3 with one cancelled.
 		for i := 1; i <= 5; i++ {
-			e.ScheduleAt(time.Duration(i)*time.Second, fn)
+			e.At(time.Duration(i)*time.Second, fn)
 		}
 		drive(e)
-		c := e.ScheduleAfter(10*time.Second, fn)
-		e.ScheduleAfter(11*time.Second, fn)
-		e.ScheduleAfter(12*time.Second, fn)
-		c()
+		c := e.After(10*time.Second, fn)
+		e.After(11*time.Second, fn)
+		e.After(12*time.Second, fn)
+		e.Cancel(c)
 		drive(e)
 		return e.PeakPending(), e.Processed(), h
 	}

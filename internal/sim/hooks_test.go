@@ -17,8 +17,8 @@ func TestAfterEventFiresPerEvent(t *testing.T) {
 	})
 	e.AfterEvent(func(*Engine) { order = append(order, "b") })
 
-	e.ScheduleAt(time.Second, func(*Engine) {})
-	e.ScheduleAt(2*time.Second, func(*Engine) {})
+	e.At(time.Second, func(*Engine) {})
+	e.At(2*time.Second, func(*Engine) {})
 	if err := e.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -36,9 +36,9 @@ func TestAfterEventSkipsCancelled(t *testing.T) {
 	e := NewEngine(1)
 	hooks := 0
 	e.AfterEvent(func(*Engine) { hooks++ })
-	cancel := e.ScheduleAt(time.Second, func(*Engine) { t.Fatal("cancelled event fired") })
-	cancel()
-	e.ScheduleAt(2*time.Second, func(*Engine) {})
+	h := e.At(time.Second, func(*Engine) { t.Fatal("cancelled event fired") })
+	e.Cancel(h)
+	e.At(2*time.Second, func(*Engine) {})
 	if err := e.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestAfterEventOnStep(t *testing.T) {
 	e := NewEngine(1)
 	hooks := 0
 	e.AfterEvent(func(*Engine) { hooks++ })
-	e.ScheduleAt(time.Second, func(*Engine) {})
+	e.At(time.Second, func(*Engine) {})
 	if !e.Step() {
 		t.Fatal("Step fired nothing")
 	}
@@ -90,9 +90,9 @@ func TestHooksPreserveDeterminism(t *testing.T) {
 		chain = func(eng *Engine) {
 			fired = append(fired, eng.Now())
 			delay := time.Duration(eng.RNG().Float64() * float64(time.Minute))
-			eng.ScheduleAfter(delay, chain)
+			eng.After(delay, chain)
 		}
-		e.ScheduleAfter(time.Second, chain)
+		e.After(time.Second, chain)
 		if err := e.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}

@@ -25,34 +25,33 @@ func runKernelScript() []string {
 	}
 
 	// Simultaneous events must fire in scheduling order.
-	e.ScheduleAt(2*time.Second, log("a"))
-	e.ScheduleAt(2*time.Second, log("b"))
-	e.ScheduleAt(time.Second, log("c"))
+	e.At(2*time.Second, log("a"))
+	e.At(2*time.Second, log("b"))
+	e.At(time.Second, log("c"))
 
 	// Cancelled before fire: must never appear.
-	cancelD := e.ScheduleAt(3*time.Second, log("d"))
-	cancelD()
+	d := e.At(3*time.Second, log("d"))
+	e.Cancel(d)
 
 	// A handler that cancels a later event and schedules nested follow-ups
 	// with RNG-driven delays.
-	var cancelE Cancel
-	cancelE = e.ScheduleAt(5*time.Second, log("e"))
-	e.ScheduleAt(4*time.Second, func(eng *Engine) {
+	later := e.At(5*time.Second, log("e"))
+	e.At(4*time.Second, func(eng *Engine) {
 		fired = append(fired, fmt.Sprintf("killer@%v", eng.Now()))
-		cancelE()
+		eng.Cancel(later)
 		d := time.Duration(eng.RNG().Float64() * float64(2*time.Second))
-		eng.ScheduleAfter(d, log("nested1"))
-		eng.ScheduleAfter(d/2, log("nested2"))
+		eng.After(d, log("nested1"))
+		eng.After(d/2, log("nested2"))
 	})
 
 	// Periodic that cancels itself on the third tick.
 	tick := 0
-	var cancelP Cancel
-	cancelP = e.Every(1500*time.Millisecond, func(eng *Engine) {
+	var p Handle
+	p = e.Every(1500*time.Millisecond, func(eng *Engine) {
 		tick++
 		fired = append(fired, fmt.Sprintf("p%d@%v", tick, eng.Now()))
 		if tick == 3 {
-			cancelP()
+			eng.Cancel(p)
 		}
 	})
 
@@ -71,7 +70,7 @@ func runKernelScript() []string {
 	e.Cancel(q)
 	e.Every(3*time.Second, func(eng *Engine) {
 		fired = append(fired, fmt.Sprintf("late@%v", eng.Now()))
-		eng.ScheduleAfter(time.Duration(eng.RNG().Float64()*float64(time.Second)), log("echo"))
+		eng.After(time.Duration(eng.RNG().Float64()*float64(time.Second)), log("echo"))
 	})
 	if err := e.Run(12 * time.Second); err != nil {
 		panic(err)

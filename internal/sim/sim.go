@@ -14,9 +14,8 @@
 // a generation-counted Handle is invalidated in O(1) and the slot is
 // reclaimed when it surfaces at the heap top — and periodic processes
 // reuse their single slot across ticks instead of allocating one event
-// per period. The Handle-based API (At, After, Periodic, Cancel) is the
-// zero-allocation fast path; the closure-returning Schedule family wraps
-// it for convenience at one small allocation per call.
+// per period. One zero-allocation API schedules everything: At, After,
+// Periodic and Every return a Handle, and Engine.Cancel stops it.
 package sim
 
 import (
@@ -239,15 +238,9 @@ func (e *Engine) fireHooks() {
 	}
 }
 
-// Cancel is returned by the Schedule-family convenience methods; calling
-// it prevents the event from firing (it is a no-op after the event has
-// fired). The allocation-free equivalent is Engine.Cancel on a Handle.
-type Cancel func()
-
 // At schedules fn to fire at absolute virtual time at and returns its
 // handle. Scheduling in the past panics: it is always a programming error
-// in a simulation. This is the allocation-free fast path; ScheduleAt
-// wraps it when a self-contained cancel closure is more convenient.
+// in a simulation.
 func (e *Engine) At(at time.Duration, fn Handler) Handle {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
@@ -304,27 +297,10 @@ func (e *Engine) Active(h Handle) bool {
 	return ev.gen == h.gen && ev.fn != nil
 }
 
-// ScheduleAt schedules fn to fire at absolute virtual time at. Scheduling
-// in the past panics: it is always a programming error in a simulation.
-func (e *Engine) ScheduleAt(at time.Duration, fn Handler) Cancel {
-	h := e.At(at, fn)
-	return func() { e.Cancel(h) }
-}
-
-// ScheduleAfter schedules fn to fire d after the current virtual time.
-func (e *Engine) ScheduleAfter(d time.Duration, fn Handler) Cancel {
-	h := e.After(d, fn)
-	return func() { e.Cancel(h) }
-}
-
 // Every schedules fn to fire repeatedly with the given period, starting one
-// period from now. The returned Cancel stops future firings.
-func (e *Engine) Every(period time.Duration, fn Handler) Cancel {
-	if period <= 0 {
-		panic(fmt.Sprintf("sim: non-positive period %v", period))
-	}
-	h := e.Periodic(e.now+period, period, fn)
-	return func() { e.Cancel(h) }
+// period from now: Periodic(Now()+period, period, fn).
+func (e *Engine) Every(period time.Duration, fn Handler) Handle {
+	return e.Periodic(e.now+period, period, fn)
 }
 
 // Stop halts Run after the currently-firing event returns. A stop applies

@@ -8,9 +8,9 @@ import (
 func TestScheduleOrdering(t *testing.T) {
 	e := NewEngine(1)
 	var got []int
-	e.ScheduleAt(3*time.Second, func(*Engine) { got = append(got, 3) })
-	e.ScheduleAt(1*time.Second, func(*Engine) { got = append(got, 1) })
-	e.ScheduleAt(2*time.Second, func(*Engine) { got = append(got, 2) })
+	e.At(3*time.Second, func(*Engine) { got = append(got, 3) })
+	e.At(1*time.Second, func(*Engine) { got = append(got, 1) })
+	e.At(2*time.Second, func(*Engine) { got = append(got, 2) })
 	if err := e.Run(10 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.ScheduleAt(time.Second, func(*Engine) { got = append(got, i) })
+		e.At(time.Second, func(*Engine) { got = append(got, i) })
 	}
 	if err := e.Run(time.Second); err != nil {
 		t.Fatal(err)
@@ -42,11 +42,11 @@ func TestSimultaneousEventsFIFO(t *testing.T) {
 	}
 }
 
-func TestScheduleAfterUsesNow(t *testing.T) {
+func TestAfterUsesNow(t *testing.T) {
 	e := NewEngine(1)
 	var firedAt time.Duration
-	e.ScheduleAt(5*time.Second, func(eng *Engine) {
-		eng.ScheduleAfter(2*time.Second, func(eng2 *Engine) {
+	e.At(5*time.Second, func(eng *Engine) {
+		eng.After(2*time.Second, func(eng2 *Engine) {
 			firedAt = eng2.Now()
 		})
 	})
@@ -55,19 +55,6 @@ func TestScheduleAfterUsesNow(t *testing.T) {
 	}
 	if firedAt != 7*time.Second {
 		t.Errorf("nested event fired at %v, want 7s", firedAt)
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	cancel := e.ScheduleAt(time.Second, func(*Engine) { fired = true })
-	cancel()
-	if err := e.Run(time.Minute); err != nil {
-		t.Fatal(err)
-	}
-	if fired {
-		t.Error("cancelled event fired")
 	}
 }
 
@@ -80,24 +67,6 @@ func TestEvery(t *testing.T) {
 	}
 	if count != 10 {
 		t.Errorf("periodic fired %d times, want 10", count)
-	}
-}
-
-func TestEveryCancelInsideHandler(t *testing.T) {
-	e := NewEngine(1)
-	count := 0
-	var cancel Cancel
-	cancel = e.Every(time.Minute, func(*Engine) {
-		count++
-		if count == 3 {
-			cancel()
-		}
-	})
-	if err := e.Run(time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	if count != 3 {
-		t.Errorf("self-cancelling periodic fired %d times, want 3", count)
 	}
 }
 
@@ -157,14 +126,14 @@ func TestSchedulePastPanics(t *testing.T) {
 			t.Error("scheduling in the past should panic")
 		}
 	}()
-	e.ScheduleAt(0, func(*Engine) {})
+	e.At(0, func(*Engine) {})
 }
 
 func TestStep(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	e.ScheduleAt(time.Second, func(*Engine) { fired++ })
-	e.ScheduleAt(2*time.Second, func(*Engine) { fired++ })
+	e.At(time.Second, func(*Engine) { fired++ })
+	e.At(2*time.Second, func(*Engine) { fired++ })
 	if !e.Step() {
 		t.Fatal("Step returned false with pending events")
 	}
@@ -185,7 +154,7 @@ func TestStep(t *testing.T) {
 func TestEventsBeyondHorizonStayQueued(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	e.ScheduleAt(time.Hour, func(*Engine) { fired = true })
+	e.At(time.Hour, func(*Engine) { fired = true })
 	if err := e.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -224,14 +193,14 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestScheduleAfterNegativePanics(t *testing.T) {
+func TestAfterNegativePanics(t *testing.T) {
 	e := NewEngine(1)
 	defer func() {
 		if recover() == nil {
 			t.Error("negative delay should panic")
 		}
 	}()
-	e.ScheduleAfter(-time.Second, func(*Engine) {})
+	e.After(-time.Second, func(*Engine) {})
 }
 
 func TestEveryNonPositivePeriodPanics(t *testing.T) {
@@ -256,10 +225,10 @@ func TestPeriodicNonPositivePeriodPanics(t *testing.T) {
 
 func TestStepSkipsCancelled(t *testing.T) {
 	e := NewEngine(1)
-	cancel := e.ScheduleAt(time.Second, func(*Engine) { t.Error("cancelled event fired") })
-	cancel()
+	h := e.At(time.Second, func(*Engine) { t.Error("cancelled event fired") })
+	e.Cancel(h)
 	fired := false
-	e.ScheduleAt(2*time.Second, func(*Engine) { fired = true })
+	e.At(2*time.Second, func(*Engine) { fired = true })
 	if !e.Step() {
 		t.Fatal("Step found nothing")
 	}
@@ -271,8 +240,8 @@ func TestStepSkipsCancelled(t *testing.T) {
 func TestRunStopsMidQueue(t *testing.T) {
 	e := NewEngine(1)
 	fired := false
-	e.ScheduleAt(time.Second, func(eng *Engine) { eng.Stop() })
-	e.ScheduleAt(2*time.Second, func(*Engine) { fired = true })
+	e.At(time.Second, func(eng *Engine) { eng.Stop() })
+	e.At(2*time.Second, func(*Engine) { fired = true })
 	if err := e.Run(time.Hour); err != ErrStopped {
 		t.Fatalf("err = %v", err)
 	}
@@ -300,7 +269,7 @@ func TestRunResumesAfterRepeatedStops(t *testing.T) {
 	var fired []int
 	for i := 1; i <= 3; i++ {
 		i := i
-		e.ScheduleAt(time.Duration(i)*time.Second, func(eng *Engine) {
+		e.At(time.Duration(i)*time.Second, func(eng *Engine) {
 			fired = append(fired, i)
 			eng.Stop()
 		})
@@ -321,7 +290,7 @@ func TestRunResumesAfterRepeatedStops(t *testing.T) {
 func TestPeakPendingHighWaterMark(t *testing.T) {
 	e := NewEngine(1)
 	for i := 1; i <= 5; i++ {
-		e.ScheduleAt(time.Duration(i)*time.Second, func(*Engine) {})
+		e.At(time.Duration(i)*time.Second, func(*Engine) {})
 	}
 	if got := e.PeakPending(); got != 5 {
 		t.Fatalf("peak before run = %d, want 5", got)
@@ -342,9 +311,9 @@ func TestProbeAggregatesEngines(t *testing.T) {
 	a := p.Observe(NewEngine(1))
 	b := p.Observe(NewEngine(2))
 	for i := 1; i <= 3; i++ {
-		a.ScheduleAt(time.Duration(i)*time.Second, func(*Engine) {})
+		a.At(time.Duration(i)*time.Second, func(*Engine) {})
 	}
-	b.ScheduleAt(time.Second, func(*Engine) {})
+	b.At(time.Second, func(*Engine) {})
 	if err := a.Run(time.Minute); err != nil {
 		t.Fatal(err)
 	}

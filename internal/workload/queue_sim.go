@@ -53,7 +53,7 @@ func SimulateMM1On(e *sim.Engine, lambda, mu float64, horizon time.Duration, rng
 		arrival := queue[0]
 		queue = queue[1:]
 		service := time.Duration(rng.Exp(mu) * float64(time.Second))
-		eng.ScheduleAfter(service, func(eng2 *sim.Engine) {
+		eng.After(service, func(eng2 *sim.Engine) {
 			sojourns = append(sojourns, eng2.Now()-arrival)
 			busy = false
 			busyTotal += eng2.Now() - busySince
@@ -64,7 +64,7 @@ func SimulateMM1On(e *sim.Engine, lambda, mu float64, horizon time.Duration, rng
 	var scheduleArrival func(eng *sim.Engine)
 	scheduleArrival = func(eng *sim.Engine) {
 		gap := time.Duration(rng.Exp(lambda) * float64(time.Second))
-		eng.ScheduleAfter(gap, func(eng2 *sim.Engine) {
+		eng.After(gap, func(eng2 *sim.Engine) {
 			queue = append(queue, eng2.Now())
 			startService(eng2)
 			scheduleArrival(eng2)
