@@ -43,6 +43,29 @@ func benchFleet(tb testing.TB, n int) (*sim.Engine, *Fleet) {
 	return e, f
 }
 
+// benchFleetOn is benchFleet with the fleet then shed to its first on
+// servers, the rest Off at the tail of the activation order.
+func benchFleetOn(tb testing.TB, n, on int) (*sim.Engine, *Fleet) {
+	tb.Helper()
+	e, f := benchFleet(tb, n)
+	f.SetTarget(on)
+	if err := e.Run(e.Now() + server.DefaultConfig().ShutdownDelay + time.Second); err != nil {
+		tb.Fatal(err)
+	}
+	if f.ActiveCount() != on || f.OnCount() != on {
+		tb.Fatalf("active = %d, on = %d after shedding, want %d", f.ActiveCount(), f.OnCount(), on)
+	}
+	return e, f
+}
+
+// tierName names a dispatch tier of n servers, on of them powered.
+func tierName(n, on int) string {
+	if on < n {
+		return fmt.Sprintf("n=%d,on=%d", n, on)
+	}
+	return fmt.Sprintf("n=%d", n)
+}
+
 // BenchmarkFleetAggregateReads measures the O(1) aggregate surface the
 // control loops poll every decision period. Must be allocation-free.
 func BenchmarkFleetAggregateReads(b *testing.B) {
@@ -62,19 +85,21 @@ func BenchmarkFleetAggregateReads(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetDispatch measures one spread-dispatch round over the
-// whole fleet — the per-decision hot path of every manager mode — at 1k,
-// 10k and (outside -short) 100k servers. Must be allocation-free:
-// capacities and utilizations live in fleet-owned scratch buffers.
+// BenchmarkFleetDispatch measures one spread-dispatch round — the
+// per-decision hot path of every manager mode — over fully powered
+// fleets of 1k, 10k and (outside -short) 100k servers, and over a 10k
+// fleet with its last 5k servers Off, which dispatch skips. Must be
+// allocation-free.
 func BenchmarkFleetDispatch(b *testing.B) {
-	for _, n := range []int{1_000, 10_000, 100_000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+	for _, tier := range []struct{ n, on int }{{1_000, 1_000}, {10_000, 10_000}, {10_000, 5_000}, {100_000, 100_000}} {
+		n, on := tier.n, tier.on
+		b.Run(tierName(n, on), func(b *testing.B) {
 			if n > 10_000 && testing.Short() {
 				b.Skip("100k tier skipped in -short mode")
 			}
-			e, f := benchFleet(b, n)
+			e, f := benchFleetOn(b, n, on)
 			cfg := server.DefaultConfig()
-			offered := 0.6 * float64(n) * cfg.Capacity
+			offered := 0.6 * float64(on) * cfg.Capacity
 			now := e.Now()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -180,13 +205,15 @@ func TestPhysicsTickSteadyStateAllocFree(t *testing.T) {
 
 // TestDispatchSteadyStateAllocFree pins a dispatch round at zero
 // allocations with the inline (nil) pool, from a single-shard fleet to a
-// 19-shard one: Dispatch's shard bodies are bound once at construction,
-// so neither fan-out allocates a closure.
+// 19-shard one, all on or half on: Dispatch's shard bodies are bound
+// once at construction, so neither fan-out allocates a closure, and the
+// shards before the live bound are a subslice.
 func TestDispatchSteadyStateAllocFree(t *testing.T) {
-	for _, n := range []int{40, 1_000, 10_000} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
-			e, f := benchFleet(t, n)
-			offered := 0.6 * float64(n) * server.DefaultConfig().Capacity
+	for _, tier := range []struct{ n, on int }{{40, 40}, {1_000, 1_000}, {10_000, 10_000}, {10_000, 5_000}} {
+		n, on := tier.n, tier.on
+		t.Run(tierName(n, on), func(t *testing.T) {
+			e, f := benchFleetOn(t, n, on)
+			offered := 0.6 * float64(on) * server.DefaultConfig().Capacity
 			now := e.Now()
 			allocs := testing.AllocsPerRun(50, func() {
 				now += time.Second

@@ -78,6 +78,10 @@ type DataCenter struct {
 	scanNow   time.Duration
 	scanInlet float64
 	scanList  []int32
+	// fillEnd is the fleet's live bound at the last sample round: the
+	// round filled server positions [0, fillEnd), and every server column
+	// from fillEnd on holds 0.
+	fillEnd int
 }
 
 // NewDataCenter builds and wires the facility.
@@ -293,13 +297,22 @@ func (dc *DataCenter) scanShard(sh int, r par.Range) {
 // per-server Sync is needed to read it; the fleet's running sums are
 // rebased here periodically to shed incremental float drift. The
 // per-server columns fill per fleet shard — pure slot-local reads into
-// disjoint frame columns. AppendPar copies the round into the frame's
-// raw band; when the pyramid levels must catch up on the pending rounds,
-// it fans their column folds out over the fleet's pool by column shard.
-// MaybeRebase stays strictly serial, once per round, after the append.
+// disjoint frame columns — over the positions before the fleet's live
+// bound only: an Off server reads 0 W at 0 utilization, which its
+// columns already hold unless it was filled while on, so only the
+// columns between the new bound and the last round's are zeroed.
+// AppendPar copies the round into the frame's raw band; when the pyramid
+// levels must catch up on the pending rounds, it fans their column folds
+// out over the fleet's pool by column shard. MaybeRebase stays strictly
+// serial, once per round, after the append.
 func (dc *DataCenter) sample(now time.Duration) {
 	f := dc.fleet
-	f.pool.RunRanges(f.shards, dc.fillFn)
+	prev := dc.fillEnd
+	dc.fillEnd = f.liveEnd()
+	f.pool.RunRanges(f.shardsBefore(dc.fillEnd), dc.fillFn)
+	if dc.fillEnd < prev {
+		clear(dc.frameBuf[2*dc.fillEnd : 2*prev])
+	}
 	base := 2 * f.Size()
 	for z := 0; z < dc.room.Zones(); z++ {
 		dc.frameBuf[base+z] = dc.room.ZoneInletC(z)
@@ -310,11 +323,12 @@ func (dc *DataCenter) sample(now time.Duration) {
 	f.MaybeRebase()
 }
 
-// fillShard is sample's body over one fleet shard: copy each server's
-// power and utilization columns into its two frame columns.
+// fillShard is sample's body over one fleet shard, clipped at the live
+// bound: copy each server's power and utilization columns into its two
+// frame columns.
 func (dc *DataCenter) fillShard(_ int, r par.Range) {
 	f := dc.fleet
-	for i := r.Lo; i < r.Hi; i++ {
+	for i, hi := r.Lo, min(r.Hi, dc.fillEnd); i < hi; i++ {
 		slot := int(f.slotOfPos[i])
 		dc.frameBuf[2*i] = f.block.PowerAt(slot)
 		dc.frameBuf[2*i+1] = f.block.UtilizationAt(slot)

@@ -285,3 +285,47 @@ func TestFleetReorderValidation(t *testing.T) {
 		t.Error("reorder did not permute as requested")
 	}
 }
+
+// TestSampleZeroesShedServers: each telemetry round holds every server's
+// power and utilization in its two frame columns, including the zeros
+// of servers shed since the previous round, which sit past the fleet's
+// live bound where the sample fill no longer reads.
+func TestSampleZeroesShedServers(t *testing.T) {
+	e := sim.NewEngine(1)
+	dc := shardedTestDC(t, e, newTestPool(t, 2), 512, time.Minute)
+	if _, err := dc.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	f, cfg := dc.Fleet(), testServerConfig()
+	n := f.Size()
+	row := make([]float64, dc.Frames().Width())
+	check := func(what string) {
+		t.Helper()
+		if _, ok := dc.Frames().LatestInto(row); !ok {
+			t.Fatalf("%s: no frame sampled", what)
+		}
+		for i, s := range f.Servers() {
+			if row[2*i] != s.Power() || row[2*i+1] != s.Utilization() {
+				t.Fatalf("%s: position %d (%v) sampled at %v W, %v utilization; reads %v W, %v",
+					what, i, s.State(), row[2*i], row[2*i+1], s.Power(), s.Utilization())
+			}
+		}
+	}
+	f.SetTarget(n)
+	if err := e.Run(cfg.BootDelay + time.Second); err != nil {
+		t.Fatal(err)
+	}
+	f.Dispatch(e.Now(), 0.6*float64(n)*cfg.Capacity)
+	if err := e.Run(e.Now() + time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	check("all on")
+	f.SetTarget(n / 4)
+	if err := e.Run(e.Now() + 2*time.Minute); err != nil {
+		t.Fatal(err)
+	}
+	if f.OnCount() != n/4 || f.PowerW() == 0 {
+		t.Fatalf("shed to %d on at %v W, want %d on", f.OnCount(), f.PowerW(), n/4)
+	}
+	check("after shedding")
+}

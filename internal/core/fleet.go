@@ -31,13 +31,20 @@ const rebaseEvery = 64
 //
 // The servers are the slots of one server.Block, whose columns hold every
 // per-server field and whose sums — total power and energy, on/active
-// counts, trips, per-rack/per-zone power — are updated where a column is
-// written, so aggregate accessors are O(1) reads. The fleet keeps the
-// activation order and runs its per-tick loops (both dispatch passes,
-// Sync, SetPStateAll, the zone trip scan and the sample fill) over the
-// columns, one loop per shard of the size-only par partition; each shard
-// folds into its own partial sums, merged in shard order, so any worker
-// count yields the same bits.
+// counts, trips, boots, per-rack/per-zone power — are updated where a
+// column is written, so aggregate accessors are O(1) reads. The fleet
+// keeps the activation order and runs its per-tick loops (both dispatch
+// passes, Sync, SetPStateAll, the zone trip scan and the sample fill)
+// over the columns, one loop per shard of the size-only par partition;
+// each shard folds into its own partial sums, merged in shard order, so
+// any worker count yields the same bits.
+//
+// SetTarget sheds from the tail of the activation order, so an elastic
+// fleet's Off servers gather there. The fleet keeps a live bound: every
+// position from it on holds an Off server. The dispatch passes and the
+// sample fill run only over the shards before the bound, clipped at it,
+// so their cost follows the servers that are not Off rather than the
+// fleet size; the shards themselves never move.
 type Fleet struct {
 	block   *server.Block
 	servers []*server.Server
@@ -57,9 +64,14 @@ type Fleet struct {
 	lastRebaseDriftW float64 // max |incremental − exact| at the last rebase
 	maxRebaseDriftW  float64 // lifetime high-water mark of the above
 	lastRebaseRefW   float64 // exact total power at the last rebase (drift scale)
-	// Dispatch scratch by activation position, reused across calls.
-	capsBuf []float64
-	utilBuf []float64
+
+	// live bounds the powered prefix of the activation order: every
+	// position from live on holds an Off server (see liveEnd). bootsSeen
+	// is the block's boot count as of the last liveEnd, plus the boots
+	// SetTarget started since; a boot counted beyond it was started by a
+	// handle, past the fleet, and may have powered a server at or after
+	// live.
+	live, bootsSeen int
 
 	// shards partitions activation positions [0, n) purely by size, never
 	// by worker count; slotOfPos maps position → slot (identity until
@@ -78,6 +90,7 @@ type Fleet struct {
 	// closure, and the per-call inputs they read.
 	capacityFn, applyFn, syncFn, pstateFn func(int, par.Range)
 	loopNow                               time.Duration
+	loopEnd                               int
 	applyFill                             float64
 	pstateIdx                             int
 }
@@ -88,7 +101,6 @@ type Fleet struct {
 type shardAcc struct {
 	sums   server.Sums
 	capSum float64
-	maxU   float64
 	_      [64]byte
 }
 
@@ -103,8 +115,6 @@ func NewFleet(e *sim.Engine, cfg server.Config, n int) (*Fleet, error) {
 		block:     b,
 		engine:    e,
 		servers:   b.Servers(),
-		capsBuf:   par.AlignedFloats(n),
-		utilBuf:   par.AlignedFloats(n),
 		shards:    par.Shards(n),
 		slotOfPos: make([]int32, n),
 	}
@@ -287,13 +297,15 @@ func (f *Fleet) SetTarget(target int) {
 	}
 	on := f.OnCount()
 	if on < target {
-		for _, slot := range f.slotOfPos {
+		for i, slot := range f.slotOfPos {
 			if on == target {
 				break
 			}
 			if f.block.StateAt(int(slot)) == server.StateOff {
 				f.block.Server(int(slot)).PowerOn(f.engine)
 				f.switchOns++
+				f.bootsSeen++
+				f.live = max(f.live, i+1)
 				on++
 			}
 		}
@@ -304,8 +316,9 @@ func (f *Fleet) SetTarget(target int) {
 		// both, so skipping Booting here would leave the committed count
 		// above target until the boot completes — or forever, if the
 		// target stays low (the server boots to Active with no further
-		// SetTarget call to reconcile it).
-		for i := len(f.slotOfPos) - 1; i >= 0 && on > target; i-- {
+		// SetTarget call to reconcile it). Positions from the live bound
+		// on are Off.
+		for i := f.liveEnd() - 1; i >= 0 && on > target; i-- {
 			slot := int(f.slotOfPos[i])
 			if st := f.block.StateAt(slot); st == server.StateActive || st == server.StateBooting {
 				f.block.Server(slot).PowerOff(f.engine)
@@ -335,7 +348,34 @@ func (f *Fleet) Reorder(perm []int) error {
 		next[i], nextSlot[i] = f.servers[p], f.slotOfPos[p]
 	}
 	f.servers, f.slotOfPos = next, nextSlot
+	f.live = len(f.slotOfPos) // a server that is not Off may have moved past the bound
 	return nil
+}
+
+// liveEnd returns the live bound, trimmed past the Off servers at the
+// tail of the activation order. The trim is amortized O(1): the bound
+// only rises by SetTarget's boots, a boot the fleet did not start and
+// Reorder, and each of those positions is trimmed once. A boot the
+// fleet did not start shows as the block's boot count running ahead of
+// bootsSeen; it resets the bound to the fleet size.
+func (f *Fleet) liveEnd() int {
+	if boots := f.block.Sums().Boots; boots != f.bootsSeen {
+		f.bootsSeen, f.live = boots, len(f.slotOfPos)
+	}
+	for f.live > 0 && f.block.StateAt(int(f.slotOfPos[f.live-1])) == server.StateOff {
+		f.live--
+	}
+	return f.live
+}
+
+// shardsBefore returns the shards that start before position end: the
+// ones a loop over positions [0, end) runs, each clipped at end.
+func (f *Fleet) shardsBefore(end int) []par.Range {
+	k := 0
+	for k < len(f.shards) && f.shards[k].Lo < end {
+		k++
+	}
+	return f.shards[:k]
 }
 
 // Sync advances every server's energy accounting to now and rebases the
@@ -369,67 +409,54 @@ func (f *Fleet) pstateShard(sh int, r par.Range) {
 }
 
 // Dispatch spreads offered load over the active servers and applies the
-// resulting utilizations. It returns the dispatch (including dropped
-// load) and the highest per-server utilization. The returned dispatch's
-// Utilizations slice is fleet-owned scratch, valid only until the next
-// Dispatch call; copy it to retain.
+// resulting utilizations: every server with capacity gets one fill, every
+// other server that is not Off gets 0, and Off servers are not written.
+// It returns the load dropped for want of capacity and the highest
+// per-server utilization, which is the fill whenever some server has
+// capacity.
 //
 // Pass A folds per-shard partials of the capacity column; the spread is
 // decided once from their shard-ordered total; pass B writes the fill
-// into the utilization column shard by shard. Both produce bits that
-// depend only on the shard partition, i.e. on fleet size.
-func (f *Fleet) Dispatch(now time.Duration, offered float64) (workload.Dispatch, float64) {
-	f.pool.RunRanges(f.shards, f.capacityFn)
+// into the utilization column shard by shard. Both run only over the
+// positions before the live bound, where every server that is not Off
+// sits; the positions past it would add nothing to either pass. Both
+// produce bits that depend only on the shard partition, i.e. on fleet
+// size.
+func (f *Fleet) Dispatch(now time.Duration, offered float64) (dropped, maxU float64) {
+	f.loopEnd = f.liveEnd()
+	shards := f.shardsBefore(f.loopEnd)
+	f.pool.RunRanges(shards, f.capacityFn)
 	var total float64
-	for sh := range f.acc {
+	for sh := range shards {
 		total += f.acc[sh].capSum
 		f.acc[sh].capSum = 0
 	}
 	plan := workload.PlanSpread(offered, total)
 	f.loopNow, f.applyFill = now, plan.Fill
-	f.pool.RunRanges(f.shards, f.applyFn)
+	f.pool.RunRanges(shards, f.applyFn)
 	f.mergeShards()
-	var maxU float64
-	for sh := range f.acc {
-		if f.acc[sh].maxU > maxU {
-			maxU = f.acc[sh].maxU
-		}
-		f.acc[sh].maxU = 0
+	if total > 0 && plan.Fill > 0 {
+		maxU = plan.Fill
 	}
-	return workload.Dispatch{Utilizations: f.utilBuf, Dropped: plan.Dropped}, maxU
+	return plan.Dropped, maxU
 }
 
-// capacityShard is Dispatch's pass A over one shard: read each server's
-// available capacity into scratch and fold the shard's positive total.
+// capacityShard is Dispatch's pass A over one shard, clipped at the live
+// bound: fold the shard's positive total of available capacity.
 func (f *Fleet) capacityShard(sh int, r par.Range) {
 	var sum float64
-	for i := r.Lo; i < r.Hi; i++ {
-		c := f.block.AvailableCapacityAt(int(f.slotOfPos[i]))
-		f.capsBuf[i] = c
-		if c > 0 {
+	for _, slot := range f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)] {
+		if c := f.block.AvailableCapacityAt(int(slot)); c > 0 {
 			sum += c
 		}
 	}
 	f.acc[sh].capSum = sum
 }
 
-// applyShard is Dispatch's pass B over one shard: give every server with
-// capacity the planned fill, record the shard's highest utilization, and
-// write the utilizations into the columns.
+// applyShard is Dispatch's pass B over one shard, clipped at the live
+// bound: write the planned fill into the utilization columns.
 func (f *Fleet) applyShard(sh int, r par.Range) {
-	var maxU float64
-	for i := r.Lo; i < r.Hi; i++ {
-		var u float64
-		if f.capsBuf[i] > 0 {
-			u = f.applyFill
-		}
-		f.utilBuf[i] = u
-		if u > maxU {
-			maxU = u
-		}
-	}
-	f.acc[sh].maxU = maxU
-	f.block.SetUtilizations(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:r.Hi], f.utilBuf[r.Lo:r.Hi])
+	f.block.FillSlots(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)], f.applyFill)
 }
 
 // PowerW reports the instantaneous total fleet draw. O(1): maintained

@@ -116,17 +116,17 @@ func TestFleetDispatchAndPower(t *testing.T) {
 		t.Errorf("idle fleet power = %v, want %v", f.PowerW(), 2*idle)
 	}
 	// Dispatch half the active capacity: each at 50 %.
-	d, maxU := f.Dispatch(now, cfg.Capacity)
-	if d.Dropped != 0 {
-		t.Errorf("dropped = %v", d.Dropped)
+	dropped, maxU := f.Dispatch(now, cfg.Capacity)
+	if dropped != 0 {
+		t.Errorf("dropped = %v", dropped)
 	}
 	if math.Abs(maxU-0.5) > 1e-9 {
 		t.Errorf("max utilization = %v, want 0.5", maxU)
 	}
 	// Overload drops.
-	d, maxU = f.Dispatch(now, cfg.Capacity*5)
-	if d.Dropped <= 0 || maxU != 1 {
-		t.Errorf("overload: dropped=%v maxU=%v", d.Dropped, maxU)
+	dropped, maxU = f.Dispatch(now, cfg.Capacity*5)
+	if dropped <= 0 || maxU != 1 {
+		t.Errorf("overload: dropped=%v maxU=%v", dropped, maxU)
 	}
 }
 
@@ -242,5 +242,112 @@ func TestSetTargetDropToZeroDuringBoot(t *testing.T) {
 		if s.State() != server.StateOff {
 			t.Errorf("%s state = %v after collapse, want off", s.Name(), s.State())
 		}
+	}
+}
+
+// TestDispatchLiveBound pins the live bound on a half-powered 2,048-server
+// fleet whose loops run on a 2-worker pool: a dispatch loads every active
+// server with the fill and writes no Off server, and each way a server
+// that is not Off can come to sit past the bound — a boot the fleet did
+// not start, a Reorder — resets it, so the next dispatch still loads that
+// server. Every round uses a new fill and a new instant, so a server the
+// dispatch skipped shows a stale utilization or sync time.
+func TestDispatchLiveBound(t *testing.T) {
+	const n = 2048
+	cfg := testServerConfig()
+	e := sim.NewEngine(1)
+	f, err := NewFleet(e, cfg, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetParallel(newTestPool(t, 2))
+	run := func(d time.Duration) {
+		t.Helper()
+		if err := e.Run(e.Now() + d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	f.SetTarget(n / 2)
+	run(cfg.BootDelay + time.Second)
+
+	round := 0
+	dispatch := func(what string) float64 {
+		t.Helper()
+		round++
+		run(time.Second)
+		now := e.Now()
+		synced := make([]time.Duration, n)
+		for slot := range synced {
+			synced[slot] = f.ServerAt(slot).LastSyncAt()
+		}
+		_, fill := f.Dispatch(now, (0.2+0.1*float64(round))*float64(f.ActiveCount())*cfg.Capacity)
+		if fill <= 0 {
+			t.Fatalf("%s: fill %v", what, fill)
+		}
+		for slot := 0; slot < n; slot++ {
+			s := f.ServerAt(slot)
+			switch s.State() {
+			case server.StateActive:
+				if s.Utilization() != fill || s.LastSyncAt() != now {
+					t.Fatalf("%s: active slot %d at utilization %v synced at %v, want the fill %v at %v",
+						what, slot, s.Utilization(), s.LastSyncAt(), fill, now)
+				}
+			case server.StateOff:
+				if s.LastSyncAt() != synced[slot] {
+					t.Fatalf("%s: dispatch wrote Off slot %d (synced %v, was %v)", what, slot, s.LastSyncAt(), synced[slot])
+				}
+			}
+		}
+		if err := f.VerifyAggregates(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		return fill
+	}
+	dispatch("half on")
+	if f.live != n/2 {
+		t.Fatalf("live bound %d with the first %d positions on", f.live, n/2)
+	}
+
+	// A recovery's path: a handle boots the server at the last position.
+	last := f.ServerAt(int(f.slotOfPos[n-1]))
+	last.PowerOn(e)
+	run(cfg.BootDelay)
+	if fill := dispatch("after a handle boot"); last.Utilization() != fill {
+		t.Fatalf("handle-booted server at utilization %v, want the fill %v", last.Utilization(), fill)
+	}
+	last.PowerOff(e)
+	run(cfg.ShutdownDelay)
+	dispatch("after its shutdown")
+	if f.live != n/2 {
+		t.Fatalf("live bound %d after the tail shut down, want %d", f.live, n/2)
+	}
+
+	// A crash opens a hole inside the prefix; the next raise fills it
+	// before any position past the bound.
+	hole := f.ServerAt(int(f.slotOfPos[10]))
+	if !hole.Crash(e.Now()) {
+		t.Fatal("crash did not take")
+	}
+	dispatch("with a hole")
+	live := f.live
+	f.SetTarget(f.OnCount() + 1)
+	if hole.State() != server.StateBooting || f.live != live {
+		t.Fatalf("raise after a crash: hole %v, live bound %d -> %d", hole.State(), live, f.live)
+	}
+	run(cfg.BootDelay)
+	dispatch("after the hole rebooted")
+
+	// Swap the active server at position 0 with the Off one at n-2.
+	perm := make([]int, n)
+	for i := range perm {
+		perm[i] = i
+	}
+	perm[0], perm[n-2] = n-2, 0
+	moved := f.ServerAt(int(f.slotOfPos[0]))
+	if err := f.Reorder(perm); err != nil {
+		t.Fatal(err)
+	}
+	if fill := dispatch("after a reorder"); moved.Utilization() != fill {
+		t.Fatalf("reordered server at utilization %v, want the fill %v", moved.Utilization(), fill)
 	}
 }

@@ -406,9 +406,9 @@ func (m *Manager) tick(now time.Duration) {
 	}
 
 	// Observe: dispatch current load over current capacity and measure.
-	d, maxU := m.fleet.Dispatch(now, offered)
+	dropped, maxU := m.fleet.Dispatch(now, offered)
 	resp := m.cfg.Queue.Response(maxU)
-	if d.Dropped > 0 {
+	if dropped > 0 {
 		resp = m.cfg.Queue.MaxResponse
 	}
 	m.lastResp = resp
@@ -416,7 +416,7 @@ func (m *Manager) tick(now time.Duration) {
 	m.decisions++
 	m.activeSum += int64(m.fleet.ActiveCount())
 	m.offeredTotal += offered
-	m.droppedTotal += d.Dropped
+	m.droppedTotal += dropped
 
 	// Decide + actuate.
 	switch m.cfg.Mode {
@@ -456,7 +456,7 @@ func (m *Manager) tick(now time.Duration) {
 			PState:   m.curPState,
 			PowerW:   m.fleet.PowerW(),
 			Response: resp,
-			Dropped:  d.Dropped,
+			Dropped:  dropped,
 		})
 	}
 }

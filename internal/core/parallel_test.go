@@ -103,8 +103,8 @@ func runShardedFleetScenario(t *testing.T, workers int) fleetTrace {
 	for k := 0; k < 14; k++ {
 		now := e.Now()
 		offered := (0.15 + 0.08*float64(k%9)) * float64(n) * cfg.Capacity
-		d, maxU := f.Dispatch(now, offered)
-		tr.Dropped = append(tr.Dropped, math.Float64bits(d.Dropped))
+		dropped, maxU := f.Dispatch(now, offered)
+		tr.Dropped = append(tr.Dropped, math.Float64bits(dropped))
 		tr.MaxU = append(tr.MaxU, math.Float64bits(maxU))
 		switch k {
 		case 5:
@@ -184,8 +184,8 @@ func runShardedDCScenario(t *testing.T, workers int) dcTrace {
 	for k := 0; k < 12; k++ {
 		now := e.Now()
 		offered := (0.2 + 0.07*float64(k%7)) * float64(n) * srvCfg.Capacity
-		d, maxU := f.Dispatch(now, offered)
-		tr.Dropped = append(tr.Dropped, math.Float64bits(d.Dropped))
+		dropped, maxU := f.Dispatch(now, offered)
+		tr.Dropped = append(tr.Dropped, math.Float64bits(dropped))
 		tr.MaxU = append(tr.MaxU, math.Float64bits(maxU))
 		if k == 7 {
 			f.SetTarget(n / 2)

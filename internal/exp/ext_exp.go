@@ -98,9 +98,9 @@ func RunCapping(env *Env) (Result, error) {
 				frac += 0.17 // afternoon burst pushes past the cap
 			}
 			offered := frac * n * srvCfg.Capacity
-			d, _ := fleet.Dispatch(now, offered)
+			dropped, _ := fleet.Dispatch(now, offered)
 			demanded += offered
-			delivered += offered - d.Dropped
+			delivered += offered - dropped
 			if rack.Evaluate().OutW > capW {
 				over++
 			}

@@ -182,7 +182,8 @@ func (n *Node) EvaluateInto(buf *[]Flow) Flow {
 	if cap(*buf) < need {
 		*buf = make([]Flow, need)
 	}
-	f, _ := n.evaluate((*buf)[:need])
+	var f Flow
+	n.evaluate(&f, (*buf)[:need])
 	return f
 }
 
@@ -215,15 +216,16 @@ func (n *Node) descendants() int {
 	return d
 }
 
-// evaluate computes n's flow with its Children carved from the front of
-// buf and its descendants' from what follows, and returns the unused
-// rest of buf.
-func (n *Node) evaluate(buf []Flow) (Flow, []Flow) {
+// evaluate computes n's flow into *dst, with its Children carved from
+// the front of buf and its descendants' from what follows, and returns
+// the unused rest of buf. Each child is evaluated in its carved slot, so
+// no flow is copied.
+func (n *Node) evaluate(dst *Flow, buf []Flow) []Flow {
 	k := len(n.children)
 	childFlows, rest := buf[:k:k], buf[k:]
 	var out float64
 	for i, c := range n.children {
-		childFlows[i], rest = c.evaluate(rest)
+		rest = c.evaluate(&childFlows[i], rest)
 		out += childFlows[i].InW
 	}
 	for _, l := range n.loads {
@@ -234,19 +236,14 @@ func (n *Node) evaluate(buf []Flow) (Flow, []Flow) {
 		out += v
 	}
 	loss := n.loss.Loss(out, n.ratedW)
-	f := Flow{
-		Name:        n.name,
-		Kind:        n.kind,
-		OutW:        out,
-		InW:         out + loss,
-		LossW:       loss,
-		Utilization: out / n.ratedW,
-		Overloaded:  out > n.ratedW,
-		Children:    childFlows,
-	}
-	f.SurgeExceeded = out > n.surgeW
-	f.CapExceeded = n.capW > 0 && out > n.capW
-	return f, rest
+	dst.Name, dst.Kind = n.name, n.kind
+	dst.OutW, dst.InW, dst.LossW = out, out+loss, loss
+	dst.Utilization = out / n.ratedW
+	dst.Overloaded = out > n.ratedW
+	dst.SurgeExceeded = out > n.surgeW
+	dst.CapExceeded = n.capW > 0 && out > n.capW
+	dst.Children = childFlows
+	return rest
 }
 
 // OutputW computes the power delivered by this node (Flow.OutW) without

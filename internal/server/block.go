@@ -67,8 +67,8 @@ type Sums struct {
 	// PowerW and EnergyJ are the total draw and energy.
 	PowerW, EnergyJ float64
 	// On counts active and booting slots, Active the active ones, Trips
-	// the protective thermal shutdowns.
-	On, Active, Trips int
+	// the protective thermal shutdowns, Boots the boots started.
+	On, Active, Trips, Boots int
 	// Rack and Zone are the per-group power sums (nil without groups).
 	Rack, Zone []float64
 	changes    []int32
@@ -183,7 +183,8 @@ type op uint8
 
 const (
 	opSync     op = iota // integrate and complete due transitions only
-	opUtil               // utilization u[k], or x for one slot
+	opUtil               // utilization x
+	opFill               // dispatch fill x if the slot had capacity, else 0; skips an Off slot
 	opPState             // DVFS index n
 	opThrottle           // throttle duty x
 	opPark               // parked cores n
@@ -193,24 +194,26 @@ const (
 	opCrash              // drop an active or booting server to Off
 )
 
-// writeArgs are a write's operands, shared by every slot of a loop but
-// the utilizations u, taken by position in the slot list when set.
+// writeArgs are a write's operands, shared by every slot of a loop.
 // Callers have validated them.
 type writeArgs struct {
 	op op
-	u  []float64
 	x  float64
 	n  int
 }
 
 // writeSlot is the one path by which a server's columns change: it
 // integrates slot's energy over the dt seconds up to now, completes a
-// boot or shutdown whose deadline has passed, applies the op (u[k] for a
-// utilization), refreshes the derived columns and, if state, power or
-// energy moved, folds the deltas into p and marks the slot changed. It
-// reports whether the op booted, shut down, crashed or tripped the slot.
-func (b *Block) writeSlot(p *Sums, slot, k int, now time.Duration, dt float64, w *writeArgs) bool {
+// boot or shutdown whose deadline has passed, applies the op, refreshes
+// the derived columns and, if state, power or energy moved, folds the
+// deltas into p and marks the slot changed. It reports whether the op
+// booted, shut down, crashed or tripped the slot. A fill leaves an Off
+// slot unwritten: it would change only the slot's lastAt.
+func (b *Block) writeSlot(p *Sums, slot int, now time.Duration, dt float64, w *writeArgs) bool {
 	st0, p0, e0 := b.state[slot], b.power[slot], b.energy[slot]
+	if w.op == opFill && st0 == StateOff {
+		return false
+	}
 	e := e0 + p0*dt
 	b.lastAt[slot] = now
 	st := st0
@@ -222,10 +225,10 @@ func (b *Block) writeSlot(p *Sums, slot, k int, now time.Duration, dt float64, w
 	}
 	refresh, took := false, false
 	switch w.op {
-	case opUtil:
+	case opUtil, opFill:
 		u := w.x
-		if w.u != nil {
-			u = w.u[k]
+		if w.op == opFill && !(b.avail[slot] > 0) {
+			u = 0 // the capacity before this write, as the spread saw it
 		}
 		// Comparisons give the bits of math.Max(0, math.Min(1, u)) for
 		// every input but NaN, which counts as 0.
@@ -279,7 +282,7 @@ func (b *Block) writeSlot(p *Sums, slot, k int, now time.Duration, dt float64, w
 		b.avail[slot] = b.capacityOf(st, b.pstate[slot], b.parked[slot], b.throttle[slot])
 	}
 	pw := p0
-	if refresh || w.op == opUtil {
+	if refresh || w.op == opUtil || w.op == opFill {
 		pw = b.drawOf(st, b.idle[slot], b.cfg.dynFraction(b.util[slot]), b.pstate[slot], b.throttle[slot])
 		b.power[slot] = pw
 	}
@@ -293,8 +296,13 @@ func (b *Block) writeSlot(p *Sums, slot, k int, now time.Duration, dt float64, w
 	d := pw - p0
 	p.PowerW += d
 	p.EnergyJ += e - e0
-	if took && w.op == opInlet {
-		p.Trips++
+	if took {
+		switch w.op {
+		case opInlet:
+			p.Trips++
+		case opOn:
+			p.Boots++
+		}
 	}
 	if st != st0 {
 		p.On += committed(st) - committed(st0)
@@ -338,25 +346,28 @@ func (b *Block) since(slot int, now time.Duration) float64 {
 func (b *Block) write(p *Sums, now time.Duration, slots []int32, w writeArgs) {
 	var dt float64
 	last := time.Duration(-1)
-	for k, s := range slots {
+	for _, s := range slots {
 		slot := int(s)
 		if at := b.lastAt[slot]; at != last {
 			dt, last = b.since(slot, now), at
 		}
-		b.writeSlot(p, slot, k, now, dt, &w)
+		b.writeSlot(p, slot, now, dt, &w)
 	}
 }
 
 // writeOne is the write of one handle call: one slot, into the block's
 // own sums.
 func (b *Block) writeOne(slot int, now time.Duration, w writeArgs) bool {
-	return b.writeSlot(&b.sums, slot, 0, now, b.since(slot, now), &w)
+	return b.writeSlot(&b.sums, slot, now, b.since(slot, now), &w)
 }
 
-// SetUtilizations assigns u[k] to slot slots[k] at now, as
-// Server.SetUtilization does, folding the deltas into p.
-func (b *Block) SetUtilizations(p *Sums, now time.Duration, slots []int32, u []float64) {
-	b.write(p, now, slots, writeArgs{op: opUtil, u: u})
+// FillSlots is a dispatch write: every slot in slots that is not Off
+// gets utilization fill if it had capacity before the write and 0
+// otherwise, as Server.SetUtilization would assign them, with the
+// deltas folded into p. An Off slot is left unwritten, its last sync
+// time included.
+func (b *Block) FillSlots(p *Sums, now time.Duration, slots []int32, fill float64) {
+	b.write(p, now, slots, writeArgs{op: opFill, x: fill})
 }
 
 // SyncSlots syncs every slot in slots to now, folding the deltas into p.
@@ -410,8 +421,8 @@ func (b *Block) Merge(p *Sums) {
 	s := &b.sums
 	s.PowerW += p.PowerW
 	s.EnergyJ += p.EnergyJ
-	s.On, s.Active, s.Trips = s.On+p.On, s.Active+p.Active, s.Trips+p.Trips
-	p.PowerW, p.EnergyJ, p.On, p.Active, p.Trips = 0, 0, 0, 0, 0
+	s.On, s.Active, s.Trips, s.Boots = s.On+p.On, s.Active+p.Active, s.Trips+p.Trips, s.Boots+p.Boots
+	p.PowerW, p.EnergyJ, p.On, p.Active, p.Trips, p.Boots = 0, 0, 0, 0, 0, 0
 	s.changes = append(s.changes, p.changes...)
 	p.changes = p.changes[:0]
 	if p.groupDirty {
@@ -495,12 +506,13 @@ func (b *Block) Rebase() (driftW, exactW float64) {
 // maintained sums against a fresh scan: columns and counters must match
 // exactly, float sums within relTol·max(|a|,|b|) + absTol.
 func (b *Block) VerifyAggregates(relTol, absTol float64) error {
-	on, active, trips := 0, 0, 0
+	on, active, trips, boots := 0, 0, 0, 0
 	var pw, en float64
 	for i, st := range b.state {
 		on += committed(st)
 		active += activeIn(st)
 		trips += int(b.trips[i])
+		boots += int(b.boots[i])
 		idle := b.idleOf(b.parked[i])
 		if idle != b.idle[i] {
 			return fmt.Errorf("server: slot %d idle column %v != recomputed %v", i, b.idle[i], idle)
@@ -524,6 +536,9 @@ func (b *Block) VerifyAggregates(relTol, absTol float64) error {
 	}
 	if trips != s.Trips {
 		return fmt.Errorf("server: maintained trips %d != scan %d", s.Trips, trips)
+	}
+	if boots != s.Boots {
+		return fmt.Errorf("server: maintained boots %d != scan %d", s.Boots, boots)
 	}
 	if !withinTol(s.PowerW, pw, relTol, absTol) {
 		return fmt.Errorf("server: maintained power %v W != scan %v W", s.PowerW, pw)

@@ -75,12 +75,18 @@ func TestVerifyAggregatesNamesEachCorruption(t *testing.T) {
 		{"maintained on count", &b.sums.On},
 		{"maintained active count", &b.sums.Active},
 		{"maintained trips", &b.sums.Trips},
+		{"maintained boots", &b.sums.Boots},
 	}
 	for _, tc := range intCases {
 		*tc.v++
 		requireNamed(t, b, tc.want)
 		*tc.v--
 	}
+	// A boot that bypassed the counter: a fleet would keep that server
+	// past its live bound, out of dispatch.
+	b.boots[9]++
+	requireNamed(t, b, "maintained boots")
+	b.boots[9]--
 	if err := b.VerifyAggregates(1e-7, 1e-6); err != nil {
 		t.Fatalf("restored block: %v", err)
 	}
