@@ -13,10 +13,9 @@ import (
 	"repro/internal/workload"
 )
 
-// benchAdmissionTick drives the admission controller at ~1.2x the
-// capacity of an nServers fleet, so the fair-share and shedding paths
-// (not just the fast admit-all path) are in the loop.
-func benchAdmissionTick(b *testing.B, nServers int) {
+// benchAdmissionTick drives the admission controller at load times the
+// capacity of an nServers fleet.
+func benchAdmissionTick(b *testing.B, nServers int, load float64) {
 	b.Helper()
 	cfg := workload.DefaultAdmissionConfig()
 	adm, err := workload.NewAdmission(cfg)
@@ -26,7 +25,7 @@ func benchAdmissionTick(b *testing.B, nServers int) {
 	const dt = time.Minute
 	mix := workload.DefaultClassMix()
 	var erl, fresh [workload.NumClasses]float64
-	mix.Split(float64(nServers)*1.2, &erl)
+	mix.Split(float64(nServers)*load, &erl)
 	for c := 0; c < workload.NumClasses; c++ {
 		rate := erl[c] / cfg.Classes[c].ServiceTime.Seconds()
 		fresh[c] = workload.UsersPerTick(rate, dt)
@@ -44,9 +43,19 @@ func benchAdmissionTick(b *testing.B, nServers int) {
 	b.ReportMetric(users/b.Elapsed().Seconds(), "users/sec")
 }
 
-// BenchmarkAdmissionTick1k is the CI-sized tier.
-func BenchmarkAdmissionTick1k(b *testing.B) { benchAdmissionTick(b, 1_000) }
+// BenchmarkAdmissionTick1k is the CI-sized tier, at 1.2x capacity, so
+// the fair-share and shedding paths (not just the fast admit-all path)
+// are in the loop.
+func BenchmarkAdmissionTick1k(b *testing.B) { benchAdmissionTick(b, 1_000, 1.2) }
 
 // BenchmarkAdmissionTick10k is the headline tier: tens of millions of
-// users per tick admitted through one allocation-free pass.
-func BenchmarkAdmissionTick10k(b *testing.B) { benchAdmissionTick(b, 10_000) }
+// users per tick admitted through one allocation-free pass, at 1.2x
+// capacity.
+func BenchmarkAdmissionTick10k(b *testing.B) { benchAdmissionTick(b, 10_000, 1.2) }
+
+// BenchmarkAdmissionTick6kUnderLoad is the under-load tier: 6,000
+// server-equivalents at ρ = 0.8, where every class is admitted in full
+// and its SLO is judged on thousands of servers. That is a geo site's
+// common tick, and the one where the Erlang C ≤ 1 bound decides the SLO
+// without the O(n) recurrence.
+func BenchmarkAdmissionTick6kUnderLoad(b *testing.B) { benchAdmissionTick(b, 6_000, 0.8) }

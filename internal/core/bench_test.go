@@ -111,6 +111,30 @@ func BenchmarkFleetDispatch(b *testing.B) {
 	}
 }
 
+// BenchmarkFleetSync measures one fleet Sync — the write of every server
+// that is not Off plus the exact Rebase — over BenchmarkFleetDispatch's
+// tiers; the n=10000,on=5000 tier's Off tail is neither walked nor
+// written. A geo site runs one at every epoch barrier. Must be
+// allocation-free.
+func BenchmarkFleetSync(b *testing.B) {
+	for _, tier := range []struct{ n, on int }{{1_000, 1_000}, {10_000, 10_000}, {10_000, 5_000}, {100_000, 100_000}} {
+		n, on := tier.n, tier.on
+		b.Run(tierName(n, on), func(b *testing.B) {
+			if n > 10_000 && testing.Short() {
+				b.Skip("100k tier skipped in -short mode")
+			}
+			e, f := benchFleetOn(b, n, on)
+			now := e.Now()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now += time.Second
+				f.Sync(now)
+			}
+		})
+	}
+}
+
 // benchDC assembles an attached mid-size facility (40 racks × 25
 // servers = 1,000) for the physics-tick and sample microbenchmarks.
 func benchDC(b *testing.B, sampleEvery time.Duration) (*sim.Engine, *DataCenter) {

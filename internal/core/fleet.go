@@ -41,10 +41,11 @@ const rebaseEvery = 64
 //
 // SetTarget sheds from the tail of the activation order, so an elastic
 // fleet's Off servers gather there. The fleet keeps a live bound: every
-// position from it on holds an Off server. The dispatch passes and the
-// sample fill run only over the shards before the bound, clipped at it,
-// so their cost follows the servers that are not Off rather than the
-// fleet size; the shards themselves never move.
+// position from it on holds an Off server. The dispatch passes, Sync and
+// the sample fill run only over the shards before the bound, clipped at
+// it, so their cost follows the servers that are not Off rather than the
+// fleet size; the shards themselves never move. Dispatch and Sync write
+// no Off server, wherever it sits.
 type Fleet struct {
 	block   *server.Block
 	servers []*server.Server
@@ -379,17 +380,20 @@ func (f *Fleet) shardsBefore(end int) []par.Range {
 }
 
 // Sync advances every server's energy accounting to now and rebases the
-// running sums, so aggregate reads right after a Sync are exact.
+// running sums, so aggregate reads right after a Sync are exact. Like
+// Dispatch, it runs only over the positions before the live bound and
+// writes no Off server: an Off server draws nothing, so a sync would
+// move only its LastSyncAt. The Rebase still scans every server.
 func (f *Fleet) Sync(now time.Duration) {
-	f.loopNow = now
-	f.pool.RunRanges(f.shards, f.syncFn)
+	f.loopNow, f.loopEnd = now, f.liveEnd()
+	f.pool.RunRanges(f.shardsBefore(f.loopEnd), f.syncFn)
 	f.mergeShards()
 	f.Rebase()
 }
 
-// syncShard is Sync's body over one shard.
+// syncShard is Sync's body over one shard, clipped at the live bound.
 func (f *Fleet) syncShard(sh int, r par.Range) {
-	f.block.SyncSlots(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:r.Hi])
+	f.block.SyncSlots(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)])
 }
 
 // SetPStateAll moves every server to the given DVFS index.

@@ -38,7 +38,10 @@ func readBits(s *server.Server) slotBits {
 // aggregates verify.
 //
 // A dispatch is mirrored by its rule: a server that is not Off gets the
-// fill if it had capacity, else 0, and an Off server is not written. In
+// fill if it had capacity, else 0, and an Off server is not written. A
+// fleet Sync follows the same rule: the standalone server syncs only if
+// it is not Off, so lastSync, compared like every other field, pins that
+// the fleet left an Off slot's sync time where it was. In
 // the all-on schedule every position is powered. In the off-tail
 // schedule the fleet powers only the positions before k, so slot k sits
 // at the head of the Off tail until its handle boots it (a boot the
@@ -78,7 +81,7 @@ func TestStandaloneServerMatchesFleetSlot(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(17))
 			now := time.Duration(0)
-			tailDispatches := 0
+			tailDispatches, offSyncs := 0, 0
 			for step := 0; step < 600; step++ {
 				now += time.Duration(rng.Intn(45)+1) * time.Second
 				if err := e.Run(now); err != nil {
@@ -122,8 +125,13 @@ func TestStandaloneServerMatchesFleetSlot(t *testing.T) {
 						tailDispatches++
 					}
 				case 10:
+					off := solo.State() == server.StateOff
 					f.Sync(now)
-					solo.Sync(now)
+					if !off {
+						solo.Sync(now)
+					} else {
+						offSyncs++
+					}
 				case 11:
 					idx := rng.Intn(len(cfg.PStates))
 					if err := f.SetPStateAll(now, idx); err != nil {
@@ -151,6 +159,9 @@ func TestStandaloneServerMatchesFleetSlot(t *testing.T) {
 			}
 			if sched.retarget && tailDispatches == 0 {
 				t.Fatal("no dispatch found slot k in the Off tail")
+			}
+			if offSyncs == 0 {
+				t.Fatal("no Sync found slot k Off")
 			}
 		})
 	}

@@ -95,11 +95,11 @@ func New(cfg Config) (*Federation, error) {
 	}
 	if cfg.Parallel {
 		for _, s := range f.sites {
-			s.cmds = make(chan time.Duration)
+			s.cmds = make(chan advance)
 			s.errs = make(chan error)
 			go func(s *Site) {
-				for target := range s.cmds {
-					s.errs <- s.runTo(target)
+				for a := range s.cmds {
+					s.errs <- s.runTo(a)
 				}
 			}(s)
 		}
@@ -120,36 +120,39 @@ func (f *Federation) Run() error { return f.AdvanceTo(f.cfg.Horizon) }
 // AdvanceTo drives every site to target, pausing at each epoch barrier
 // to exchange aggregates and routing weights. Calling it in arbitrary
 // slices is outcome-neutral: barriers always happen at exact epoch
-// boundaries and are the only points where cross-site state moves.
+// boundaries and are the only points where cross-site state moves. A
+// site's failed advance, or a carbon meter that rejects its site's
+// barrier energy, is returned naming the site.
 func (f *Federation) AdvanceTo(target time.Duration) error {
 	if target > f.cfg.Horizon {
 		target = f.cfg.Horizon
 	}
 	for f.now < target {
-		next := f.nextBarrier
-		if next > target {
-			next = target
-		}
-		if err := f.advanceSites(next); err != nil {
+		a := advance{to: min(f.nextBarrier, target)}
+		a.barrier = a.to == f.nextBarrier
+		if err := f.advanceSites(a); err != nil {
 			return err
 		}
-		f.now = next
-		if f.now == f.nextBarrier {
-			f.barrier()
+		f.now = a.to
+		if a.barrier {
+			err := f.barrier()
 			f.nextBarrier += f.cfg.Epoch
+			if err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// advanceSites runs every engine to next — concurrently when the
+// advanceSites runs every site's advance — concurrently when the
 // federation is parallel, in site order otherwise. Either way no two
 // sites' events interleave on shared state (there is none), so the
 // outcome is identical.
-func (f *Federation) advanceSites(next time.Duration) error {
+func (f *Federation) advanceSites(a advance) error {
 	if f.cfg.Parallel {
 		for _, s := range f.sites {
-			s.cmds <- next
+			s.cmds <- a
 		}
 		errs := make([]error, 0, len(f.sites))
 		for _, s := range f.sites {
@@ -160,26 +163,31 @@ func (f *Federation) advanceSites(next time.Duration) error {
 		return errors.Join(errs...)
 	}
 	for _, s := range f.sites {
-		if err := s.runTo(next); err != nil {
+		if err := s.runTo(a); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// barrier is the epoch-boundary exchange: read every site's aggregates
-// in fixed site order, integrate emissions, update the roll-up, and
-// publish the next epoch's weights. Runs single-threaded while every
-// engine is paused at the boundary.
-func (f *Federation) barrier() {
+// barrier is the epoch-boundary exchange: read every site's snapshot,
+// which its advance took at the boundary, in fixed site order; integrate
+// emissions; update the roll-up; and publish the next epoch's weights.
+// Runs single-threaded while every engine is paused at the boundary. It
+// completes the exchange even when a carbon meter rejects its site's
+// energy, and returns the first such error, naming the site.
+func (f *Federation) barrier() error {
 	var totalPowerW float64
+	var err error
 	for i, s := range f.sites {
-		st := s.stats(f.now)
+		st := s.snap
 		f.stats[i] = st
 		totalPowerW += st.PowerW
 		// Emissions integrate in site-local time so each site's diurnal
 		// intensity curve lines up with its population's day.
-		_ = s.meter.Observe(f.now+s.cfg.TZOffset, st.EnergyJ)
+		if e := s.meter.Observe(f.now+s.cfg.TZOffset, st.EnergyJ); e != nil && err == nil {
+			err = fmt.Errorf("geo: site %s: %w", s.cfg.Name, e)
+		}
 		if st.Breaker != workload.BreakerClosed {
 			f.breakerOpenEpochs[i]++
 		}
@@ -203,6 +211,7 @@ func (f *Federation) barrier() {
 		}
 	}
 	f.epochs++
+	return err
 }
 
 // Close releases the site goroutines and worker pools. Idempotent.

@@ -81,6 +81,36 @@ func TestFederationBitIdentity(t *testing.T) {
 	}
 }
 
+// TestBarrierReportsMeterError feeds one site's carbon meter an
+// observation at the horizon, so the meter's clock runs ahead of the
+// federation and the next barrier's observation moves it backwards.
+// AdvanceTo must return that error, naming the site, in both execution
+// modes, after completing the barrier: the epoch counts and the other
+// sites' meters accrue.
+func TestBarrierReportsMeterError(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		cfg := testConfig(1, 3)
+		cfg.Parallel = parallel
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		bad := f.Sites()[1]
+		if err := bad.meter.Observe(cfg.Horizon+bad.TZOffset(), 0); err != nil {
+			t.Fatal(err)
+		}
+		err = f.AdvanceTo(cfg.Epoch)
+		if err == nil || !strings.Contains(err.Error(), "site "+bad.Name()+":") || !strings.Contains(err.Error(), "backwards") {
+			t.Fatalf("parallel=%v: AdvanceTo returned %v, want the meter error of site %s", parallel, err, bad.Name())
+		}
+		if f.Epochs() != 1 || f.Sites()[0].Grams() <= 0 || f.Sites()[2].Grams() <= 0 {
+			t.Fatalf("parallel=%v: %d epochs, grams %v and %v; want the barrier completed",
+				parallel, f.Epochs(), f.Sites()[0].Grams(), f.Sites()[2].Grams())
+		}
+	}
+}
+
 // TestFederationSliceNeutral checks that driving AdvanceTo in arbitrary
 // slices (the serve pacer's access pattern) is outcome-neutral: only
 // epoch barriers exchange state, so slicing cannot move any event.

@@ -19,8 +19,9 @@ import (
 
 // Site is one federated facility: a complete simulation stack on its
 // own engine. Between barriers a site is touched only by its own
-// goroutine (or by the serial loop); at barriers the federation reads
-// its aggregates single-threaded.
+// goroutine (or by the serial loop), which also takes the site's barrier
+// snapshot at the end of each advance that reaches a barrier; at
+// barriers the federation reads the snapshots single-threaded.
 type Site struct {
 	cfg SiteConfig
 	idx int
@@ -41,20 +42,33 @@ type Site struct {
 	// already scaled by the normalized population share.
 	home *trace.Series
 	// weight is the routing weight for the current epoch. Written only
-	// at barriers (all engines paused), read inside manager ticks; the
-	// goroutine join/launch around each epoch orders the accesses.
+	// at barriers (all engines paused), read inside manager ticks and by
+	// the next barrier snapshot; the goroutine join/launch around each
+	// epoch orders the accesses.
 	weight float64
 	// staticW is the fixed population-share weight (RouteStatic).
 	staticW float64
 	// lastEnergyJ remembers the previous barrier's cumulative energy so
 	// stats can report per-epoch deltas.
 	lastEnergyJ float64
+	// snap is the site's snapshot at the latest barrier, written by runTo
+	// and read by the federation's barrier once every site has reported.
+	snap SiteStats
 
 	// cmds/errs connect the site to its dedicated goroutine when the
-	// federation runs Parallel: the barrier loop sends a target time,
-	// the goroutine answers with the advance's error.
-	cmds chan time.Duration
+	// federation runs Parallel: the barrier loop sends an advance, the
+	// goroutine answers with its error.
+	cmds chan advance
 	errs chan error
+}
+
+// advance is one step of a site: run its engine to the instant to, and
+// take the barrier snapshot there when to is an epoch barrier. The
+// federation decides both, so a site goroutine never reads the
+// federation's clock.
+type advance struct {
+	to      time.Duration
+	barrier bool
 }
 
 // newSite builds one site's full stack. Seeds derive from the
@@ -170,17 +184,23 @@ func (s *Site) classDemand(now time.Duration) [workload.NumClasses]float64 {
 	return fresh
 }
 
-// runTo advances the site's engine to target, converting panics from
-// the stack under it into errors so a parallel federation fails
-// cleanly rather than crashing the process.
-func (s *Site) runTo(target time.Duration) (err error) {
+// runTo advances the site's engine to a.to and, when a.to is an epoch
+// barrier, takes the site's barrier snapshot there, into snap. A
+// parallel federation calls it on the site's goroutine, the serial loop
+// in site order; either way the snapshot reads only the site's own
+// state. Panics from the stack under it become errors, so a parallel
+// federation fails cleanly rather than crashing the process.
+func (s *Site) runTo(a advance) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = fmt.Errorf("geo: site %s panicked: %v", s.cfg.Name, r)
 		}
 	}()
-	if err := s.engine.Run(target); err != nil {
+	if err := s.engine.Run(a.to); err != nil {
 		return fmt.Errorf("geo: site %s: %w", s.cfg.Name, err)
+	}
+	if a.barrier {
+		s.snap = s.stats(a.to)
 	}
 	return nil
 }
@@ -189,8 +209,12 @@ func (s *Site) runTo(target time.Duration) (err error) {
 // below this supply temperature and 0 at the server trip threshold.
 const nominalInletC = 25.0
 
-// stats snapshots the site's barrier aggregates at time now. Called
-// single-threaded at barriers, after the engine has reached now.
+// stats snapshots the site's barrier aggregates at time now, after the
+// engine has reached now. It runs on whichever goroutine advanced the
+// site (see runTo) and reads only the site's own state plus its routing
+// weight, which the previous barrier wrote before the federation sent
+// this advance, so the command channel orders the two. Its Fleet.Sync
+// writes only the servers that are not Off.
 func (s *Site) stats(now time.Duration) SiteStats {
 	fleet := s.mgr.Fleet()
 	fleet.Sync(now)

@@ -15,6 +15,9 @@ import (
 // column write goes through writeSlot, which folds the write's deltas
 // into a Sums in the same place — the block's own for a handle call, a
 // shard's partial in a fleet loop — so columns and sums never disagree.
+// The one exception is the dispatch write, FillSlots: a loop of its own
+// that shares writeSlot's rules (settled, clampUtil, capacityOf, drawOf)
+// and folds the same deltas, in the same order, into the same Sums.
 type Block struct {
 	cfg Config
 	// suffix names slot k "<cfg.Name>-<k>"; a standalone server from New
@@ -178,13 +181,36 @@ func (b *Block) capacityOf(st State, ps, parked int32, throttle float64) float64
 	return b.cfg.Capacity * b.cfg.PStates[ps].Freq * throttle * coreFrac
 }
 
+// settled is st after completing a boot or shutdown of slot whose
+// deadline has passed by now.
+func (b *Block) settled(st State, slot int, now time.Duration) State {
+	switch {
+	case st == StateBooting && now >= b.due[slot]:
+		return StateActive
+	case st == StateShuttingDown && now >= b.due[slot]:
+		return StateOff
+	}
+	return st
+}
+
+// clampUtil gives the bits of math.Max(0, math.Min(1, u)) for every
+// input but NaN, which counts as 0.
+func clampUtil(u float64) float64 {
+	if !(u > 0) {
+		return 0
+	}
+	if u > 1 {
+		return 1
+	}
+	return u
+}
+
 // op names a column write (see writeSlot).
 type op uint8
 
 const (
 	opSync     op = iota // integrate and complete due transitions only
 	opUtil               // utilization x
-	opFill               // dispatch fill x if the slot had capacity, else 0; skips an Off slot
 	opPState             // DVFS index n
 	opThrottle           // throttle duty x
 	opPark               // parked cores n
@@ -207,37 +233,16 @@ type writeArgs struct {
 // boot or shutdown whose deadline has passed, applies the op, refreshes
 // the derived columns and, if state, power or energy moved, folds the
 // deltas into p and marks the slot changed. It reports whether the op
-// booted, shut down, crashed or tripped the slot. A fill leaves an Off
-// slot unwritten: it would change only the slot's lastAt.
+// booted, shut down, crashed or tripped the slot.
 func (b *Block) writeSlot(p *Sums, slot int, now time.Duration, dt float64, w *writeArgs) bool {
 	st0, p0, e0 := b.state[slot], b.power[slot], b.energy[slot]
-	if w.op == opFill && st0 == StateOff {
-		return false
-	}
 	e := e0 + p0*dt
 	b.lastAt[slot] = now
-	st := st0
-	switch {
-	case st == StateBooting && now >= b.due[slot]:
-		st = StateActive
-	case st == StateShuttingDown && now >= b.due[slot]:
-		st = StateOff
-	}
+	st := b.settled(st0, slot, now)
 	refresh, took := false, false
 	switch w.op {
-	case opUtil, opFill:
-		u := w.x
-		if w.op == opFill && !(b.avail[slot] > 0) {
-			u = 0 // the capacity before this write, as the spread saw it
-		}
-		// Comparisons give the bits of math.Max(0, math.Min(1, u)) for
-		// every input but NaN, which counts as 0.
-		if !(u > 0) {
-			u = 0
-		} else if u > 1 {
-			u = 1
-		}
-		b.util[slot] = u
+	case opUtil:
+		b.util[slot] = clampUtil(w.x)
 	case opPState:
 		b.pstate[slot] = int32(w.n)
 		refresh = true
@@ -282,7 +287,7 @@ func (b *Block) writeSlot(p *Sums, slot int, now time.Duration, dt float64, w *w
 		b.avail[slot] = b.capacityOf(st, b.pstate[slot], b.parked[slot], b.throttle[slot])
 	}
 	pw := p0
-	if refresh || w.op == opUtil || w.op == opFill {
+	if refresh || w.op == opUtil {
 		pw = b.drawOf(st, b.idle[slot], b.cfg.dynFraction(b.util[slot]), b.pstate[slot], b.throttle[slot])
 		b.power[slot] = pw
 	}
@@ -342,12 +347,16 @@ func (b *Block) since(slot int, now time.Duration) float64 {
 
 // write applies w to every slot in slots, in order. It computes the
 // elapsed seconds once per run of slots that last wrote at the same
-// instant, which in a fleet is nearly all of them.
+// instant, which in a fleet is nearly all of them. A sync leaves an Off
+// slot unwritten: it would change only the slot's lastAt.
 func (b *Block) write(p *Sums, now time.Duration, slots []int32, w writeArgs) {
 	var dt float64
 	last := time.Duration(-1)
 	for _, s := range slots {
 		slot := int(s)
+		if w.op == opSync && b.state[slot] == StateOff {
+			continue
+		}
 		if at := b.lastAt[slot]; at != last {
 			dt, last = b.since(slot, now), at
 		}
@@ -366,11 +375,93 @@ func (b *Block) writeOne(slot int, now time.Duration, w writeArgs) bool {
 // otherwise, as Server.SetUtilization would assign them, with the
 // deltas folded into p. An Off slot is left unwritten, its last sync
 // time included.
+//
+// It is writeSlot specialized to one op: the columns, the partial's
+// power, energy and counts, and the running sums of the current rack
+// and zone live in locals, written back when the slot's rack or zone
+// changes and at the end. Each sum takes the same deltas in the same
+// order as a writeSlot per slot would fold them, so the bits match.
 func (b *Block) FillSlots(p *Sums, now time.Duration, slots []int32, fill float64) {
-	b.write(p, now, slots, writeArgs{op: opFill, x: fill})
+	state, power, energy, util, avail := b.state, b.power, b.energy, b.util, b.avail
+	idle, pstate, parked, throttle, lastAt := b.idle, b.pstate, b.parked, b.throttle, b.lastAt
+	rackOf, zoneOf, changed := b.rackOf, b.zoneOf, b.changed
+	// The power curve is evaluated once: every slot draws at the fill or
+	// at 0.
+	uFill := clampUtil(fill)
+	dfFill, dfZero := b.cfg.dynFraction(uFill), b.cfg.dynFraction(0)
+	pw, en, on, active := p.PowerW, p.EnergyJ, p.On, p.Active
+	rack, zone := int32(-1), int32(-1)
+	var rackW, zoneW float64
+	var dt float64
+	last := time.Duration(-1)
+	for _, s := range slots {
+		slot := int(s)
+		st0 := state[slot]
+		if st0 == StateOff {
+			continue
+		}
+		if at := lastAt[slot]; at != last {
+			dt, last = b.since(slot, now), at
+		}
+		p0, e0 := power[slot], energy[slot]
+		e := e0 + p0*dt
+		lastAt[slot] = now
+		st := b.settled(st0, slot, now)
+		// Only an active server carries load, and only one that had
+		// capacity before this write, as the spread saw it.
+		u, df := 0.0, dfZero
+		if st == StateActive && avail[slot] > 0 {
+			u, df = uFill, dfFill
+		}
+		util[slot] = u
+		energy[slot] = e
+		state[slot] = st
+		if st != st0 {
+			avail[slot] = b.capacityOf(st, pstate[slot], parked[slot], throttle[slot])
+		}
+		p1 := b.drawOf(st, idle[slot], df, pstate[slot], throttle[slot])
+		power[slot] = p1
+		if st == st0 && p1 == p0 && e == e0 {
+			continue
+		}
+		if changed != nil && !changed[slot] {
+			changed[slot] = true
+			p.changes = append(p.changes, s)
+		}
+		d := p1 - p0
+		pw += d
+		en += e - e0
+		if st != st0 {
+			on += committed(st) - committed(st0)
+			active += activeIn(st) - activeIn(st0)
+		}
+		if rackOf != nil && d != 0 {
+			if r := rackOf[slot]; r != rack {
+				if rack >= 0 {
+					p.Rack[rack] = rackW
+				}
+				rack, rackW = r, p.Rack[r]
+			}
+			rackW += d
+			if z := zoneOf[slot]; z != zone {
+				if zone >= 0 {
+					p.Zone[zone] = zoneW
+				}
+				zone, zoneW = z, p.Zone[z]
+			}
+			zoneW += d
+		}
+	}
+	p.PowerW, p.EnergyJ, p.On, p.Active = pw, en, on, active
+	if rack >= 0 {
+		p.Rack[rack], p.Zone[zone] = rackW, zoneW
+		p.groupDirty = true
+	}
 }
 
-// SyncSlots syncs every slot in slots to now, folding the deltas into p.
+// SyncSlots syncs every slot in slots that is not Off to now, folding
+// the deltas into p. An Off slot is left unwritten: its power is 0, so a
+// sync would change only its last sync time.
 func (b *Block) SyncSlots(p *Sums, now time.Duration, slots []int32) {
 	b.write(p, now, slots, writeArgs{op: opSync})
 }
@@ -482,12 +573,7 @@ func (b *Block) ResetChanged() {
 // gap it closed between a maintained power sum and its recompute, and
 // the exact total power as that gap's scale.
 func (b *Block) Rebase() (driftW, exactW float64) {
-	var pw, en float64
-	for i, p := range b.power {
-		pw += p
-		en += b.energy[i]
-	}
-	b.scanGroups()
+	pw, en := b.scan()
 	s := &b.sums
 	driftW = math.Abs(s.PowerW - pw)
 	for r := range b.rackScratch {
@@ -546,7 +632,7 @@ func (b *Block) VerifyAggregates(relTol, absTol float64) error {
 	if !withinTol(s.EnergyJ, en, relTol, absTol) {
 		return fmt.Errorf("server: maintained energy %v J != scan %v J", s.EnergyJ, en)
 	}
-	b.scanGroups()
+	b.scan()
 	rp, zp := b.rackScratch, b.zoneScratch
 	for r := range rp {
 		if !withinTol(s.Rack[r], rp[r], relTol, absTol) {
@@ -561,15 +647,42 @@ func (b *Block) VerifyAggregates(relTol, absTol float64) error {
 	return nil
 }
 
-// scanGroups recomputes the per-group power sums from the power column,
-// in slot order, into the scratch slabs.
-func (b *Block) scanGroups() {
-	clear(b.rackScratch)
-	clear(b.zoneScratch)
-	for i := range b.rackOf {
-		b.rackScratch[b.rackOf[i]] += b.power[i]
-		b.zoneScratch[b.zoneOf[i]] += b.power[i]
+// scan recomputes the float sums from the columns in one pass in slot
+// order: it returns the total power and energy, and writes the per-group
+// power sums into the scratch slabs. The current rack's and zone's sums
+// run in locals, written back when the slot's group changes, so each sum
+// takes the same addends in the same order as a slot-by-slot fold.
+func (b *Block) scan() (pw, en float64) {
+	power, energy := b.power, b.energy
+	if b.rackOf == nil {
+		for i, p := range power {
+			pw += p
+			en += energy[i]
+		}
+		return pw, en
 	}
+	racks, zones := b.rackScratch, b.zoneScratch
+	clear(racks)
+	clear(zones)
+	rackOf, zoneOf := b.rackOf[:len(power)], b.zoneOf[:len(power)]
+	var rack, zone int32 // group 0's sums start at zero, like every other
+	var rackW, zoneW float64
+	for i, p := range power {
+		pw += p
+		en += energy[i]
+		if r := rackOf[i]; r != rack {
+			racks[rack] = rackW
+			rack, rackW = r, racks[r]
+		}
+		rackW += p
+		if z := zoneOf[i]; z != zone {
+			zones[zone] = zoneW
+			zone, zoneW = z, zones[z]
+		}
+		zoneW += p
+	}
+	racks[rack], zones[zone] = rackW, zoneW
+	return pw, en
 }
 
 // withinTol reports |a-b| <= relTol*max(|a|,|b|) + absTol.

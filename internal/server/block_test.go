@@ -2,6 +2,7 @@ package server
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -147,5 +148,54 @@ func TestCompletionsFireAtDeadlines(t *testing.T) {
 		s[2].PowerOn(e)
 	}); allocs != 0 {
 		t.Errorf("a warm slot's shutdown and boot allocate %v objects, want 0", allocs)
+	}
+}
+
+// TestRebaseMatchesSlotFold holds Rebase's one-pass scan to the
+// slot-by-slot fold. A 1,000-slot block maps its slots to 7 racks and 3
+// zones in runs of random length, so each group recurs after others,
+// and its power and energy columns hold random values. The rebased total
+// power and energy and every rack and zone sum must equal, bit for bit,
+// sums folded one slot at a time in slot order.
+func TestRebaseMatchesSlotFold(t *testing.T) {
+	const n, racks, zones = 1000, 7, 3
+	b, err := NewBlock(DefaultConfig(), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	rackOf, zoneOf := make([]int, n), make([]int, n)
+	for i := 0; i < n; {
+		r, z := rng.Intn(racks), rng.Intn(zones)
+		for end := min(n, i+1+rng.Intn(20)); i < end; i++ {
+			rackOf[i], zoneOf[i] = r, z
+		}
+	}
+	b.SetGroups(rackOf, zoneOf, racks, zones)
+	for i := range b.power {
+		b.power[i], b.energy[i] = 300*rng.Float64(), 1e7*rng.Float64()
+	}
+	var pw, en float64
+	rack, zone := make([]float64, racks), make([]float64, zones)
+	for i, p := range b.power {
+		pw += p
+		en += b.energy[i]
+		rack[rackOf[i]] += p
+		zone[zoneOf[i]] += p
+	}
+	b.Rebase()
+	s := b.Sums()
+	if math.Float64bits(s.PowerW) != math.Float64bits(pw) || math.Float64bits(s.EnergyJ) != math.Float64bits(en) {
+		t.Fatalf("rebased %v W, %v J; slot fold %v W, %v J", s.PowerW, s.EnergyJ, pw, en)
+	}
+	for r := range rack {
+		if math.Float64bits(s.Rack[r]) != math.Float64bits(rack[r]) {
+			t.Errorf("rack %d rebased to %v W, slot fold %v W", r, s.Rack[r], rack[r])
+		}
+	}
+	for z := range zone {
+		if math.Float64bits(s.Zone[z]) != math.Float64bits(zone[z]) {
+			t.Errorf("zone %d rebased to %v W, slot fold %v W", z, s.Zone[z], zone[z])
+		}
 	}
 }

@@ -315,9 +315,10 @@ func (s *Server) AvailableCapacity() float64 { return s.b.avail[s.i] }
 func (s *Server) EnergyJ() float64 { return s.b.energy[s.i] }
 
 // LastSyncAt reports the instant through which energy has been integrated
-// (the time of the last write). A fleet's dispatch does not write an Off
-// server, so an Off server's value is its last write, which may be older
-// than the dispatches since; its power is 0, so its energy is current.
+// (the time of the last write). A fleet's dispatch and Sync do not write
+// an Off server, so an Off server's value is its last write, which may be
+// older than the dispatches and fleet Syncs since; its power is 0, so its
+// energy is current. A handle's own Sync still writes it.
 // External observers — e.g. the invariant checker — use it to reconcile
 // EnergyJ against the power history without forcing a Sync of their own,
 // which would perturb floating-point grouping relative to an unobserved

@@ -101,10 +101,9 @@ type TickOutcome struct {
 	// Degraded is the subset of Admitted served below full quality:
 	// class-degraded by the ladder, or admitted at fair share Q < 1.
 	Degraded [NumClasses]float64
-	// WaitSec is the Erlang-C mean queueing delay per class (+Inf when
-	// the class's allocation is unstable); SLOMiss flags classes whose
-	// expected wait exceeded their SLO target this tick.
-	WaitSec [NumClasses]float64
+	// SLOMiss flags the admitting classes whose Erlang-C mean queueing
+	// delay exceeded their SLO target this tick (see sloMiss); the delay
+	// itself is computed only where the miss needs it.
 	SLOMiss [NumClasses]bool
 }
 
@@ -195,7 +194,8 @@ func (a *Admission) ClassRejected(c Class) float64 { return a.rejectedTot[c] }
 func (a *Admission) ClassDegraded(c Class) float64 { return a.degradedTot[c] }
 
 // SLOMissRate reports the fraction of a class's active ticks (ticks
-// that admitted any of its users) whose Erlang-C wait missed the SLO.
+// that admitted any of its users) whose Erlang-C wait missed the SLO,
+// each miss decided as Tick's SLOMiss is.
 func (a *Admission) SLOMissRate(c Class) float64 {
 	if a.activeTicks[c] == 0 {
 		return 0
@@ -222,7 +222,9 @@ func sumClasses(v *[NumClasses]float64) float64 {
 // below Qmin, users are shed lowest-class-first until the survivors'
 // share recovers to the floor. Admitted users at Q < 1 — and any class
 // the ladder marked degraded — count as degraded, the user-visible cost
-// the experiments report next to watts.
+// the experiments report next to watts. Each admitting class's SLO miss
+// is decided on its share of capacity as an M/M/n queue (sloMiss), by
+// an O(1) bound wherever the bound decides it.
 func (a *Admission) Tick(dt time.Duration, fresh *[NumClasses]float64, capacityErl float64) TickOutcome {
 	if dt <= 0 {
 		panic(fmt.Sprintf("workload: admission tick dt %v must be positive", dt))
@@ -364,17 +366,35 @@ func (a *Admission) Tick(dt time.Duration, fresh *[NumClasses]float64, capacityE
 				n = int(share)
 			}
 		}
-		wait, err := stats.MMcWait(n, lambda, mu)
-		if err != nil {
-			wait = math.Inf(1)
-		}
-		out.WaitSec[c] = wait
-		if slo := a.cfg.Classes[c].SLOWait.Seconds(); wait > slo {
+		if sloMiss(n, lambda, mu, a.cfg.Classes[c].SLOWait.Seconds()) {
 			out.SLOMiss[c] = true
 			a.sloMissTicks[c]++
 		}
 	}
 	return out
+}
+
+// sloMiss reports whether the mean queueing delay of an M/M/n queue with
+// arrival rate lambda and per-server service rate mu exceeds slo seconds:
+// exactly stats.MMcWait(n, lambda, mu) > slo, an error counting as an
+// infinite wait. Where MMcWait applies its finite formula (mu > 0 and
+// 0 ≤ a = lambda/mu < n), the wait is C/den with den = n·mu − lambda ≥ 0
+// and the Erlang C probability C at most 1 (a few ulps over, in floats).
+// So wherever slo·den ≥ 2 the wait is below slo/2 and there is no miss:
+// the O(n) Erlang recurrence runs only where that bound cannot decide.
+func sloMiss(n int, lambda, mu, slo float64) bool {
+	// The product first: it fails an overloaded class (den ≤ 0) without
+	// the division.
+	if slo*(float64(n)*mu-lambda) >= 2 && mu > 0 {
+		if a := lambda / mu; a >= 0 && a < float64(n) {
+			return false
+		}
+	}
+	wait, err := stats.MMcWait(n, lambda, mu)
+	if err != nil {
+		wait = math.Inf(1)
+	}
+	return wait > slo
 }
 
 // classCost is the per-request capacity cost multiplier under the

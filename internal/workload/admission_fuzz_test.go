@@ -67,3 +67,23 @@ func clampFuzzF(x, lo, hi float64) float64 {
 	}
 	return x
 }
+
+// FuzzSLOMiss asserts that sloMiss decides exactly what the Erlang-C
+// wait it skips would: stats.MMcWait(n, λ, μ) > slo, an error counting
+// as an infinite wait, for any n, rates and SLO, NaN and infinities
+// included. n is folded into (−100,001, 100,001) so one input runs the
+// O(n) recurrence quickly. Registered in the CI fuzz-smoke job.
+func FuzzSLOMiss(f *testing.F) {
+	f.Add(1900, 76000.0, 50.0, 0.04)
+	f.Add(7, 6.999, 1.0, 1e-9)
+	f.Add(64, 63.99, 1.0, 1e300)
+	f.Add(1, 0.5, 4.0, math.Inf(1))
+	f.Add(0, 1.0, 1.0, 0.0)
+	f.Add(3, math.NaN(), -1.0, math.NaN())
+	f.Fuzz(func(t *testing.T, n int, lambda, mu, slo float64) {
+		n %= 100_001
+		if got, want := sloMiss(n, lambda, mu, slo), erlangWait(n, lambda, mu) > slo; got != want {
+			t.Fatalf("sloMiss(%d, %v, %v, %v) = %v, MMcWait > slo = %v", n, lambda, mu, slo, got, want)
+		}
+	})
+}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"repro/internal/stats"
 )
 
 const admDT = time.Minute
@@ -253,13 +255,86 @@ func TestAdmissionBacklogCapOverflowsToRejection(t *testing.T) {
 	}
 }
 
+// erlangWait is the Erlang-C mean wait of an M/M/n queue, an error
+// counting as an infinite wait, as the SLO decision reads it.
+func erlangWait(n int, lambda, mu float64) float64 {
+	wait, err := stats.MMcWait(n, lambda, mu)
+	if err != nil {
+		return math.Inf(1)
+	}
+	return wait
+}
+
+// TestSLOMissMatchesErlangC holds sloMiss to the full Erlang-C wait on a
+// grid: n from 1 to 10⁶ servers, offered load a = λ/μ from 0 to 1.2·n
+// with dense steps within two servers of saturation (down to a few ulps
+// of n), the default classes' service rates and SLOs, and SLOs of 0,
+// 1e-9, 1e300 and +Inf. Every case must decide exactly as MMcWait > slo.
+// At 10⁶ servers, where each undecided case runs a million-step
+// recurrence, the loads thin to 0.8·n, the saturation band and the
+// overloads.
+func TestSLOMissMatchesErlangC(t *testing.T) {
+	classes := DefaultRequestClasses()
+	slos := []float64{0, 1e-9, 1e300, math.Inf(1)}
+	var mus []float64
+	for c := 0; c < NumClasses; c++ {
+		mus = append(mus, 1/classes[c].ServiceTime.Seconds())
+		slos = append(slos, classes[c].SLOWait.Seconds())
+	}
+	cases, misses := 0, 0
+	for _, n := range []int{1, 2, 3, 7, 64, 1_000, 6_586, 1_000_000} {
+		fn := float64(n)
+		below := math.Nextafter(fn, 0)
+		loads := []float64{0.8 * fn, fn - 2, fn - 1, fn - 0.25, below, fn, math.Nextafter(fn, math.Inf(1)), 1.2 * fn}
+		if n < 1_000_000 {
+			for k := 0; k <= 24; k++ {
+				loads = append(loads, fn*float64(k)/20)
+			}
+			for k := 1; k <= 40; k++ {
+				loads = append(loads, fn-float64(k)/20) // n − a in (0, 2]
+			}
+			for _, d := range []float64{1e-3, 1e-6, 1e-9} {
+				loads = append(loads, fn-d)
+			}
+			loads = append(loads, math.Nextafter(below, 0))
+		}
+		for _, mu := range mus {
+			// The arrival rates one and two ulps below n·μ, whose a = λ/μ
+			// may round to n.
+			sat := math.Nextafter(fn*mu, 0)
+			lambdas := []float64{sat, math.Nextafter(sat, 0)}
+			for _, a := range loads {
+				if a >= 0 {
+					lambdas = append(lambdas, a*mu)
+				}
+			}
+			for _, lambda := range lambdas {
+				wait := erlangWait(n, lambda, mu)
+				for _, slo := range slos {
+					cases++
+					want := wait > slo
+					if want {
+						misses++
+					}
+					if got := sloMiss(n, lambda, mu, slo); got != want {
+						t.Fatalf("n=%d lambda=%v mu=%v slo=%v: sloMiss %v, Erlang-C wait %v", n, lambda, mu, slo, got, wait)
+					}
+				}
+			}
+		}
+	}
+	if misses == 0 || misses == cases {
+		t.Fatalf("%d of %d cases miss; the grid must hold both outcomes", misses, cases)
+	}
+}
+
 func TestAdmissionSLOMiss(t *testing.T) {
 	a := newTestAdmission(t)
 	// Comfortable: 20 erl of interactive on 100 servers → tiny wait.
 	fresh := [NumClasses]float64{60000, 0, 0}
 	out := a.Tick(admDT, &fresh, 100)
 	if out.SLOMiss[ClassInteractive] {
-		t.Errorf("SLO miss at ample capacity, wait %v", out.WaitSec[ClassInteractive])
+		t.Errorf("SLO miss at ample capacity: %v admitted on %v server-equivalents", out.Admitted[ClassInteractive], out.CapacityErl)
 	}
 	// Crunch at the Qmin floor: the admitted load runs hot against its
 	// allocation and the expected wait blows through the 40ms SLO.
@@ -267,7 +342,7 @@ func TestAdmissionSLOMiss(t *testing.T) {
 	fresh = [NumClasses]float64{60000, 0, 0}
 	out = a2.Tick(admDT, &fresh, 11) // 20 erl demand on 11 servers, Q≈0.55
 	if !out.SLOMiss[ClassInteractive] {
-		t.Errorf("no SLO miss under crunch, wait %v", out.WaitSec[ClassInteractive])
+		t.Errorf("no SLO miss under crunch: %v admitted on %v server-equivalents", out.Admitted[ClassInteractive], out.CapacityErl)
 	}
 	if a2.SLOMissRate(ClassInteractive) != 1 {
 		t.Errorf("SLO miss rate %v, want 1", a2.SLOMissRate(ClassInteractive))

@@ -216,7 +216,7 @@ func TestRetrySLOMissReenqueues(t *testing.T) {
 	out := r.Tick(admDT, &fresh, 11)
 	retryTickConserves(t, out)
 	if !out.Pool.SLOMiss[ClassInteractive] {
-		t.Fatalf("expected an SLO miss, wait %v", out.Pool.WaitSec[ClassInteractive])
+		t.Fatalf("expected an SLO miss: %v admitted on %v server-equivalents", out.Pool.Admitted[ClassInteractive], out.Pool.CapacityErl)
 	}
 	want := out.Pool.Admitted[ClassInteractive] * 0.1
 	if math.Abs(out.SLORetried[ClassInteractive]-want) > 1e-9 {
