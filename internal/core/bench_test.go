@@ -10,9 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// benchFleet boots a fleet of n servers (all active) for the dispatch
-// and aggregate microbenchmarks and allocation tests.
-func benchFleet(tb testing.TB, n int) (*sim.Engine, *Fleet) {
+// A fleetLayout maps a benchmark fleet's slots to racks and zones.
+type fleetLayout int
+
+const (
+	// interleaved has 40-server racks and puts slot i in zone i%4, so the
+	// zone changes at every slot.
+	interleaved fleetLayout = iota
+	// flat has no groups, like a geo site's fleet.
+	flat
+	// racks has 40-server racks and puts rack r in zone r%4, like the
+	// facilities that DataCenter assembles.
+	racks
+)
+
+// benchFleet boots a fleet of n servers (all active) in the given layout
+// for the dispatch and aggregate microbenchmarks and allocation tests.
+func benchFleet(tb testing.TB, n int, layout fleetLayout) (*sim.Engine, *Fleet) {
 	tb.Helper()
 	e := sim.NewEngine(1)
 	cfg := server.DefaultConfig()
@@ -20,17 +34,22 @@ func benchFleet(tb testing.TB, n int) (*sim.Engine, *Fleet) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	// Synthetic rack/zone grouping so the per-group sums are maintained,
-	// as they are inside a DataCenter.
-	rackOf := make([]int, n)
-	zoneOf := make([]int, n)
-	nRacks := (n + 39) / 40
-	for i := range rackOf {
-		rackOf[i] = i / 40
-		zoneOf[i] = i % 4
-	}
-	if err := f.SetPowerGroups(rackOf, zoneOf, nRacks, 4); err != nil {
-		tb.Fatal(err)
+	if layout != flat {
+		// Synthetic rack/zone grouping so the per-group sums are
+		// maintained, as they are inside a DataCenter.
+		rackOf := make([]int, n)
+		zoneOf := make([]int, n)
+		nRacks := (n + 39) / 40
+		for i := range rackOf {
+			rackOf[i] = i / 40
+			zoneOf[i] = i % 4
+			if layout == racks {
+				zoneOf[i] = rackOf[i] % 4
+			}
+		}
+		if err := f.SetPowerGroups(rackOf, zoneOf, nRacks, 4); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	f.SetTarget(n)
 	if err := e.Run(e.Now() + cfg.BootDelay + time.Second); err != nil {
@@ -45,9 +64,9 @@ func benchFleet(tb testing.TB, n int) (*sim.Engine, *Fleet) {
 
 // benchFleetOn is benchFleet with the fleet then shed to its first on
 // servers, the rest Off at the tail of the activation order.
-func benchFleetOn(tb testing.TB, n, on int) (*sim.Engine, *Fleet) {
+func benchFleetOn(tb testing.TB, n, on int, layout fleetLayout) (*sim.Engine, *Fleet) {
 	tb.Helper()
-	e, f := benchFleet(tb, n)
+	e, f := benchFleet(tb, n, layout)
 	f.SetTarget(on)
 	if err := e.Run(e.Now() + server.DefaultConfig().ShutdownDelay + time.Second); err != nil {
 		tb.Fatal(err)
@@ -58,18 +77,41 @@ func benchFleetOn(tb testing.TB, n, on int) (*sim.Engine, *Fleet) {
 	return e, f
 }
 
-// tierName names a dispatch tier of n servers, on of them powered.
-func tierName(n, on int) string {
-	if on < n {
-		return fmt.Sprintf("n=%d,on=%d", n, on)
+// A fleetTier is a benchmark fleet: n servers, on of them powered, in a
+// layout.
+type fleetTier struct {
+	n, on  int
+	layout fleetLayout
+}
+
+// fleetTiers are the dispatch and sync tiers: fully powered interleaved
+// fleets of 1k, 10k and 100k servers, a 10k one with its last 5k Off,
+// and half-powered 10k fleets with a geo site's layout and a facility's.
+var fleetTiers = []fleetTier{
+	{1_000, 1_000, interleaved}, {10_000, 10_000, interleaved}, {10_000, 5_000, interleaved},
+	{100_000, 100_000, interleaved}, {10_000, 5_000, flat}, {10_000, 5_000, racks},
+}
+
+// name names the tier: "n=N", ",on=K" if some servers are Off, and the
+// layout unless it is interleaved.
+func (t fleetTier) name() string {
+	s := fmt.Sprintf("n=%d", t.n)
+	if t.on < t.n {
+		s += fmt.Sprintf(",on=%d", t.on)
 	}
-	return fmt.Sprintf("n=%d", n)
+	switch t.layout {
+	case flat:
+		s += ",flat"
+	case racks:
+		s += ",racks"
+	}
+	return s
 }
 
 // BenchmarkFleetAggregateReads measures the O(1) aggregate surface the
 // control loops poll every decision period. Must be allocation-free.
 func BenchmarkFleetAggregateReads(b *testing.B) {
-	_, f := benchFleet(b, 1_000)
+	_, f := benchFleet(b, 1_000, interleaved)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var sink float64
@@ -86,20 +128,18 @@ func BenchmarkFleetAggregateReads(b *testing.B) {
 }
 
 // BenchmarkFleetDispatch measures one spread-dispatch round — the
-// per-decision hot path of every manager mode — over fully powered
-// fleets of 1k, 10k and (outside -short) 100k servers, and over a 10k
-// fleet with its last 5k servers Off, which dispatch skips. Must be
+// per-decision hot path of every manager mode — over the fleetTiers (the
+// 100k tier outside -short); dispatch skips an Off tail. Must be
 // allocation-free.
 func BenchmarkFleetDispatch(b *testing.B) {
-	for _, tier := range []struct{ n, on int }{{1_000, 1_000}, {10_000, 10_000}, {10_000, 5_000}, {100_000, 100_000}} {
-		n, on := tier.n, tier.on
-		b.Run(tierName(n, on), func(b *testing.B) {
-			if n > 10_000 && testing.Short() {
+	for _, tier := range fleetTiers {
+		b.Run(tier.name(), func(b *testing.B) {
+			if tier.n > 10_000 && testing.Short() {
 				b.Skip("100k tier skipped in -short mode")
 			}
-			e, f := benchFleetOn(b, n, on)
+			e, f := benchFleetOn(b, tier.n, tier.on, tier.layout)
 			cfg := server.DefaultConfig()
-			offered := 0.6 * float64(on) * cfg.Capacity
+			offered := 0.6 * float64(tier.on) * cfg.Capacity
 			now := e.Now()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -112,18 +152,16 @@ func BenchmarkFleetDispatch(b *testing.B) {
 }
 
 // BenchmarkFleetSync measures one fleet Sync — the write of every server
-// that is not Off plus the exact Rebase — over BenchmarkFleetDispatch's
-// tiers; the n=10000,on=5000 tier's Off tail is neither walked nor
-// written. A geo site runs one at every epoch barrier. Must be
-// allocation-free.
+// that is not Off plus the exact Rebase — over the fleetTiers; an Off
+// tail is neither walked nor written. A geo site runs one at every epoch
+// barrier. Must be allocation-free.
 func BenchmarkFleetSync(b *testing.B) {
-	for _, tier := range []struct{ n, on int }{{1_000, 1_000}, {10_000, 10_000}, {10_000, 5_000}, {100_000, 100_000}} {
-		n, on := tier.n, tier.on
-		b.Run(tierName(n, on), func(b *testing.B) {
-			if n > 10_000 && testing.Short() {
+	for _, tier := range fleetTiers {
+		b.Run(tier.name(), func(b *testing.B) {
+			if tier.n > 10_000 && testing.Short() {
 				b.Skip("100k tier skipped in -short mode")
 			}
-			e, f := benchFleetOn(b, n, on)
+			e, f := benchFleetOn(b, tier.n, tier.on, tier.layout)
 			now := e.Now()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -227,26 +265,63 @@ func TestPhysicsTickSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// TestDispatchSteadyStateAllocFree pins a dispatch round at zero
-// allocations with the inline (nil) pool, from a single-shard fleet to a
-// 19-shard one, all on or half on: Dispatch's shard bodies are bound
-// once at construction, so neither fan-out allocates a closure, and the
-// shards before the live bound are a subslice.
+// TestDispatchSteadyStateAllocFree pins a dispatch round and a Sync at
+// zero allocations with the inline (nil) pool, from a single-shard fleet
+// to a 19-shard one, all on or half on, in every layout, and on a fleet
+// whose P-state ladder has 64 points: Dispatch's shard bodies are bound
+// once at construction, so neither fan-out allocates a closure, the
+// shards before the live bound are a subslice, and the dispatch's power
+// table is sized once.
 func TestDispatchSteadyStateAllocFree(t *testing.T) {
-	for _, tier := range []struct{ n, on int }{{40, 40}, {1_000, 1_000}, {10_000, 10_000}, {10_000, 5_000}} {
-		n, on := tier.n, tier.on
-		t.Run(tierName(n, on), func(t *testing.T) {
-			e, f := benchFleetOn(t, n, on)
-			offered := 0.6 * float64(on) * server.DefaultConfig().Capacity
-			now := e.Now()
-			allocs := testing.AllocsPerRun(50, func() {
-				now += time.Second
-				_, _ = f.Dispatch(now, offered)
-			})
-			if allocs != 0 {
-				t.Errorf("steady-state dispatch over %d servers allocates %v objects per call, want 0", n, allocs)
-			}
+	tiers := append([]fleetTier{{40, 40, interleaved}}, fleetTiers...)
+	for _, tier := range tiers {
+		if tier.n > 10_000 {
+			continue
+		}
+		t.Run(tier.name(), func(t *testing.T) {
+			e, f := benchFleetOn(t, tier.n, tier.on, tier.layout)
+			requireDispatchSyncAllocFree(t, e, f, 0.6*float64(tier.on)*server.DefaultConfig().Capacity)
 		})
+	}
+	t.Run("pstates=64", func(t *testing.T) {
+		cfg := server.DefaultConfig()
+		cfg.PStates = cfg.PStates[:1]
+		for len(cfg.PStates) < 64 {
+			fr := 1 - float64(len(cfg.PStates))/128
+			cfg.PStates = append(cfg.PStates, server.PState{Freq: fr, DynFactor: fr * fr * fr})
+		}
+		e := sim.NewEngine(1)
+		f, err := NewFleet(e, cfg, 2_048)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.SetTarget(1_500)
+		if err := e.Run(cfg.BootDelay + time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.SetPStateAll(e.Now(), 63); err != nil {
+			t.Fatal(err)
+		}
+		requireDispatchSyncAllocFree(t, e, f, 0.5*float64(f.OnCount())*cfg.Capacity)
+	})
+}
+
+// requireDispatchSyncAllocFree fails t unless a dispatch of offered and
+// a Sync, each one second after the last write, allocate nothing.
+func requireDispatchSyncAllocFree(t *testing.T, e *sim.Engine, f *Fleet, offered float64) {
+	t.Helper()
+	now := e.Now()
+	if allocs := testing.AllocsPerRun(50, func() {
+		now += time.Second
+		_, _ = f.Dispatch(now, offered)
+	}); allocs != 0 {
+		t.Errorf("steady-state dispatch over %d servers allocates %v objects per call, want 0", f.Size(), allocs)
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		now += time.Second
+		f.Sync(now)
+	}); allocs != 0 {
+		t.Errorf("steady-state Sync over %d servers allocates %v objects per call, want 0", f.Size(), allocs)
 	}
 }
 
@@ -256,7 +331,7 @@ func TestDispatchSteadyStateAllocFree(t *testing.T) {
 // block-owned queue instead of capturing it in a closure.
 func TestSetTargetCycleAllocFree(t *testing.T) {
 	const n = 10_000
-	e, f := benchFleet(t, n)
+	e, f := benchFleet(t, n, interleaved)
 	cfg := server.DefaultConfig()
 	cycle := func() {
 		f.SetTarget(0)

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -11,14 +12,17 @@ import (
 )
 
 // TestDispatchGroupSumsExact pins the dispatch write to the fold it
-// replaces, bit for bit. A 4,096-server fleet on a 2-worker pool has
-// 37-server racks, which straddle its shard boundaries, and its zone
-// changes at every rack; halfway through, a Reorder interleaves the
-// racks, so consecutive positions sit in different racks and each rack
-// recurs along a shard. Handles keep booting, shutting-down, throttled
-// and parked slots in the mix, on the concave BigLittle power curve, and
-// every dispatch runs at the instant some boots and shutdowns fall due,
-// before their completion events, so the dispatch completes them.
+// replaces, bit for bit, on three fleets: an ungrouped one, the shape of
+// a geo site's; the same fleet with racks and zones; and the grouped
+// fleet tracking changes. Each has 4,096 servers on a 2-worker pool. The
+// grouped fleets have 37-server racks, which straddle their shard
+// boundaries, and a zone that changes at every rack; halfway through, a
+// Reorder interleaves the racks, so consecutive positions sit in
+// different racks and each rack recurs along a shard. Handles keep
+// booting, shutting-down, throttled and parked slots in the mix, on the
+// concave BigLittle power curve, and every dispatch runs at the instant
+// some boots and shutdowns fall due, before their completion events, so
+// the dispatch completes them.
 //
 // After every dispatch, each server that was not Off is synced to the
 // dispatch instant at the fill if it is active and had capacity before
@@ -27,8 +31,19 @@ import (
 // changed slot's deltas added into a zeroed partial, the partials merged
 // into the sums in shard order (group sums only where nonzero). The
 // total power and energy, the on and active counts and every rack and
-// zone sum must equal that fold exactly.
+// zone sum must equal that fold exactly, and the change set, emptied
+// before the dispatch, must hold the fold's changed slots in its order:
+// shard order, then position order within a shard.
 func TestDispatchGroupSumsExact(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		grouped, tracked bool
+	}{{"flat", false, false}, {"grouped", true, false}, {"tracked", true, true}} {
+		t.Run(tc.name, func(t *testing.T) { testDispatchSumsExact(t, tc.grouped, tc.tracked) })
+	}
+}
+
+func testDispatchSumsExact(t *testing.T, grouped, tracked bool) {
 	const n, perRack, zones = 4096, 37, 3
 	cfg := testServerConfig()
 	cfg.PowerCurve = server.BigLittleCurve()
@@ -44,8 +59,13 @@ func TestDispatchGroupSumsExact(t *testing.T) {
 		rackOf[slot] = slot / perRack
 		zoneOf[slot] = rackOf[slot] % zones
 	}
-	if err := f.SetPowerGroups(rackOf, zoneOf, racks, zones); err != nil {
-		t.Fatal(err)
+	if grouped {
+		if err := f.SetPowerGroups(rackOf, zoneOf, racks, zones); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if tracked {
+		f.TrackChanges()
 	}
 	straddles := 0
 	for _, sh := range f.shards[1:] {
@@ -76,6 +96,7 @@ func TestDispatchGroupSumsExact(t *testing.T) {
 	}
 	before := make([]reading, n)
 	partRack, partZone := make([]float64, racks), make([]float64, zones)
+	var changes []int32
 	// seen counts, over every dispatch, the slots in each mixed state the
 	// write met: booting, shutting down, and active with a throttle or
 	// parked cores.
@@ -110,7 +131,9 @@ func TestDispatchGroupSumsExact(t *testing.T) {
 			rack, zone      []float64
 		}{sums.PowerW, sums.EnergyJ, sums.On, sums.Active,
 			append([]float64(nil), sums.Rack...), append([]float64(nil), sums.Zone...)}
+		changes = changes[:0]
 
+		f.ResetChanged()
 		_, fill := f.Dispatch(now, offered)
 
 		for slot, b := range before {
@@ -141,12 +164,13 @@ func TestDispatchGroupSumsExact(t *testing.T) {
 				if st != b.st {
 					seen.completed++
 				}
+				changes = append(changes, s)
 				d := srv.Power() - b.p
 				pw += d
 				en += srv.EnergyJ() - b.e
 				on += committedIn(st) - committedIn(b.st)
 				active += activeIn(st) - activeIn(b.st)
-				if d != 0 {
+				if grouped && d != 0 {
 					partRack[rackOf[slot]] += d
 					partZone[zoneOf[slot]] += d
 					dirty = true
@@ -189,6 +213,10 @@ func TestDispatchGroupSumsExact(t *testing.T) {
 			if math.Float64bits(sums.Zone[z]) != math.Float64bits(ref.zone[z]) {
 				t.Fatalf("round %d: zone %d at %v W, per-slot fold %v W", round, z, sums.Zone[z], ref.zone[z])
 			}
+		}
+		if got := f.Changed(); tracked && !slices.Equal(got, changes) || !tracked && len(got) != 0 {
+			t.Fatalf("round %d: change set of %d slots, per-slot fold %d (tracked: %v); first difference at %d",
+				round, len(got), len(changes), tracked, firstDiff(got, changes))
 		}
 		if err := e.Run(now); err != nil {
 			t.Fatal(err)
@@ -328,5 +356,160 @@ func TestSyncLiveBound(t *testing.T) {
 	sync("after the raise refilled the hole", e.Now())
 	if hole.LastSyncAt() != e.Now() {
 		t.Fatalf("refilled hole synced at %v, want %v", hole.LastSyncAt(), e.Now())
+	}
+}
+
+// firstDiff returns the first index at which a and b differ, or the
+// shorter length if one is a prefix of the other.
+func firstDiff(a, b []int32) int {
+	for i := range min(len(a), len(b)) {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return min(len(a), len(b))
+}
+
+// TestSyncMatchesServerSync pins Fleet.Sync to the handle's sync, bit
+// for bit, on an ungrouped and a grouped 2,048-server fleet, each
+// tracking changes on a 2-worker pool. A copy of the fleet takes the
+// same boots, shed, throttles, P-state moves, crash and handle boot,
+// and instead of each Fleet.Sync it syncs its servers one at a time
+// through Server.Sync in position order, skipping the Off ones. The
+// fleets hold a crash hole inside the powered prefix and a server that
+// a handle booted past the live bound, and handle writes leave the
+// servers at different last sync times. One Sync falls at the instant
+// the shed's shutdowns fall due, before their completion events, and
+// one where the handle-booted server's boot does. After every Sync,
+// each server's energy, last sync time and state, the on and active
+// counts and the change set, emptied before the Sync, must match the
+// copy's exactly, the change sets in the same order.
+func TestSyncMatchesServerSync(t *testing.T) {
+	for _, grouped := range []bool{false, true} {
+		name := "flat"
+		if grouped {
+			name = "grouped"
+		}
+		t.Run(name, func(t *testing.T) { testSyncMatchesServerSync(t, grouped) })
+	}
+}
+
+func testSyncMatchesServerSync(t *testing.T, grouped bool) {
+	const n = 2048
+	cfg := testServerConfig()
+	type side struct {
+		e *sim.Engine
+		f *Fleet
+	}
+	build := func() side {
+		e := sim.NewEngine(1)
+		f, err := NewFleet(e, cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.SetParallel(newTestPool(t, 2))
+		if grouped {
+			rackOf, zoneOf := make([]int, n), make([]int, n)
+			for slot := range rackOf {
+				rackOf[slot], zoneOf[slot] = slot/40, slot/40%4
+			}
+			if err := f.SetPowerGroups(rackOf, zoneOf, (n+39)/40, 4); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f.TrackChanges()
+		return side{e, f}
+	}
+	fleet, copied := build(), build()
+	both := func(do func(e *sim.Engine, f *Fleet)) {
+		t.Helper()
+		do(fleet.e, fleet.f)
+		do(copied.e, copied.f)
+	}
+	run := func(to time.Duration) {
+		t.Helper()
+		both(func(e *sim.Engine, _ *Fleet) {
+			if err := e.Run(to); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	syncs := 0
+	sync := func(what string, now time.Duration) {
+		t.Helper()
+		f, g := fleet.f, copied.f
+		f.ResetChanged()
+		g.ResetChanged()
+		f.Sync(now)
+		for _, slot := range g.slotOfPos {
+			if s := g.ServerAt(int(slot)); s.State() != server.StateOff {
+				s.Sync(now)
+			}
+		}
+		syncs++
+		for slot := 0; slot < n; slot++ {
+			a, b := f.ServerAt(slot), g.ServerAt(slot)
+			if math.Float64bits(a.EnergyJ()) != math.Float64bits(b.EnergyJ()) || a.LastSyncAt() != b.LastSyncAt() || a.State() != b.State() {
+				t.Fatalf("%s: slot %d %v with %v J synced at %v; server syncs %v with %v J at %v",
+					what, slot, a.State(), a.EnergyJ(), a.LastSyncAt(), b.State(), b.EnergyJ(), b.LastSyncAt())
+			}
+		}
+		if f.OnCount() != g.OnCount() || f.ActiveCount() != g.ActiveCount() {
+			t.Fatalf("%s: on %d, active %d; server syncs %d, %d", what, f.OnCount(), f.ActiveCount(), g.OnCount(), g.ActiveCount())
+		}
+		if got, want := f.Changed(), g.Changed(); len(want) == 0 || !slices.Equal(got, want) {
+			t.Fatalf("%s: change set of %d slots, server syncs %d; first difference at %d",
+				what, len(got), len(want), firstDiff(got, want))
+		}
+		if err := f.VerifyAggregates(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+
+	both(func(_ *sim.Engine, f *Fleet) { f.SetTarget(3 * n / 4) })
+	run(cfg.BootDelay + time.Second)
+	sync("after the boots", cfg.BootDelay+time.Second)
+	// Handle writes spread the last sync times: every 7th position's
+	// server changes throttle a second later, every 11th P-state two.
+	now := cfg.BootDelay + 2*time.Second
+	run(now)
+	both(func(_ *sim.Engine, f *Fleet) {
+		for i := 0; i < 3*n/4; i += 7 {
+			if err := f.ServerAt(int(f.slotOfPos[i])).SetThrottle(now, 0.5); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < 3*n/4; i += 11 {
+			if err := f.ServerAt(int(f.slotOfPos[i])).SetPState(now+time.Second, 2); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	run(now + 30*time.Second)
+	sync("after the handle writes", now+30*time.Second)
+
+	both(func(_ *sim.Engine, f *Fleet) { f.SetTarget(n / 2) })
+	due := fleet.e.Now() + cfg.ShutdownDelay
+	run(due - 1)
+	sync("at the shed's deadline", due)
+	run(due)
+
+	var booted time.Duration
+	both(func(e *sim.Engine, f *Fleet) {
+		if !f.ServerAt(int(f.slotOfPos[10])).Crash(e.Now()) {
+			t.Fatal("crash did not take")
+		}
+		f.ServerAt(int(f.slotOfPos[n-1])).PowerOn(e)
+		booted = e.Now()
+	})
+	run(booted + time.Minute)
+	sync("with a hole and a handle boot", booted+time.Minute)
+	run(booted + cfg.BootDelay - 1)
+	sync("at the handle boot's deadline", booted+cfg.BootDelay)
+	if s := fleet.f.ServerAt(int(fleet.f.slotOfPos[n-1])); s.State() != server.StateActive {
+		t.Fatalf("the Sync at its deadline left the handle-booted server %v", s.State())
+	}
+	if syncs != 5 {
+		t.Fatalf("%d syncs, want 5", syncs)
 	}
 }

@@ -92,7 +92,7 @@ type Fleet struct {
 	capacityFn, applyFn, syncFn, pstateFn func(int, par.Range)
 	loopNow                               time.Duration
 	loopEnd                               int
-	applyFill                             float64
+	fill                                  server.Fill
 	pstateIdx                             int
 }
 
@@ -420,7 +420,8 @@ func (f *Fleet) pstateShard(sh int, r par.Range) {
 // capacity.
 //
 // Pass A folds per-shard partials of the capacity column; the spread is
-// decided once from their shard-ordered total; pass B writes the fill
+// decided once from their shard-ordered total, and the power model is
+// evaluated once for it (server.Block.PlanFill); pass B writes the fill
 // into the utilization column shard by shard. Both run only over the
 // positions before the live bound, where every server that is not Off
 // sits; the positions past it would add nothing to either pass. Both
@@ -436,7 +437,8 @@ func (f *Fleet) Dispatch(now time.Duration, offered float64) (dropped, maxU floa
 		f.acc[sh].capSum = 0
 	}
 	plan := workload.PlanSpread(offered, total)
-	f.loopNow, f.applyFill = now, plan.Fill
+	f.loopNow = now
+	f.block.PlanFill(&f.fill, plan.Fill)
 	f.pool.RunRanges(shards, f.applyFn)
 	f.mergeShards()
 	if total > 0 && plan.Fill > 0 {
@@ -446,21 +448,17 @@ func (f *Fleet) Dispatch(now time.Duration, offered float64) (dropped, maxU floa
 }
 
 // capacityShard is Dispatch's pass A over one shard, clipped at the live
-// bound: fold the shard's positive total of available capacity.
+// bound: the block sums the shard's positive available capacity from its
+// column, in position order.
 func (f *Fleet) capacityShard(sh int, r par.Range) {
-	var sum float64
-	for _, slot := range f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)] {
-		if c := f.block.AvailableCapacityAt(int(slot)); c > 0 {
-			sum += c
-		}
-	}
-	f.acc[sh].capSum = sum
+	f.acc[sh].capSum = f.block.SumCapacity(f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)])
 }
 
 // applyShard is Dispatch's pass B over one shard, clipped at the live
-// bound: write the planned fill into the utilization columns.
+// bound: write the planned fill into the utilization columns, drawing
+// from the power table Dispatch planned once for every shard.
 func (f *Fleet) applyShard(sh int, r par.Range) {
-	f.block.FillSlots(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)], f.applyFill)
+	f.block.FillSlots(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)], &f.fill)
 }
 
 // PowerW reports the instantaneous total fleet draw. O(1): maintained

@@ -12,12 +12,19 @@ import (
 // Block holds the mutable state of servers built from one Config as
 // slot-indexed columns, the constants derived from that Config, and the
 // aggregates over its slots. A *Server is a handle on one slot. Every
-// column write goes through writeSlot, which folds the write's deltas
+// handle write goes through writeSlot, which folds the write's deltas
 // into a Sums in the same place — the block's own for a handle call, a
 // shard's partial in a fleet loop — so columns and sums never disagree.
-// The one exception is the dispatch write, FillSlots: a loop of its own
-// that shares writeSlot's rules (settled, clampUtil, capacityOf, drawOf)
-// and folds the same deltas, in the same order, into the same Sums.
+//
+// A fleet's per-decision loops are kernels of their own: the capacity
+// sum (SumCapacity), the dispatch write (FillSlots) and the sync
+// (SyncSlots). Each reads its columns through locals resliced to the
+// block's length once, so a slot costs one range check, and keeps its
+// float sums in locals. The two writes write an Active slot in the loop
+// and send a Booting or ShuttingDown slot, whose transition may fall
+// due, through writeSlot; they fold the same deltas in the same order
+// as a writeSlot per slot, through the same foldChange, so the bits are
+// the per-slot write's.
 type Block struct {
 	cfg Config
 	// suffix names slot k "<cfg.Name>-<k>"; a standalone server from New
@@ -146,9 +153,6 @@ func (b *Block) PowerAt(slot int) float64 { return b.power[slot] }
 // UtilizationAt reports slot's utilization.
 func (b *Block) UtilizationAt(slot int) float64 { return b.util[slot] }
 
-// AvailableCapacityAt reports the work per second slot can absorb.
-func (b *Block) AvailableCapacityAt(slot int) float64 { return b.avail[slot] }
-
 // Sums returns the block's own aggregates.
 func (b *Block) Sums() *Sums { return &b.sums }
 
@@ -159,17 +163,29 @@ func (b *Block) idleOf(parked int32) float64 {
 
 // drawOf is the power model: the wall draw of a server in state st with
 // idle draw idle (after parking), dynamic fraction df (the power curve at
-// its utilization), DVFS index ps and throttle duty.
+// its utilization), DVFS index ps and throttle duty. An active server's
+// draw is evaluated in two halves, dynK and activeDraw, so that a
+// dispatch can evaluate the first once per P-state (see Fill).
 func (b *Block) drawOf(st State, idle, df float64, ps int32, throttle float64) float64 {
 	switch st {
 	case StateActive:
-		return idle + b.dynW*df*b.cfg.PStates[ps].DynFactor*throttle
+		return activeDraw(idle, b.dynK(df, ps), throttle)
 	case StateBooting, StateShuttingDown:
 		// Transitioning machines draw near-idle power but do no work.
 		return idle
 	}
 	return 0
 }
+
+// dynK is the first half of an active server's draw: the dynamic span at
+// power-curve fraction df, scaled by P-state ps's dynamic factor.
+func (b *Block) dynK(df float64, ps int32) float64 {
+	return b.dynW * df * b.cfg.PStates[ps].DynFactor
+}
+
+// activeDraw is the second half: idle draw plus the dynamic draw k at
+// throttle duty.
+func activeDraw(idle, k, throttle float64) float64 { return idle + k*throttle }
 
 // capacityOf is the work per second a server can absorb: zero unless
 // active, scaled by DVFS frequency, throttling and unparked cores.
@@ -294,10 +310,6 @@ func (b *Block) writeSlot(p *Sums, slot int, now time.Duration, dt float64, w *w
 	if st == st0 && pw == p0 && e == e0 {
 		return took // a trip always changes state
 	}
-	if b.changed != nil && !b.changed[slot] {
-		b.changed[slot] = true
-		p.changes = append(p.changes, int32(slot))
-	}
 	d := pw - p0
 	p.PowerW += d
 	p.EnergyJ += e - e0
@@ -313,12 +325,23 @@ func (b *Block) writeSlot(p *Sums, slot int, now time.Duration, dt float64, w *w
 		p.On += committed(st) - committed(st0)
 		p.Active += activeIn(st) - activeIn(st0)
 	}
+	b.foldChange(p, int32(slot), d)
+	return took
+}
+
+// foldChange folds a changed slot into p: the slot into p's change set,
+// if the block tracks changes, and its power delta d into p's group
+// sums, if the block has groups and d is not zero.
+func (b *Block) foldChange(p *Sums, slot int32, d float64) {
+	if b.changed != nil && !b.changed[slot] {
+		b.changed[slot] = true
+		p.changes = append(p.changes, slot)
+	}
 	if b.rackOf != nil && d != 0 {
 		p.Rack[b.rackOf[slot]] += d
 		p.Zone[b.zoneOf[slot]] += d
 		p.groupDirty = true
 	}
-	return took
 }
 
 // committed and activeIn count a state into the on and active counts.
@@ -347,16 +370,12 @@ func (b *Block) since(slot int, now time.Duration) float64 {
 
 // write applies w to every slot in slots, in order. It computes the
 // elapsed seconds once per run of slots that last wrote at the same
-// instant, which in a fleet is nearly all of them. A sync leaves an Off
-// slot unwritten: it would change only the slot's lastAt.
+// instant, which in a fleet is nearly all of them.
 func (b *Block) write(p *Sums, now time.Duration, slots []int32, w writeArgs) {
 	var dt float64
 	last := time.Duration(-1)
 	for _, s := range slots {
 		slot := int(s)
-		if w.op == opSync && b.state[slot] == StateOff {
-			continue
-		}
 		if at := b.lastAt[slot]; at != last {
 			dt, last = b.since(slot, now), at
 		}
@@ -370,100 +389,150 @@ func (b *Block) writeOne(slot int, now time.Duration, w writeArgs) bool {
 	return b.writeSlot(&b.sums, slot, now, b.since(slot, now), &w)
 }
 
+// A Fill is one dispatch's power model for a block, planned by PlanFill
+// before the dispatch's FillSlots calls: the clamped fill and, for each
+// P-state, the first half of an active server's draw (dynK) at the fill
+// and at 0, interleaved. FillSlots only reads it, so the shards of one
+// dispatch share it.
+type Fill struct {
+	u float64
+	k []float64
+}
+
+// PlanFill aims f at a dispatch of fill. It evaluates the power curve
+// once and dynK twice per P-state, and reuses f's table, so only a Fill's
+// first plan allocates.
+func (b *Block) PlanFill(f *Fill, fill float64) {
+	if n := 2 * len(b.cfg.PStates); len(f.k) != n {
+		f.k = make([]float64, n)
+	}
+	f.u = clampUtil(fill)
+	df, df0 := b.cfg.dynFraction(f.u), b.cfg.dynFraction(0)
+	for ps := range b.cfg.PStates {
+		f.k[2*ps], f.k[2*ps+1] = b.dynK(df, int32(ps)), b.dynK(df0, int32(ps))
+	}
+}
+
 // FillSlots is a dispatch write: every slot in slots that is not Off
-// gets utilization fill if it had capacity before the write and 0
+// gets utilization f's fill if it had capacity before the write and 0
 // otherwise, as Server.SetUtilization would assign them, with the
 // deltas folded into p. An Off slot is left unwritten, its last sync
 // time included.
 //
-// It is writeSlot specialized to one op: the columns, the partial's
-// power, energy and counts, and the running sums of the current rack
-// and zone live in locals, written back when the slot's rack or zone
-// changes and at the end. Each sum takes the same deltas in the same
-// order as a writeSlot per slot would fold them, so the bits match.
-func (b *Block) FillSlots(p *Sums, now time.Duration, slots []int32, fill float64) {
-	state, power, energy, util, avail := b.state, b.power, b.energy, b.util, b.avail
-	idle, pstate, parked, throttle, lastAt := b.idle, b.pstate, b.parked, b.throttle, b.lastAt
-	rackOf, zoneOf, changed := b.rackOf, b.zoneOf, b.changed
-	// The power curve is evaluated once: every slot draws at the fill or
-	// at 0.
-	uFill := clampUtil(fill)
-	dfFill, dfZero := b.cfg.dynFraction(uFill), b.cfg.dynFraction(0)
-	pw, en, on, active := p.PowerW, p.EnergyJ, p.On, p.Active
-	rack, zone := int32(-1), int32(-1)
-	var rackW, zoneW float64
+// It is writeSlot's opUtil specialized to an Active slot, whose state,
+// idle draw and capacity the write leaves as they are: the loop takes
+// its draw from f's table and keeps the partial's power and energy in
+// locals. A Booting or ShuttingDown slot, whose transition may fall due,
+// goes through writeSlot itself. Each sum takes the same deltas in the
+// same order as a writeSlot per slot would fold them, so the bits match.
+func (b *Block) FillSlots(p *Sums, now time.Duration, slots []int32, f *Fill) {
+	n := len(b.state)
+	state, lastAt, power, energy := b.state[:n], b.lastAt[:n], b.power[:n], b.energy[:n]
+	util, avail, idle, throttle, pstate := b.util[:n], b.avail[:n], b.idle[:n], b.throttle[:n], b.pstate[:n]
+	u1, k := f.u, f.k
+	fold := b.changed != nil || b.rackOf != nil
+	pw, en := p.PowerW, p.EnergyJ
 	var dt float64
 	last := time.Duration(-1)
 	for _, s := range slots {
 		slot := int(s)
-		st0 := state[slot]
-		if st0 == StateOff {
+		st := state[slot]
+		if st == StateOff {
 			continue
 		}
 		if at := lastAt[slot]; at != last {
 			dt, last = b.since(slot, now), at
 		}
-		p0, e0 := power[slot], energy[slot]
-		e := e0 + p0*dt
-		lastAt[slot] = now
-		st := b.settled(st0, slot, now)
-		// Only an active server carries load, and only one that had
-		// capacity before this write, as the spread saw it.
-		u, df := 0.0, dfZero
-		if st == StateActive && avail[slot] > 0 {
-			u, df = uFill, dfFill
+		// Only a slot that had capacity before this write carries load,
+		// as the spread saw it.
+		u, ki := u1, 2*int(pstate[slot])
+		if !(avail[slot] > 0) {
+			u, ki = 0, ki+1
 		}
-		util[slot] = u
-		energy[slot] = e
-		state[slot] = st
-		if st != st0 {
-			avail[slot] = b.capacityOf(st, pstate[slot], parked[slot], throttle[slot])
-		}
-		p1 := b.drawOf(st, idle[slot], df, pstate[slot], throttle[slot])
-		power[slot] = p1
-		if st == st0 && p1 == p0 && e == e0 {
+		if st != StateActive {
+			p.PowerW, p.EnergyJ = pw, en
+			b.writeSlot(p, slot, now, dt, &writeArgs{op: opUtil, x: u})
+			pw, en = p.PowerW, p.EnergyJ
 			continue
 		}
-		if changed != nil && !changed[slot] {
-			changed[slot] = true
-			p.changes = append(p.changes, s)
+		p0, e0 := power[slot], energy[slot]
+		e := e0 + p0*dt
+		p1 := activeDraw(idle[slot], k[ki], throttle[slot])
+		lastAt[slot] = now
+		util[slot] = u
+		energy[slot] = e
+		power[slot] = p1
+		if p1 == p0 && e == e0 {
+			continue
 		}
 		d := p1 - p0
 		pw += d
 		en += e - e0
-		if st != st0 {
-			on += committed(st) - committed(st0)
-			active += activeIn(st) - activeIn(st0)
-		}
-		if rackOf != nil && d != 0 {
-			if r := rackOf[slot]; r != rack {
-				if rack >= 0 {
-					p.Rack[rack] = rackW
-				}
-				rack, rackW = r, p.Rack[r]
-			}
-			rackW += d
-			if z := zoneOf[slot]; z != zone {
-				if zone >= 0 {
-					p.Zone[zone] = zoneW
-				}
-				zone, zoneW = z, p.Zone[z]
-			}
-			zoneW += d
+		if fold {
+			b.foldChange(p, s, d)
 		}
 	}
-	p.PowerW, p.EnergyJ, p.On, p.Active = pw, en, on, active
-	if rack >= 0 {
-		p.Rack[rack], p.Zone[zone] = rackW, zoneW
-		p.groupDirty = true
-	}
+	p.PowerW, p.EnergyJ = pw, en
 }
 
 // SyncSlots syncs every slot in slots that is not Off to now, folding
 // the deltas into p. An Off slot is left unwritten: its power is 0, so a
 // sync would change only its last sync time.
+//
+// It is writeSlot's opSync specialized to an Active slot, whose sync
+// moves only its energy and last sync time: its power delta is zero,
+// which moves no group sum, and adding it would leave the partial's
+// power as it is (a partial starts at +0 and so never holds -0). A
+// Booting or ShuttingDown slot, whose transition may fall due, goes
+// through writeSlot itself.
 func (b *Block) SyncSlots(p *Sums, now time.Duration, slots []int32) {
-	b.write(p, now, slots, writeArgs{op: opSync})
+	n := len(b.state)
+	state, lastAt, power, energy := b.state[:n], b.lastAt[:n], b.power[:n], b.energy[:n]
+	tracked := b.changed != nil
+	en := p.EnergyJ
+	var dt float64
+	last := time.Duration(-1)
+	for _, s := range slots {
+		slot := int(s)
+		st := state[slot]
+		if st == StateOff {
+			continue
+		}
+		if at := lastAt[slot]; at != last {
+			dt, last = b.since(slot, now), at
+		}
+		if st != StateActive {
+			p.EnergyJ = en
+			b.writeSlot(p, slot, now, dt, &writeArgs{op: opSync})
+			en = p.EnergyJ
+			continue
+		}
+		e0 := energy[slot]
+		e := e0 + power[slot]*dt
+		lastAt[slot] = now
+		energy[slot] = e
+		if e == e0 {
+			continue
+		}
+		en += e - e0
+		if tracked {
+			b.foldChange(p, s, 0)
+		}
+	}
+	p.EnergyJ = en
+}
+
+// SumCapacity returns the positive available capacity of slots, summed
+// in slot order: Dispatch's capacity pass over one shard.
+func (b *Block) SumCapacity(slots []int32) float64 {
+	avail := b.avail
+	var sum float64
+	for _, s := range slots {
+		if c := avail[s]; c > 0 {
+			sum += c
+		}
+	}
+	return sum
 }
 
 // SetPStates moves every slot in slots to DVFS index idx at now, folding

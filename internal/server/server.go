@@ -14,8 +14,10 @@
 // slot-indexed column of a block built from one Config, and a *Server is
 // a handle on one slot. A standalone server from New is a one-slot block;
 // a fleet owns one block of all its servers and runs its per-tick loops
-// over the columns. The one helper that writes a column also updates
-// the block's aggregates (Sums).
+// over the columns. Every column write also updates the block's
+// aggregates (Sums): the per-slot write that the handle methods go
+// through, and the column kernels a fleet's loops run, which fold the
+// same deltas.
 package server
 
 import (
