@@ -184,6 +184,6 @@ func TestRunWritesOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(f.Benchmarks) != 1 {
-		t.Errorf("round-tripped %d benchmarks", len(f.Benchmarks))
+		t.Errorf("write and reload kept %d benchmarks, want 1", len(f.Benchmarks))
 	}
 }

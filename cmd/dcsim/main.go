@@ -151,6 +151,18 @@ func (o options) validate() error {
 	if o.serveMode && o.csvPath != "" {
 		bad("-csv is not supported with -serve (samples are written when a batch run ends)")
 	}
+	if !o.serveMode && o.set["speedup"] {
+		bad("-speedup %v is not supported without -serve (batch runs are not paced)", o.speedup)
+	}
+	if !o.serveMode && o.set["listen"] {
+		bad("-listen %q is not supported without -serve (batch runs serve nothing)", o.listen)
+	}
+	if !o.serveMode && o.sites == 0 && o.set["carbon"] {
+		bad("-carbon %v is not supported in a single-site batch run (only -serve and -sites report carbon)", o.carbonBase)
+	}
+	if !o.serveMode && o.sites == 0 && o.set["carbon-swing"] {
+		bad("-carbon-swing %v is not supported in a single-site batch run (only -serve and -sites report carbon)", o.carbonSwing)
+	}
 	if _, enabled, err := parseRetry(o.retryStr); err != nil {
 		bad("-retry: %v", err)
 	} else if enabled && !o.users && o.sites == 0 {

@@ -132,6 +132,12 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-sites", "2", "-sla", "5"}, "-sla 5 is not supported with -sites"},
 		{[]string{"-sites", "2", "-min-load", "0.6", "-max-load", "0.9"}, "-min-load 0.6 is not supported with -sites"},
 		{[]string{"-sites", "2", "-max-load", "0.9"}, "-max-load 0.9 is not supported with -sites"},
+		{[]string{"-fleet", "8", "-days", "1", "-speedup", "5"}, "-speedup 5 is not supported without -serve"},
+		{[]string{"-fleet", "8", "-days", "1", "-listen", "bogus"}, `-listen "bogus" is not supported without -serve`},
+		{[]string{"-fleet", "8", "-days", "1", "-carbon", "900"}, "-carbon 900 is not supported in a single-site batch run"},
+		{[]string{"-fleet", "8", "-days", "1", "-carbon-swing", "0.5"}, "-carbon-swing 0.5 is not supported in a single-site batch run"},
+		{[]string{"-sites", "2", "-speedup", "5"}, "-speedup 5 is not supported without -serve"},
+		{[]string{"-sites", "2", "-listen", "bogus"}, `-listen "bogus" is not supported without -serve`},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			err := run(tc.args, io.Discard)
@@ -241,5 +247,26 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 	if err := o.validate(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
+	}
+}
+
+// TestValidateAcceptsFlagsThePathReads: -speedup and -listen given with
+// -serve, and -carbon and -carbon-swing given with -serve or -sites, are
+// read by the path they select, so validate accepts them.
+func TestValidateAcceptsFlagsThePathReads(t *testing.T) {
+	base := options{
+		modeStr: "coordinated", fleet: 40, days: 3, slaMS: 100,
+		minFrac: 0.15, maxFrac: 0.5, speedup: 600, listen: "127.0.0.1:8080",
+		carbonBase: 900, carbonSwing: 0.5,
+	}
+	served, federated := base, base
+	served.serveMode = true
+	served.set = map[string]bool{"speedup": true, "listen": true, "carbon": true, "carbon-swing": true}
+	federated.sites = 2
+	federated.set = map[string]bool{"carbon": true, "carbon-swing": true}
+	for name, o := range map[string]options{"serve": served, "sites": federated} {
+		if err := o.validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

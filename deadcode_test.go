@@ -38,7 +38,6 @@ const (
 var deadcodeAllow = map[string]string{
 	"internal/core.CapEnforcer.RelaxEvents":   accessor,
 	"internal/core.CapEnforcer.Uncappable":    accessor,
-	"internal/core.DataCenter.ZoneOfServer":   accessor,
 	"internal/core.Degrader.LadderStage":      accessor,
 	"internal/core.TelemetryGuard.DarkRounds": accessor,
 	"internal/core.Manager.LastOutcome":       accessor,

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cooling"
+	"repro/internal/power"
 	"repro/internal/server"
 	"repro/internal/sim"
 )
@@ -406,5 +407,42 @@ func TestSampleSteadyStateAllocsAmortized(t *testing.T) {
 				t.Errorf("steady-state sample averages %v allocations per round, want < 1", allocs)
 			}
 		})
+	}
+}
+
+// BenchmarkPreferCoolingSensitiveZones times the §5.1 zone preference on
+// a fresh 100,000-server facility of 100 racks in the four-zone room,
+// the shape of the 100k scale tier: the call that places the servers
+// before the manager starts.
+func BenchmarkPreferCoolingSensitiveZones(b *testing.B) {
+	const racks, perRack = 100, 1000
+	srvCfg := server.DefaultConfig()
+	zoneOfRack := make([]int, racks)
+	for r := range zoneOfRack {
+		zoneOfRack[r] = r % 4
+	}
+	cfg := DataCenterConfig{
+		Name:           "dc-place",
+		ServerConfig:   srvCfg,
+		ServersPerRack: perRack,
+		Topology: power.TopologyConfig{
+			UPSCount: 2, PDUsPerUPS: 5, RacksPerPDU: 10,
+			RackRatedW: perRack * srvCfg.PeakPower * 1.05, Oversubscription: 1,
+		},
+		Room:       cooling.FourZoneConfig(racks * perRack / 40),
+		ZoneOfRack: zoneOfRack,
+		Plant:      cooling.DefaultPlantConfig(),
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dc, err := NewDataCenter(sim.NewEngine(1), cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if err := dc.PreferCoolingSensitiveZones(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -83,8 +83,9 @@ func runChangeSetScenario(t *testing.T, workers int) [][]int32 {
 		})
 	}
 	step("trip scan", func() {
-		if dc.scanZone(now, srvCfg.TripTempC+10, 0) == 0 {
-			t.Fatal("forced trip scan tripped nothing")
+		trips := f.Trips()
+		if dc.scanZone(now, srvCfg.TripTempC+10, 0); f.Trips() == trips {
+			t.Fatal("forced trip scan caused no trip")
 		}
 	})
 	return sets

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cooling"
@@ -44,7 +43,8 @@ type DataCenterConfig struct {
 // DataCenter is the assembled cyber-physical facility of Figure 4's
 // bottom half: computing fleet, power distribution, and cooling coupled
 // through heat and protected by thermal trips, with telemetry feeding the
-// macro layer.
+// macro layer. Server i is the fleet's slot i; the fleet block's
+// slot→rack and slot→zone maps alone hold its placement.
 type DataCenter struct {
 	cfg    DataCenterConfig
 	engine *sim.Engine
@@ -59,16 +59,11 @@ type DataCenter struct {
 	// walks (the §5.3 ingest fast path).
 	frames   *telemetry.FrameWriter
 	frameBuf []float64
-	rackOf   []int // server index -> rack index
-	zoneOf   []int // server index -> zone index
-	// zoneServers lists server indexes per zone (rebuilt on reorder), so
-	// zone-scoped control loops avoid O(N) scans.
-	zoneServers [][]int
-	// Each zone's servers as slots, and the zone's shard list over them; a
-	// zone has no more shards than its fleet, whose partials the scan uses.
+	// Each zone's slots in slot order, so zone-scoped loops avoid O(N)
+	// scans, and the zone's shard list over them; a zone has no more
+	// shards than its fleet, whose partials the scan uses.
 	zoneSlots  [][]int32
 	zoneShards [][]par.Range
-	tripped    int
 	attached   bool
 	// Shard bodies of the trip scan and the sample fill, bound once in
 	// NewDataCenter so a fan-out allocates no closure, and the trip scan's
@@ -79,8 +74,8 @@ type DataCenter struct {
 	scanInlet float64
 	scanList  []int32
 	// fillEnd is the fleet's live bound at the last sample round: the
-	// round filled server positions [0, fillEnd), and every server column
-	// from fillEnd on holds 0.
+	// round filled servers [0, fillEnd), and every server column from
+	// fillEnd on holds 0.
 	fillEnd int
 }
 
@@ -124,26 +119,24 @@ func NewDataCenter(e *sim.Engine, cfg DataCenterConfig) (*DataCenter, error) {
 		fleet:  fleet,
 		topo:   topo,
 		room:   room,
-		rackOf: make([]int, nServers),
-		zoneOf: make([]int, nServers),
 	}
 	dc.scanFn = dc.scanShard
 	dc.fillFn = dc.fillShard
-	for i := range fleet.Servers() {
-		rack := i / cfg.ServersPerRack
-		dc.rackOf[i] = rack
-		dc.zoneOf[i] = cfg.ZoneOfRack[rack]
+	rackOf, zoneOf := make([]int, nServers), make([]int, nServers)
+	for i := range rackOf {
+		rackOf[i] = i / cfg.ServersPerRack
+		zoneOf[i] = cfg.ZoneOfRack[rackOf[i]]
 	}
 	// One load closure per rack reading the fleet's maintained per-rack
 	// sum — the power tree no longer fans out to N per-server closures.
-	if err := fleet.SetPowerGroups(dc.rackOf, dc.zoneOf, len(topo.Racks), room.Zones()); err != nil {
+	if err := fleet.SetPowerGroups(rackOf, zoneOf, len(topo.Racks), room.Zones()); err != nil {
 		return nil, err
 	}
 	for r := range topo.Racks {
 		r := r // capture for the load closure
 		topo.Racks[r].AddLoad(func() float64 { return fleet.RackPowerW(r) })
 	}
-	dc.rebuildZoneIndex()
+	dc.indexZones()
 	e.Register(topo)
 	if cfg.SampleEvery > 0 {
 		dc.store, err = telemetry.NewStore(telemetry.DefaultConfig())
@@ -193,39 +186,35 @@ func (dc *DataCenter) ZoneInletColumn(z int) int { return 2*dc.fleet.Size() + z 
 func (dc *DataCenter) SampleEvery() time.Duration { return dc.cfg.SampleEvery }
 
 // ZoneOfServer reports the cooling zone of server i.
-func (dc *DataCenter) ZoneOfServer(i int) int { return dc.zoneOf[i] }
+func (dc *DataCenter) ZoneOfServer(i int) int { _, z := dc.fleet.block.GroupOf(i); return z }
 
-// RackOfServer reports the power-tree rack of server i (indices track the
-// fleet's current activation order).
-func (dc *DataCenter) RackOfServer(i int) int { return dc.rackOf[i] }
+// RackOfServer reports the power-tree rack of server i.
+func (dc *DataCenter) RackOfServer(i int) int { r, _ := dc.fleet.block.GroupOf(i); return r }
 
-// ServersInZone returns the indexes of servers in zone z. The slice is
-// the data center's precomputed index (rebuilt on reorder): do not
-// mutate.
-func (dc *DataCenter) ServersInZone(z int) []int { return dc.zoneServers[z] }
-
-// rebuildZoneIndex recomputes the zone→servers index (by activation
-// position and by slot) and the per-zone shard lists from the current
-// order-indexed zone map.
-func (dc *DataCenter) rebuildZoneIndex() {
-	if dc.zoneServers == nil {
-		dc.zoneServers = make([][]int, dc.room.Zones())
-		dc.zoneSlots = make([][]int32, dc.room.Zones())
-		dc.zoneShards = make([][]par.Range, dc.room.Zones())
+// indexZones derives each zone's slot list, in slot order, from the
+// fleet's placement. The first call sizes each list and the zone's shard
+// list, exactly: placement only permutes the servers.
+func (dc *DataCenter) indexZones() {
+	if dc.zoneSlots == nil {
+		size := make([]int, dc.room.Zones())
+		for i := range dc.fleet.Size() {
+			size[dc.ZoneOfServer(i)]++
+		}
+		dc.zoneSlots, dc.zoneShards = make([][]int32, len(size)), make([][]par.Range, len(size))
+		for z, k := range size {
+			dc.zoneSlots[z] = make([]int32, 0, k)
+			// Shards depend only on the zone's size, so the scan's float
+			// grouping — and therefore every downstream bit — is the same
+			// for every worker count.
+			dc.zoneShards[z] = par.Shards(k)
+		}
 	}
-	for z := range dc.zoneServers {
-		dc.zoneServers[z] = dc.zoneServers[z][:0]
+	for z := range dc.zoneSlots {
 		dc.zoneSlots[z] = dc.zoneSlots[z][:0]
 	}
-	for i, z := range dc.zoneOf {
-		dc.zoneServers[z] = append(dc.zoneServers[z], i)
-		dc.zoneSlots[z] = append(dc.zoneSlots[z], dc.fleet.slotOfPos[i])
-	}
-	for z, list := range dc.zoneServers {
-		// Shards depend only on the zone's size, so the scan's float
-		// grouping — and therefore every downstream bit — is the same for
-		// every worker count.
-		dc.zoneShards[z] = par.Shards(len(list))
+	for i := range dc.fleet.Size() {
+		z := dc.ZoneOfServer(i)
+		dc.zoneSlots[z] = append(dc.zoneSlots[z], int32(i))
 	}
 }
 
@@ -258,7 +247,7 @@ func (dc *DataCenter) Attach() ([]sim.Handle, error) {
 			if len(slots) == 0 || inlet <= dc.cfg.ServerConfig.TripTempC {
 				continue
 			}
-			dc.tripped += dc.scanZone(now, inlet, z)
+			dc.scanZone(now, inlet, z)
 		}
 	}))
 
@@ -274,16 +263,11 @@ func (dc *DataCenter) Attach() ([]sim.Handle, error) {
 // shard list. Each shard reports the inlet to its slots, which may trip
 // them, folding the deltas — trips included — into the shard's partial
 // sums, merged in shard order afterwards.
-func (dc *DataCenter) scanZone(now time.Duration, inlet float64, z int) int {
+func (dc *DataCenter) scanZone(now time.Duration, inlet float64, z int) {
 	f := dc.fleet
 	dc.scanNow, dc.scanInlet, dc.scanList = now, inlet, dc.zoneSlots[z]
 	f.pool.RunRanges(dc.zoneShards[z], dc.scanFn)
-	total := 0
-	for sh := range dc.zoneShards[z] {
-		total += f.acc[sh].sums.Trips
-	}
 	f.mergeShards()
-	return total
 }
 
 // scanShard is scanZone's body over one shard of the zone's slot list.
@@ -297,8 +281,8 @@ func (dc *DataCenter) scanShard(sh int, r par.Range) {
 // per-server Sync is needed to read it; the fleet's running sums are
 // rebased here periodically to shed incremental float drift. The
 // per-server columns fill per fleet shard — pure slot-local reads into
-// disjoint frame columns — over the positions before the fleet's live
-// bound only: an Off server reads 0 W at 0 utilization, which its
+// disjoint frame columns — over the slots before the fleet's live bound
+// only: an Off server reads 0 W at 0 utilization, which its
 // columns already hold unless it was filled while on, so only the
 // columns between the new bound and the last round's are zeroed.
 // AppendPar copies the round into the frame's raw band; when the pyramid
@@ -329,41 +313,52 @@ func (dc *DataCenter) sample(now time.Duration) {
 func (dc *DataCenter) fillShard(_ int, r par.Range) {
 	f := dc.fleet
 	for i, hi := r.Lo, min(r.Hi, dc.fillEnd); i < hi; i++ {
-		slot := int(f.slotOfPos[i])
-		dc.frameBuf[2*i] = f.block.PowerAt(slot)
-		dc.frameBuf[2*i+1] = f.block.UtilizationAt(slot)
+		dc.frameBuf[2*i] = f.block.PowerAt(i)
+		dc.frameBuf[2*i+1] = f.block.UtilizationAt(i)
 	}
 }
 
-// PreferCoolingSensitiveZones reorders the fleet so servers in zones the
-// CRACs regulate well activate first and shed last — the mechanism behind
-// avoiding the §5.1 migration hazard (keep load where the cooling can see
-// it). Call before the manager starts.
+// PreferCoolingSensitiveZones places the servers so those in zones the
+// CRACs regulate well activate first and shed last — the mechanism
+// behind avoiding the §5.1 migration hazard (keep load where the cooling
+// can see it): slot i takes the placement of the i-th slot in a stable
+// sort by descending zone sensitivity, so a handle may change rack and
+// zone. Call it while every server is Off (otherwise it moves nothing and
+// names one that is not) and before anything caches RackOfServer,
+// ZoneOfServer or per-rack server lists (NewDegrader, CapEnforcer inputs).
 func (dc *DataCenter) PreferCoolingSensitiveZones() error {
-	idx := make([]int, dc.fleet.Size())
-	for i := range idx {
-		idx[i] = i
+	// A counting sort: bucket each slot by the number of zones more
+	// sensitive than its own, in slot order, which is the stable sort.
+	zones := dc.room.Zones()
+	rank, next := make([]int, zones), make([]int, zones+1)
+	for z := range zones {
+		for w := range zones {
+			if dc.room.ZoneSensitivity(w) > dc.room.ZoneSensitivity(z) {
+				rank[z]++
+			}
+		}
+		next[rank[z]+1] += len(dc.zoneSlots[z])
 	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return dc.room.ZoneSensitivity(dc.zoneOf[idx[a]]) >
-			dc.room.ZoneSensitivity(dc.zoneOf[idx[b]])
-	})
-	if err := dc.fleet.Reorder(idx); err != nil {
+	for k := range zones {
+		next[k+1] += next[k]
+	}
+	rackOf, zoneOf := make([]int, dc.fleet.Size()), make([]int, dc.fleet.Size())
+	for i := range rackOf {
+		r, z := dc.fleet.block.GroupOf(i)
+		to := next[rank[z]]
+		rackOf[to], zoneOf[to] = r, z
+		next[rank[z]]++
+	}
+	if err := dc.fleet.SetPowerGroups(rackOf, zoneOf, len(dc.topo.Racks), zones); err != nil {
 		return err
 	}
-	zoneOf := make([]int, len(dc.zoneOf))
-	rackOf := make([]int, len(dc.rackOf))
-	for i, p := range idx {
-		zoneOf[i] = dc.zoneOf[p]
-		rackOf[i] = dc.rackOf[p]
-	}
-	dc.zoneOf, dc.rackOf = zoneOf, rackOf
-	dc.rebuildZoneIndex()
+	dc.indexZones()
 	return nil
 }
 
-// Trips reports protective shutdowns observed through the coupling loop.
-func (dc *DataCenter) Trips() int { return dc.tripped }
+// Trips reports the fleet's protective shutdowns, all of them caused by
+// the coupling loop: it alone reports inlets to a facility's servers.
+func (dc *DataCenter) Trips() int { return dc.fleet.Trips() }
 
 // ITPowerW reports the instantaneous fleet draw.
 func (dc *DataCenter) ITPowerW() float64 { return dc.fleet.PowerW() }

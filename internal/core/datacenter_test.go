@@ -1,6 +1,12 @@
 package core
 
 import (
+	"fmt"
+	"math"
+	"reflect"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,8 +82,8 @@ func TestDataCenterAssembly(t *testing.T) {
 	if dc.ZoneOfServer(0) != 0 || dc.ZoneOfServer(7) != 1 {
 		t.Errorf("zone mapping wrong: %d, %d", dc.ZoneOfServer(0), dc.ZoneOfServer(7))
 	}
-	if got := dc.ServersInZone(0); len(got) != 4 || got[0] != 0 || got[3] != 3 {
-		t.Errorf("ServersInZone(0) = %v", got)
+	if got := dc.zoneSlots[0]; len(got) != 4 || got[0] != 0 || got[3] != 3 {
+		t.Errorf("zone 0 slots = %v", got)
 	}
 	if dc.Store() == nil {
 		t.Error("telemetry store missing despite sampling enabled")
@@ -221,8 +227,12 @@ func TestDataCenterThermalProtection(t *testing.T) {
 	if dc.Trips() == 0 {
 		t.Error("no thermal trips despite crippled cooling under full load")
 	}
-	if dc.Fleet().Trips() != dc.Trips() {
-		t.Errorf("trip accounting mismatch: %d vs %d", dc.Fleet().Trips(), dc.Trips())
+	trips := 0
+	for _, s := range dc.Fleet().Servers() {
+		trips += s.Trips()
+	}
+	if trips != dc.Trips() {
+		t.Errorf("trip accounting mismatch: servers count %d, facility %d", trips, dc.Trips())
 	}
 }
 
@@ -239,7 +249,7 @@ func TestPreferCoolingSensitiveZones(t *testing.T) {
 	if err := dc.PreferCoolingSensitiveZones(); err != nil {
 		t.Fatal(err)
 	}
-	// Mapping stayed consistent after the reorder.
+	// Mapping stayed consistent after the placement.
 	for i := range dc.Fleet().Servers() {
 		if i < 4 && dc.ZoneOfServer(i) != 1 {
 			t.Fatalf("server %d zone = %d, want 1 (sensitive first)", i, dc.ZoneOfServer(i))
@@ -262,27 +272,158 @@ func TestPreferCoolingSensitiveZones(t *testing.T) {
 	}
 }
 
-func TestFleetReorderValidation(t *testing.T) {
+// TestZonePlacementContract pins PreferCoolingSensitiveZones on a
+// 1,536-server facility of 16 racks in four zones (zone = rack mod 4)
+// whose sensitivities tie in two zones, on a 2-worker pool. While some
+// server is not Off — booted by a handle in the top slot, active, then
+// shutting down — it returns an error naming that server and changes no
+// rack, zone, zone list or rebase count. Once every server is Off it
+// places them: slot i takes the rack and zone of the i-th server of a
+// stable sort of the original placement by descending sensitivity,
+// every rack keeps its servers-per-rack count, each zone's slot list
+// holds its slots in order, and placing again changes nothing. After a
+// full-load dispatch, each rack's power is the sum of its servers' and
+// the aggregates verify.
+func TestZonePlacementContract(t *testing.T) {
+	const racks, perRack, zones = 16, 96, 4
+	sens := []float64{0.5, 0.9, 0.5, 0.7}
+	srvCfg := testServerConfig()
+	roomCfg := cooling.RoomConfig{
+		CRACs:       []cooling.CRACConfig{cooling.DefaultCRAC("c0")},
+		PhysicsTick: cooling.DefaultPhysicsTick,
+	}
+	zoneOfRack := make([]int, racks)
+	for z := range zones {
+		roomCfg.Zones = append(roomCfg.Zones, cooling.DefaultZone(fmt.Sprintf("z%d", z)))
+		roomCfg.Sensitivity = append(roomCfg.Sensitivity, []float64{sens[z]})
+	}
+	for r := range zoneOfRack {
+		zoneOfRack[r] = r % zones
+	}
 	e := sim.NewEngine(1)
-	f, err := NewFleet(e, testServerConfig(), 3)
+	dc, err := NewDataCenter(e, DataCenterConfig{
+		Name:           "dc-place",
+		ServerConfig:   srvCfg,
+		ServersPerRack: perRack,
+		Topology: power.TopologyConfig{
+			UPSCount: 1, PDUsPerUPS: 4, RacksPerPDU: 4,
+			RackRatedW: perRack * srvCfg.PeakPower * 1.05, Oversubscription: 1,
+		},
+		Room:       roomCfg,
+		ZoneOfRack: zoneOfRack,
+		Plant:      cooling.DefaultPlantConfig(),
+		Pool:       newTestPool(t, 2),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Reorder([]int{0, 1}); err == nil {
-		t.Error("short permutation should error")
+	f := dc.Fleet()
+	n := f.Size()
+	if len(f.shards) < 2 {
+		t.Fatalf("%d servers in %d shard; want several", n, len(f.shards))
 	}
-	if err := f.Reorder([]int{0, 0, 1}); err == nil {
-		t.Error("duplicate entry should error")
+	type placement struct {
+		rack, zone []int
+		zoneSlots  [][]int32
+		rebases    int
 	}
-	if err := f.Reorder([]int{0, 1, 5}); err == nil {
-		t.Error("out-of-range entry should error")
+	placed := func() placement {
+		p := placement{rack: make([]int, n), zone: make([]int, n), rebases: f.Rebases()}
+		for i := range n {
+			p.rack[i], p.zone[i] = dc.RackOfServer(i), dc.ZoneOfServer(i)
+		}
+		for _, slots := range dc.zoneSlots {
+			p.zoneSlots = append(p.zoneSlots, slices.Clone(slots))
+		}
+		return p
 	}
-	names := []string{f.Servers()[0].Name(), f.Servers()[1].Name(), f.Servers()[2].Name()}
-	if err := f.Reorder([]int{2, 0, 1}); err != nil {
+	run := func(d time.Duration) {
+		t.Helper()
+		if err := e.Run(e.Now() + d); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	orig := placed()
+	top := f.ServerAt(n - 1)
+	refuse := func(what string) {
+		t.Helper()
+		err := dc.PreferCoolingSensitiveZones()
+		if err == nil || !strings.Contains(err.Error(), top.Name()) {
+			t.Fatalf("%s: placement with %s %v returned %v, want an error naming it", what, top.Name(), top.State(), err)
+		}
+		if !reflect.DeepEqual(placed(), orig) {
+			t.Fatalf("%s: the refused placement changed the facility", what)
+		}
+	}
+	top.PowerOn(e)
+	refuse("booting")
+	run(srvCfg.BootDelay)
+	refuse("active")
+	top.PowerOff(e)
+	refuse("shutting down")
+	run(srvCfg.ShutdownDelay)
+
+	if err := dc.PreferCoolingSensitiveZones(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Servers()[0].Name() != names[2] || f.Servers()[1].Name() != names[0] {
-		t.Error("reorder did not permute as requested")
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	room := dc.Room()
+	if room.ZoneSensitivity(0) != room.ZoneSensitivity(2) {
+		t.Fatal("zones 0 and 2 no longer tie; the test lost its tie coverage")
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return room.ZoneSensitivity(orig.zone[order[a]]) > room.ZoneSensitivity(orig.zone[order[b]])
+	})
+	got := placed()
+	count := make([]int, racks)
+	for i, from := range order {
+		if got.rack[i] != orig.rack[from] || got.zone[i] != orig.zone[from] {
+			t.Fatalf("slot %d in rack %d, zone %d; the stable sort puts rack %d, zone %d there",
+				i, got.rack[i], got.zone[i], orig.rack[from], orig.zone[from])
+		}
+		count[got.rack[i]]++
+	}
+	for r, k := range count {
+		if k != perRack {
+			t.Fatalf("rack %d holds %d servers, want %d", r, k, perRack)
+		}
+	}
+	for z, slots := range got.zoneSlots {
+		var want []int32
+		for i := range n {
+			if got.zone[i] == z {
+				want = append(want, int32(i))
+			}
+		}
+		if !slices.Equal(slots, want) {
+			t.Fatalf("zone %d lists %d slots, want the %d in it in slot order", z, len(slots), len(want))
+		}
+	}
+	if err := dc.PreferCoolingSensitiveZones(); err != nil {
+		t.Fatal(err)
+	}
+	if again := placed(); !reflect.DeepEqual(again.rack, got.rack) || !reflect.DeepEqual(again.zoneSlots, got.zoneSlots) {
+		t.Fatal("placing a placed facility again moved servers")
+	}
+
+	f.SetTarget(n)
+	run(srvCfg.BootDelay + time.Second)
+	f.Dispatch(e.Now(), float64(n)*srvCfg.Capacity)
+	want := make([]float64, racks)
+	for i, s := range f.Servers() {
+		want[dc.RackOfServer(i)] += s.Power()
+	}
+	for r, w := range want {
+		if got := f.RackPowerW(r); math.Abs(got-w) > 1e-9*w || w == 0 {
+			t.Fatalf("rack %d draws %v W; its servers draw %v W", r, got, w)
+		}
+	}
+	if err := f.VerifyAggregates(); err != nil {
+		t.Fatal(err)
 	}
 }
 

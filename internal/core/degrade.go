@@ -338,11 +338,10 @@ func (d *Degrader) escalate(now time.Duration) {
 		if z < 0 {
 			return
 		}
-		servers := fleet.Servers()
-		for _, i := range d.dc.ServersInZone(z) {
-			st := servers[i].State()
-			if st == server.StateActive || st == server.StateBooting {
-				servers[i].PowerOff(d.engine)
+		for _, slot := range d.dc.zoneSlots[z] {
+			s := fleet.ServerAt(int(slot))
+			if st := s.State(); st == server.StateActive || st == server.StateBooting {
+				s.PowerOff(d.engine)
 				d.shedServers++
 			}
 		}

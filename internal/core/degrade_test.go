@@ -176,9 +176,9 @@ func TestDegraderThermalLadder(t *testing.T) {
 	}
 	// Zone 0 leans hardest on the failed CRAC (sensitivity 0.85 vs
 	// 0.80): its servers must be the ones powered off by stage 3.
-	for _, i := range dc.ServersInZone(0) {
-		if st := dc.Fleet().Servers()[i].State(); st == server.StateActive {
-			t.Fatalf("zone-0 server %d still active after zone shed", i)
+	for _, slot := range dc.zoneSlots[0] {
+		if st := dc.Fleet().ServerAt(int(slot)).State(); st == server.StateActive {
+			t.Fatalf("zone-0 server %d still active after zone shed", slot)
 		}
 	}
 

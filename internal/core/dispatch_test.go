@@ -12,13 +12,14 @@ import (
 )
 
 // TestDispatchGroupSumsExact pins the dispatch write to the fold it
-// replaces, bit for bit, on three fleets: an ungrouped one, the shape of
-// a geo site's; the same fleet with racks and zones; and the grouped
-// fleet tracking changes. Each has 4,096 servers on a 2-worker pool. The
-// grouped fleets have 37-server racks, which straddle their shard
-// boundaries, and a zone that changes at every rack; halfway through, a
-// Reorder interleaves the racks, so consecutive positions sit in
-// different racks and each rack recurs along a shard. Handles keep
+// replaces, bit for bit, on four fleets: an ungrouped one, the shape of
+// a geo site's; the same fleet with racks and zones; the grouped fleet
+// tracking changes; and a tracking fleet whose racks interleave. Each
+// has 4,096 servers on a 2-worker pool. The contiguous layouts have
+// 37-server racks, which straddle their shard boundaries, and a zone
+// that changes at every rack; the interleaved one puts slot s in rack s
+// mod racks, so consecutive slots sit in different racks and each rack
+// recurs along a shard. Handles keep
 // booting, shutting-down, throttled and parked slots in the mix, on the
 // concave BigLittle power curve, and every dispatch runs at the instant
 // some boots and shutdowns fall due, before their completion events, so
@@ -27,23 +28,28 @@ import (
 // After every dispatch, each server that was not Off is synced to the
 // dispatch instant at the fill if it is active and had capacity before
 // the write, else at 0, and each Off server is unwritten. The sums are
-// held to the per-slot fold: per shard, per slot in position order, each
+// held to the per-slot fold: per shard, per slot in slot order, each
 // changed slot's deltas added into a zeroed partial, the partials merged
 // into the sums in shard order (group sums only where nonzero). The
 // total power and energy, the on and active counts and every rack and
 // zone sum must equal that fold exactly, and the change set, emptied
 // before the dispatch, must hold the fold's changed slots in its order:
-// shard order, then position order within a shard.
+// shard order, then slot order within a shard.
 func TestDispatchGroupSumsExact(t *testing.T) {
 	for _, tc := range []struct {
-		name             string
-		grouped, tracked bool
-	}{{"flat", false, false}, {"grouped", true, false}, {"tracked", true, true}} {
-		t.Run(tc.name, func(t *testing.T) { testDispatchSumsExact(t, tc.grouped, tc.tracked) })
+		name                          string
+		grouped, interleaved, tracked bool
+	}{
+		{"flat", false, false, false},
+		{"grouped", true, false, false},
+		{"tracked", true, false, true},
+		{"interleaved", true, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testDispatchSumsExact(t, tc.grouped, tc.interleaved, tc.tracked) })
 	}
 }
 
-func testDispatchSumsExact(t *testing.T, grouped, tracked bool) {
+func testDispatchSumsExact(t *testing.T, grouped, interleaved, tracked bool) {
 	const n, perRack, zones = 4096, 37, 3
 	cfg := testServerConfig()
 	cfg.PowerCurve = server.BigLittleCurve()
@@ -57,6 +63,9 @@ func testDispatchSumsExact(t *testing.T, grouped, tracked bool) {
 	rackOf, zoneOf := make([]int, n), make([]int, n)
 	for slot := range rackOf {
 		rackOf[slot] = slot / perRack
+		if interleaved {
+			rackOf[slot] = slot % racks
+		}
 		zoneOf[slot] = rackOf[slot] % zones
 	}
 	if grouped {
@@ -154,8 +163,7 @@ func testDispatchSumsExact(t *testing.T, grouped, tracked bool) {
 			var pw, en float64
 			var on, active int
 			dirty := false
-			for _, s := range f.slotOfPos[sh.Lo:sh.Hi] {
-				slot := int(s)
+			for slot := sh.Lo; slot < sh.Hi; slot++ {
 				srv := f.ServerAt(slot)
 				b, st := before[slot], srv.State()
 				if st == b.st && srv.Power() == b.p && srv.EnergyJ() == b.e {
@@ -164,7 +172,7 @@ func testDispatchSumsExact(t *testing.T, grouped, tracked bool) {
 				if st != b.st {
 					seen.completed++
 				}
-				changes = append(changes, s)
+				changes = append(changes, int32(slot))
 				d := srv.Power() - b.p
 				pw += d
 				en += srv.EnergyJ() - b.e
@@ -233,16 +241,6 @@ func testDispatchSumsExact(t *testing.T, grouped, tracked bool) {
 	for round := 1; round <= 60; round++ {
 		now := time.Duration(round) * 10 * time.Second
 		dispatch(round, now, (0.2+0.9*rng.Float64())*float64(f.OnCount())*cfg.Capacity)
-		if round == 30 {
-			// Interleave the racks: position i takes slot (i%64)·64 + i/64.
-			perm := make([]int, n)
-			for i := range perm {
-				perm[i] = (i%64)*64 + i/64
-			}
-			if err := f.Reorder(perm); err != nil {
-				t.Fatal(err)
-			}
-		}
 		if round%7 == 0 {
 			f.SetTarget(n/2 + rng.Intn(n/2))
 		}
@@ -325,20 +323,20 @@ func TestSyncLiveBound(t *testing.T) {
 	due := now + cfg.ShutdownDelay
 	run(due - 1)
 	sync("at the shed's deadline", due)
-	if f.OnCount() != n/2 || f.ServerAt(int(f.slotOfPos[n/2])).State() != server.StateOff {
+	if f.OnCount() != n/2 || f.ServerAt(n/2).State() != server.StateOff {
 		t.Fatalf("the Sync at the deadline left %d on, want %d, and the first shed server %v",
-			f.OnCount(), n/2, f.ServerAt(int(f.slotOfPos[n/2])).State())
+			f.OnCount(), n/2, f.ServerAt(n/2).State())
 	}
 	if f.liveEnd() != n/2 {
 		t.Fatalf("live bound %d after the shed, want %d", f.live, n/2)
 	}
 	run(due)
 
-	hole := f.ServerAt(int(f.slotOfPos[10]))
+	hole := f.ServerAt(10)
 	if !hole.Crash(e.Now()) {
 		t.Fatal("crash did not take")
 	}
-	last := f.ServerAt(int(f.slotOfPos[n-1]))
+	last := f.ServerAt(n - 1)
 	last.PowerOn(e)
 	holeSync := hole.LastSyncAt()
 	run(e.Now() + time.Minute)
@@ -375,7 +373,7 @@ func firstDiff(a, b []int32) int {
 // tracking changes on a 2-worker pool. A copy of the fleet takes the
 // same boots, shed, throttles, P-state moves, crash and handle boot,
 // and instead of each Fleet.Sync it syncs its servers one at a time
-// through Server.Sync in position order, skipping the Off ones. The
+// through Server.Sync in slot order, skipping the Off ones. The
 // fleets hold a crash hole inside the powered prefix and a server that
 // a handle booted past the live bound, and handle writes leave the
 // servers at different last sync times. One Sync falls at the instant
@@ -441,8 +439,8 @@ func testSyncMatchesServerSync(t *testing.T, grouped bool) {
 		f.ResetChanged()
 		g.ResetChanged()
 		f.Sync(now)
-		for _, slot := range g.slotOfPos {
-			if s := g.ServerAt(int(slot)); s.State() != server.StateOff {
+		for _, s := range g.Servers() {
+			if s.State() != server.StateOff {
 				s.Sync(now)
 			}
 		}
@@ -469,18 +467,18 @@ func testSyncMatchesServerSync(t *testing.T, grouped bool) {
 	both(func(_ *sim.Engine, f *Fleet) { f.SetTarget(3 * n / 4) })
 	run(cfg.BootDelay + time.Second)
 	sync("after the boots", cfg.BootDelay+time.Second)
-	// Handle writes spread the last sync times: every 7th position's
-	// server changes throttle a second later, every 11th P-state two.
+	// Handle writes spread the last sync times: every 7th server changes
+	// throttle a second later, every 11th P-state two.
 	now := cfg.BootDelay + 2*time.Second
 	run(now)
 	both(func(_ *sim.Engine, f *Fleet) {
 		for i := 0; i < 3*n/4; i += 7 {
-			if err := f.ServerAt(int(f.slotOfPos[i])).SetThrottle(now, 0.5); err != nil {
+			if err := f.ServerAt(i).SetThrottle(now, 0.5); err != nil {
 				t.Fatal(err)
 			}
 		}
 		for i := 0; i < 3*n/4; i += 11 {
-			if err := f.ServerAt(int(f.slotOfPos[i])).SetPState(now+time.Second, 2); err != nil {
+			if err := f.ServerAt(i).SetPState(now+time.Second, 2); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -496,17 +494,17 @@ func testSyncMatchesServerSync(t *testing.T, grouped bool) {
 
 	var booted time.Duration
 	both(func(e *sim.Engine, f *Fleet) {
-		if !f.ServerAt(int(f.slotOfPos[10])).Crash(e.Now()) {
+		if !f.ServerAt(10).Crash(e.Now()) {
 			t.Fatal("crash did not take")
 		}
-		f.ServerAt(int(f.slotOfPos[n-1])).PowerOn(e)
+		f.ServerAt(n - 1).PowerOn(e)
 		booted = e.Now()
 	})
 	run(booted + time.Minute)
 	sync("with a hole and a handle boot", booted+time.Minute)
 	run(booted + cfg.BootDelay - 1)
 	sync("at the handle boot's deadline", booted+cfg.BootDelay)
-	if s := fleet.f.ServerAt(int(fleet.f.slotOfPos[n-1])); s.State() != server.StateActive {
+	if s := fleet.f.ServerAt(n - 1); s.State() != server.StateActive {
 		t.Fatalf("the Sync at its deadline left the handle-booted server %v", s.State())
 	}
 	if syncs != 5 {

@@ -33,19 +33,19 @@ const rebaseEvery = 64
 // per-server field and whose sums — total power and energy, on/active
 // counts, trips, boots, per-rack/per-zone power — are updated where a
 // column is written, so aggregate accessors are O(1) reads. The fleet
-// keeps the activation order and runs its per-tick loops (both dispatch
-// passes, Sync, SetPStateAll, the zone trip scan and the sample fill)
-// over the columns, one loop per shard of the size-only par partition;
-// each shard folds into its own partial sums, merged in shard order, so
-// any worker count yields the same bits.
+// runs its per-tick loops (both dispatch passes, Sync, SetPStateAll, the
+// zone trip scan and the sample fill) over the columns, one kernel per
+// shard of the size-only par partition of the slots; each shard folds
+// into its own partial sums, merged in shard order, so any worker count
+// yields the same bits.
 //
-// SetTarget sheds from the tail of the activation order, so an elastic
-// fleet's Off servers gather there. The fleet keeps a live bound: every
-// position from it on holds an Off server. The dispatch passes, Sync and
-// the sample fill run only over the shards before the bound, clipped at
-// it, so their cost follows the servers that are not Off rather than the
-// fleet size; the shards themselves never move. Dispatch and Sync write
-// no Off server, wherever it sits.
+// Slot order is the activation order: SetTarget powers servers on from
+// slot 0 up and sheds them from the top, where an elastic fleet's Off
+// servers gather. The fleet keeps a live bound: every slot from it on
+// holds an Off server. The dispatch passes, Sync and the sample fill run
+// only over the shards before the bound, clipped at it, so their cost
+// follows the servers that are not Off rather than the fleet size; the
+// shards themselves never move. Dispatch and Sync write no Off server.
 type Fleet struct {
 	block   *server.Block
 	servers []*server.Server
@@ -66,19 +66,15 @@ type Fleet struct {
 	maxRebaseDriftW  float64 // lifetime high-water mark of the above
 	lastRebaseRefW   float64 // exact total power at the last rebase (drift scale)
 
-	// live bounds the powered prefix of the activation order: every
-	// position from live on holds an Off server (see liveEnd). bootsSeen
-	// is the block's boot count as of the last liveEnd, plus the boots
-	// SetTarget started since; a boot counted beyond it was started by a
-	// handle, past the fleet, and may have powered a server at or after
-	// live.
+	// live bounds the powered prefix of the slots: every slot from live
+	// on holds an Off server (see liveEnd). bootsSeen is the block's boot
+	// count as of the last liveEnd, plus the boots SetTarget started
+	// since; a boot counted beyond it was started by a handle, past the
+	// fleet, and may have powered a server at or after live.
 	live, bootsSeen int
 
-	// shards partitions activation positions [0, n) purely by size, never
-	// by worker count; slotOfPos maps position → slot (identity until
-	// Reorder).
-	shards    []par.Range
-	slotOfPos []int32
+	// shards partitions the slots purely by size, never by worker count.
+	shards []par.Range
 	// acc is one padded accumulator per shard: the shard's partial sums
 	// and the per-loop scalars the fleet folds after a fan-out.
 	acc []shardAcc
@@ -113,16 +109,10 @@ func NewFleet(e *sim.Engine, cfg server.Config, n int) (*Fleet, error) {
 		return nil, err
 	}
 	f := &Fleet{
-		block:     b,
-		engine:    e,
-		servers:   b.Servers(),
-		shards:    par.Shards(n),
-		slotOfPos: make([]int32, n),
-	}
-	// Activation order starts as slot order; Reorder permutes servers and
-	// slotOfPos, never slots, so slot-indexed columns stay valid.
-	for i := range f.slotOfPos {
-		f.slotOfPos[i] = int32(i)
+		block:   b,
+		engine:  e,
+		servers: b.Servers(),
+		shards:  par.Shards(n),
 	}
 	f.acc = make([]shardAcc, len(f.shards))
 	f.capacityFn = f.capacityShard
@@ -161,11 +151,12 @@ func (f *Fleet) Changed() []int32 { return f.block.Changed() }
 // ResetChanged empties the change set.
 func (f *Fleet) ResetChanged() { f.block.ResetChanged() }
 
-// SetPowerGroups installs slot→rack and slot→zone maps and starts
-// maintaining per-group power sums. Call it before any Reorder, while
-// slot order and activation order still coincide; the maps are copied and
-// keyed by slot, so they remain correct afterwards (a server's physical
-// rack and zone never change).
+// SetPowerGroups places the servers: it installs slot→rack and
+// slot→zone maps (copied) and maintains per-group power sums from then
+// on. A handle keeps its slot, so a second call moves handles to other
+// racks and zones: it must come before anything caches a server's rack
+// or zone, and unless every server is Off it errs and changes nothing.
+// It reuses the first call's slices when the group counts match.
 func (f *Fleet) SetPowerGroups(rackOf, zoneOf []int, nRacks, nZones int) error {
 	if len(rackOf) != len(f.servers) || len(zoneOf) != len(f.servers) {
 		return fmt.Errorf("core: power groups sized %d/%d for fleet of %d",
@@ -179,13 +170,19 @@ func (f *Fleet) SetPowerGroups(rackOf, zoneOf []int, nRacks, nZones int) error {
 			return fmt.Errorf("core: slot %d mapped to invalid zone %d", i, zoneOf[i])
 		}
 	}
-	f.block.SetGroups(rackOf, zoneOf, nRacks, nZones)
-	for sh := range f.acc {
-		f.acc[sh].sums = f.block.Partial()
+	if end := f.liveEnd(); end > 0 && f.block.Sums().Rack != nil {
+		s := f.servers[end-1]
+		return fmt.Errorf("core: server %s is %v; servers change racks only while every one is off", s.Name(), s.State())
 	}
-	// Populate the just-installed (zeroed) group sums without recording
-	// drift: they have no incremental history yet, so the gap to the
-	// exact sums is installation, not drift.
+	f.block.SetGroups(rackOf, zoneOf, nRacks, nZones)
+	if p := &f.acc[0].sums; len(p.Rack) != nRacks || len(p.Zone) != nZones {
+		for sh := range f.acc {
+			f.acc[sh].sums = f.block.Partial()
+		}
+	}
+	// Populate the just-installed group sums without recording drift:
+	// they have no incremental history under these maps, so the gap to
+	// the exact sums is installation, not drift.
 	f.rebases++
 	f.block.Rebase()
 	return nil
@@ -263,12 +260,12 @@ func (f *Fleet) VerifyAggregates() error {
 	return f.block.VerifyAggregates(relTol, absTol)
 }
 
-// Servers exposes the underlying servers (shared slice: do not mutate).
+// Servers exposes the block's server handles in slot order, which is
+// the activation order (shared slice: do not mutate).
 func (f *Fleet) Servers() []*server.Server { return f.servers }
 
-// ServerAt returns the server registered under slot, its construction
-// index. Slots never move under Reorder.
-func (f *Fleet) ServerAt(slot int) *server.Server { return f.block.Server(slot) }
+// ServerAt returns the server at slot i, Servers()[i].
+func (f *Fleet) ServerAt(i int) *server.Server { return f.servers[i] }
 
 // Size reports the total fleet size.
 func (f *Fleet) Size() int { return len(f.servers) }
@@ -285,10 +282,10 @@ func (f *Fleet) ActiveCount() int { return f.block.Sums().Active }
 func (f *Fleet) Switches() (ons, offs int) { return f.switchOns, f.switchOffs }
 
 // SetTarget powers servers on or off so that the committed count matches
-// target (clamped to [0, Size]). Servers are activated in slice order and
-// deactivated from the tail, so a caller that orders servers by
-// preference (e.g. CRAC-sensitive zones first, §5.1) gets cooling-aware
-// activation for free.
+// target (clamped to [0, Size]). Servers are activated in slot order and
+// deactivated from the top, so a caller that places the servers it
+// prefers in the low slots (e.g. CRAC-sensitive zones first, §5.1) gets
+// cooling-aware activation for free.
 func (f *Fleet) SetTarget(target int) {
 	if target < 0 {
 		target = 0
@@ -298,15 +295,15 @@ func (f *Fleet) SetTarget(target int) {
 	}
 	on := f.OnCount()
 	if on < target {
-		for i, slot := range f.slotOfPos {
+		for slot, s := range f.servers {
 			if on == target {
 				break
 			}
-			if f.block.StateAt(int(slot)) == server.StateOff {
-				f.block.Server(int(slot)).PowerOn(f.engine)
+			if f.block.StateAt(slot) == server.StateOff {
+				s.PowerOn(f.engine)
 				f.switchOns++
 				f.bootsSeen++
-				f.live = max(f.live, i+1)
+				f.live = max(f.live, slot+1)
 				on++
 			}
 		}
@@ -317,12 +314,11 @@ func (f *Fleet) SetTarget(target int) {
 		// both, so skipping Booting here would leave the committed count
 		// above target until the boot completes — or forever, if the
 		// target stays low (the server boots to Active with no further
-		// SetTarget call to reconcile it). Positions from the live bound
-		// on are Off.
-		for i := f.liveEnd() - 1; i >= 0 && on > target; i-- {
-			slot := int(f.slotOfPos[i])
+		// SetTarget call to reconcile it). Slots from the live bound on
+		// are Off.
+		for slot := f.liveEnd() - 1; slot >= 0 && on > target; slot-- {
 			if st := f.block.StateAt(slot); st == server.StateActive || st == server.StateBooting {
-				f.block.Server(slot).PowerOff(f.engine)
+				f.servers[slot].PowerOff(f.engine)
 				f.switchOffs++
 				on--
 			}
@@ -330,47 +326,24 @@ func (f *Fleet) SetTarget(target int) {
 	}
 }
 
-// Reorder permutes the fleet's activation order: perm[i] is the index of
-// the server that should occupy position i. SetTarget activates from the
-// front and deactivates from the back, so callers encode activation
-// preference (e.g. CRAC-sensitive zones first) by reordering.
-func (f *Fleet) Reorder(perm []int) error {
-	if len(perm) != len(f.servers) {
-		return fmt.Errorf("core: permutation length %d != fleet size %d", len(perm), len(f.servers))
-	}
-	seen := make([]bool, len(perm))
-	next := make([]*server.Server, len(perm))
-	nextSlot := make([]int32, len(perm))
-	for i, p := range perm {
-		if p < 0 || p >= len(perm) || seen[p] {
-			return fmt.Errorf("core: invalid permutation entry %d at %d", p, i)
-		}
-		seen[p] = true
-		next[i], nextSlot[i] = f.servers[p], f.slotOfPos[p]
-	}
-	f.servers, f.slotOfPos = next, nextSlot
-	f.live = len(f.slotOfPos) // a server that is not Off may have moved past the bound
-	return nil
-}
-
-// liveEnd returns the live bound, trimmed past the Off servers at the
-// tail of the activation order. The trim is amortized O(1): the bound
-// only rises by SetTarget's boots, a boot the fleet did not start and
-// Reorder, and each of those positions is trimmed once. A boot the
-// fleet did not start shows as the block's boot count running ahead of
-// bootsSeen; it resets the bound to the fleet size.
+// liveEnd returns the live bound, trimmed past the Off servers in the
+// top slots. The trim is amortized O(1): the bound only rises by
+// SetTarget's boots and by a boot the fleet did not start, and each of
+// those slots is trimmed once. A boot the fleet did not start shows as
+// the block's boot count running ahead of bootsSeen; it resets the bound
+// to the fleet size.
 func (f *Fleet) liveEnd() int {
 	if boots := f.block.Sums().Boots; boots != f.bootsSeen {
-		f.bootsSeen, f.live = boots, len(f.slotOfPos)
+		f.bootsSeen, f.live = boots, len(f.servers)
 	}
-	for f.live > 0 && f.block.StateAt(int(f.slotOfPos[f.live-1])) == server.StateOff {
+	for f.live > 0 && f.block.StateAt(f.live-1) == server.StateOff {
 		f.live--
 	}
 	return f.live
 }
 
-// shardsBefore returns the shards that start before position end: the
-// ones a loop over positions [0, end) runs, each clipped at end.
+// shardsBefore returns the shards that start before slot end: the ones a
+// loop over slots [0, end) runs, each clipped at end.
 func (f *Fleet) shardsBefore(end int) []par.Range {
 	k := 0
 	for k < len(f.shards) && f.shards[k].Lo < end {
@@ -381,7 +354,7 @@ func (f *Fleet) shardsBefore(end int) []par.Range {
 
 // Sync advances every server's energy accounting to now and rebases the
 // running sums, so aggregate reads right after a Sync are exact. Like
-// Dispatch, it runs only over the positions before the live bound and
+// Dispatch, it runs only over the slots before the live bound and
 // writes no Off server: an Off server draws nothing, so a sync would
 // move only its LastSyncAt. The Rebase still scans every server.
 func (f *Fleet) Sync(now time.Duration) {
@@ -393,12 +366,12 @@ func (f *Fleet) Sync(now time.Duration) {
 
 // syncShard is Sync's body over one shard, clipped at the live bound.
 func (f *Fleet) syncShard(sh int, r par.Range) {
-	f.block.SyncSlots(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)])
+	f.block.SyncSlots(&f.acc[sh].sums, f.loopNow, r.Lo, min(r.Hi, f.loopEnd))
 }
 
 // SetPStateAll moves every server to the given DVFS index.
 func (f *Fleet) SetPStateAll(now time.Duration, idx int) error {
-	if err := f.block.CheckPState(int(f.slotOfPos[0]), idx); err != nil {
+	if err := f.block.CheckPState(0, idx); err != nil {
 		return err
 	}
 	f.loopNow, f.pstateIdx = now, idx
@@ -409,7 +382,7 @@ func (f *Fleet) SetPStateAll(now time.Duration, idx int) error {
 
 // pstateShard is SetPStateAll's body over one shard.
 func (f *Fleet) pstateShard(sh int, r par.Range) {
-	f.block.SetPStates(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:r.Hi], f.pstateIdx)
+	f.block.SetPStates(&f.acc[sh].sums, f.loopNow, r.Lo, r.Hi, f.pstateIdx)
 }
 
 // Dispatch spreads offered load over the active servers and applies the
@@ -423,10 +396,9 @@ func (f *Fleet) pstateShard(sh int, r par.Range) {
 // decided once from their shard-ordered total, and the power model is
 // evaluated once for it (server.Block.PlanFill); pass B writes the fill
 // into the utilization column shard by shard. Both run only over the
-// positions before the live bound, where every server that is not Off
-// sits; the positions past it would add nothing to either pass. Both
-// produce bits that depend only on the shard partition, i.e. on fleet
-// size.
+// slots before the live bound, where every server that is not Off sits;
+// the slots past it would add nothing to either pass. Both produce bits
+// that depend only on the shard partition, i.e. on fleet size.
 func (f *Fleet) Dispatch(now time.Duration, offered float64) (dropped, maxU float64) {
 	f.loopEnd = f.liveEnd()
 	shards := f.shardsBefore(f.loopEnd)
@@ -449,16 +421,16 @@ func (f *Fleet) Dispatch(now time.Duration, offered float64) (dropped, maxU floa
 
 // capacityShard is Dispatch's pass A over one shard, clipped at the live
 // bound: the block sums the shard's positive available capacity from its
-// column, in position order.
+// column, in slot order.
 func (f *Fleet) capacityShard(sh int, r par.Range) {
-	f.acc[sh].capSum = f.block.SumCapacity(f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)])
+	f.acc[sh].capSum = f.block.SumCapacity(r.Lo, min(r.Hi, f.loopEnd))
 }
 
 // applyShard is Dispatch's pass B over one shard, clipped at the live
 // bound: write the planned fill into the utilization columns, drawing
 // from the power table Dispatch planned once for every shard.
 func (f *Fleet) applyShard(sh int, r par.Range) {
-	f.block.FillSlots(&f.acc[sh].sums, f.loopNow, f.slotOfPos[r.Lo:min(r.Hi, f.loopEnd)], &f.fill)
+	f.block.FillSlots(&f.acc[sh].sums, f.loopNow, r.Lo, min(r.Hi, f.loopEnd), &f.fill)
 }
 
 // PowerW reports the instantaneous total fleet draw. O(1): maintained

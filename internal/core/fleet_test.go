@@ -247,11 +247,11 @@ func TestSetTargetDropToZeroDuringBoot(t *testing.T) {
 
 // TestDispatchLiveBound pins the live bound on a half-powered 2,048-server
 // fleet whose loops run on a 2-worker pool: a dispatch loads every active
-// server with the fill and writes no Off server, and each way a server
+// server with the fill and writes no Off server, and the one way a server
 // that is not Off can come to sit past the bound — a boot the fleet did
-// not start, a Reorder — resets it, so the next dispatch still loads that
-// server. Every round uses a new fill and a new instant, so a server the
-// dispatch skipped shows a stale utilization or sync time.
+// not start — resets it, so the next dispatch still loads that server.
+// Every round uses a new fill and a new instant, so a server the dispatch
+// skipped shows a stale utilization or sync time.
 func TestDispatchLiveBound(t *testing.T) {
 	const n = 2048
 	cfg := testServerConfig()
@@ -305,11 +305,11 @@ func TestDispatchLiveBound(t *testing.T) {
 	}
 	dispatch("half on")
 	if f.live != n/2 {
-		t.Fatalf("live bound %d with the first %d positions on", f.live, n/2)
+		t.Fatalf("live bound %d with the first %d slots on", f.live, n/2)
 	}
 
-	// A recovery's path: a handle boots the server at the last position.
-	last := f.ServerAt(int(f.slotOfPos[n-1]))
+	// A recovery's path: a handle boots the server in the top slot.
+	last := f.ServerAt(n - 1)
 	last.PowerOn(e)
 	run(cfg.BootDelay)
 	if fill := dispatch("after a handle boot"); last.Utilization() != fill {
@@ -324,7 +324,7 @@ func TestDispatchLiveBound(t *testing.T) {
 
 	// A crash opens a hole inside the prefix; the next raise fills it
 	// before any position past the bound.
-	hole := f.ServerAt(int(f.slotOfPos[10]))
+	hole := f.ServerAt(10)
 	if !hole.Crash(e.Now()) {
 		t.Fatal("crash did not take")
 	}
@@ -336,18 +336,4 @@ func TestDispatchLiveBound(t *testing.T) {
 	}
 	run(cfg.BootDelay)
 	dispatch("after the hole rebooted")
-
-	// Swap the active server at position 0 with the Off one at n-2.
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	perm[0], perm[n-2] = n-2, 0
-	moved := f.ServerAt(int(f.slotOfPos[0]))
-	if err := f.Reorder(perm); err != nil {
-		t.Fatal(err)
-	}
-	if fill := dispatch("after a reorder"); moved.Utilization() != fill {
-		t.Fatalf("reordered server at utilization %v, want the fill %v", moved.Utilization(), fill)
-	}
 }

@@ -148,7 +148,7 @@ func TestManagerCapacityDipScalesAdmissionView(t *testing.T) {
 	// arrivals before the pool sees them — so the mid-dip signal is the
 	// breaker state, not pool fair share.
 	if st := m.LastRetryOutcome().Breaker; st == workload.BreakerClosed {
-		t.Error("breaker still closed mid-dip, want tripped")
+		t.Error("breaker still closed mid-dip, want it open")
 	}
 	m.OnNotice(e, fault.Notice{Kind: fault.CapacityDip, At: e.Now(), Start: false, Index: -1, Frac: 0.75})
 	if got := m.CapacityFactor(); got != 1 {

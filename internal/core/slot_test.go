@@ -42,8 +42,8 @@ func readBits(s *server.Server) slotBits {
 // fleet Sync follows the same rule: the standalone server syncs only if
 // it is not Off, so lastSync, compared like every other field, pins that
 // the fleet left an Off slot's sync time where it was. In
-// the all-on schedule every position is powered. In the off-tail
-// schedule the fleet powers only the positions before k, so slot k sits
+// the all-on schedule every slot is powered. In the off-tail
+// schedule the fleet powers only the slots before k, so slot k sits
 // at the head of the Off tail until its handle boots it (a boot the
 // fleet did not start), and the fleet's retargets below k shed it first
 // whenever it is committed.

@@ -122,7 +122,7 @@ func TestFig4(t *testing.T) {
 		t.Errorf("coordinated run violated SLA %.1f%% of the time", res.SLAViolationRate*100)
 	}
 	if res.ThermalTrips != 0 {
-		t.Errorf("coordinated run tripped %d servers", res.ThermalTrips)
+		t.Errorf("coordinated run took %d thermal trips", res.ThermalTrips)
 	}
 	if res.TelemetryKeys == 0 {
 		t.Error("no telemetry collected")
@@ -230,7 +230,7 @@ func TestCRACExp(t *testing.T) {
 		t.Error("naive migration produced no thermal trips — pathology not reproduced")
 	}
 	if res.AwareTrips != 0 {
-		t.Errorf("sensitivity-aware operation tripped %d servers", res.AwareTrips)
+		t.Errorf("sensitivity-aware operation took %d thermal trips", res.AwareTrips)
 	}
 	if res.NaiveMaxInletB <= res.AwareMaxInlet {
 		t.Errorf("naive zone-B peak %v not above aware peak %v", res.NaiveMaxInletB, res.AwareMaxInlet)

@@ -17,13 +17,21 @@ import (
 // these changes intentionally, regenerate with -update and update the
 // hash here in the same commit, with the reason in the message.
 //
-// One such re-pin is on record. When the fleet's serial left-fold was
+// Two such re-pins are on record. When the fleet's serial left-fold was
 // retired, every fleet began merging its notification deltas per shard
 // (see core.Fleet), which regroups a few float additions. Three values
 // moved: fig4's EnergyKWh and MeanPUE and fault-crac's
 // Managed.EnergyKWh, the largest by 1.1e-14 relative — eight orders of
 // magnitude inside TestGolden's 1e-6 tolerance. Only the fig4.json and
 // fault-crac.json hashes changed; every other fixture kept its bytes.
+//
+// When core.DataCenter.PreferCoolingSensitiveZones began placing the
+// servers instead of permuting the fleet's activation order, slot order
+// became activation order on fig4's facility, so the exact rebase
+// (server.Block.Rebase, which sums in slot order) adds the same powers
+// and energies in a different order. One value moved: fig4's EnergyKWh,
+// 320.542973233693 → 320.5429732336929, one ulp (1.8e-16 relative).
+// Only the fig4.json hash changed.
 var preRequestGoldenSHA256 = map[string]string{
 	"ablate-dc.json":         "ce720da644369646b8f7cc4ee8f8be73be82b64547a3a313cbf5b2dd64201e7e",
 	"ablate-forecast.json":   "c46e11317acbf91f05516fe82ec3d8c6ae89de7a246ea86310e309e9ac27ad71",
@@ -41,7 +49,7 @@ var preRequestGoldenSHA256 = map[string]string{
 	"fig1.json":              "85059953f3c1e75af0c1d193098df76ea777897b33e5dfce928d19d32c5d6d96",
 	"fig2.json":              "508351a724c9901b001bb3ef65eeda205763f0cd31e9eacb21cce61dadd94f81",
 	"fig3.json":              "c7a97a2c6698fa87cdb06ab9882b3995792a31e5ea41cf199bf1c92621c86f05",
-	"fig4.json":              "0a3e140d1d8b9265806b18ab0be8fa39a8e67c78a2fe6876bbf367ece7ee26ee",
+	"fig4.json":              "eb6e4829ce420add248e635613f1679e034a856ee698a0cd274b2be8957bb630",
 	"geo.json":               "4d37120bde4171e01109180ddad670e1e876a068cd268eb2596963940f3dd26f",
 	"hetero.json":            "94d852845fb26c57666341caffaf8889e5b8a096be696ca25183412016e137cf",
 	"idle60.json":            "5380c24653aa73270b46f73535faee87cef86223378e42d8c51c9b56608e1762",

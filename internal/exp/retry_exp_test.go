@@ -117,7 +117,7 @@ func TestFaultRackShape(t *testing.T) {
 	// The rack notice trips the breaker proactively and holds the shed
 	// ladder; users see rejections, fast-fails, and abandonment.
 	if r.Correlated.BreakerTrips < 1 {
-		t.Error("correlated rack loss never tripped the breaker")
+		t.Error("correlated rack loss never opened the breaker")
 	}
 	if r.Correlated.FastFailed <= 0 || r.Correlated.RejectedUsers <= 0 {
 		t.Errorf("correlated loss must turn users away: fastfail %.0f rejected %.0f",

@@ -90,10 +90,8 @@ type SiteConfig struct {
 	// PopulationShare is the site's share of the global user population
 	// (normalized across sites; must be positive).
 	PopulationShare float64
-	// FleetSize is the site's server count.
+	// FleetSize is the site's server count; half of it starts on.
 	FleetSize int
-	// InitialOn is the starting active count (0 → FleetSize/2).
-	InitialOn int
 	// Retry closes the request loop at this site: rejected users come
 	// back through a budget-policy retry loop with a circuit breaker.
 	Retry bool
@@ -162,9 +160,6 @@ func (c Config) withDefaults() Config {
 		if c.Sites[i].Carbon == (carbon.Model{}) {
 			c.Sites[i].Carbon = carbon.DefaultModel()
 		}
-		if c.Sites[i].InitialOn == 0 {
-			c.Sites[i].InitialOn = c.Sites[i].FleetSize / 2
-		}
 	}
 	return c
 }
@@ -202,9 +197,6 @@ func (c Config) Validate() error {
 		}
 		if s.FleetSize <= 0 {
 			add("site %d (%s): fleet size %d must be positive", i, s.Name, s.FleetSize)
-		}
-		if s.InitialOn < 0 || s.InitialOn > s.FleetSize {
-			add("site %d (%s): initial on %d out of [0,%d]", i, s.Name, s.InitialOn, s.FleetSize)
 		}
 		if s.Facility && s.FleetSize%facilityRacks != 0 {
 			add("site %d (%s): facility fleet %d must be divisible by %d racks", i, s.Name, s.FleetSize, facilityRacks)

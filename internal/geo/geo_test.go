@@ -225,7 +225,7 @@ func TestConfigValidateAggregates(t *testing.T) {
 		Sites: []SiteConfig{
 			{Name: "", PopulationShare: -1, FleetSize: 0},
 			{Name: "dup", PopulationShare: 1, FleetSize: 30, Facility: true},
-			{Name: "dup", PopulationShare: 1, FleetSize: 10, InitialOn: 20, TZOffset: -time.Hour},
+			{Name: "dup", PopulationShare: 1, FleetSize: 10, TZOffset: -time.Hour},
 		},
 		Epoch:   -time.Minute,
 		Tick:    0,
@@ -243,7 +243,6 @@ func TestConfigValidateAggregates(t *testing.T) {
 		"fleet size 0",
 		"duplicate site name",
 		"divisible by 20 racks",
-		"initial on 20",
 		"negative tz offset",
 		"epoch -1m0s",
 		"tick 0s",

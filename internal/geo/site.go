@@ -99,7 +99,7 @@ func newSite(fed *Federation, idx int, cfg SiteConfig, home *trace.Series, stati
 		SLA:            100 * time.Millisecond,
 		DecisionPeriod: fed.cfg.Tick,
 		Mode:           core.ModeCoordinated,
-		InitialOn:      cfg.InitialOn,
+		InitialOn:      cfg.FleetSize / 2,
 		ClassDemand:    s.classDemand,
 		Pool:           s.pool,
 	}

@@ -16,15 +16,15 @@ import (
 // into a Sums in the same place — the block's own for a handle call, a
 // shard's partial in a fleet loop — so columns and sums never disagree.
 //
-// A fleet's per-decision loops are kernels of their own: the capacity
-// sum (SumCapacity), the dispatch write (FillSlots) and the sync
-// (SyncSlots). Each reads its columns through locals resliced to the
-// block's length once, so a slot costs one range check, and keeps its
-// float sums in locals. The two writes write an Active slot in the loop
-// and send a Booting or ShuttingDown slot, whose transition may fall
-// due, through writeSlot; they fold the same deltas in the same order
-// as a writeSlot per slot, through the same foldChange, so the bits are
-// the per-slot write's.
+// A fleet's per-decision loops are kernels of their own over a slot
+// range [lo, hi): the capacity sum (SumCapacity), the dispatch write
+// (FillSlots) and the sync (SyncSlots). Each reads its columns through
+// locals resliced to the range once, so a slot costs no range check, and
+// keeps its float sums in locals. The two writes write an Active slot in
+// the loop and send a Booting or ShuttingDown slot, whose transition may
+// fall due, through writeSlot; they fold the same deltas in the same
+// order as a writeSlot per slot, through the same foldChange, so the
+// bits are the per-slot write's.
 type Block struct {
 	cfg Config
 	// suffix names slot k "<cfg.Name>-<k>"; a standalone server from New
@@ -123,9 +123,6 @@ func NewBlock(cfg Config, n int) (*Block, error) {
 	}
 	return b, nil
 }
-
-// Server returns the handle on slot.
-func (b *Block) Server(slot int) *Server { return &b.handles[slot] }
 
 // Servers returns a new slice of the handles on every slot, in slot order.
 func (b *Block) Servers() []*Server {
@@ -249,7 +246,7 @@ type writeArgs struct {
 // boot or shutdown whose deadline has passed, applies the op, refreshes
 // the derived columns and, if state, power or energy moved, folds the
 // deltas into p and marks the slot changed. It reports whether the op
-// booted, shut down, crashed or tripped the slot.
+// took: a boot, a shutdown, a crash or a trip of the slot.
 func (b *Block) writeSlot(p *Sums, slot int, now time.Duration, dt float64, w *writeArgs) bool {
 	st0, p0, e0 := b.state[slot], b.power[slot], b.energy[slot]
 	e := e0 + p0*dt
@@ -368,21 +365,6 @@ func (b *Block) since(slot int, now time.Duration) float64 {
 	return (now - b.lastAt[slot]).Seconds()
 }
 
-// write applies w to every slot in slots, in order. It computes the
-// elapsed seconds once per run of slots that last wrote at the same
-// instant, which in a fleet is nearly all of them.
-func (b *Block) write(p *Sums, now time.Duration, slots []int32, w writeArgs) {
-	var dt float64
-	last := time.Duration(-1)
-	for _, s := range slots {
-		slot := int(s)
-		if at := b.lastAt[slot]; at != last {
-			dt, last = b.since(slot, now), at
-		}
-		b.writeSlot(p, slot, now, dt, &w)
-	}
-}
-
 // writeOne is the write of one handle call: one slot, into the block's
 // own sums.
 func (b *Block) writeOne(slot int, now time.Duration, w writeArgs) bool {
@@ -390,10 +372,10 @@ func (b *Block) writeOne(slot int, now time.Duration, w writeArgs) bool {
 }
 
 // A Fill is one dispatch's power model for a block, planned by PlanFill
-// before the dispatch's FillSlots calls: the clamped fill and, for each
-// P-state, the first half of an active server's draw (dynK) at the fill
-// and at 0, interleaved. FillSlots only reads it, so the shards of one
-// dispatch share it.
+// before the dispatch's FillSlots calls, one per shard's slot range: the
+// clamped fill and, for each P-state, the first half of an active
+// server's draw (dynK) at the fill and at 0, interleaved. FillSlots only
+// reads it, so the shards of one dispatch share it.
 type Fill struct {
 	u float64
 	k []float64
@@ -413,7 +395,7 @@ func (b *Block) PlanFill(f *Fill, fill float64) {
 	}
 }
 
-// FillSlots is a dispatch write: every slot in slots that is not Off
+// FillSlots is a dispatch write: every slot in [lo, hi) that is not Off
 // gets utilization f's fill if it had capacity before the write and 0
 // otherwise, as Server.SetUtilization would assign them, with the
 // deltas folded into p. An Off slot is left unwritten, its last sync
@@ -425,43 +407,40 @@ func (b *Block) PlanFill(f *Fill, fill float64) {
 // locals. A Booting or ShuttingDown slot, whose transition may fall due,
 // goes through writeSlot itself. Each sum takes the same deltas in the
 // same order as a writeSlot per slot would fold them, so the bits match.
-func (b *Block) FillSlots(p *Sums, now time.Duration, slots []int32, f *Fill) {
-	n := len(b.state)
-	state, lastAt, power, energy := b.state[:n], b.lastAt[:n], b.power[:n], b.energy[:n]
-	util, avail, idle, throttle, pstate := b.util[:n], b.avail[:n], b.idle[:n], b.throttle[:n], b.pstate[:n]
+func (b *Block) FillSlots(p *Sums, now time.Duration, lo, hi int, f *Fill) {
+	state, lastAt, power, energy := b.state[lo:hi], b.lastAt[lo:hi], b.power[lo:hi], b.energy[lo:hi]
+	util, avail, idle, throttle, pstate := b.util[lo:hi], b.avail[lo:hi], b.idle[lo:hi], b.throttle[lo:hi], b.pstate[lo:hi]
 	u1, k := f.u, f.k
 	fold := b.changed != nil || b.rackOf != nil
 	pw, en := p.PowerW, p.EnergyJ
 	var dt float64
 	last := time.Duration(-1)
-	for _, s := range slots {
-		slot := int(s)
-		st := state[slot]
+	for i, st := range state {
 		if st == StateOff {
 			continue
 		}
-		if at := lastAt[slot]; at != last {
-			dt, last = b.since(slot, now), at
+		if at := lastAt[i]; at != last {
+			dt, last = b.since(lo+i, now), at
 		}
 		// Only a slot that had capacity before this write carries load,
 		// as the spread saw it.
-		u, ki := u1, 2*int(pstate[slot])
-		if !(avail[slot] > 0) {
+		u, ki := u1, 2*int(pstate[i])
+		if !(avail[i] > 0) {
 			u, ki = 0, ki+1
 		}
 		if st != StateActive {
 			p.PowerW, p.EnergyJ = pw, en
-			b.writeSlot(p, slot, now, dt, &writeArgs{op: opUtil, x: u})
+			b.writeSlot(p, lo+i, now, dt, &writeArgs{op: opUtil, x: u})
 			pw, en = p.PowerW, p.EnergyJ
 			continue
 		}
-		p0, e0 := power[slot], energy[slot]
+		p0, e0 := power[i], energy[i]
 		e := e0 + p0*dt
-		p1 := activeDraw(idle[slot], k[ki], throttle[slot])
-		lastAt[slot] = now
-		util[slot] = u
-		energy[slot] = e
-		power[slot] = p1
+		p1 := activeDraw(idle[i], k[ki], throttle[i])
+		lastAt[i] = now
+		util[i] = u
+		energy[i] = e
+		power[i] = p1
 		if p1 == p0 && e == e0 {
 			continue
 		}
@@ -469,15 +448,15 @@ func (b *Block) FillSlots(p *Sums, now time.Duration, slots []int32, f *Fill) {
 		pw += d
 		en += e - e0
 		if fold {
-			b.foldChange(p, s, d)
+			b.foldChange(p, int32(lo+i), d)
 		}
 	}
 	p.PowerW, p.EnergyJ = pw, en
 }
 
-// SyncSlots syncs every slot in slots that is not Off to now, folding
-// the deltas into p. An Off slot is left unwritten: its power is 0, so a
-// sync would change only its last sync time.
+// SyncSlots syncs every slot in [lo, hi) that is not Off to now,
+// folding the deltas into p. An Off slot is left unwritten: its power is
+// 0, so a sync would change only its last sync time.
 //
 // It is writeSlot's opSync specialized to an Active slot, whose sync
 // moves only its energy and last sync time: its power delta is zero,
@@ -485,66 +464,81 @@ func (b *Block) FillSlots(p *Sums, now time.Duration, slots []int32, f *Fill) {
 // power as it is (a partial starts at +0 and so never holds -0). A
 // Booting or ShuttingDown slot, whose transition may fall due, goes
 // through writeSlot itself.
-func (b *Block) SyncSlots(p *Sums, now time.Duration, slots []int32) {
-	n := len(b.state)
-	state, lastAt, power, energy := b.state[:n], b.lastAt[:n], b.power[:n], b.energy[:n]
+func (b *Block) SyncSlots(p *Sums, now time.Duration, lo, hi int) {
+	state, lastAt, power, energy := b.state[lo:hi], b.lastAt[lo:hi], b.power[lo:hi], b.energy[lo:hi]
 	tracked := b.changed != nil
 	en := p.EnergyJ
 	var dt float64
 	last := time.Duration(-1)
-	for _, s := range slots {
-		slot := int(s)
-		st := state[slot]
+	for i, st := range state {
 		if st == StateOff {
 			continue
 		}
-		if at := lastAt[slot]; at != last {
-			dt, last = b.since(slot, now), at
+		if at := lastAt[i]; at != last {
+			dt, last = b.since(lo+i, now), at
 		}
 		if st != StateActive {
 			p.EnergyJ = en
-			b.writeSlot(p, slot, now, dt, &writeArgs{op: opSync})
+			b.writeSlot(p, lo+i, now, dt, &writeArgs{op: opSync})
 			en = p.EnergyJ
 			continue
 		}
-		e0 := energy[slot]
-		e := e0 + power[slot]*dt
-		lastAt[slot] = now
-		energy[slot] = e
+		e0 := energy[i]
+		e := e0 + power[i]*dt
+		lastAt[i] = now
+		energy[i] = e
 		if e == e0 {
 			continue
 		}
 		en += e - e0
 		if tracked {
-			b.foldChange(p, s, 0)
+			b.foldChange(p, int32(lo+i), 0)
 		}
 	}
 	p.EnergyJ = en
 }
 
-// SumCapacity returns the positive available capacity of slots, summed
-// in slot order: Dispatch's capacity pass over one shard.
-func (b *Block) SumCapacity(slots []int32) float64 {
-	avail := b.avail
+// SumCapacity returns the positive available capacity of slots [lo, hi),
+// summed in slot order: Dispatch's capacity pass over one shard.
+func (b *Block) SumCapacity(lo, hi int) float64 {
 	var sum float64
-	for _, s := range slots {
-		if c := avail[s]; c > 0 {
+	for _, c := range b.avail[lo:hi] {
+		if c > 0 {
 			sum += c
 		}
 	}
 	return sum
 }
 
-// SetPStates moves every slot in slots to DVFS index idx at now, folding
-// the deltas into p. The index must be valid (see CheckPState).
-func (b *Block) SetPStates(p *Sums, now time.Duration, slots []int32, idx int) {
-	b.write(p, now, slots, writeArgs{op: opPState, n: idx})
+// SetPStates moves every slot in [lo, hi) to DVFS index idx at now,
+// folding the deltas into p. The index must be valid (see CheckPState).
+func (b *Block) SetPStates(p *Sums, now time.Duration, lo, hi, idx int) {
+	w := writeArgs{op: opPState, n: idx}
+	var dt float64
+	last := time.Duration(-1)
+	for slot := lo; slot < hi; slot++ {
+		if at := b.lastAt[slot]; at != last {
+			dt, last = b.since(slot, now), at
+		}
+		b.writeSlot(p, slot, now, dt, &w)
+	}
 }
 
-// ObserveInlets reports tempC to every slot in slots at now, folding the
-// deltas — a trip for every slot that tripped — into p.
+// ObserveInlets reports tempC to every slot in slots (a zone's, which
+// need not be contiguous) at now, folding the deltas — a trip for every
+// slot shut down by one — into p. It computes the elapsed seconds once
+// per run of slots that last wrote at the same instant.
 func (b *Block) ObserveInlets(p *Sums, now time.Duration, slots []int32, tempC float64) {
-	b.write(p, now, slots, writeArgs{op: opInlet, x: tempC})
+	w := writeArgs{op: opInlet, x: tempC}
+	var dt float64
+	last := time.Duration(-1)
+	for _, s := range slots {
+		slot := int(s)
+		if at := b.lastAt[slot]; at != last {
+			dt, last = b.since(slot, now), at
+		}
+		b.writeSlot(p, slot, now, dt, &w)
+	}
 }
 
 // CheckPState reports an out-of-range DVFS index as slot's error.
@@ -603,16 +597,25 @@ func mergeGroups(dst, part []float64) {
 }
 
 // SetGroups installs slot → rack and slot → zone maps (validated by the
-// caller) and starts maintaining per-group power sums. Partials taken
-// before the call have no group sums: take them again.
+// caller) and starts maintaining per-group power sums; Rebase fills
+// them. Called again with the same group counts, it reuses every slice;
+// otherwise partials taken before the call have the wrong groups: take
+// them again.
 func (b *Block) SetGroups(rackOf, zoneOf []int, nRacks, nZones int) {
-	b.rackOf, b.zoneOf = make([]int32, len(rackOf)), make([]int32, len(zoneOf))
-	for i := range rackOf {
+	if b.rackOf == nil {
+		b.rackOf, b.zoneOf = make([]int32, len(b.state)), make([]int32, len(b.state))
+	}
+	for i := range b.rackOf {
 		b.rackOf[i], b.zoneOf[i] = int32(rackOf[i]), int32(zoneOf[i])
 	}
-	b.sums.Rack, b.sums.Zone = make([]float64, nRacks), make([]float64, nZones)
-	b.rackScratch, b.zoneScratch = make([]float64, nRacks), make([]float64, nZones)
+	if len(b.sums.Rack) != nRacks || len(b.sums.Zone) != nZones {
+		b.sums.Rack, b.sums.Zone = make([]float64, nRacks), make([]float64, nZones)
+		b.rackScratch, b.zoneScratch = make([]float64, nRacks), make([]float64, nZones)
+	}
 }
+
+// GroupOf reports slot's rack and zone (see SetGroups).
+func (b *Block) GroupOf(slot int) (rack, zone int) { return int(b.rackOf[slot]), int(b.zoneOf[slot]) }
 
 // TrackChanges turns on change tracking: from the call on, every slot
 // whose state, power, energy or trips move joins the change set (see

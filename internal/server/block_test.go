@@ -11,7 +11,8 @@ import (
 )
 
 // loadedBlock builds a 12-slot block in 3 racks and 2 zones with eight
-// slots booted and loaded, one of them tripped and one with parked cores.
+// slots booted and loaded, one of them shut down by a trip and one with
+// parked cores.
 func loadedBlock(t *testing.T) *Block {
 	t.Helper()
 	b, err := NewBlock(DefaultConfig(), 12)

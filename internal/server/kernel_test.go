@@ -9,7 +9,7 @@ import (
 )
 
 // kernelBlock decodes data into a block of at most 64 slots for
-// FuzzBlockKernels, and the distinct slots a kernel writes. Each slot
+// FuzzBlockKernels, and the slot range [lo, hi) a kernel writes. Each slot
 // gets a state, a pending deadline that may have passed by now, a
 // P-state, a throttle, parked cores, a utilization if it is active, an
 // energy and a last write at or before now; its idle, capacity and
@@ -18,7 +18,7 @@ import (
 // that an active slot's underflows to 0 unless it runs at full speed,
 // rack and zone maps (any slot in any group) and change tracking, with
 // some slots already in the change set. Missing bytes read as zero.
-func kernelBlock(now time.Duration, data []byte) (*Block, []int32) {
+func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -39,6 +39,8 @@ func kernelBlock(now time.Duration, data []byte) (*Block, []int32) {
 	if err != nil {
 		panic(err)
 	}
+	lo = next() % (n + 1)
+	hi = lo + next()%(n-lo+1)
 	if flags&2 != 0 {
 		racks, zones := 1+next()%7, 1+next()%4
 		rackOf, zoneOf := make([]int, n), make([]int, n)
@@ -75,15 +77,7 @@ func kernelBlock(now time.Duration, data []byte) (*Block, []int32) {
 			b.sums.changes = append(b.sums.changes, int32(i))
 		}
 	}
-	var slots []int32
-	seen := make([]bool, n)
-	for len(data) > 0 {
-		if s := next() % n; !seen[s] {
-			seen[s] = true
-			slots = append(slots, int32(s))
-		}
-	}
-	return b, slots
+	return b, lo, hi
 }
 
 // cloneBlock copies every column, the group maps, the change flags and
@@ -176,14 +170,15 @@ func requireSameSums(t *testing.T, what string, got, want *Sums) {
 
 // FuzzBlockKernels holds the column kernels to writeSlot, bit for bit.
 // On a block decoded by kernelBlock, it sums the capacity of the slot
-// list, dispatches fill to it three times with FillSlots and, a delay
+// range, dispatches fill to it three times with FillSlots and, a delay
 // later, syncs it with SyncSlots, each into a shard partial. A copy of
-// the block takes the same writes one slot at a time through writeSlot
-// into its own partial: opUtil at fill if the slot had capacity and at 0
-// if not, then opSync, skipping the slots that are Off. The capacity sum
-// must equal the slot-order sum of the positive capacities, and after
-// each kernel every column, change flag and sum of the two blocks must
-// agree bit for bit, the change sets in the same order.
+// the block takes the same writes one slot at a time, in slot order,
+// through writeSlot into its own partial: opUtil at fill if the slot had
+// capacity and at 0 if not, then opSync, skipping the slots that are
+// Off. The capacity sum must equal the slot-order sum of the positive
+// capacities, and after each kernel every column, change flag and sum of
+// the two blocks must agree bit for bit, the change sets in the same
+// order; a slot outside the range must not move.
 func FuzzBlockKernels(f *testing.F) {
 	// Seeds of random bytes, one per combination of flags, at fills in
 	// and out of [0, 1].
@@ -197,17 +192,17 @@ func FuzzBlockKernels(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, fill float64, syncAfter uint8, data []byte) {
 		now := 10 * time.Minute
-		b, slots := kernelBlock(now, data)
+		b, lo, hi := kernelBlock(now, data)
 		ref := cloneBlock(b)
 		p, rp := b.Partial(), ref.Partial()
 
 		var want float64
-		for _, s := range slots {
-			if c := ref.avail[s]; c > 0 {
+		for slot := lo; slot < hi; slot++ {
+			if c := ref.avail[slot]; c > 0 {
 				want += c
 			}
 		}
-		if got := b.SumCapacity(slots); math.Float64bits(got) != math.Float64bits(want) {
+		if got := b.SumCapacity(lo, hi); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("capacity sum %v, slot-order sum %v", got, want)
 		}
 
@@ -218,9 +213,8 @@ func FuzzBlockKernels(f *testing.F) {
 		b.PlanFill(&plan, fill)
 		for i, what := range []string{"FillSlots", "FillSlots at the same instant", "FillSlots 10 s later"} {
 			now += time.Duration(i/2) * 10 * time.Second
-			b.FillSlots(&p, now, slots, &plan)
-			for _, s := range slots {
-				slot := int(s)
+			b.FillSlots(&p, now, lo, hi, &plan)
+			for slot := lo; slot < hi; slot++ {
 				if ref.state[slot] == StateOff {
 					continue
 				}
@@ -234,9 +228,8 @@ func FuzzBlockKernels(f *testing.F) {
 		}
 
 		now += time.Duration(syncAfter) * time.Second
-		b.SyncSlots(&p, now, slots)
-		for _, s := range slots {
-			slot := int(s)
+		b.SyncSlots(&p, now, lo, hi)
+		for slot := lo; slot < hi; slot++ {
 			if ref.state[slot] == StateOff {
 				continue
 			}

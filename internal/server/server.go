@@ -262,7 +262,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	b.suffix = false
-	return b.Server(0), nil
+	return &b.handles[0], nil
 }
 
 // MustNew builds a server or panics; intended for tests and examples with
@@ -400,6 +400,6 @@ func (s *Server) Crash(now time.Duration) bool {
 // protective sensor at now. Exceeding the trip threshold while powered on
 // causes an immediate protective shutdown (no graceful delay) and reports
 // true.
-func (s *Server) ObserveInlet(now time.Duration, tempC float64) (tripped bool) {
+func (s *Server) ObserveInlet(now time.Duration, tempC float64) (trip bool) {
 	return s.b.writeOne(s.i, now, writeArgs{op: opInlet, x: tempC})
 }

@@ -213,10 +213,10 @@ func TestThermalTrip(t *testing.T) {
 	e := sim.NewEngine(1)
 	s := activeServer(t, e)
 	now := e.Now()
-	if tripped := s.ObserveInlet(now, 25); tripped {
-		t.Error("tripped at a safe inlet temperature")
+	if trip := s.ObserveInlet(now, 25); trip {
+		t.Error("trip at a safe inlet temperature")
 	}
-	if tripped := s.ObserveInlet(now, s.Config().TripTempC+5); !tripped {
+	if trip := s.ObserveInlet(now, s.Config().TripTempC+5); !trip {
 		t.Error("did not trip above threshold")
 	}
 	if s.State() != StateOff {
@@ -226,8 +226,8 @@ func TestThermalTrip(t *testing.T) {
 		t.Errorf("Trips = %d, want 1", s.Trips())
 	}
 	// Off servers do not trip again.
-	if tripped := s.ObserveInlet(now, 99); tripped {
-		t.Error("off server tripped")
+	if trip := s.ObserveInlet(now, 99); trip {
+		t.Error("off server took a trip")
 	}
 	if s.InletTempC() != 99 {
 		t.Errorf("InletTempC = %v, want 99", s.InletTempC())
