@@ -115,6 +115,9 @@ type options struct {
 	set map[string]bool
 }
 
+// maxDays is the longest -days whose horizon a time.Duration holds.
+const maxDays = int(math.MaxInt64 / int64(24*time.Hour))
+
 // validate collects every flag violation into one error, so a user with
 // three bad flags fixes all three after one run instead of playing
 // whack-a-mole. (This replaces the old early-return checks, which
@@ -132,6 +135,8 @@ func (o options) validate() error {
 	}
 	if o.days <= 0 {
 		bad("-days %d must be positive", o.days)
+	} else if o.days > maxDays {
+		bad("-days %d must be at most %d (a longer horizon overflows the simulated clock)", o.days, maxDays)
 	}
 	if o.slaMS <= 0 {
 		bad("-sla %d must be positive", o.slaMS)
@@ -198,6 +203,9 @@ func (o options) validate() error {
 		}
 		if o.set["max-load"] {
 			bad("-max-load %v is not supported with -sites (demand comes from the federation's global trace)", o.maxFrac)
+		}
+		if o.set["users"] {
+			bad("-users is not supported with -sites (federated sites always run admission control)")
 		}
 		if o.facility && o.fleet%20 != 0 {
 			bad("-facility with -sites needs -fleet %d divisible by 20 racks", o.fleet)

@@ -117,6 +117,8 @@ func TestRunValidation(t *testing.T) {
 	}{
 		{[]string{"-mode", "bogus"}, `-mode: unknown mode "bogus"`},
 		{[]string{"-days", "0"}, "-days 0 must be positive"},
+		{[]string{"-days", "106752"}, "-days 106752 must be at most 106751"},
+		{[]string{"-fleet", "8", "-days", "213504"}, "-days 213504 must be at most 106751"},
 		{[]string{"-fleet", "0"}, "-fleet 0 must be positive"},
 		{[]string{"-min-load", "0.9", "-max-load", "0.5"}, "-min-load 0.9 must be below -max-load 0.5"},
 		{[]string{"-min-load", "-0.1"}, "-min-load -0.1 must be non-negative"},
@@ -132,6 +134,7 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-sites", "2", "-sla", "5"}, "-sla 5 is not supported with -sites"},
 		{[]string{"-sites", "2", "-min-load", "0.6", "-max-load", "0.9"}, "-min-load 0.6 is not supported with -sites"},
 		{[]string{"-sites", "2", "-max-load", "0.9"}, "-max-load 0.9 is not supported with -sites"},
+		{[]string{"-sites", "2", "-fleet", "12", "-days", "1", "-users"}, "-users is not supported with -sites"},
 		{[]string{"-fleet", "8", "-days", "1", "-speedup", "5"}, "-speedup 5 is not supported without -serve"},
 		{[]string{"-fleet", "8", "-days", "1", "-listen", "bogus"}, `-listen "bogus" is not supported without -serve`},
 		{[]string{"-fleet", "8", "-days", "1", "-carbon", "900"}, "-carbon 900 is not supported in a single-site batch run"},
@@ -238,7 +241,8 @@ func TestRunValidationReportsEverything(t *testing.T) {
 }
 
 // TestValidateAcceptsDefaults guards against the aggregated validator
-// rejecting the documented defaults.
+// rejecting the documented defaults, or the longest horizon a
+// time.Duration holds.
 func TestValidateAcceptsDefaults(t *testing.T) {
 	o := options{
 		modeStr: "coordinated", fleet: 40, days: 3, slaMS: 100,
@@ -247,6 +251,10 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 	if err := o.validate(); err != nil {
 		t.Fatalf("defaults rejected: %v", err)
+	}
+	o.days = 106751
+	if err := o.validate(); err != nil {
+		t.Fatalf("-days 106751 rejected: %v", err)
 	}
 }
 

@@ -39,7 +39,7 @@ func runChangeSetScenario(t *testing.T, workers int) [][]int32 {
 	dc := shardedTestDC(t, e, newTestPool(t, workers), 512, 0)
 	f := dc.Fleet()
 	n := f.Size()
-	if len(f.shards) < 2 || len(dc.zoneShards[0]) < 2 {
+	if len(f.shards) < 2 {
 		t.Fatal("test facility has a single shard")
 	}
 	f.TrackChanges()
@@ -84,7 +84,7 @@ func runChangeSetScenario(t *testing.T, workers int) [][]int32 {
 	}
 	step("trip scan", func() {
 		trips := f.Trips()
-		if dc.scanZone(now, srvCfg.TripTempC+10, 0); f.Trips() == trips {
+		if f.observeInlets(now, []float64{srvCfg.TripTempC + 10}); f.Trips() == trips {
 			t.Fatal("forced trip scan caused no trip")
 		}
 	})

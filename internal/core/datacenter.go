@@ -44,7 +44,8 @@ type DataCenterConfig struct {
 // bottom half: computing fleet, power distribution, and cooling coupled
 // through heat and protected by thermal trips, with telemetry feeding the
 // macro layer. Server i is the fleet's slot i; the fleet block's
-// slot→rack and slot→zone maps alone hold its placement.
+// slot→rack and slot→zone maps alone hold its placement, and the trip
+// scan and the degrader's zone shed read the zone map in slot order.
 type DataCenter struct {
 	cfg    DataCenterConfig
 	engine *sim.Engine
@@ -59,20 +60,11 @@ type DataCenter struct {
 	// walks (the §5.3 ingest fast path).
 	frames   *telemetry.FrameWriter
 	frameBuf []float64
-	// Each zone's slots in slot order, so zone-scoped loops avoid O(N)
-	// scans, and the zone's shard list over them; a zone has no more
-	// shards than its fleet, whose partials the scan uses.
-	zoneSlots  [][]int32
-	zoneShards [][]par.Range
-	attached   bool
-	// Shard bodies of the trip scan and the sample fill, bound once in
-	// NewDataCenter so a fan-out allocates no closure, and the trip scan's
-	// per-call inputs.
-	scanFn    func(int, par.Range)
-	fillFn    func(int, par.Range)
-	scanNow   time.Duration
-	scanInlet float64
-	scanList  []int32
+	inletOf  []float64 // each zone's inlet at the last coupling tick
+	attached bool
+	// The sample fill's shard body, bound once so a fan-out allocates no
+	// closure.
+	fillFn func(int, par.Range)
 	// fillEnd is the fleet's live bound at the last sample round: the
 	// round filled servers [0, fillEnd), and every server column from
 	// fillEnd on holds 0.
@@ -114,13 +106,13 @@ func NewDataCenter(e *sim.Engine, cfg DataCenterConfig) (*DataCenter, error) {
 	}
 	fleet.SetParallel(cfg.Pool)
 	dc := &DataCenter{
-		cfg:    cfg,
-		engine: e,
-		fleet:  fleet,
-		topo:   topo,
-		room:   room,
+		cfg:     cfg,
+		engine:  e,
+		fleet:   fleet,
+		topo:    topo,
+		room:    room,
+		inletOf: make([]float64, room.Zones()),
 	}
-	dc.scanFn = dc.scanShard
 	dc.fillFn = dc.fillShard
 	rackOf, zoneOf := make([]int, nServers), make([]int, nServers)
 	for i := range rackOf {
@@ -136,7 +128,6 @@ func NewDataCenter(e *sim.Engine, cfg DataCenterConfig) (*DataCenter, error) {
 		r := r // capture for the load closure
 		topo.Racks[r].AddLoad(func() float64 { return fleet.RackPowerW(r) })
 	}
-	dc.indexZones()
 	e.Register(topo)
 	if cfg.SampleEvery > 0 {
 		dc.store, err = telemetry.NewStore(telemetry.DefaultConfig())
@@ -191,33 +182,6 @@ func (dc *DataCenter) ZoneOfServer(i int) int { _, z := dc.fleet.block.GroupOf(i
 // RackOfServer reports the power-tree rack of server i.
 func (dc *DataCenter) RackOfServer(i int) int { r, _ := dc.fleet.block.GroupOf(i); return r }
 
-// indexZones derives each zone's slot list, in slot order, from the
-// fleet's placement. The first call sizes each list and the zone's shard
-// list, exactly: placement only permutes the servers.
-func (dc *DataCenter) indexZones() {
-	if dc.zoneSlots == nil {
-		size := make([]int, dc.room.Zones())
-		for i := range dc.fleet.Size() {
-			size[dc.ZoneOfServer(i)]++
-		}
-		dc.zoneSlots, dc.zoneShards = make([][]int32, len(size)), make([][]par.Range, len(size))
-		for z, k := range size {
-			dc.zoneSlots[z] = make([]int32, 0, k)
-			// Shards depend only on the zone's size, so the scan's float
-			// grouping — and therefore every downstream bit — is the same
-			// for every worker count.
-			dc.zoneShards[z] = par.Shards(k)
-		}
-	}
-	for z := range dc.zoneSlots {
-		dc.zoneSlots[z] = dc.zoneSlots[z][:0]
-	}
-	for i := range dc.fleet.Size() {
-		z := dc.ZoneOfServer(i)
-		dc.zoneSlots[z] = append(dc.zoneSlots[z], int32(i))
-	}
-}
-
 // Attach wires the facility onto the engine: room physics and CRAC
 // control, the heat/thermal-protection coupling loop, and telemetry
 // sampling. It returns their handles in that scheduling order. A data
@@ -230,24 +194,22 @@ func (dc *DataCenter) Attach() ([]sim.Handle, error) {
 	handles := dc.room.Attach(dc.engine)
 
 	// Couple servers ↔ room on the physics tick: zone heat in, inlet
-	// temperatures (and protective trips, §2.2) out. Zone heat comes from
-	// the fleet's maintained per-zone sums and the trip scan only enters
-	// server-holding zones whose inlet exceeds the servers' trip threshold
-	// (one config for the whole fleet), so the steady-state tick is
-	// O(zones), not O(servers).
+	// temperatures (and protective trips, §2.2) out, in one pass over the
+	// zones. Zone heat comes from the fleet's maintained per-zone sums.
+	// Only a hot tick, where some inlet exceeds the servers' trip
+	// threshold (one config for the whole fleet), runs the trip scan over
+	// the fleet's powered prefix; a cool tick is O(zones).
 	handles = append(handles, dc.engine.Every(dc.room.PhysicsTick(), func(e *sim.Engine) {
-		now := e.Now()
-		for z := 0; z < dc.room.Zones(); z++ {
+		hot := false
+		for z := range dc.inletOf {
 			if err := dc.room.SetZoneHeat(z, dc.fleet.ZonePowerW(z)); err != nil {
 				panic(fmt.Sprintf("core: zone heat: %v", err)) // zones validated at construction
 			}
+			dc.inletOf[z] = dc.room.ZoneInletC(z)
+			hot = hot || dc.inletOf[z] > dc.cfg.ServerConfig.TripTempC
 		}
-		for z, slots := range dc.zoneSlots {
-			inlet := dc.room.ZoneInletC(z)
-			if len(slots) == 0 || inlet <= dc.cfg.ServerConfig.TripTempC {
-				continue
-			}
-			dc.scanZone(now, inlet, z)
+		if hot {
+			dc.fleet.observeInlets(e.Now(), dc.inletOf)
 		}
 	}))
 
@@ -257,23 +219,6 @@ func (dc *DataCenter) Attach() ([]sim.Handle, error) {
 		}))
 	}
 	return handles, nil
-}
-
-// scanZone is the trip scan for hot zone z, fanned out over the zone's
-// shard list. Each shard reports the inlet to its slots, which may trip
-// them, folding the deltas — trips included — into the shard's partial
-// sums, merged in shard order afterwards.
-func (dc *DataCenter) scanZone(now time.Duration, inlet float64, z int) {
-	f := dc.fleet
-	dc.scanNow, dc.scanInlet, dc.scanList = now, inlet, dc.zoneSlots[z]
-	f.pool.RunRanges(dc.zoneShards[z], dc.scanFn)
-	f.mergeShards()
-}
-
-// scanShard is scanZone's body over one shard of the zone's slot list.
-func (dc *DataCenter) scanShard(sh int, r par.Range) {
-	f := dc.fleet
-	f.block.ObserveInlets(&f.acc[sh].sums, dc.scanNow, dc.scanList[r.Lo:r.Hi], dc.scanInlet)
 }
 
 // sample pushes one telemetry round into the store as a single columnar
@@ -292,7 +237,7 @@ func (dc *DataCenter) scanShard(sh int, r par.Range) {
 func (dc *DataCenter) sample(now time.Duration) {
 	f := dc.fleet
 	prev := dc.fillEnd
-	dc.fillEnd = f.liveEnd()
+	dc.fillEnd = f.block.LiveEnd()
 	f.pool.RunRanges(f.shardsBefore(dc.fillEnd), dc.fillFn)
 	if dc.fillEnd < prev {
 		clear(dc.frameBuf[2*dc.fillEnd : 2*prev])
@@ -326,6 +271,7 @@ func (dc *DataCenter) fillShard(_ int, r par.Range) {
 // zone. Call it while every server is Off (otherwise it moves nothing and
 // names one that is not) and before anything caches RackOfServer,
 // ZoneOfServer or per-rack server lists (NewDegrader, CapEnforcer inputs).
+// It reads each zone's size from the fleet's zone map in one pass.
 func (dc *DataCenter) PreferCoolingSensitiveZones() error {
 	// A counting sort: bucket each slot by the number of zones more
 	// sensitive than its own, in slot order, which is the stable sort.
@@ -337,7 +283,9 @@ func (dc *DataCenter) PreferCoolingSensitiveZones() error {
 				rank[z]++
 			}
 		}
-		next[rank[z]+1] += len(dc.zoneSlots[z])
+	}
+	for i := range dc.fleet.Size() {
+		next[rank[dc.ZoneOfServer(i)]+1]++
 	}
 	for k := range zones {
 		next[k+1] += next[k]
@@ -349,11 +297,7 @@ func (dc *DataCenter) PreferCoolingSensitiveZones() error {
 		rackOf[to], zoneOf[to] = r, z
 		next[rank[z]]++
 	}
-	if err := dc.fleet.SetPowerGroups(rackOf, zoneOf, len(dc.topo.Racks), zones); err != nil {
-		return err
-	}
-	dc.indexZones()
-	return nil
+	return dc.fleet.SetPowerGroups(rackOf, zoneOf, len(dc.topo.Racks), zones)
 }
 
 // Trips reports the fleet's protective shutdowns, all of them caused by

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -12,6 +11,7 @@ import (
 
 	"repro/internal/cooling"
 	"repro/internal/power"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -79,11 +79,10 @@ func TestDataCenterAssembly(t *testing.T) {
 		t.Errorf("fleet size = %d, want 8", dc.Fleet().Size())
 	}
 	// Servers 0–3 in rack 0 / zone 0; 4–7 in rack 1 / zone 1.
-	if dc.ZoneOfServer(0) != 0 || dc.ZoneOfServer(7) != 1 {
-		t.Errorf("zone mapping wrong: %d, %d", dc.ZoneOfServer(0), dc.ZoneOfServer(7))
-	}
-	if got := dc.zoneSlots[0]; len(got) != 4 || got[0] != 0 || got[3] != 3 {
-		t.Errorf("zone 0 slots = %v", got)
+	for i := range dc.Fleet().Size() {
+		if r, z := dc.RackOfServer(i), dc.ZoneOfServer(i); r != i/4 || z != i/4 {
+			t.Errorf("server %d in rack %d, zone %d; want %d, %d", i, r, z, i/4, i/4)
+		}
 	}
 	if dc.Store() == nil {
 		t.Error("telemetry store missing despite sampling enabled")
@@ -236,6 +235,143 @@ func TestDataCenterThermalProtection(t *testing.T) {
 	}
 }
 
+// tripScanTrace is the bit-level record of TestTripScanPoweredPrefix's
+// hot tick.
+type tripScanTrace struct {
+	Trips                int
+	Power, Energy        uint64
+	RackPower, ZonePower []uint64
+}
+
+// TestTripScanPoweredPrefix runs one hot coupling tick over a facility
+// whose two zones interleave by rack, so each zone spans both of the
+// fleet's shards, inline and on a 2-worker pool. A handle boots the top
+// slot, past the live bound SetTarget left, and a crash opens a hole
+// inside the prefix. Zone 0's inlet starts above the trip threshold and
+// zone 1's below it, and their lag is slow enough that neither crosses
+// it within the tick: every committed server of zone 0 must trip, the
+// handle-booted one included, none of zone 1 may, and zone 0's Off
+// servers must keep their last sync time and inlet, since the scan
+// writes no Off server.
+func TestTripScanPoweredPrefix(t *testing.T) {
+	const (
+		racks, perRack = 4, 256
+		hot            = 0
+	)
+	run := func(workers int) tripScanTrace {
+		t.Helper()
+		srvCfg := testServerConfig()
+		zones := []cooling.ZoneConfig{cooling.DefaultZone("hot"), cooling.DefaultZone("cool")}
+		for z := range zones {
+			zones[z].Airflow *= perRack / 20
+			zones[z].ThermalTau = 24 * time.Hour
+		}
+		zones[hot].InitialC = srvCfg.TripTempC + 10
+		plant := cooling.DefaultPlantConfig()
+		plant.FanRatedW = 50 * racks * perRack
+		e := sim.NewEngine(1)
+		dc, err := NewDataCenter(e, DataCenterConfig{
+			Name:           "dc-trip",
+			ServerConfig:   srvCfg,
+			ServersPerRack: perRack,
+			Topology: power.TopologyConfig{
+				UPSCount: 1, PDUsPerUPS: 2, RacksPerPDU: 2,
+				RackRatedW: perRack * srvCfg.PeakPower * 1.05, Oversubscription: 1,
+			},
+			Room: cooling.RoomConfig{
+				Zones:       zones,
+				CRACs:       []cooling.CRACConfig{cooling.DefaultCRAC("c0")},
+				Sensitivity: [][]float64{{0.6}, {0.6}},
+				PhysicsTick: cooling.DefaultPhysicsTick,
+			},
+			ZoneOfRack: []int{1, 0, 1, 0},
+			Plant:      plant,
+			Pool:       newTestPool(t, workers),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := dc.Fleet()
+		n := f.Size()
+		if len(f.shards) < 2 {
+			t.Fatalf("%d servers in %d shard; want several", n, len(f.shards))
+		}
+		f.SetTarget(n/2 + 88)
+		top := f.ServerAt(n - 1)
+		top.PowerOn(e)
+		if err := e.Run(srvCfg.BootDelay + time.Second); err != nil {
+			t.Fatal(err)
+		}
+		f.Dispatch(e.Now(), 0.5*float64(f.ActiveCount())*srvCfg.Capacity)
+		hole := f.ServerAt(perRack + 10)
+		if dc.ZoneOfServer(n-1) != hot || dc.ZoneOfServer(perRack+10) != hot || !hole.Crash(e.Now()) {
+			t.Fatal("the handle-booted server and the crashed one must be committed servers of the hot zone")
+		}
+		type before struct {
+			committed bool
+			syncedAt  time.Duration
+			inletC    float64
+		}
+		was := make([]before, n)
+		for i, s := range f.Servers() {
+			st := s.State()
+			was[i] = before{st == server.StateActive || st == server.StateBooting, s.LastSyncAt(), s.InletTempC()}
+		}
+
+		if _, err := dc.Attach(); err != nil {
+			t.Fatal(err)
+		}
+		tick := e.Now() + dc.Room().PhysicsTick()
+		if err := e.Run(tick); err != nil {
+			t.Fatal(err)
+		}
+		inlet := dc.Room().ZoneInletC(hot)
+		if !(inlet > srvCfg.TripTempC) || !(dc.Room().ZoneInletC(1-hot) <= srvCfg.TripTempC) {
+			t.Fatalf("zone inlets %v °C (hot) and %v °C (cool) around the %v °C trip threshold",
+				inlet, dc.Room().ZoneInletC(1-hot), srvCfg.TripTempC)
+		}
+		tripped := 0
+		for i, s := range f.Servers() {
+			w := was[i]
+			switch {
+			case dc.ZoneOfServer(i) != hot:
+				if s.Trips() != 0 || s.InletTempC() != w.inletC {
+					t.Fatalf("workers=%d: cool-zone server %d tripped %d times, inlet %v °C", workers, i, s.Trips(), s.InletTempC())
+				}
+			case w.committed:
+				if s.State() != server.StateOff || s.Trips() != 1 || s.InletTempC() != inlet || s.LastSyncAt() != tick {
+					t.Fatalf("workers=%d: committed hot-zone server %d is %v after %d trips, inlet %v °C at %v; want a trip at %v °C at %v",
+						workers, i, s.State(), s.Trips(), s.InletTempC(), s.LastSyncAt(), inlet, tick)
+				}
+				tripped++
+			case s.LastSyncAt() != w.syncedAt || math.Float64bits(s.InletTempC()) != math.Float64bits(w.inletC):
+				t.Fatalf("workers=%d: the scan wrote Off hot-zone server %d: synced at %v, inlet %v °C; was %v, %v °C",
+					workers, i, s.LastSyncAt(), s.InletTempC(), w.syncedAt, w.inletC)
+			}
+		}
+		if want := perRack; tripped != want || f.Trips() != want || dc.Trips() != want {
+			t.Fatalf("workers=%d: %d servers tripped, fleet counts %d; want the %d committed ones of the hot zone",
+				workers, tripped, f.Trips(), want)
+		}
+		if err := f.VerifyAggregates(); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		tr := tripScanTrace{Trips: f.Trips(), Power: math.Float64bits(f.PowerW())}
+		for r := range racks {
+			tr.RackPower = append(tr.RackPower, math.Float64bits(f.RackPowerW(r)))
+		}
+		for z := range zones {
+			tr.ZonePower = append(tr.ZonePower, math.Float64bits(f.ZonePowerW(z)))
+		}
+		f.Sync(e.Now())
+		tr.Energy = math.Float64bits(f.EnergyJ())
+		return tr
+	}
+	if ref, got := run(1), run(2); !reflect.DeepEqual(got, ref) {
+		t.Errorf("workers=2 trip scan %+v, inline %+v", got, ref)
+	}
+}
+
 func TestPreferCoolingSensitiveZones(t *testing.T) {
 	// Zone 1 is better coupled than zone 0; preferring sensitive zones
 	// must activate zone-1 servers first.
@@ -324,16 +460,12 @@ func TestZonePlacementContract(t *testing.T) {
 	}
 	type placement struct {
 		rack, zone []int
-		zoneSlots  [][]int32
 		rebases    int
 	}
 	placed := func() placement {
 		p := placement{rack: make([]int, n), zone: make([]int, n), rebases: f.Rebases()}
 		for i := range n {
 			p.rack[i], p.zone[i] = dc.RackOfServer(i), dc.ZoneOfServer(i)
-		}
-		for _, slots := range dc.zoneSlots {
-			p.zoneSlots = append(p.zoneSlots, slices.Clone(slots))
 		}
 		return p
 	}
@@ -392,21 +524,10 @@ func TestZonePlacementContract(t *testing.T) {
 			t.Fatalf("rack %d holds %d servers, want %d", r, k, perRack)
 		}
 	}
-	for z, slots := range got.zoneSlots {
-		var want []int32
-		for i := range n {
-			if got.zone[i] == z {
-				want = append(want, int32(i))
-			}
-		}
-		if !slices.Equal(slots, want) {
-			t.Fatalf("zone %d lists %d slots, want the %d in it in slot order", z, len(slots), len(want))
-		}
-	}
 	if err := dc.PreferCoolingSensitiveZones(); err != nil {
 		t.Fatal(err)
 	}
-	if again := placed(); !reflect.DeepEqual(again.rack, got.rack) || !reflect.DeepEqual(again.zoneSlots, got.zoneSlots) {
+	if again := placed(); !reflect.DeepEqual(again.rack, got.rack) || !reflect.DeepEqual(again.zone, got.zone) {
 		t.Fatal("placing a placed facility again moved servers")
 	}
 

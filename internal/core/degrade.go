@@ -338,9 +338,8 @@ func (d *Degrader) escalate(now time.Duration) {
 		if z < 0 {
 			return
 		}
-		for _, slot := range d.dc.zoneSlots[z] {
-			s := fleet.ServerAt(int(slot))
-			if st := s.State(); st == server.StateActive || st == server.StateBooting {
+		for i, s := range fleet.Servers() {
+			if st := s.State(); d.dc.ZoneOfServer(i) == z && (st == server.StateActive || st == server.StateBooting) {
 				s.PowerOff(d.engine)
 				d.shedServers++
 			}

@@ -175,11 +175,19 @@ func TestDegraderThermalLadder(t *testing.T) {
 		t.Fatal("ladder shed no servers")
 	}
 	// Zone 0 leans hardest on the failed CRAC (sensitivity 0.85 vs
-	// 0.80): its servers must be the ones powered off by stage 3.
-	for _, slot := range dc.zoneSlots[0] {
-		if st := dc.Fleet().ServerAt(int(slot)).State(); st == server.StateActive {
-			t.Fatalf("zone-0 server %d still active after zone shed", slot)
+	// 0.80): its servers must be the ones powered off by stage 3, and
+	// the zone-1 servers consolidation left on must stay on.
+	kept := 0
+	for i, s := range dc.Fleet().Servers() {
+		switch active := s.State() == server.StateActive; {
+		case dc.ZoneOfServer(i) == 0 && active:
+			t.Fatalf("zone-0 server %d still active after zone shed", i)
+		case active:
+			kept++
 		}
+	}
+	if kept == 0 {
+		t.Fatal("the zone shed powered off zone 1 too")
 	}
 
 	// Repair and cool: the ladder must release and restore the fast

@@ -327,8 +327,8 @@ func TestSyncLiveBound(t *testing.T) {
 		t.Fatalf("the Sync at the deadline left %d on, want %d, and the first shed server %v",
 			f.OnCount(), n/2, f.ServerAt(n/2).State())
 	}
-	if f.liveEnd() != n/2 {
-		t.Fatalf("live bound %d after the shed, want %d", f.live, n/2)
+	if live := f.block.LiveEnd(); live != n/2 {
+		t.Fatalf("live bound %d after the shed, want %d", live, n/2)
 	}
 	run(due)
 

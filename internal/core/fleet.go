@@ -34,18 +34,19 @@ const rebaseEvery = 64
 // counts, trips, boots, per-rack/per-zone power — are updated where a
 // column is written, so aggregate accessors are O(1) reads. The fleet
 // runs its per-tick loops (both dispatch passes, Sync, SetPStateAll, the
-// zone trip scan and the sample fill) over the columns, one kernel per
-// shard of the size-only par partition of the slots; each shard folds
-// into its own partial sums, merged in shard order, so any worker count
-// yields the same bits.
+// trip scan and the sample fill) over the columns, one kernel per shard
+// of the size-only par partition of the slots; each shard folds into its
+// own partial sums, merged in shard order, so any worker count yields
+// the same bits.
 //
 // Slot order is the activation order: SetTarget powers servers on from
 // slot 0 up and sheds them from the top, where an elastic fleet's Off
-// servers gather. The fleet keeps a live bound: every slot from it on
-// holds an Off server. The dispatch passes, Sync and the sample fill run
-// only over the shards before the bound, clipped at it, so their cost
-// follows the servers that are not Off rather than the fleet size; the
-// shards themselves never move. Dispatch and Sync write no Off server.
+// servers gather. The block keeps a live bound: every slot from it on
+// holds an Off server (server.Block.LiveEnd). The dispatch passes, Sync,
+// the trip scan and the sample fill run only over the shards before the
+// bound, clipped at it, so their cost follows the servers that are not
+// Off rather than the fleet size; the shards themselves never move.
+// Dispatch, Sync and the trip scan write no Off server.
 type Fleet struct {
 	block   *server.Block
 	servers []*server.Server
@@ -66,13 +67,6 @@ type Fleet struct {
 	maxRebaseDriftW  float64 // lifetime high-water mark of the above
 	lastRebaseRefW   float64 // exact total power at the last rebase (drift scale)
 
-	// live bounds the powered prefix of the slots: every slot from live
-	// on holds an Off server (see liveEnd). bootsSeen is the block's boot
-	// count as of the last liveEnd, plus the boots SetTarget started
-	// since; a boot counted beyond it was started by a handle, past the
-	// fleet, and may have powered a server at or after live.
-	live, bootsSeen int
-
 	// shards partitions the slots purely by size, never by worker count.
 	shards []par.Range
 	// acc is one padded accumulator per shard: the shard's partial sums
@@ -85,11 +79,12 @@ type Fleet struct {
 	rebases int
 	// The shard bodies, bound once in NewFleet so a fan-out allocates no
 	// closure, and the per-call inputs they read.
-	capacityFn, applyFn, syncFn, pstateFn func(int, par.Range)
-	loopNow                               time.Duration
-	loopEnd                               int
-	fill                                  server.Fill
-	pstateIdx                             int
+	capacityFn, applyFn, syncFn, pstateFn, inletFn func(int, par.Range)
+	loopNow                                        time.Duration
+	loopEnd                                        int
+	fill                                           server.Fill
+	pstateIdx                                      int
+	inletOf                                        []float64
 }
 
 // shardAcc collects one shard's share of a column loop. Padded so
@@ -119,6 +114,7 @@ func NewFleet(e *sim.Engine, cfg server.Config, n int) (*Fleet, error) {
 	f.applyFn = f.applyShard
 	f.syncFn = f.syncShard
 	f.pstateFn = f.pstateShard
+	f.inletFn = f.inletShard
 	e.Register(f)
 	return f, nil
 }
@@ -170,7 +166,7 @@ func (f *Fleet) SetPowerGroups(rackOf, zoneOf []int, nRacks, nZones int) error {
 			return fmt.Errorf("core: slot %d mapped to invalid zone %d", i, zoneOf[i])
 		}
 	}
-	if end := f.liveEnd(); end > 0 && f.block.Sums().Rack != nil {
+	if end := f.block.LiveEnd(); end > 0 && f.block.Sums().Rack != nil {
 		s := f.servers[end-1]
 		return fmt.Errorf("core: server %s is %v; servers change racks only while every one is off", s.Name(), s.State())
 	}
@@ -302,8 +298,6 @@ func (f *Fleet) SetTarget(target int) {
 			if f.block.StateAt(slot) == server.StateOff {
 				s.PowerOn(f.engine)
 				f.switchOns++
-				f.bootsSeen++
-				f.live = max(f.live, slot+1)
 				on++
 			}
 		}
@@ -316,7 +310,7 @@ func (f *Fleet) SetTarget(target int) {
 		// target stays low (the server boots to Active with no further
 		// SetTarget call to reconcile it). Slots from the live bound on
 		// are Off.
-		for slot := f.liveEnd() - 1; slot >= 0 && on > target; slot-- {
+		for slot := f.block.LiveEnd() - 1; slot >= 0 && on > target; slot-- {
 			if st := f.block.StateAt(slot); st == server.StateActive || st == server.StateBooting {
 				f.servers[slot].PowerOff(f.engine)
 				f.switchOffs++
@@ -324,22 +318,6 @@ func (f *Fleet) SetTarget(target int) {
 			}
 		}
 	}
-}
-
-// liveEnd returns the live bound, trimmed past the Off servers in the
-// top slots. The trim is amortized O(1): the bound only rises by
-// SetTarget's boots and by a boot the fleet did not start, and each of
-// those slots is trimmed once. A boot the fleet did not start shows as
-// the block's boot count running ahead of bootsSeen; it resets the bound
-// to the fleet size.
-func (f *Fleet) liveEnd() int {
-	if boots := f.block.Sums().Boots; boots != f.bootsSeen {
-		f.bootsSeen, f.live = boots, len(f.servers)
-	}
-	for f.live > 0 && f.block.StateAt(f.live-1) == server.StateOff {
-		f.live--
-	}
-	return f.live
 }
 
 // shardsBefore returns the shards that start before slot end: the ones a
@@ -358,7 +336,7 @@ func (f *Fleet) shardsBefore(end int) []par.Range {
 // writes no Off server: an Off server draws nothing, so a sync would
 // move only its LastSyncAt. The Rebase still scans every server.
 func (f *Fleet) Sync(now time.Duration) {
-	f.loopNow, f.loopEnd = now, f.liveEnd()
+	f.loopNow, f.loopEnd = now, f.block.LiveEnd()
 	f.pool.RunRanges(f.shardsBefore(f.loopEnd), f.syncFn)
 	f.mergeShards()
 	f.Rebase()
@@ -367,6 +345,20 @@ func (f *Fleet) Sync(now time.Duration) {
 // syncShard is Sync's body over one shard, clipped at the live bound.
 func (f *Fleet) syncShard(sh int, r par.Range) {
 	f.block.SyncSlots(&f.acc[sh].sums, f.loopNow, r.Lo, min(r.Hi, f.loopEnd))
+}
+
+// observeInlets is the trip scan (server.Block.ObserveInlets) at now with
+// the per-zone inlets inletOf. Like Sync, it runs over the shards before
+// the live bound and merges their partials in shard order.
+func (f *Fleet) observeInlets(now time.Duration, inletOf []float64) {
+	f.loopNow, f.loopEnd, f.inletOf = now, f.block.LiveEnd(), inletOf
+	f.pool.RunRanges(f.shardsBefore(f.loopEnd), f.inletFn)
+	f.mergeShards()
+}
+
+// inletShard is the trip scan's body over one shard, clipped at the bound.
+func (f *Fleet) inletShard(sh int, r par.Range) {
+	f.block.ObserveInlets(&f.acc[sh].sums, f.loopNow, r.Lo, min(r.Hi, f.loopEnd), f.inletOf)
 }
 
 // SetPStateAll moves every server to the given DVFS index.
@@ -400,7 +392,7 @@ func (f *Fleet) pstateShard(sh int, r par.Range) {
 // the slots past it would add nothing to either pass. Both produce bits
 // that depend only on the shard partition, i.e. on fleet size.
 func (f *Fleet) Dispatch(now time.Duration, offered float64) (dropped, maxU float64) {
-	f.loopEnd = f.liveEnd()
+	f.loopEnd = f.block.LiveEnd()
 	shards := f.shardsBefore(f.loopEnd)
 	f.pool.RunRanges(shards, f.capacityFn)
 	var total float64

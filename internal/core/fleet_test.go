@@ -304,8 +304,8 @@ func TestDispatchLiveBound(t *testing.T) {
 		return fill
 	}
 	dispatch("half on")
-	if f.live != n/2 {
-		t.Fatalf("live bound %d with the first %d slots on", f.live, n/2)
+	if live := f.block.LiveEnd(); live != n/2 {
+		t.Fatalf("live bound %d with the first %d slots on", live, n/2)
 	}
 
 	// A recovery's path: a handle boots the server in the top slot.
@@ -318,8 +318,8 @@ func TestDispatchLiveBound(t *testing.T) {
 	last.PowerOff(e)
 	run(cfg.ShutdownDelay)
 	dispatch("after its shutdown")
-	if f.live != n/2 {
-		t.Fatalf("live bound %d after the tail shut down, want %d", f.live, n/2)
+	if live := f.block.LiveEnd(); live != n/2 {
+		t.Fatalf("live bound %d after the tail shut down, want %d", live, n/2)
 	}
 
 	// A crash opens a hole inside the prefix; the next raise fills it
@@ -329,10 +329,10 @@ func TestDispatchLiveBound(t *testing.T) {
 		t.Fatal("crash did not take")
 	}
 	dispatch("with a hole")
-	live := f.live
+	live := f.block.LiveEnd()
 	f.SetTarget(f.OnCount() + 1)
-	if hole.State() != server.StateBooting || f.live != live {
-		t.Fatalf("raise after a crash: hole %v, live bound %d -> %d", hole.State(), live, f.live)
+	if got := f.block.LiveEnd(); hole.State() != server.StateBooting || got != live {
+		t.Fatalf("raise after a crash: hole %v, live bound %d -> %d", hole.State(), live, got)
 	}
 	run(cfg.BootDelay)
 	dispatch("after the hole rebooted")

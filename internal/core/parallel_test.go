@@ -212,7 +212,7 @@ func runShardedDCScenario(t *testing.T, workers int) dcTrace {
 	// routes a burst of concurrent state transitions through the
 	// per-shard accumulators.
 	trips := f.Trips()
-	dc.scanZone(e.Now(), srvCfg.TripTempC+10, 0)
+	f.observeInlets(e.Now(), []float64{srvCfg.TripTempC + 10})
 	tr.ScanTrips = f.Trips() - trips
 	rec()
 	tr.Rebases = f.Rebases()
@@ -226,8 +226,8 @@ func runShardedDCScenario(t *testing.T, workers int) dcTrace {
 // loop — sharded physics scan, sharded sample, sharded dispatch — and
 // requires every recorded bit to match the inline run.
 func TestShardedDataCenterBitIdenticalAcrossWorkers(t *testing.T) {
-	if dc := shardedTestDC(t, sim.NewEngine(1), nil, 512, time.Minute); len(dc.zoneShards[0]) < 2 {
-		t.Fatal("test facility's zone scan has a single shard")
+	if dc := shardedTestDC(t, sim.NewEngine(1), nil, 512, time.Minute); len(dc.Fleet().shards) < 2 {
+		t.Fatal("test facility has a single shard")
 	}
 	ref := runShardedDCScenario(t, 1)
 	if ref.ScanTrips == 0 {
@@ -262,10 +262,10 @@ func TestRebaseOncePerSampleRoundSharded(t *testing.T) {
 	}
 }
 
-// BenchmarkPhysicsTickParallel measures the sharded per-zone trip scan —
-// the physics-tick hot loop — at 1/2/4/8 workers over a 4096-server
-// zone. The sub-trip inlet keeps every server active, so iterations are
-// steady-state and comparable.
+// BenchmarkPhysicsTickParallel measures the trip scan a hot physics
+// tick runs at 1/2/4/8 workers: each iteration trips every server of a
+// booted 4096-server zone. The zone boots again between iterations with
+// the timer stopped, so every iteration trips the same servers.
 func BenchmarkPhysicsTickParallel(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
@@ -273,25 +273,24 @@ func BenchmarkPhysicsTickParallel(b *testing.B) {
 			srvCfg := testServerConfig()
 			dc := shardedTestDC(b, e, newTestPool(b, w), 1024, 0)
 			f := dc.Fleet()
-			f.SetTarget(f.Size())
-			if err := e.Run(srvCfg.BootDelay + time.Second); err != nil {
-				b.Fatal(err)
+			if len(f.shards) < 2 {
+				b.Fatal("fleet has a single shard")
 			}
-			f.Sync(e.Now())
-			if len(dc.zoneShards[0]) < 2 {
-				b.Fatal("zone scan has a single shard")
-			}
-			inlet := srvCfg.TripTempC - 5
-			now := e.Now()
+			hot := []float64{srvCfg.TripTempC + 10}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				now += 10 * time.Second
-				dc.scanZone(now, inlet, 0)
+				b.StopTimer()
+				f.SetTarget(f.Size())
+				if err := e.Run(e.Now() + srvCfg.BootDelay + time.Second); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				f.observeInlets(e.Now(), hot)
 			}
 			b.StopTimer()
-			if n := f.Trips(); n != 0 {
-				b.Fatalf("unexpected trips: %d", n)
+			if got, want := f.Trips(), b.N*f.Size(); got != want {
+				b.Fatalf("%d trips over %d hot ticks, want %d", got, b.N, want)
 			}
 		})
 	}

@@ -121,7 +121,7 @@ func TestStandaloneServerMatchesFleetSlot(t *testing.T) {
 							u = maxU // the fill, whenever some server has capacity
 						}
 						solo.SetUtilization(now, u)
-					} else if f.live <= k {
+					} else if f.block.LiveEnd() <= k {
 						tailDispatches++
 					}
 				case 10:

@@ -16,15 +16,17 @@ import (
 // into a Sums in the same place — the block's own for a handle call, a
 // shard's partial in a fleet loop — so columns and sums never disagree.
 //
-// A fleet's per-decision loops are kernels of their own over a slot
-// range [lo, hi): the capacity sum (SumCapacity), the dispatch write
-// (FillSlots) and the sync (SyncSlots). Each reads its columns through
-// locals resliced to the range once, so a slot costs no range check, and
-// keeps its float sums in locals. The two writes write an Active slot in
-// the loop and send a Booting or ShuttingDown slot, whose transition may
-// fall due, through writeSlot; they fold the same deltas in the same
-// order as a writeSlot per slot, through the same foldChange, so the
-// bits are the per-slot write's.
+// A fleet's per-tick loops are kernels of their own over a slot range
+// [lo, hi): the capacity sum (SumCapacity), the dispatch write
+// (FillSlots), the sync (SyncSlots) and the trip scan (ObserveInlets).
+// Each reads its columns through locals resliced to the range once, so a
+// slot costs no range check. The dispatch write and the sync keep their
+// float sums in locals, write an Active slot in the loop and send a
+// Booting or ShuttingDown slot, whose transition may fall due, through
+// writeSlot; they fold the same deltas in the same order as a writeSlot
+// per slot, through the same foldChange, so the bits are the per-slot
+// write's. A loop over the slots that are not Off may stop at the
+// block's live bound (LiveEnd), which PowerOn raises.
 type Block struct {
 	cfg Config
 	// suffix names slot k "<cfg.Name>-<k>"; a standalone server from New
@@ -66,6 +68,7 @@ type Block struct {
 	// changed flags each slot that changed since the last ResetChanged;
 	// nil until TrackChanges.
 	changed []bool
+	live    int // every slot from live on is Off (see LiveEnd)
 }
 
 // Sums are the aggregates over a block's slots, maintained where the
@@ -524,21 +527,40 @@ func (b *Block) SetPStates(p *Sums, now time.Duration, lo, hi, idx int) {
 	}
 }
 
-// ObserveInlets reports tempC to every slot in slots (a zone's, which
-// need not be contiguous) at now, folding the deltas — a trip for every
-// slot shut down by one — into p. It computes the elapsed seconds once
-// per run of slots that last wrote at the same instant.
-func (b *Block) ObserveInlets(p *Sums, now time.Duration, slots []int32, tempC float64) {
-	w := writeArgs{op: opInlet, x: tempC}
+// ObserveInlets is the trip scan over slots [lo, hi): each slot that is
+// not Off and whose zone's inlet, inletOf[zone], exceeds the trip
+// threshold observes it at now, as Server.ObserveInlet would, folding
+// the deltas — a trip for every committed slot — into p; other slots
+// are left unwritten. It computes the elapsed seconds once per run of
+// equal last writes, and requires groups (see SetGroups).
+func (b *Block) ObserveInlets(p *Sums, now time.Duration, lo, hi int, inletOf []float64) {
+	state, lastAt, zoneOf := b.state[lo:hi], b.lastAt[lo:hi], b.zoneOf[lo:hi]
+	trip := b.cfg.TripTempC
+	w := writeArgs{op: opInlet}
 	var dt float64
 	last := time.Duration(-1)
-	for _, s := range slots {
-		slot := int(s)
-		if at := b.lastAt[slot]; at != last {
-			dt, last = b.since(slot, now), at
+	for i, st := range state {
+		x := inletOf[zoneOf[i]]
+		if st == StateOff || !(x > trip) {
+			continue
 		}
-		b.writeSlot(p, slot, now, dt, &w)
+		if at := lastAt[i]; at != last {
+			dt, last = b.since(lo+i, now), at
+		}
+		w.x = x
+		b.writeSlot(p, lo+i, now, dt, &w)
 	}
+}
+
+// LiveEnd returns the live bound, trimmed past the Off slots at the top:
+// one past the highest slot that is not Off, 0 if every slot is Off. The
+// trim is amortized O(1): each slot it passes on the way down, a PowerOn
+// passed on the way up.
+func (b *Block) LiveEnd() int {
+	for b.live > 0 && b.state[b.live-1] == StateOff {
+		b.live--
+	}
+	return b.live
 }
 
 // CheckPState reports an out-of-range DVFS index as slot's error.

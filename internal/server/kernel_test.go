@@ -16,9 +16,12 @@ import (
 // power columns are derived as a write would leave them. Flags in the
 // first bytes give the block a concave power curve, a capacity so small
 // that an active slot's underflows to 0 unless it runs at full speed,
-// rack and zone maps (any slot in any group) and change tracking, with
-// some slots already in the change set. Missing bytes read as zero.
-func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int) {
+// rack and zone maps (any slot in any group) with a per-zone inlet table
+// for the trip scan (each inlet NaN, or within 6 °C below to 10 °C above
+// the trip threshold, the threshold itself included), and change
+// tracking, with some slots already in the change set. Missing bytes
+// read as zero.
+func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int, inletOf []float64) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -48,6 +51,13 @@ func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int) {
 			rackOf[i], zoneOf[i] = next()%racks, next()%zones
 		}
 		b.SetGroups(rackOf, zoneOf, racks, zones)
+		inletOf = make([]float64, zones)
+		for z := range inletOf {
+			inletOf[z] = math.NaN()
+			if v := next(); v%8 != 7 {
+				inletOf[z] = cfg.TripTempC - 6 + float64(v)/16
+			}
+		}
 	}
 	if flags&4 != 0 {
 		b.TrackChanges()
@@ -77,7 +87,7 @@ func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int) {
 			b.sums.changes = append(b.sums.changes, int32(i))
 		}
 	}
-	return b, lo, hi
+	return b, lo, hi, inletOf
 }
 
 // cloneBlock copies every column, the group maps, the change flags and
@@ -170,10 +180,12 @@ func requireSameSums(t *testing.T, what string, got, want *Sums) {
 
 // FuzzBlockKernels holds the column kernels to writeSlot, bit for bit.
 // On a block decoded by kernelBlock, it sums the capacity of the slot
-// range, dispatches fill to it three times with FillSlots and, a delay
+// range, runs the trip scan over it with ObserveInlets if the block has
+// groups, dispatches fill to it three times with FillSlots and, a delay
 // later, syncs it with SyncSlots, each into a shard partial. A copy of
 // the block takes the same writes one slot at a time, in slot order,
-// through writeSlot into its own partial: opUtil at fill if the slot had
+// through writeSlot into its own partial: opInlet at its zone's inlet
+// if that exceeds the trip threshold, opUtil at fill if the slot had
 // capacity and at 0 if not, then opSync, skipping the slots that are
 // Off. The capacity sum must equal the slot-order sum of the positive
 // capacities, and after each kernel every column, change flag and sum of
@@ -190,9 +202,16 @@ func FuzzBlockKernels(f *testing.F) {
 		data[1] = flags
 		f.Add(fills[i], uint8(rng.Intn(256)), data)
 	}
+	// A tracked seed with groups over all 64 slots, whose four zones'
+	// inlets are NaN, cool, at the trip threshold and hot.
+	data := make([]byte, 1200)
+	rng.Read(data)
+	data[0], data[1], data[2], data[3], data[5] = 63, 6, 0, 64, 3
+	copy(data[6+2*64:], []byte{7, 0, 96, 200})
+	f.Add(0.6, uint8(30), data)
 	f.Fuzz(func(t *testing.T, fill float64, syncAfter uint8, data []byte) {
 		now := 10 * time.Minute
-		b, lo, hi := kernelBlock(now, data)
+		b, lo, hi, inletOf := kernelBlock(now, data)
 		ref := cloneBlock(b)
 		p, rp := b.Partial(), ref.Partial()
 
@@ -204,6 +223,16 @@ func FuzzBlockKernels(f *testing.F) {
 		}
 		if got := b.SumCapacity(lo, hi); math.Float64bits(got) != math.Float64bits(want) {
 			t.Fatalf("capacity sum %v, slot-order sum %v", got, want)
+		}
+
+		if inletOf != nil {
+			b.ObserveInlets(&p, now, lo, hi, inletOf)
+			for slot := lo; slot < hi; slot++ {
+				if x := inletOf[ref.zoneOf[slot]]; ref.state[slot] != StateOff && x > ref.cfg.TripTempC {
+					ref.writeSlot(&rp, slot, now, ref.since(slot, now), &writeArgs{op: opInlet, x: x})
+				}
+			}
+			requireSameBlock(t, "ObserveInlets", b, ref, &p, &rp)
 		}
 
 		// Dispatch three times: again at the same instant, where the

@@ -301,7 +301,8 @@ func (s *Server) Boots() int { return int(s.b.boots[s.i]) }
 // Crashes reports how many abrupt (injected) failures have occurred.
 func (s *Server) Crashes() int { return int(s.b.crashes[s.i]) }
 
-// InletTempC reports the last observed inlet temperature.
+// InletTempC reports the last observed inlet temperature. A fleet's trip
+// scan reports a hot inlet only to the servers that are not Off.
 func (s *Server) InletTempC() float64 { return s.b.inlet[s.i] }
 
 // Power reports the instantaneous wall draw in watts for the current
@@ -368,9 +369,11 @@ func (s *Server) ParkCores(now time.Duration, n int) error {
 
 // PowerOn starts booting the server using the engine's clock, charging the
 // boot energy immediately. It is a no-op unless the server is Off. An
-// event at the ready time completes the boot.
+// event at the ready time completes the boot. As the one write that takes
+// a server out of Off, it raises the block's live bound (Block.LiveEnd).
 func (s *Server) PowerOn(e *sim.Engine) {
 	if s.b.writeOne(s.i, e.Now(), writeArgs{op: opOn}) {
+		s.b.live = max(s.b.live, s.i+1)
 		s.b.completeAt(e, s.i)
 	}
 }
