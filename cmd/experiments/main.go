@@ -21,6 +21,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"slices"
 	"strings"
 	"time"
 
@@ -126,6 +127,9 @@ func run(args []string, out io.Writer) error {
 	if *id != "" && !exp.Known(*id) {
 		bad("-exp: unknown experiment %q; valid ids: %s", *id, strings.Join(exp.IDs(), ", "))
 	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	problems = append(problems, unreadKnobs(*id, set)...)
 	if len(problems) > 0 {
 		return fmt.Errorf("invalid flags:\n  - %s", strings.Join(problems, "\n  - "))
 	}
@@ -192,6 +196,27 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "wrote %s\n", *jsonOut)
 	}
 	return runErr
+}
+
+// unreadKnobs returns a problem for each of -scale and -sites given on
+// the command line (set) when id is a known experiment that does not
+// read it, since the run would ignore the flag. With no -exp it returns
+// none: the suite has experiments that read each flag.
+func unreadKnobs(id string, set map[string]bool) []string {
+	if !exp.Known(id) {
+		return nil
+	}
+	var problems []string
+	for _, knob := range []struct {
+		flag string
+		ids  []string
+	}{{"scale", exp.FleetScaleIDs()}, {"sites", exp.FederationSitesIDs()}} {
+		if set[knob.flag] && !slices.Contains(knob.ids, id) {
+			problems = append(problems, fmt.Sprintf("-%s: experiment %q does not read it; only %s do",
+				knob.flag, id, strings.Join(knob.ids, ", ")))
+		}
+	}
+	return problems
 }
 
 // writeCSVs exports a result's plottable series into dir, if requested

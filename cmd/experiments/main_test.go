@@ -175,6 +175,54 @@ func TestValidationReportsEverything(t *testing.T) {
 	}
 }
 
+// TestUnreadKnobsRejected: -scale and -sites set for an experiment that
+// does not read them are rejected upfront, each naming the experiments
+// that do read it, alongside any other bad flag.
+func TestUnreadKnobsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args      []string
+		want      []string
+		unflagged string
+	}{
+		{[]string{"-exp", "fig1", "-sites", "3"}, []string{`-sites: experiment "fig1" does not read it`, "geo-brownout, geo-carbon, geo-diurnal"}, "-scale:"},
+		{[]string{"-exp", "geo", "-sites", "3"}, []string{`-sites: experiment "geo" does not read it`}, "-scale:"},
+		{[]string{"-exp", "pue2", "-scale", "3"}, []string{`-scale: experiment "pue2" does not read it`, "fault-crac, fault-outage, fault-rack, fig4, users-surge"}, "-sites:"},
+		{[]string{"-exp", "fig4", "-scale", "1", "-sites", "2", "-reps", "0"}, []string{`-sites: experiment "fig4" does not read it`, "-reps 0"}, "-scale:"},
+	} {
+		var b strings.Builder
+		err := run(tc.args, &b)
+		if err == nil {
+			t.Errorf("%v: accepted", tc.args)
+			continue
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("%v: error %q does not mention %q", tc.args, err, want)
+			}
+		}
+		if strings.Contains(err.Error(), tc.unflagged) {
+			t.Errorf("%v: error %q rejects a knob the experiment reads or was not given", tc.args, err)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: rejected run still produced output:\n%s", tc.args, b.String())
+		}
+	}
+}
+
+// TestReadKnobsAccepted: an experiment that reads a knob takes it, and
+// without -exp both knobs are accepted, since the suite reads each.
+func TestReadKnobsAccepted(t *testing.T) {
+	for _, args := range [][]string{{"-exp", "fig4", "-scale", "2"}, {"-exp", "geo-diurnal", "-sites", "3"}} {
+		var b strings.Builder
+		if err := run(args, &b); err != nil {
+			t.Errorf("%v: %v", args, err)
+		}
+	}
+	if got := unreadKnobs("", map[string]bool{"scale": true, "sites": true}); got != nil {
+		t.Errorf("a run without -exp rejects %v", got)
+	}
+}
+
 // TestGeoSitesKnob runs a geo-family experiment at a non-default site
 // count; the knob must flow through the harness into the federation.
 func TestGeoSitesKnob(t *testing.T) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/cooling"
@@ -45,7 +46,9 @@ type DataCenterConfig struct {
 // through heat and protected by thermal trips, with telemetry feeding the
 // macro layer. Server i is the fleet's slot i; the fleet block's
 // slot→rack and slot→zone maps alone hold its placement, and the trip
-// scan and the degrader's zone shed read the zone map in slot order.
+// scan and the degrader's zone shed read the zone map in slot order. The
+// telemetry frame puts the zone inlets first and the servers after them
+// in slot order, so the fleet's Off tail is the tail of every round.
 type DataCenter struct {
 	cfg    DataCenterConfig
 	engine *sim.Engine
@@ -53,11 +56,11 @@ type DataCenter struct {
 	topo   *power.Topology
 	room   *cooling.Room
 	store  *telemetry.Store
-	// The per-entity series form one synchronously-sampled frame: server
-	// i's power and utilization occupy columns 2i and 2i+1, the zone
-	// inlets follow. A sample round fills frameBuf and hands the store
-	// one columnar append — no per-key locking, hashing, or pyramid
-	// walks (the §5.3 ingest fast path).
+	// The per-entity series form one synchronously-sampled frame: zone
+	// z's inlet occupies column z, and server i's power and utilization
+	// columns Zones()+2i and Zones()+2i+1. A sample round fills a prefix
+	// of frameBuf and hands the store one columnar append — no per-key
+	// locking, hashing, or pyramid walks (the §5.3 ingest fast path).
 	frames   *telemetry.FrameWriter
 	frameBuf []float64
 	inletOf  []float64 // each zone's inlet at the last coupling tick
@@ -66,8 +69,8 @@ type DataCenter struct {
 	// closure.
 	fillFn func(int, par.Range)
 	// fillEnd is the fleet's live bound at the last sample round: the
-	// round filled servers [0, fillEnd), and every server column from
-	// fillEnd on holds 0.
+	// round holds servers [0, fillEnd), and every server from fillEnd on
+	// reads 0 in it without being passed.
 	fillEnd int
 }
 
@@ -134,13 +137,7 @@ func NewDataCenter(e *sim.Engine, cfg DataCenterConfig) (*DataCenter, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys := make([]string, 0, 2*nServers+room.Zones())
-		for i := 0; i < nServers; i++ {
-			keys = append(keys, fmt.Sprintf("srv%04d/power", i), fmt.Sprintf("srv%04d/util", i))
-		}
-		for z := 0; z < room.Zones(); z++ {
-			keys = append(keys, fmt.Sprintf("zone%02d/inlet", z))
-		}
+		keys := frameKeys(nServers, room.Zones())
 		dc.frames, err = dc.store.Frames(keys)
 		if err != nil {
 			return nil, err
@@ -148,6 +145,40 @@ func NewDataCenter(e *sim.Engine, cfg DataCenterConfig) (*DataCenter, error) {
 		dc.frameBuf = par.AlignedFloats(len(keys))
 	}
 	return dc, nil
+}
+
+// frameKeys names the facility frame's columns in order: each zone's
+// inlet ("zone%02d/inlet"), then each server's power and utilization
+// ("srv%04d/power", "srv%04d/util"). The names are written into one
+// buffer and sliced from one string, not formatted one at a time.
+func frameKeys(servers, zones int) []string {
+	// No name is longer than this one below 100,000 servers.
+	buf := make([]byte, 0, (zones+2*servers)*len("srv00000/power"))
+	ends := make([]int, 0, zones+2*servers)
+	name := func(prefix string, n, digits int, suffix string) {
+		buf = append(buf, prefix...)
+		for lim := 1; digits > 1; digits-- {
+			if lim *= 10; n < lim {
+				buf = append(buf, '0')
+			}
+		}
+		buf = append(strconv.AppendInt(buf, int64(n), 10), suffix...)
+		ends = append(ends, len(buf))
+	}
+	for z := range zones {
+		name("zone", z, 2, "/inlet")
+	}
+	for i := range servers {
+		name("srv", i, 4, "/power")
+		name("srv", i, 4, "/util")
+	}
+	names := string(buf)
+	keys := make([]string, len(ends))
+	start := 0
+	for k, end := range ends {
+		keys[k], start = names[start:end], end
+	}
+	return keys
 }
 
 // Fleet exposes the server fleet.
@@ -163,15 +194,17 @@ func (dc *DataCenter) Topology() *power.Topology { return dc.topo }
 func (dc *DataCenter) Store() *telemetry.Store { return dc.store }
 
 // Frames exposes the facility's columnar telemetry frame (nil unless
-// sampling was enabled). Column layout: server i's power and utilization
-// occupy columns 2i and 2i+1; zone z's inlet temperature is column
-// 2*Fleet().Size()+z (see ZoneInletColumn). Live exporters read the
-// open row through FrameWriter.LatestInto instead of re-aggregating.
+// sampling was enabled). Column layout: zone z's inlet temperature is
+// column z (see ZoneInletColumn); server i's power and utilization occupy
+// columns Room().Zones()+2i and Room().Zones()+2i+1. A round stops at
+// the fleet's live bound, and the servers past it read 0. Live exporters
+// read the open row through FrameWriter.LatestInto instead of
+// re-aggregating.
 func (dc *DataCenter) Frames() *telemetry.FrameWriter { return dc.frames }
 
 // ZoneInletColumn reports the frame column holding zone z's inlet
-// temperature.
-func (dc *DataCenter) ZoneInletColumn(z int) int { return 2*dc.fleet.Size() + z }
+// temperature: the inlets are the frame's first columns.
+func (dc *DataCenter) ZoneInletColumn(z int) int { return z }
 
 // SampleEvery reports the telemetry sampling period (0 when disabled).
 func (dc *DataCenter) SampleEvery() time.Duration { return dc.cfg.SampleEvery }
@@ -224,29 +257,25 @@ func (dc *DataCenter) Attach() ([]sim.Handle, error) {
 // sample pushes one telemetry round into the store as a single columnar
 // frame append. Power is piecewise-constant between events, so no
 // per-server Sync is needed to read it; the fleet's running sums are
-// rebased here periodically to shed incremental float drift. The
-// per-server columns fill per fleet shard — pure slot-local reads into
-// disjoint frame columns — over the slots before the fleet's live bound
-// only: an Off server reads 0 W at 0 utilization, which its
-// columns already hold unless it was filled while on, so only the
-// columns between the new bound and the last round's are zeroed.
+// rebased here periodically to shed incremental float drift. The round
+// is the zone inlets and the servers before the fleet's live bound: an
+// Off server reads 0 W at 0 utilization, and every server past the bound
+// is Off, so the round stops there and the frame reads the Off tail as
+// +0 without storing or folding it. The per-server columns fill per
+// fleet shard — pure slot-local reads into disjoint frame columns.
 // AppendPar copies the round into the frame's raw band; when the pyramid
 // levels must catch up on the pending rounds, it fans their column folds
 // out over the fleet's pool by column shard. MaybeRebase stays strictly
 // serial, once per round, after the append.
 func (dc *DataCenter) sample(now time.Duration) {
 	f := dc.fleet
-	prev := dc.fillEnd
 	dc.fillEnd = f.block.LiveEnd()
 	f.pool.RunRanges(f.shardsBefore(dc.fillEnd), dc.fillFn)
-	if dc.fillEnd < prev {
-		clear(dc.frameBuf[2*dc.fillEnd : 2*prev])
+	for z := range dc.inletOf {
+		dc.frameBuf[z] = dc.room.ZoneInletC(z)
 	}
-	base := 2 * f.Size()
-	for z := 0; z < dc.room.Zones(); z++ {
-		dc.frameBuf[base+z] = dc.room.ZoneInletC(z)
-	}
-	if err := dc.frames.AppendPar(now, dc.frameBuf, f.pool); err != nil {
+	round := dc.frameBuf[:len(dc.inletOf)+2*dc.fillEnd]
+	if err := dc.frames.AppendPar(now, round, f.pool); err != nil {
 		panic(fmt.Sprintf("core: telemetry: %v", err)) // single writer, monotone time
 	}
 	f.MaybeRebase()
@@ -254,12 +283,13 @@ func (dc *DataCenter) sample(now time.Duration) {
 
 // fillShard is sample's body over one fleet shard, clipped at the live
 // bound: copy each server's power and utilization columns into its two
-// frame columns.
+// frame columns, after the zone inlets.
 func (dc *DataCenter) fillShard(_ int, r par.Range) {
 	f := dc.fleet
+	cols := dc.frameBuf[len(dc.inletOf):]
 	for i, hi := r.Lo, min(r.Hi, dc.fillEnd); i < hi; i++ {
-		dc.frameBuf[2*i] = f.block.PowerAt(i)
-		dc.frameBuf[2*i+1] = f.block.UtilizationAt(i)
+		cols[2*i] = f.block.PowerAt(i)
+		cols[2*i+1] = f.block.UtilizationAt(i)
 	}
 }
 

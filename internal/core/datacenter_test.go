@@ -549,9 +549,9 @@ func TestZonePlacementContract(t *testing.T) {
 }
 
 // TestSampleZeroesShedServers: each telemetry round holds every server's
-// power and utilization in its two frame columns, including the zeros
-// of servers shed since the previous round, which sit past the fleet's
-// live bound where the sample fill no longer reads.
+// power and utilization in its two frame columns, after the zone
+// inlets, including the zeros of servers shed since the previous round,
+// which sit past the fleet's live bound where the round stops.
 func TestSampleZeroesShedServers(t *testing.T) {
 	e := sim.NewEngine(1)
 	dc := shardedTestDC(t, e, newTestPool(t, 2), 512, time.Minute)
@@ -559,7 +559,7 @@ func TestSampleZeroesShedServers(t *testing.T) {
 		t.Fatal(err)
 	}
 	f, cfg := dc.Fleet(), testServerConfig()
-	n := f.Size()
+	n, base := f.Size(), dc.Room().Zones()
 	row := make([]float64, dc.Frames().Width())
 	check := func(what string) {
 		t.Helper()
@@ -567,9 +567,9 @@ func TestSampleZeroesShedServers(t *testing.T) {
 			t.Fatalf("%s: no frame sampled", what)
 		}
 		for i, s := range f.Servers() {
-			if row[2*i] != s.Power() || row[2*i+1] != s.Utilization() {
+			if row[base+2*i] != s.Power() || row[base+2*i+1] != s.Utilization() {
 				t.Fatalf("%s: position %d (%v) sampled at %v W, %v utilization; reads %v W, %v",
-					what, i, s.State(), row[2*i], row[2*i+1], s.Power(), s.Utilization())
+					what, i, s.State(), row[base+2*i], row[base+2*i+1], s.Power(), s.Utilization())
 			}
 		}
 	}
@@ -590,4 +590,25 @@ func TestSampleZeroesShedServers(t *testing.T) {
 		t.Fatalf("shed to %d on at %v W, want %d on", f.OnCount(), f.PowerW(), n/4)
 	}
 	check("after shedding")
+}
+
+// TestFrameKeysMatchSprintf: frameKeys names the facility frame's columns
+// exactly as formatting each name with fmt.Sprintf would, zone inlets
+// first, for empty and one-server fleets, fleets whose indexes cross
+// from 4 to 5 digits, and zone counts that cross from 2 to 3.
+func TestFrameKeysMatchSprintf(t *testing.T) {
+	for _, c := range []struct{ servers, zones int }{
+		{0, 1}, {1, 1}, {1, 0}, {9_999, 2}, {10_000, 2}, {10_001, 3}, {2, 99}, {2, 100}, {2, 101},
+	} {
+		want := make([]string, 0, c.zones+2*c.servers)
+		for z := range c.zones {
+			want = append(want, fmt.Sprintf("zone%02d/inlet", z))
+		}
+		for i := range c.servers {
+			want = append(want, fmt.Sprintf("srv%04d/power", i), fmt.Sprintf("srv%04d/util", i))
+		}
+		if got := frameKeys(c.servers, c.zones); !reflect.DeepEqual(got, want) {
+			t.Errorf("%d servers, %d zones: keys differ from Sprintf's", c.servers, c.zones)
+		}
+	}
 }

@@ -9,6 +9,7 @@ package exp
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 
@@ -51,7 +52,11 @@ type Env struct {
 	Sites   int
 	pool    *par.Pool
 	poolSet bool
-	probe   sim.Probe
+	// readScale and readSites record whether the run read FleetScale and
+	// FederationSites, which TestKnobReaders holds to the registry's
+	// lists.
+	readScale, readSites bool
+	probe                sim.Probe
 	// checker asserts physical-law invariants after every event of every
 	// engine this run creates. Armed by default; DisarmInvariants turns
 	// it off (e.g. for overhead-sensitive benchmarks).
@@ -67,6 +72,7 @@ func NewEnv(seed int64) *Env {
 // FederationSites reports the effective federated-site count for the
 // geo-family experiments (default 4, minimum 2).
 func (v *Env) FederationSites() int {
+	v.readSites = true
 	if v.Sites >= 2 {
 		return v.Sites
 	}
@@ -75,6 +81,7 @@ func (v *Env) FederationSites() int {
 
 // FleetScale reports the effective facility multiplier (minimum 1).
 func (v *Env) FleetScale() int {
+	v.readScale = true
 	if v.Scale < 1 {
 		return 1
 	}
@@ -194,6 +201,22 @@ func registry() map[string]Runner {
 		"geo-carbon":   RunGeoCarbon,
 	}
 }
+
+// The experiments that read each per-run knob, sorted: FleetScale (the
+// Scale field, cmd/experiments' -scale) and FederationSites (Sites,
+// -sites). Every other experiment runs the same whatever the knob says.
+var (
+	fleetScaleIDs      = []string{"fault-crac", "fault-outage", "fault-rack", "fig4", "users-surge"}
+	federationSitesIDs = []string{"geo-brownout", "geo-carbon", "geo-diurnal"}
+)
+
+// FleetScaleIDs returns the ids of the experiments that read
+// Env.FleetScale, sorted.
+func FleetScaleIDs() []string { return slices.Clone(fleetScaleIDs) }
+
+// FederationSitesIDs returns the ids of the experiments that read
+// Env.FederationSites, sorted.
+func FederationSitesIDs() []string { return slices.Clone(federationSitesIDs) }
 
 // IDs returns all experiment ids in sorted order.
 func IDs() []string {

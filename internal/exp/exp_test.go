@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -45,6 +46,39 @@ func TestRegistryComplete(t *testing.T) {
 	}
 	if _, err := Run("nonsense", 1); err == nil {
 		t.Error("unknown id should error")
+	}
+}
+
+// TestKnobReaders holds FleetScaleIDs and FederationSitesIDs, which
+// cmd/experiments checks -scale and -sites against, to the code: every
+// experiment runs once, and its Env records whether it read each knob.
+func TestKnobReaders(t *testing.T) {
+	for name, ids := range map[string][]string{"FleetScaleIDs": FleetScaleIDs(), "FederationSitesIDs": FederationSitesIDs()} {
+		if !slices.IsSorted(ids) {
+			t.Errorf("%s %v is not sorted", name, ids)
+		}
+		for _, id := range ids {
+			if !Known(id) {
+				t.Errorf("%s names unknown experiment %q", name, id)
+			}
+		}
+	}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			t.Parallel()
+			env := NewEnv(testSeed)
+			defer env.Close()
+			env.DisarmInvariants()
+			if _, err := RunEnv(id, env); err != nil {
+				t.Fatal(err)
+			}
+			if want := slices.Contains(FleetScaleIDs(), id); env.readScale != want {
+				t.Errorf("reads FleetScale: %v; FleetScaleIDs lists it: %v", env.readScale, want)
+			}
+			if want := slices.Contains(FederationSitesIDs(), id); env.readSites != want {
+				t.Errorf("reads FederationSites: %v; FederationSitesIDs lists it: %v", env.readSites, want)
+			}
+		})
 	}
 }
 

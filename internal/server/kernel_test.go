@@ -128,9 +128,17 @@ func cloneSums(s *Sums) Sums {
 }
 
 // requireSameBlock fails t unless every column, change flag and sum of
-// got and want, and the partials gp and wp, are equal bit for bit.
+// got and want, and the partials gp and wp, are equal bit for bit, and
+// no power or utilization column of got holds -0: a facility's telemetry
+// frame reads the servers a sample round does not pass as +0, and equals
+// the frame of zero-padded rounds only while no sampled column is -0.
 func requireSameBlock(t *testing.T, what string, got, want *Block, gp, wp *Sums) {
 	t.Helper()
+	for i := range got.state {
+		if got.power[i] == 0 && math.Signbit(got.power[i]) || got.util[i] == 0 && math.Signbit(got.util[i]) {
+			t.Fatalf("%s: slot %d draws %v W at %v utilization: a -0", what, i, got.power[i], got.util[i])
+		}
+	}
 	for i := range want.state {
 		type col struct {
 			name      string

@@ -27,16 +27,31 @@ import (
 // a time in time order, so its sum, min and max do not depend on when
 // the passes ran.
 //
+// A round may be narrower than its frame: it gives the values of the
+// first n columns, and every column from n on reads +0 in it, at every
+// resolution. The round stores and folds only its n columns, so a frame
+// whose trailing columns are mostly zero (a facility's switched-off
+// servers) pays only for the columns its rounds write. The open bucket of
+// each level keeps the widest and the narrowest round folded into it:
+// a column a round widens the bucket into starts at sum, min and max +0,
+// and from the narrowest width on, min and max are clamped with the +0
+// the narrower rounds held there when the bucket closes or is read. Every
+// read equals the full-width frame fed the zero-padded rounds bit for
+// bit, unless a round writes a -0 where another holds an implicit +0.
+//
 // Storage is rows, each written once and never regrown: one per round,
-// and one per closed bucket of several rounds. A row longer than slabRow
-// is an allocation of its own, at its exact size; shorter rows are
+// and one per closed bucket of several rounds. A frame of at most
+// slabRow keys stores every row at full width, a short round zero-padded,
 // carved from shared slabs, so a narrow frame (a key sampled on its own
-// schedule is a one-column frame) makes no allocation per row. An 8-byte
-// rowRef names each row, and closed buckets go in fixed-size chunks, so
-// growing the store copies no values and no closed bucket. A bucket that
-// closes holding a single round shares that round's row instead of
-// copying it, and rows that retention expires are recycled for later
-// rounds unless a bucket shares them or may yet share them.
+// schedule is a one-column frame) makes no allocation per row. A wider
+// frame stores every row as an allocation of its own at its exact size:
+// a raw row is as long as its round, and a closed row three times its
+// bucket's widest round. An 8-byte rowRef names each row, and closed
+// buckets go in fixed-size chunks, so growing the store copies no values
+// and no closed bucket. A bucket that closes holding a single round
+// shares that round's row instead of copying it, and rows that retention
+// expires are recycled for later rounds unless a bucket shares them or
+// may yet share them.
 //
 // Framed keys live in the parent Store's namespace, where Query, Stats,
 // Keys and the derived analyses (DailyAverages, HourlyPattern,
@@ -50,9 +65,10 @@ type FrameWriter struct {
 	lastT  time.Duration
 	hasAny bool
 	// Raw band: the retained rounds, oldest first from rawHead, each a
-	// K-wide row. Retention advances rawHead and moves each expired row
-	// that no bucket shares or may share to spare; a new round takes its
-	// row from spare before allocating one. Compaction moves the row
+	// row of its round's width. Retention advances rawHead and moves each
+	// expired row that no bucket shares or may share to spare; a new
+	// round takes its row from spare before allocating one, so recycling
+	// adds no slab. Compaction moves the row
 	// headers down once at least half of raw has expired, so its copying
 	// is amortized O(1) per round, and adds the rounds it cuts to
 	// rawBase, the absolute index of raw[0].
@@ -66,9 +82,10 @@ type FrameWriter struct {
 	// costs no memory.
 	folded int
 	levels [4]frameLevel
-	// Row storage (alloc, row): each slab is one long row, or a slab of
-	// short rows filled up to its length. tail indexes the slab short
-	// rows are carved from, -1 before the first.
+	// Row storage (alloc, row): each slab is one row of its own, or, in a
+	// frame of at most slabRow keys, a slab of short rows filled up to its
+	// length. tail indexes the slab short rows are carved from, -1 before
+	// the first.
 	slabs [][]float64
 	tail  int
 	// colShards partitions the column space for the catch-up's fan-out,
@@ -77,7 +94,9 @@ type FrameWriter struct {
 	// The catch-up's shard body, bound once in Frames so a fan-out
 	// allocates no closure, and the plan it applies: per pending round,
 	// one op per level, and the rows of the closing buckets of several
-	// rounds in (round, level) order.
+	// rounds in (round, level) order. The plan holds no widths: a shard
+	// replays them from the rows and from each level's open widths at the
+	// catch-up's start.
 	foldFn    func(int, par.Range)
 	plan      [][4]frameOp
 	closeRows [][]float64
@@ -124,9 +143,10 @@ const (
 )
 
 // alloc stores a new row of n floats, a copy of src (zero past it), and
-// returns its ref.
+// returns its ref. A row longer than slabRow, and every row of a frame
+// wider than slabRow, is a slab of its own at its exact size.
 func (w *FrameWriter) alloc(n int, src []float64) rowRef {
-	if n > slabRow {
+	if n > slabRow || len(w.keys) > slabRow {
 		// make then copy is one allocation the runtime does not zero
 		// under the copy.
 		row := make([]float64, n)
@@ -155,7 +175,43 @@ func (w *FrameWriter) row(ref rowRef, n int) []float64 {
 	return w.slabs[(ref&^sharedRow)>>32][off : off+n : off+n]
 }
 
-// frameRound is one retained raw round: its timestamp and K-wide row.
+// rowWidth returns the number of columns of the row ref names, which holds
+// per floats a column: 1 in a raw row, 3 in a closed bucket's. A frame of
+// at most slabRow keys stores full-width rows; a wider frame's row is
+// its slab.
+func (w *FrameWriter) rowWidth(ref rowRef, per int) int {
+	if k := len(w.keys); k <= slabRow {
+		return k
+	}
+	return len(w.slabs[(ref&^sharedRow)>>32]) / per
+}
+
+// rawRow returns the row of a raw round, or of the single-round bucket
+// that shares it, at its width.
+func (w *FrameWriter) rawRow(ref rowRef) []float64 { return w.row(ref, w.rowWidth(ref, 1)) }
+
+// reuse stores a round's values in spare row ref: in place and zero past
+// them in a frame of at most slabRow keys; else resliced to the round's
+// width when its capacity fits, or else a new array in the same slab
+// slot.
+func (w *FrameWriter) reuse(ref rowRef, values []float64) {
+	if k := len(w.keys); k <= slabRow {
+		row := w.row(ref, k)
+		clear(row[copy(row, values):])
+		return
+	}
+	i := ref >> 32 // a spare row is never shared
+	if cap(w.slabs[i]) < len(values) {
+		row := make([]float64, len(values))
+		copy(row, values)
+		w.slabs[i] = row
+		return
+	}
+	w.slabs[i] = w.slabs[i][:len(values)]
+	copy(w.slabs[i], values)
+}
+
+// frameRound is one retained raw round: its timestamp and row.
 type frameRound struct {
 	t   time.Duration
 	row rowRef
@@ -163,10 +219,11 @@ type frameRound struct {
 
 // frameLevel is one aggregation level of the frame pyramid. The open
 // bucket is columnar: a shared start/count plus K-wide sum/min/max
-// columns, the aligned buffers a catch-up shards over. Closing a bucket
-// of several rounds copies them into one row. openAt and openRow name
-// the round that opened the open bucket (its absolute index and its
-// row): a bucket that closes holding only that round shares the row.
+// columns, the aligned buffers a catch-up shards over, of which the
+// first wide hold the bucket. Closing a bucket of several rounds copies
+// them into one row. openAt and openRow name the round that opened the
+// open bucket (its absolute index and its row): a bucket that closes
+// holding only that round shares the row.
 //
 // Closed buckets go in fixed-size chunks, each allocated once when the
 // first bucket lands in it and never regrown: closing a bucket copies no
@@ -180,6 +237,10 @@ type frameLevel struct {
 	curMax  []float64
 	openAt  int64
 	openRow rowRef
+	// The widest and narrowest round folded into the open bucket, as of
+	// the last catch-up: columns from wide on read +0, and columns from
+	// narrow on fold the +0 of some round (clampZero).
+	wide, narrow int
 	// Closed buckets, dense and in time order: bucket i is
 	// chunks[i/chunkLen][i%chunkLen], and n counts them.
 	chunks []*[chunkLen]frameBucket
@@ -205,9 +266,10 @@ func (l *frameLevel) close(b frameBucket) {
 func (l *frameLevel) at(i int) *frameBucket { return &l.chunks[i/chunkLen][i%chunkLen] }
 
 // frameBucket is one closed bucket of a frame level. Its row holds the
-// bucket's columns as sum | min | max, 3K wide — or, when the bucket
-// holds a single round, whose min, max and sum are that round's values
-// bit for bit, the round's K-wide raw row itself.
+// bucket's first n columns as sum | min | max, 3n wide, n its widest
+// round — or, when the bucket holds a single round, whose min, max and
+// sum are that round's values bit for bit, the round's raw row itself.
+// Columns past the row read +0.
 type frameBucket struct {
 	start time.Duration
 	count int64
@@ -216,13 +278,42 @@ type frameBucket struct {
 
 // bucket materializes column col of closed bucket b.
 func (w *FrameWriter) bucket(b *frameBucket, col int) Bucket {
-	k := len(w.keys)
+	out := Bucket{Start: b.start, Count: b.count}
 	if b.count == 1 {
-		v := w.row(b.row, k)[col]
-		return Bucket{Start: b.start, Count: 1, Sum: v, Min: v, Max: v}
+		if row := w.rawRow(b.row); col < len(row) {
+			out.Sum, out.Min, out.Max = row[col], row[col], row[col]
+		}
+		return out
 	}
-	cols := w.row(b.row, 3*k)
-	return Bucket{Start: b.start, Count: b.count, Sum: cols[col], Min: cols[k+col], Max: cols[2*k+col]}
+	if n := w.rowWidth(b.row, 3); col < n {
+		cols := w.row(b.row, 3*n)
+		out.Sum, out.Min, out.Max = cols[col], cols[n+col], cols[2*n+col]
+	}
+	return out
+}
+
+// open materializes column col of the level's open bucket.
+func (l *frameLevel) open(col int) Bucket {
+	out := Bucket{Start: l.curEnd - l.width, Count: l.curCnt}
+	if col < l.wide {
+		out.Sum, out.Min, out.Max = l.curSum[col], l.curMin[col], l.curMax[col]
+		if col >= l.narrow {
+			out.Min, out.Max = clampZero(out.Min, out.Max)
+		}
+	}
+	return out
+}
+
+// clampZero folds a +0 into a column's min and max with foldColumns's
+// comparisons, so a NaN min or max stays NaN as a folded +0 leaves it.
+func clampZero(mn, mx float64) (float64, float64) {
+	if 0 < mn {
+		mn = 0
+	}
+	if 0 > mx {
+		mx = 0
+	}
+	return mn, mx
 }
 
 // frameRef resolves a framed key to its writer and column.
@@ -284,11 +375,11 @@ func (w *FrameWriter) Keys() []string { return append([]string(nil), w.keys...) 
 func (w *FrameWriter) Width() int { return len(w.keys) }
 
 // LatestInto copies the most recent round's values into dst (which must
-// have at least Width elements) and returns the round's timestamp. It
-// reports false if no round has been ingested yet. This is the
-// zero-copy scrape path for live exporters: one memcpy of the latest row
-// under the frame's read lock — no bucket materialization and no
-// aggregation.
+// have at least Width elements), +0 past the round's width up to Width,
+// and returns the round's timestamp. It reports false if no round has
+// been ingested yet. This is the zero-copy scrape path for live
+// exporters: one memcpy of the latest row under the frame's read lock —
+// no bucket materialization and no aggregation.
 func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 	k := len(w.keys)
 	if len(dst) < k {
@@ -301,13 +392,14 @@ func (w *FrameWriter) LatestInto(dst []float64) (time.Duration, bool) {
 		return 0, false
 	}
 	last := w.raw[n-1]
-	copy(dst, w.row(last.row, k))
+	clear(dst[copy(dst, w.rawRow(last.row)):k])
 	return last.t, true
 }
 
 // Append ingests one round: values[i] is the sample for the i-th frame
-// key, all observed at time t. Rounds must arrive in non-decreasing
-// time order.
+// key, all observed at time t, and every key from len(values) on reads
+// +0 in the round. Rounds must arrive in non-decreasing time order, and
+// a round has at most Width values.
 func (w *FrameWriter) Append(t time.Duration, values []float64) error {
 	return w.AppendPar(t, values, nil)
 }
@@ -318,11 +410,12 @@ func (w *FrameWriter) Append(t time.Duration, values []float64) error {
 // band's header slice regrows, the levels catch up on every pending
 // round. A catch-up's boundary decisions, closed-bucket rows and
 // retention bookkeeping stay on the calling goroutine; only the column
-// arithmetic fans out, by column shard. Every column's folds touch only
-// that column's state, so the result is bit-identical for any worker
-// count, and a nil pool runs the column shards inline.
+// arithmetic fans out, by column shard, and each round's folds visit
+// only its own columns. Every column's folds touch only that column's
+// state, so the result is bit-identical for any worker count, and a nil
+// pool runs the column shards inline.
 func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) error {
-	if len(values) != len(w.keys) {
+	if len(values) > len(w.keys) {
 		return fmt.Errorf("telemetry: frame round has %d values for %d keys", len(values), len(w.keys))
 	}
 	if t < 0 {
@@ -369,7 +462,9 @@ func (w *FrameWriter) AppendPar(t time.Duration, values []float64, p *par.Pool) 
 	if n := len(w.spare); n > 0 {
 		row = w.spare[n-1]
 		w.spare = w.spare[:n-1]
-		copy(w.row(row, len(values)), values)
+		w.reuse(row, values)
+	} else if k := len(w.keys); k <= slabRow {
+		row = w.alloc(k, values)
 	} else {
 		row = w.alloc(len(values), values)
 	}
@@ -403,14 +498,21 @@ func (w *FrameWriter) catchUp(p *par.Pool) {
 		w.plan = make([][4]frameOp, len(pending))
 	}
 	w.plan = w.plan[:len(pending)]
-	k := len(w.keys)
 	first := w.rawBase + int64(w.folded)
+	// Each level's open widths as the plan leaves them; the levels keep
+	// the widths at the start until the shards have replayed the plan.
+	var wide, narrow [len(w.levels)]int
+	for i := range w.levels {
+		wide[i], narrow[i] = w.levels[i].wide, w.levels[i].narrow
+	}
 	for j := range pending {
 		t := pending[j].t
+		n := w.rowWidth(pending[j].row, 1)
 		for i := range w.levels {
 			l := &w.levels[i]
 			if t < l.curEnd {
 				l.curCnt++
+				wide[i], narrow[i] = max(wide[i], n), min(narrow[i], n)
 				w.plan[j][i] = opFold
 				continue
 			}
@@ -433,8 +535,8 @@ func (w *FrameWriter) catchUp(p *par.Pool) {
 						w.plan[l.openAt-first][i] &^= opSeed
 					}
 				} else {
-					b.row = w.alloc(3*k, nil)
-					w.closeRows = append(w.closeRows, w.row(b.row, 3*k))
+					b.row = w.alloc(3*wide[i], nil)
+					w.closeRows = append(w.closeRows, w.row(b.row, 3*wide[i]))
 					op |= opClose
 				}
 				l.close(b)
@@ -443,10 +545,14 @@ func (w *FrameWriter) catchUp(p *par.Pool) {
 			l.curCnt = 1
 			l.openAt = first + int64(j)
 			l.openRow = pending[j].row
+			wide[i], narrow[i] = n, n
 			w.plan[j][i] = op
 		}
 	}
 	p.RunRanges(w.colShards, w.foldFn)
+	for i := range w.levels {
+		w.levels[i].wide, w.levels[i].narrow = wide[i], narrow[i]
+	}
 	w.folded = len(w.raw)
 	clear(w.closeRows)
 	w.closeRows = w.closeRows[:0]
@@ -454,33 +560,70 @@ func (w *FrameWriter) catchUp(p *par.Pool) {
 
 // foldShard is the catch-up's shard body. It walks the shard's columns
 // in blocks of frameBlock and replays the whole plan over each block:
-// the pending rounds in time order, and for each its op on every level.
+// the pending rounds in time order, and for each its op on every level,
+// on the round's columns in the block. It replays each level's open
+// widths along, from the levels' widths at the catch-up's start.
 func (w *FrameWriter) foldShard(_ int, r par.Range) {
-	k := len(w.keys)
 	pending := w.raw[w.folded:]
 	for lo := r.Lo; lo < r.Hi; lo += frameBlock {
 		hi := min(lo+frameBlock, r.Hi)
 		next := 0 // closeRows cursor: the plan closes the same rows per block
+		var wide, narrow [len(w.levels)]int
+		for i := range w.levels {
+			wide[i], narrow[i] = w.levels[i].wide, w.levels[i].narrow
+		}
 		for j, ops := range w.plan {
-			vals := w.row(pending[j].row, k)[lo:hi]
+			row := w.rawRow(pending[j].row)
+			n := len(row)
+			vals := row[min(lo, n):min(hi, n)]
 			for i, op := range ops {
 				l := &w.levels[i]
 				if op == opFold {
+					if n > wide[i] {
+						l.widen(max(lo, wide[i]), min(hi, n))
+						wide[i] = n
+					}
+					narrow[i] = min(narrow[i], n)
 					l.foldColumns(vals, lo)
 					continue
 				}
 				if op&opClose != 0 {
-					cols := w.closeRows[next]
+					l.closeInto(w.closeRows[next], lo, hi, narrow[i])
 					next++
-					copy(cols[lo:hi], l.curSum[lo:hi])
-					copy(cols[k+lo:k+hi], l.curMin[lo:hi])
-					copy(cols[2*k+lo:2*k+hi], l.curMax[lo:hi])
 				}
 				if op&opSeed != 0 {
 					l.seed(vals, lo)
 				}
+				wide[i], narrow[i] = n, n
 			}
 		}
+	}
+}
+
+// widen starts the open bucket's columns [lo, hi) at sum, min and max
+// +0, the value each of its earlier rounds held there.
+func (l *frameLevel) widen(lo, hi int) {
+	if lo < hi {
+		clear(l.curSum[lo:hi])
+		clear(l.curMin[lo:hi])
+		clear(l.curMax[lo:hi])
+	}
+}
+
+// closeInto copies the open bucket's columns [lo, hi) into its closed
+// row cols (sum | min | max, a third each), clamping min and max with +0
+// from narrow on. Columns past the row are not stored.
+func (l *frameLevel) closeInto(cols []float64, lo, hi, narrow int) {
+	n := len(cols) / 3
+	if hi = min(hi, n); lo >= hi {
+		return
+	}
+	copy(cols[lo:hi], l.curSum[lo:hi])
+	mn, mx := cols[n+lo:n+hi], cols[2*n+lo:2*n+hi]
+	copy(mn, l.curMin[lo:hi])
+	copy(mx, l.curMax[lo:hi])
+	for c := max(lo, narrow) - lo; c < len(mn); c++ {
+		mn[c], mx[c] = clampZero(mn[c], mx[c])
 	}
 }
 
@@ -538,10 +681,7 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 		out = append(out, w.bucket(l.at(i), col))
 	}
 	if takeCur {
-		out = append(out, Bucket{
-			Start: l.curEnd - l.width, Count: l.curCnt,
-			Sum: l.curSum[col], Min: l.curMin[col], Max: l.curMax[col],
-		})
+		out = append(out, l.open(col))
 	}
 	return out, nil
 }
@@ -552,7 +692,6 @@ func (w *FrameWriter) query(col int, from, to time.Duration, res Resolution) ([]
 func (w *FrameWriter) queryRaw(col int, from, to time.Duration) []Bucket {
 	w.mu.RLock()
 	defer w.mu.RUnlock()
-	k := len(w.keys)
 	band := w.raw[w.rawHead:]
 	lo := sort.Search(len(band), func(i int) bool { return band[i].t >= from })
 	hi := sort.Search(len(band), func(i int) bool { return band[i].t >= to })
@@ -561,8 +700,10 @@ func (w *FrameWriter) queryRaw(col int, from, to time.Duration) []Bucket {
 	}
 	out := make([]Bucket, hi-lo)
 	for i, r := range band[lo:hi] {
-		v := w.row(r.row, k)[col]
-		out[i] = Bucket{Start: r.t, Count: 1, Sum: v, Min: v, Max: v}
+		out[i] = Bucket{Start: r.t, Count: 1}
+		if row := w.rawRow(r.row); col < len(row) {
+			out[i].Sum, out[i].Min, out[i].Max = row[col], row[col], row[col]
+		}
 	}
 	return out
 }

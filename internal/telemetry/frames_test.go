@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"slices"
@@ -332,8 +333,11 @@ func TestFramesValidation(t *testing.T) {
 	if _, err := s.Frames([]string{"g1", "g2"}); err != nil {
 		t.Errorf("frame over the keys of failed frames: %v", err)
 	}
-	if err := fw.Append(0, []float64{1}); err == nil {
-		t.Error("short round should error")
+	if err := fw.Append(0, []float64{1, 2, 3}); err == nil {
+		t.Error("round with more values than keys should error")
+	}
+	if err := fw.Append(0, []float64{1}); err != nil {
+		t.Errorf("short round: %v", err)
 	}
 	if err := fw.Append(-time.Second, []float64{1, 2}); err == nil {
 		t.Error("negative timestamp should error")
@@ -343,5 +347,16 @@ func TestFramesValidation(t *testing.T) {
 	}
 	if err := fw.Append(time.Second, []float64{1, 2}); err == nil {
 		t.Error("out-of-order round should error")
+	}
+	// The short round's missing column reads +0, raw and aggregated.
+	for _, res := range []Resolution{ResRaw, ResMinute} {
+		bs, err := s.Query("f2", 0, time.Minute, res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(bs) != 1 || bs[0].Start != 0 || bs[0].Count != 1 ||
+			math.Float64bits(bs[0].Sum)|math.Float64bits(bs[0].Min)|math.Float64bits(bs[0].Max) != 0 {
+			t.Errorf("%v: short round's missing column reads %+v, want one +0 bucket", res, bs)
+		}
 	}
 }

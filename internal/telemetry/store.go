@@ -10,7 +10,10 @@
 //
 // Keys are ingested in frames: a fixed key set sampled at shared
 // timestamps, one round per sweep (Store.Frames, FrameWriter). A key
-// sampled on its own schedule is a one-column frame.
+// sampled on its own schedule is a one-column frame. A round may stop
+// short of its frame's last keys, which then read +0 in it: the raw data
+// a round does not carry (a facility's switched-off servers) is neither
+// stored nor folded.
 //
 // # Concurrency contract
 //
