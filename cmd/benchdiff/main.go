@@ -1,12 +1,20 @@
 // Command benchdiff runs the repository's benchmark suite, emits the
-// results as machine-readable JSON, and statistically compares a run
-// against a checked-in baseline (BENCH_baseline.json at the repo root).
-// It is the benchmark-regression gate: a significant worsening beyond the
-// threshold in a gated metric fails the run.
+// results as machine-readable JSON, and statistically compares two sets
+// of results. It is the benchmark-regression gate: a significant
+// worsening beyond the threshold in a gated metric fails the run.
 //
-//	benchdiff -out BENCH_baseline.json                 # refresh the baseline
-//	benchdiff -baseline BENCH_baseline.json            # run + compare, exit 1 on regression
+//	benchdiff -base-rev HEAD                           # HEAD vs the working tree, interleaved on this host
+//	benchdiff -out results.json                        # run and record
+//	benchdiff -baseline old.json                       # run + compare against a file
 //	benchdiff -baseline old.json -candidate new.json   # compare two files, no run
+//
+// With -base-rev, the reference is the same benchmarks built from a git
+// revision: the revision is checked out with git worktree into a
+// temporary directory, each package's test binary is built once per
+// side, and the two sides run interleaved, -count rounds, alternating
+// which goes first, so both meet the same host and the same load. A
+// gate against numbers recorded on another host, or on another day,
+// compares hosts, not code.
 //
 // Metrics are classified by unit: allocs/op, B/op and ns/op are
 // lower-is-better; units containing "/sec" or "/min" (events/sec,
@@ -19,6 +27,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -26,10 +35,12 @@ import (
 	"math"
 	"os"
 	"os/exec"
+	"os/signal"
 	"runtime"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"repro/internal/stats"
 )
@@ -61,6 +72,7 @@ func run(args []string, out io.Writer) error {
 	benchtime := fs.String("benchtime", "1x", "go test -benchtime value")
 	short := fs.Bool("short", false, "pass -short to go test (skips the 10k/100k scale tiers)")
 	outFile := fs.String("out", "", "write this run's results JSON to this file")
+	baseRev := fs.String("base-rev", "", "compare against the benchmarks built at this git revision, run interleaved with the working tree's; exit 1 on gated regressions")
 	baseline := fs.String("baseline", "", "compare against this baseline JSON; exit 1 on gated regressions")
 	candidate := fs.String("candidate", "", "compare this results JSON instead of running the benchmarks")
 	gate := fs.String("gate", "allocs,throughput", "comma-separated metric classes that fail the run: allocs, throughput, time")
@@ -70,19 +82,28 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 
-	var cur Results
+	if *baseRev != "" && (*baseline != "" || *candidate != "") {
+		return fmt.Errorf("-base-rev excludes -baseline and -candidate")
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
+	var base, cur Results
 	var err error
-	if *candidate != "" {
-		f, err := loadFile(*candidate)
-		if err != nil {
-			return err
-		}
+	against := *baseline
+	switch {
+	case *baseRev != "":
+		against = "rev " + *baseRev
+		base, cur, err = runBaseRev(ctx, out, *baseRev, *bench, *packages, *benchtime, *count, *short)
+	case *candidate != "":
+		var f File
+		f, err = loadFile(*candidate)
 		cur = f.Benchmarks
-	} else {
-		cur, err = runBenchmarks(out, *bench, *packages, *benchtime, *count, *short)
-		if err != nil {
-			return err
-		}
+	default:
+		cur, err = runBenchmarks(ctx, out, *bench, *packages, *benchtime, *count, *short)
+	}
+	if err != nil {
+		return err
 	}
 	if len(cur) == 0 {
 		return fmt.Errorf("no benchmark results collected")
@@ -101,16 +122,19 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *baseline != "" {
-		base, err := loadFile(*baseline)
+		f, err := loadFile(*baseline)
 		if err != nil {
 			return err
 		}
-		report, regressions := compare(base.Benchmarks, cur, gateSet(*gate), *threshold, *alpha)
+		base = f.Benchmarks
+	}
+	if base != nil {
+		report, regressions := compare(base, cur, gateSet(*gate), *threshold, *alpha)
 		fmt.Fprint(out, report)
 		if regressions > 0 {
-			return fmt.Errorf("%d gated benchmark regression(s) vs %s", regressions, *baseline)
+			return fmt.Errorf("%d gated benchmark regression(s) vs %s", regressions, against)
 		}
-		fmt.Fprintf(out, "no gated regressions vs %s\n", *baseline)
+		fmt.Fprintf(out, "no gated regressions vs %s\n", against)
 	}
 	return nil
 }
@@ -132,7 +156,7 @@ func loadFile(path string) (File, error) {
 
 // runBenchmarks shells out to go test and folds the parsed output of all
 // packages into one result set.
-func runBenchmarks(out io.Writer, bench, packages, benchtime string, count int, short bool) (Results, error) {
+func runBenchmarks(ctx context.Context, out io.Writer, bench, packages, benchtime string, count int, short bool) (Results, error) {
 	args := []string{"test", "-run", "^$", "-bench", bench,
 		"-benchtime", benchtime, "-count", strconv.Itoa(count), "-benchmem"}
 	if short {
@@ -140,7 +164,7 @@ func runBenchmarks(out io.Writer, bench, packages, benchtime string, count int, 
 	}
 	args = append(args, strings.Split(packages, ",")...)
 	fmt.Fprintf(out, "running: go %s\n", strings.Join(args, " "))
-	cmd := exec.Command("go", args...)
+	cmd := exec.CommandContext(ctx, "go", args...)
 	var buf strings.Builder
 	cmd.Stdout = io.MultiWriter(&buf, out)
 	cmd.Stderr = os.Stderr

@@ -41,11 +41,13 @@ const rebaseEvery = 64
 //
 // Slot order is the activation order: SetTarget powers servers on from
 // slot 0 up and sheds them from the top, where an elastic fleet's Off
-// servers gather. The block keeps a live bound: every slot from it on
-// holds an Off server (server.Block.LiveEnd). The dispatch passes, Sync,
-// the trip scan and the sample fill run only over the shards before the
-// bound, clipped at it, so their cost follows the servers that are not
-// Off rather than the fleet size; the shards themselves never move.
+// servers gather, with one block kernel per call whose boots or
+// shutdowns one engine event completes. The block keeps a live bound:
+// every slot from it on holds an Off server (server.Block.LiveEnd). The
+// dispatch passes, Sync, the trip scan and the sample fill run only over
+// the shards before the bound, clipped at it, so their cost follows the
+// servers that are not Off rather than the fleet size; the shards
+// themselves never move.
 // Dispatch, Sync and the trip scan write no Off server.
 type Fleet struct {
 	block   *server.Block
@@ -281,7 +283,12 @@ func (f *Fleet) Switches() (ons, offs int) { return f.switchOns, f.switchOffs }
 // target (clamped to [0, Size]). Servers are activated in slot order and
 // deactivated from the top, so a caller that places the servers it
 // prefers in the low slots (e.g. CRAC-sensitive zones first, §5.1) gets
-// cooling-aware activation for free.
+// cooling-aware activation for free. The block boots the lowest Off
+// slots (server.Block.BootLowest), starting at the live bound when no
+// Off slot lies below it, or sheds the highest committed ones
+// (server.Block.ShedHighest); the servers one call switches share a
+// deadline, and one engine event completes them all, syncing each as
+// its own completion event would.
 func (f *Fleet) SetTarget(target int) {
 	if target < 0 {
 		target = 0
@@ -291,16 +298,7 @@ func (f *Fleet) SetTarget(target int) {
 	}
 	on := f.OnCount()
 	if on < target {
-		for slot, s := range f.servers {
-			if on == target {
-				break
-			}
-			if f.block.StateAt(slot) == server.StateOff {
-				s.PowerOn(f.engine)
-				f.switchOns++
-				on++
-			}
-		}
+		f.switchOns += f.block.BootLowest(f.engine, target-on)
 		return
 	}
 	if on > target {
@@ -310,13 +308,7 @@ func (f *Fleet) SetTarget(target int) {
 		// target stays low (the server boots to Active with no further
 		// SetTarget call to reconcile it). Slots from the live bound on
 		// are Off.
-		for slot := f.block.LiveEnd() - 1; slot >= 0 && on > target; slot-- {
-			if st := f.block.StateAt(slot); st == server.StateActive || st == server.StateBooting {
-				f.servers[slot].PowerOff(f.engine)
-				f.switchOffs++
-				on--
-			}
-		}
+		f.switchOffs += f.block.ShedHighest(f.engine, on-target)
 	}
 }
 

@@ -3,6 +3,7 @@ package geo
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 
 	"repro/internal/sim"
@@ -24,6 +25,8 @@ type Federation struct {
 	weights     []float64
 	stats       []SiteStats
 	closed      bool
+	// running counts the site goroutines that have not exited yet.
+	running sync.WaitGroup
 
 	// Roll-up accumulators, maintained at barriers in site order.
 	peakPowerW        float64
@@ -97,7 +100,9 @@ func New(cfg Config) (*Federation, error) {
 		for _, s := range f.sites {
 			s.cmds = make(chan advance)
 			s.errs = make(chan error)
+			f.running.Add(1)
 			go func(s *Site) {
+				defer f.running.Done()
 				for a := range s.cmds {
 					s.errs <- s.runTo(a)
 				}
@@ -214,7 +219,9 @@ func (f *Federation) barrier() error {
 	return err
 }
 
-// Close releases the site goroutines and worker pools. Idempotent.
+// Close releases the site goroutines and worker pools, and returns once
+// every site goroutine has exited, so none of them still holds its site
+// after Close. Idempotent.
 func (f *Federation) Close() {
 	if f.closed {
 		return
@@ -229,6 +236,7 @@ func (f *Federation) Close() {
 		}
 		s.pool.Close()
 	}
+	f.running.Wait()
 }
 
 // Now reports the federation's virtual time.

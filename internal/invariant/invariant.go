@@ -14,17 +14,20 @@
 // are checked in full after every event. A fleet is checked at
 // O(changes): after each event the checker checks only the servers whose
 // columns changed since its last check (core.Fleet.Changed) and compares
-// its own per-state counts with the fleet's O(1) counters. Once every
-// Size() events, and whenever Err or Violations is read, it sweeps every
-// server of the fleet and cross-validates the fleet's derived columns and
-// maintained aggregates against a full recompute. A power tree is read
-// after every event but evaluated and walked only when its raw leaf
-// readings, its node count or its strictness differ from its last walk,
-// or when that walk found a violation; ratings and loss models are fixed
-// at construction, so a skipped walk would have reported nothing. A
-// server's name is formatted only for a report. Checks are read-only —
-// the checker never advances, syncs, or otherwise mutates a substrate —
-// so an armed run is behaviourally identical to an unarmed one.
+// its own per-state counts with the fleet's O(1) counters. The boots or
+// shutdowns of one SetTarget call complete in one event, so the checker
+// sees the whole batch's change set at once. Once every Size() events,
+// a batch counting as one, and whenever Err or Violations is read, it
+// sweeps every server of the fleet and cross-validates the fleet's
+// derived columns and maintained aggregates against a full recompute. A
+// power tree is read after every event but evaluated and walked only
+// when its raw leaf readings, its node count or its strictness differ
+// from its last walk, or when that walk found a violation; ratings and
+// loss models are fixed at construction, so a skipped walk would have
+// reported nothing. A server's name is formatted only for a report.
+// Checks are read-only — the checker never advances, syncs, or otherwise
+// mutates a substrate — so an armed run is behaviourally identical to an
+// unarmed one.
 package invariant
 
 import (

@@ -26,7 +26,14 @@ import (
 // writeSlot; they fold the same deltas in the same order as a writeSlot
 // per slot, through the same foldChange, so the bits are the per-slot
 // write's. A loop over the slots that are not Off may stop at the
-// block's live bound (LiveEnd), which PowerOn raises.
+// block's live bound (LiveEnd), which a boot raises.
+//
+// Two more kernels switch a fleet's servers: BootLowest boots the lowest
+// Off slots and ShedHighest shuts down the highest Active or Booting
+// ones. Every slot one call switches shares one deadline, so one engine
+// event completes them all: a batch that syncs the slots in switch order
+// when it fires. A handle's PowerOn or PowerOff is a batch of one. The
+// block recycles a batch after it fires.
 type Block struct {
 	cfg Config
 	// suffix names slot k "<cfg.Name>-<k>"; a standalone server from New
@@ -69,6 +76,8 @@ type Block struct {
 	// nil until TrackChanges.
 	changed []bool
 	live    int // every slot from live on is Off (see LiveEnd)
+	// free lists the completion batches that have fired, for reuse.
+	free *batch
 }
 
 // Sums are the aggregates over a block's slots, maintained where the
@@ -79,9 +88,10 @@ type Block struct {
 type Sums struct {
 	// PowerW and EnergyJ are the total draw and energy.
 	PowerW, EnergyJ float64
-	// On counts active and booting slots, Active the active ones, Trips
-	// the protective thermal shutdowns, Boots the boots started.
-	On, Active, Trips, Boots int
+	// On counts active and booting slots, Active the active ones, Live
+	// the slots that are not Off, Trips the protective thermal shutdowns,
+	// Boots the boots started.
+	On, Active, Live, Trips, Boots int
 	// Rack and Zone are the per-group power sums (nil without groups).
 	Rack, Zone []float64
 	changes    []int32
@@ -143,9 +153,6 @@ func (b *Block) name(slot int) string {
 	}
 	return fmt.Sprintf("%s-%03d", b.cfg.Name, slot)
 }
-
-// StateAt reports slot's lifecycle state.
-func (b *Block) StateAt(slot int) State { return b.state[slot] }
 
 // PowerAt reports slot's instantaneous draw.
 func (b *Block) PowerAt(slot int) float64 { return b.power[slot] }
@@ -324,6 +331,7 @@ func (b *Block) writeSlot(p *Sums, slot int, now time.Duration, dt float64, w *w
 	if st != st0 {
 		p.On += committed(st) - committed(st0)
 		p.Active += activeIn(st) - activeIn(st0)
+		p.Live += liveIn(st) - liveIn(st0)
 	}
 	b.foldChange(p, int32(slot), d)
 	return took
@@ -344,7 +352,8 @@ func (b *Block) foldChange(p *Sums, slot int32, d float64) {
 	}
 }
 
-// committed and activeIn count a state into the on and active counts.
+// committed, activeIn and liveIn count a state into the on, active and
+// live counts.
 func committed(st State) int {
 	if st == StateActive || st == StateBooting {
 		return 1
@@ -354,6 +363,13 @@ func committed(st State) int {
 
 func activeIn(st State) int {
 	if st == StateActive {
+		return 1
+	}
+	return 0
+}
+
+func liveIn(st State) int {
+	if st != StateOff {
 		return 1
 	}
 	return 0
@@ -554,7 +570,7 @@ func (b *Block) ObserveInlets(p *Sums, now time.Duration, lo, hi int, inletOf []
 
 // LiveEnd returns the live bound, trimmed past the Off slots at the top:
 // one past the highest slot that is not Off, 0 if every slot is Off. The
-// trim is amortized O(1): each slot it passes on the way down, a PowerOn
+// trim is amortized O(1): each slot it passes on the way down, a boot
 // passed on the way up.
 func (b *Block) LiveEnd() int {
 	for b.live > 0 && b.state[b.live-1] == StateOff {
@@ -571,13 +587,132 @@ func (b *Block) CheckPState(slot, idx int) error {
 	return nil
 }
 
-// completeAt syncs slot at its boot or shutdown deadline.
-func (b *Block) completeAt(e *sim.Engine, slot int) {
-	h := &b.handles[slot]
-	if h.done == nil {
-		h.done = func(e *sim.Engine) { h.Sync(e.Now()) }
+// BootLowest boots the n lowest Off slots at e's clock, as a PowerOn of
+// each in slot order would, and raises the live bound past them. One
+// event at their shared ready time completes them all. It reports how
+// many it booted, fewer than n only if fewer slots are Off. When every
+// slot below the live bound is on (Sums.Live equals LiveEnd), the scan
+// starts at the bound.
+func (b *Block) BootLowest(e *sim.Engine, n int) int {
+	if n <= 0 {
+		return 0
 	}
-	e.At(b.due[slot], h.done)
+	lo := 0
+	if end := b.LiveEnd(); b.sums.Live == end {
+		lo = end
+	}
+	now, state, lastAt := e.Now(), b.state, b.lastAt
+	bt := b.batch()
+	w := writeArgs{op: opOn}
+	var dt float64
+	last := time.Duration(-1)
+	for slot := lo; slot < len(state) && len(bt.slots) < n; slot++ {
+		if state[slot] != StateOff {
+			continue
+		}
+		if at := lastAt[slot]; at != last {
+			dt, last = b.since(slot, now), at
+		}
+		b.writeSlot(&b.sums, slot, now, dt, &w)
+		bt.slots = append(bt.slots, int32(slot))
+	}
+	k := len(bt.slots)
+	if k > 0 {
+		b.live = max(b.live, int(bt.slots[k-1])+1)
+	}
+	b.schedule(e, bt, now+b.cfg.BootDelay)
+	return k
+}
+
+// ShedHighest shuts down the n highest Active or Booting slots at e's
+// clock, from the live bound down, as a PowerOff of each in that order
+// would. One event at their shared off time completes them all. It
+// reports how many it shut down, fewer than n only if fewer slots are
+// Active or Booting.
+func (b *Block) ShedHighest(e *sim.Engine, n int) int {
+	if n <= 0 {
+		return 0
+	}
+	now, state, lastAt := e.Now(), b.state, b.lastAt
+	bt := b.batch()
+	w := writeArgs{op: opOff}
+	var dt float64
+	last := time.Duration(-1)
+	for slot := b.LiveEnd() - 1; slot >= 0 && len(bt.slots) < n; slot-- {
+		if st := state[slot]; st != StateActive && st != StateBooting {
+			continue
+		}
+		if at := lastAt[slot]; at != last {
+			dt, last = b.since(slot, now), at
+		}
+		b.writeSlot(&b.sums, slot, now, dt, &w)
+		bt.slots = append(bt.slots, int32(slot))
+	}
+	k := len(bt.slots)
+	b.schedule(e, bt, now+b.cfg.ShutdownDelay)
+	return k
+}
+
+// completeAt completes slot's boot or shutdown at its deadline: a batch
+// of one.
+func (b *Block) completeAt(e *sim.Engine, slot int) {
+	bt := b.batch()
+	bt.slots = append(bt.slots, int32(slot))
+	b.schedule(e, bt, b.due[slot])
+}
+
+// A batch completes the boots or shutdowns of one switch: the slots it
+// switched, in switch order, which share one deadline. Its handler is
+// bound once, when the batch is made.
+type batch struct {
+	b     *Block
+	slots []int32
+	fire  sim.Handler
+	next  *batch // the next free batch
+}
+
+// batch returns an empty batch, a fired one if the block has one.
+func (b *Block) batch() *batch {
+	bt := b.free
+	if bt == nil {
+		bt = &batch{b: b}
+		bt.fire = bt.run
+		return bt
+	}
+	b.free, bt.next = bt.next, nil
+	return bt
+}
+
+// schedule fires bt at its deadline, or frees it at once if it holds no
+// slot.
+func (b *Block) schedule(e *sim.Engine, bt *batch, at time.Duration) {
+	if len(bt.slots) == 0 {
+		bt.next, b.free = b.free, bt
+		return
+	}
+	e.At(at, bt.fire)
+}
+
+// run syncs every slot of the batch at the deadline, in switch order, as
+// a Sync of each would, into the block's sums: whatever a slot's state
+// is now, since a boot aborted by a shutdown, a crash or a trip still
+// moves the slot's energy and last write. It computes the elapsed
+// seconds once per run of equal last writes, then frees the batch.
+func (bt *batch) run(e *sim.Engine) {
+	b, now := bt.b, e.Now()
+	lastAt := b.lastAt
+	w := writeArgs{op: opSync}
+	var dt float64
+	last := time.Duration(-1)
+	for _, s := range bt.slots {
+		slot := int(s)
+		if at := lastAt[slot]; at != last {
+			dt, last = b.since(slot, now), at
+		}
+		b.writeSlot(&b.sums, slot, now, dt, &w)
+	}
+	bt.slots = bt.slots[:0]
+	bt.next, b.free = b.free, bt
 }
 
 // Partial returns an empty Sums shaped like the block's, for one shard of
@@ -597,8 +732,9 @@ func (b *Block) Merge(p *Sums) {
 	s := &b.sums
 	s.PowerW += p.PowerW
 	s.EnergyJ += p.EnergyJ
-	s.On, s.Active, s.Trips, s.Boots = s.On+p.On, s.Active+p.Active, s.Trips+p.Trips, s.Boots+p.Boots
-	p.PowerW, p.EnergyJ, p.On, p.Active, p.Trips, p.Boots = 0, 0, 0, 0, 0, 0
+	s.On, s.Active, s.Live = s.On+p.On, s.Active+p.Active, s.Live+p.Live
+	s.Trips, s.Boots = s.Trips+p.Trips, s.Boots+p.Boots
+	p.PowerW, p.EnergyJ, p.On, p.Active, p.Live, p.Trips, p.Boots = 0, 0, 0, 0, 0, 0, 0
 	s.changes = append(s.changes, p.changes...)
 	p.changes = p.changes[:0]
 	if p.groupDirty {
@@ -686,11 +822,12 @@ func (b *Block) Rebase() (driftW, exactW float64) {
 // maintained sums against a fresh scan: columns and counters must match
 // exactly, float sums within relTol·max(|a|,|b|) + absTol.
 func (b *Block) VerifyAggregates(relTol, absTol float64) error {
-	on, active, trips, boots := 0, 0, 0, 0
+	on, active, live, trips, boots := 0, 0, 0, 0, 0
 	var pw, en float64
 	for i, st := range b.state {
 		on += committed(st)
 		active += activeIn(st)
+		live += liveIn(st)
 		trips += int(b.trips[i])
 		boots += int(b.boots[i])
 		idle := b.idleOf(b.parked[i])
@@ -713,6 +850,9 @@ func (b *Block) VerifyAggregates(relTol, absTol float64) error {
 	}
 	if active != s.Active {
 		return fmt.Errorf("server: maintained active count %d != scan %d", s.Active, active)
+	}
+	if live != s.Live {
+		return fmt.Errorf("server: maintained live count %d != scan %d", s.Live, live)
 	}
 	if trips != s.Trips {
 		return fmt.Errorf("server: maintained trips %d != scan %d", s.Trips, trips)

@@ -76,6 +76,7 @@ func TestVerifyAggregatesNamesEachCorruption(t *testing.T) {
 	}{
 		{"maintained on count", &b.sums.On},
 		{"maintained active count", &b.sums.Active},
+		{"maintained live count", &b.sums.Live},
 		{"maintained trips", &b.sums.Trips},
 		{"maintained boots", &b.sums.Boots},
 	}
@@ -104,8 +105,10 @@ func requireNamed(t *testing.T, b *Block, want string) {
 
 // TestCompletionsFireAtDeadlines: boots and shutdowns issued at
 // different times, with an aborted boot among them, complete each slot
-// at its own deadline on one shared engine, and a slot's second boot
-// reuses the completion handler its first bound.
+// at its own deadline on one shared engine. The aborted boot's
+// completion still syncs its slot at the ready time, though the slot is
+// Off by then, and a warm block's switches reuse the completion batches
+// that have fired.
 func TestCompletionsFireAtDeadlines(t *testing.T) {
 	cfg := DefaultConfig()
 	b, err := NewBlock(cfg, 4)
@@ -130,6 +133,9 @@ func TestCompletionsFireAtDeadlines(t *testing.T) {
 		if got := s[i].State(); got != w {
 			t.Errorf("slot %d at %v: state %v, want %v", i, e.Now(), got, w)
 		}
+	}
+	if s[2].LastSyncAt() != cfg.BootDelay {
+		t.Errorf("slot 2 synced at %v, want its aborted boot's ready time %v", s[2].LastSyncAt(), cfg.BootDelay)
 	}
 	if solo.State() != StateActive || solo.LastSyncAt() != cfg.BootDelay {
 		t.Errorf("standalone server: %v synced at %v, want active at %v", solo.State(), solo.LastSyncAt(), cfg.BootDelay)

@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // kernelBlock decodes data into a block of at most 64 slots for
@@ -19,9 +21,12 @@ import (
 // rack and zone maps (any slot in any group) with a per-zone inlet table
 // for the trip scan (each inlet NaN, or within 6 °C below to 10 °C above
 // the trip threshold, the threshold itself included), and change
-// tracking, with some slots already in the change set. Missing bytes
-// read as zero.
-func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int, inletOf []float64) {
+// tracking, with some slots already in the change set. The live bound is
+// n, which LiveEnd trims, and Sums.Live counts the slots decoded not Off,
+// so Off slots below the bound (holes) come and go with the bytes. The
+// last bytes give the number of slots the switch kernels boot and shed,
+// and the delay between the two. Missing bytes read as zero.
+func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int, inletOf []float64, sw switches) {
 	next := func() int {
 		if len(data) == 0 {
 			return 0
@@ -86,8 +91,18 @@ func kernelBlock(now time.Duration, data []byte) (b *Block, lo, hi int, inletOf 
 			b.changed[i] = true
 			b.sums.changes = append(b.sums.changes, int32(i))
 		}
+		b.sums.Live += liveIn(st)
 	}
-	return b, lo, hi, inletOf
+	b.live = n
+	sw = switches{boot: next() % (n + 2), shed: next() % (n + 2), after: time.Duration(next()%128) * time.Second}
+	return b, lo, hi, inletOf, sw
+}
+
+// switches are the switch kernels' inputs in FuzzBlockKernels: boot
+// slots, then, after a delay, shed slots.
+type switches struct {
+	boot, shed int
+	after      time.Duration
 }
 
 // cloneBlock copies every column, the group maps, the change flags and
@@ -118,6 +133,7 @@ func cloneBlock(b *Block) *Block {
 	}
 	c.changed = slices.Clone(b.changed)
 	c.sums = cloneSums(&b.sums)
+	c.live = b.live
 	return c
 }
 
@@ -179,7 +195,8 @@ func requireSameSums(t *testing.T, what string, got, want *Sums) {
 	}
 	if math.Float64bits(got.PowerW) != math.Float64bits(want.PowerW) ||
 		math.Float64bits(got.EnergyJ) != math.Float64bits(want.EnergyJ) ||
-		got.On != want.On || got.Active != want.Active || got.Trips != want.Trips || got.Boots != want.Boots ||
+		got.On != want.On || got.Active != want.Active || got.Live != want.Live ||
+		got.Trips != want.Trips || got.Boots != want.Boots ||
 		!same(got.Rack, want.Rack) || !same(got.Zone, want.Zone) ||
 		!slices.Equal(got.changes, want.changes) || got.groupDirty != want.groupDirty {
 		t.Fatalf("%s sums %+v, per-slot writes %+v", what, *got, *want)
@@ -199,6 +216,14 @@ func requireSameSums(t *testing.T, what string, got, want *Sums) {
 // capacities, and after each kernel every column, change flag and sum of
 // the two blocks must agree bit for bit, the change sets in the same
 // order; a slot outside the range must not move.
+//
+// Then both blocks merge their partials and switch, each on its own
+// engine: the block boots with BootLowest and, a delay later, sheds with
+// ShedHighest, one completion event per call; the copy makes the same
+// switches one handle at a time, as SetTarget's loop of PowerOn and
+// PowerOff calls would, one completion event each. Both engines run to
+// the shed, and then past every deadline. After each step the two blocks
+// must agree bit for bit as above, and on the switch counts and LiveEnd.
 func FuzzBlockKernels(f *testing.F) {
 	// Seeds of random bytes, one per combination of flags, at fills in
 	// and out of [0, 1].
@@ -217,9 +242,26 @@ func FuzzBlockKernels(f *testing.F) {
 	data[0], data[1], data[2], data[3], data[5] = 63, 6, 0, 64, 3
 	copy(data[6+2*64:], []byte{7, 0, 96, 200})
 	f.Add(0.6, uint8(30), data)
+	// A block without holes: the first 12 of 16 slots are Booting, Active
+	// or ShuttingDown in turn, with deadlines the kernels do not reach,
+	// and the rest Off, so the boot starts at the live bound.
+	data = []byte{15, 0, 0, 16}
+	for i := range 16 {
+		st := byte(0)
+		if i < 12 {
+			st = byte(1 + i%3)
+		}
+		data = append(data, st, 127, 0, 255, 0) // state, due, P-state, throttle, parked
+		if st == 2 {
+			data = append(data, 128) // utilization
+		}
+		data = append(data, byte(i), byte(i%4)) // energy, last write
+	}
+	data = append(data, 6, 9, 30) // boot 6, then shed 9 after 30 s
+	f.Add(0.6, uint8(5), data)
 	f.Fuzz(func(t *testing.T, fill float64, syncAfter uint8, data []byte) {
 		now := 10 * time.Minute
-		b, lo, hi, inletOf := kernelBlock(now, data)
+		b, lo, hi, inletOf, sw := kernelBlock(now, data)
 		ref := cloneBlock(b)
 		p, rp := b.Partial(), ref.Partial()
 
@@ -273,5 +315,73 @@ func FuzzBlockKernels(f *testing.F) {
 			ref.writeSlot(&rp, slot, now, ref.since(slot, now), &writeArgs{op: opSync})
 		}
 		requireSameBlock(t, "SyncSlots", b, ref, &p, &rp)
+
+		b.Merge(&p)
+		ref.Merge(&rp)
+		e, re := sim.NewEngine(1), sim.NewEngine(1)
+		runTo := func(what string, at time.Duration) {
+			t.Helper()
+			if err := e.Run(at); err != nil {
+				t.Fatal(err)
+			}
+			if err := re.Run(at); err != nil {
+				t.Fatal(err)
+			}
+			requireSameSwitch(t, what, b, ref, &p, &rp)
+		}
+		runTo("before the switches", now)
+		// oneEvent requires that a kernel call that switched k slots
+		// scheduled one completion event, or none if k is 0.
+		oneEvent := func(what string, before, k int) {
+			t.Helper()
+			if got := e.Pending() - before; got != min(k, 1) {
+				t.Fatalf("%s switched %d slots and scheduled %d events", what, k, got)
+			}
+		}
+		pending := e.Pending()
+		k := b.BootLowest(e, sw.boot)
+		oneEvent("BootLowest", pending, k)
+		rk := 0
+		for slot := range ref.state {
+			if rk == sw.boot {
+				break
+			}
+			if ref.state[slot] == StateOff {
+				ref.handles[slot].PowerOn(re)
+				rk++
+			}
+		}
+		if k != rk {
+			t.Fatalf("BootLowest(%d) booted %d, PowerOn calls %d", sw.boot, k, rk)
+		}
+		requireSameSwitch(t, "BootLowest", b, ref, &p, &rp)
+		now += sw.after
+		runTo("between the switches", now)
+		pending = e.Pending()
+		k, rk = b.ShedHighest(e, sw.shed), 0
+		oneEvent("ShedHighest", pending, k)
+		for slot := ref.LiveEnd() - 1; slot >= 0 && rk < sw.shed; slot-- {
+			if st := ref.state[slot]; st == StateActive || st == StateBooting {
+				ref.handles[slot].PowerOff(re)
+				rk++
+			}
+		}
+		if k != rk {
+			t.Fatalf("ShedHighest(%d) shed %d, PowerOff calls %d", sw.shed, k, rk)
+		}
+		requireSameSwitch(t, "ShedHighest", b, ref, &p, &rp)
+		runTo("past every deadline", now+b.cfg.BootDelay+b.cfg.ShutdownDelay)
+		if e.Pending() != 0 || re.Pending() != 0 {
+			t.Fatalf("%d and %d completions pending past every deadline", e.Pending(), re.Pending())
+		}
 	})
+}
+
+// requireSameSwitch is requireSameBlock plus the live bound.
+func requireSameSwitch(t *testing.T, what string, got, want *Block, gp, wp *Sums) {
+	t.Helper()
+	requireSameBlock(t, what, got, want, gp, wp)
+	if g, w := got.LiveEnd(), want.LiveEnd(); g != w {
+		t.Fatalf("%s: live bound %d, per-slot writes %d", what, g, w)
+	}
 }

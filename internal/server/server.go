@@ -251,8 +251,6 @@ func (c *Config) curveFraction(u float64) float64 {
 type Server struct {
 	b *Block
 	i int
-	// done completes the slot's boots and shutdowns; bound on its first.
-	done sim.Handler
 }
 
 // New builds a standalone server in the Off state: a one-slot block.
@@ -369,8 +367,9 @@ func (s *Server) ParkCores(now time.Duration, n int) error {
 
 // PowerOn starts booting the server using the engine's clock, charging the
 // boot energy immediately. It is a no-op unless the server is Off. An
-// event at the ready time completes the boot. As the one write that takes
-// a server out of Off, it raises the block's live bound (Block.LiveEnd).
+// event at the ready time completes the boot: a completion batch of one,
+// on the path Block.BootLowest's batches take. Like every boot, it raises
+// the block's live bound (Block.LiveEnd).
 func (s *Server) PowerOn(e *sim.Engine) {
 	if s.b.writeOne(s.i, e.Now(), writeArgs{op: opOn}) {
 		s.b.live = max(s.b.live, s.i+1)
@@ -383,6 +382,9 @@ func (s *Server) PowerOn(e *sim.Engine) {
 // (the boot energy is already spent and is not refunded), so an elastic
 // controller that lowers its target during a boot window actually sheds
 // the committed capacity. It is a no-op when Off or already ShuttingDown.
+// An event at the off time completes the shutdown, a completion batch of
+// one as for PowerOn; an aborted boot's own completion still fires at
+// its ready time and syncs the server there.
 func (s *Server) PowerOff(e *sim.Engine) {
 	if s.b.writeOne(s.i, e.Now(), writeArgs{op: opOff}) {
 		s.b.completeAt(e, s.i)
