@@ -127,6 +127,56 @@ func BenchmarkAblateHysteresis(b *testing.B) { runExp(b, "ablate-hysteresis") }
 // conversion (design-choice ablation, after [11]).
 func BenchmarkAblateDC(b *testing.B) { runExp(b, "ablate-dc") }
 
+// BenchmarkFaultOutage runs §2.1's backup chain through a 45-minute
+// utility loss, with the generator starting and with every start
+// failing (fault extension).
+func BenchmarkFaultOutage(b *testing.B) { runExp(b, "fault-outage") }
+
+// BenchmarkFaultCRAC fails one of two CRAC units for six hours under
+// heavy load, unmanaged and under the shedding ladder (fault extension).
+func BenchmarkFaultCRAC(b *testing.B) { runExp(b, "fault-crac") }
+
+// BenchmarkFaultSensor runs a supervised room through a sensor blackout
+// and a stuck-sensor window, naive and guarded (fault extension).
+func BenchmarkFaultSensor(b *testing.B) { runExp(b, "fault-sensor") }
+
+// BenchmarkFaultRack spends the same server downtime as one whole rack
+// and as dispersed single crashes behind the retry loop (fault
+// extension).
+func BenchmarkFaultRack(b *testing.B) { runExp(b, "fault-rack") }
+
+// BenchmarkUsersSurge replays §3's Animoto surge as per-class user
+// arrivals through admission control at three power budgets.
+func BenchmarkUsersSurge(b *testing.B) { runExp(b, "users-surge") }
+
+// BenchmarkUsersFlash replays Figure 3's Messenger week, flash crowds
+// included, through admission control on a fixed fleet.
+func BenchmarkUsersFlash(b *testing.B) { runExp(b, "users-flash") }
+
+// BenchmarkUsersQmin sweeps the fair-share floor at 1.5× overload: the
+// rejection-versus-degradation knob.
+func BenchmarkUsersQmin(b *testing.B) { runExp(b, "users-qmin") }
+
+// BenchmarkRetryStorm triggers a retry storm with a capacity dip under
+// four client populations (metastability extension).
+func BenchmarkRetryStorm(b *testing.B) { runExp(b, "retry-storm") }
+
+// BenchmarkRetryBudget spikes demand against naive, backoff and budget
+// clients with the breaker off (metastability extension).
+func BenchmarkRetryBudget(b *testing.B) { runExp(b, "retry-budget") }
+
+// BenchmarkGeoDiurnal compares home, static and weighted routing over a
+// day of offset diurnals at four federated sites (§3.2 extension).
+func BenchmarkGeoDiurnal(b *testing.B) { runExp(b, "geo-diurnal") }
+
+// BenchmarkGeoBrownout drains a dipped site's share to its siblings,
+// static shares against the weighted router (§3.2 extension).
+func BenchmarkGeoBrownout(b *testing.B) { runExp(b, "geo-brownout") }
+
+// BenchmarkGeoCarbon compares carbon-blind and carbon-aware weighting
+// over per-site grid-intensity diurnals (§3.2 extension).
+func BenchmarkGeoCarbon(b *testing.B) { runExp(b, "geo-carbon") }
+
 // suiteIDs is the full experiment suite minus telemetry: that experiment
 // is itself a wall-clock microbenchmark (ingest points/min), so timing it
 // inside another benchmark — or racing it against sibling jobs — measures

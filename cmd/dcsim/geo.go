@@ -16,7 +16,8 @@ import (
 // (admission always, the retry loop when -retry asks, the full facility
 // substrate when -facility is set). Demand comes from the federation's
 // shared global trace and every site runs a 100 ms SLA, so validate
-// rejects -sla, -min-load and -max-load when -sites is given.
+// rejects -sla, -min-load and -max-load when -sites is given. Each site
+// runs its shard loops at -workers, which parseFlags has resolved.
 func (o options) geoConfig() geo.Config {
 	policy, retryOn, _ := parseRetry(o.retryStr)
 	cfg := geo.Config{

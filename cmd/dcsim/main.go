@@ -118,10 +118,13 @@ type options struct {
 // maxDays is the longest -days whose horizon a time.Duration holds.
 const maxDays = int(math.MaxInt64 / int64(24*time.Hour))
 
+// maxSLA is the longest -sla whose delay-trigger threshold, computed as
+// SLA·6/10, a time.Duration holds.
+const maxSLA = int(math.MaxInt64 / int64(6*time.Millisecond))
+
 // validate collects every flag violation into one error, so a user with
 // three bad flags fixes all three after one run instead of playing
-// whack-a-mole. (This replaces the old early-return checks, which
-// reported only the first problem — and skipped -speedup entirely.)
+// whack-a-mole. Float checks are written so that NaN fails them.
 func (o options) validate() error {
 	var problems []string
 	bad := func(format string, args ...any) {
@@ -140,18 +143,20 @@ func (o options) validate() error {
 	}
 	if o.slaMS <= 0 {
 		bad("-sla %d must be positive", o.slaMS)
+	} else if o.slaMS > maxSLA {
+		bad("-sla %d must be at most %d (a longer target overflows the delay trigger)", o.slaMS, maxSLA)
 	}
-	if o.minFrac < 0 {
+	if !(o.minFrac >= 0) {
 		bad("-min-load %v must be non-negative", o.minFrac)
 	}
-	if o.maxFrac > 1 {
+	if !(o.maxFrac <= 1) {
 		bad("-max-load %v must be at most 1", o.maxFrac)
 	}
-	if o.minFrac >= o.maxFrac {
+	if !(o.minFrac < o.maxFrac) {
 		bad("-min-load %v must be below -max-load %v", o.minFrac, o.maxFrac)
 	}
-	if o.speedup <= 0 {
-		bad("-speedup %v must be positive", o.speedup)
+	if !(o.speedup > 0) || math.IsInf(o.speedup, 1) {
+		bad("-speedup %v must be positive and finite", o.speedup)
 	}
 	if o.serveMode && o.csvPath != "" {
 		bad("-csv is not supported with -serve (samples are written when a batch run ends)")
@@ -179,8 +184,10 @@ func (o options) validate() error {
 	if err := o.carbonModel().Validate(); err != nil {
 		bad("-carbon/-carbon-swing: %v", err)
 	}
-	if o.workers < 0 {
-		bad("-workers %d must be non-negative", o.workers)
+	if o.workers < 0 || o.workers > par.MaxShards {
+		// No shard list has more than par.MaxShards shards, so wider
+		// pools only idle, and each worker is a goroutine started up front.
+		bad("-workers %d must be between 0 and %d", o.workers, par.MaxShards)
 	}
 	if o.sites != 0 && o.sites < 2 {
 		bad("-sites %d must be at least 2 (0 = single site)", o.sites)
@@ -222,7 +229,21 @@ func (o options) carbonModel() carbon.Model {
 }
 
 func run(args []string, stdout io.Writer) error {
+	o, err := parseFlags(args, os.Stderr)
+	if err != nil {
+		return err
+	}
+	return o.execute(stdout)
+}
+
+// parseFlags parses and validates the command line, and resolves
+// -workers 0 to GOMAXPROCS, at most par.MaxShards, for both the
+// single-site and the federated path. It builds and runs nothing, so any
+// argument vector is safe to pass. The flag set's usage and parse
+// errors go to stderr.
+func parseFlags(args []string, stderr io.Writer) (options, error) {
 	fs := flag.NewFlagSet("dcsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var o options
 	fs.StringVar(&o.modeStr, "mode", "coordinated", "policy mode")
 	fs.IntVar(&o.fleet, "fleet", 40, "fleet size")
@@ -240,26 +261,35 @@ func run(args []string, stdout io.Writer) error {
 	fs.Float64Var(&o.speedup, "speedup", 60, "virtual seconds per wall second for -serve")
 	fs.Float64Var(&o.carbonBase, "carbon", carbon.DefaultGridGPerKWh, "grid carbon intensity base (gCO2e/kWh)")
 	fs.Float64Var(&o.carbonSwing, "carbon-swing", 0.2, "diurnal carbon intensity swing fraction [0,1)")
-	fs.IntVar(&o.workers, "workers", 0, "worker count for the sharded per-tick loops (0 = GOMAXPROCS, 1 = serial; any value gives identical results)")
+	fs.IntVar(&o.workers, "workers", 0, fmt.Sprintf("worker count for the sharded per-tick loops (0 = GOMAXPROCS, 1 = serial, at most %d; any value gives identical results)", par.MaxShards))
 	fs.IntVar(&o.sites, "sites", 0, "federated-site count (0 = single site; ≥2 runs one facility per site behind the epoch-synchronized global router)")
 	if err := fs.Parse(args); err != nil {
-		return err
+		return options{}, err
+	}
+	if fs.NArg() > 0 {
+		// The flag package stops at the first non-flag argument, so any
+		// flag after it would be silently ignored.
+		return options{}, fmt.Errorf("unexpected argument %q (dcsim takes flags only)", fs.Arg(0))
 	}
 	o.set = map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { o.set[f.Name] = true })
 	if err := o.validate(); err != nil {
-		return err
+		return options{}, err
 	}
+	if o.workers == 0 {
+		o.workers = min(runtime.GOMAXPROCS(0), par.MaxShards)
+	}
+	return o, nil
+}
+
+// execute runs the simulation o describes, batch or served, single-site
+// or federated. o must come from parseFlags.
+func (o options) execute(stdout io.Writer) error {
 	if o.sites >= 2 {
 		return runGeo(o, stdout)
 	}
 	mode, _ := parseMode(o.modeStr)
-
-	workers := o.workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	pool := par.New(workers)
+	pool := par.New(o.workers)
 	defer pool.Close()
 
 	srvCfg := server.DefaultConfig()

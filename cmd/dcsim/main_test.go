@@ -2,12 +2,16 @@ package main
 
 import (
 	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -141,6 +145,15 @@ func TestRunValidation(t *testing.T) {
 		{[]string{"-fleet", "8", "-days", "1", "-carbon-swing", "0.5"}, "-carbon-swing 0.5 is not supported in a single-site batch run"},
 		{[]string{"-sites", "2", "-speedup", "5"}, "-speedup 5 is not supported without -serve"},
 		{[]string{"-sites", "2", "-listen", "bogus"}, `-listen "bogus" is not supported without -serve`},
+		{[]string{"-workers", "-1"}, "-workers -1 must be between 0 and 64"},
+		{[]string{"-workers", "65"}, "-workers 65 must be between 0 and 64"},
+		{[]string{"-sites", "2", "-workers", "1000000"}, "-workers 1000000 must be between 0 and 64"},
+		{[]string{"-min-load", "NaN"}, "-min-load NaN must be non-negative"},
+		{[]string{"-max-load", "NaN"}, "-max-load NaN must be at most 1"},
+		{[]string{"-serve", "-speedup", "NaN"}, "-speedup NaN must be positive and finite"},
+		{[]string{"-serve", "-speedup", "+Inf"}, "-speedup +Inf must be positive and finite"},
+		{[]string{"-sla", "1537228672810"}, "-sla 1537228672810 must be at most 1537228672809"},
+		{[]string{"-fleet", "8", "extra", "-days", "0"}, `unexpected argument "extra"`},
 	} {
 		t.Run(strings.Join(tc.args, " "), func(t *testing.T) {
 			err := run(tc.args, io.Discard)
@@ -277,4 +290,88 @@ func TestValidateAcceptsFlagsThePathReads(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
+}
+
+// TestWorkersResolvedOnBothPaths: -workers 0 means GOMAXPROCS, at most
+// par.MaxShards, on the federated path as on the single-site one; an
+// explicit width passes through unchanged.
+func TestWorkersResolvedOnBothPaths(t *testing.T) {
+	for _, tc := range []struct {
+		workers string
+		want    int
+	}{{"0", min(runtime.GOMAXPROCS(0), par.MaxShards)}, {"1", 1}, {"3", 3}, {"64", 64}} {
+		o, err := parseFlags([]string{"-sites", "2", "-workers", tc.workers}, io.Discard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := o.geoConfig().SiteWorkers; got != tc.want {
+			t.Errorf("-workers %s: SiteWorkers %d, want %d", tc.workers, got, tc.want)
+		}
+		if err := o.geoConfig().Validate(); err != nil {
+			t.Errorf("-workers %s: %v", tc.workers, err)
+		}
+	}
+}
+
+// FuzzDcsimFlags parses random argument vectors. parseFlags must never
+// panic, and every vector it accepts must satisfy each rule below, each
+// written so that a NaN fails it. It never builds or runs a simulation:
+// an accepted -fleet can be arbitrarily large.
+func FuzzDcsimFlags(f *testing.F) {
+	for _, args := range []string{
+		"",
+		"-mode coordinated -fleet 40 -days 3",
+		"-mode oblivious -fleet 40 -days 3 -csv samples.csv",
+		"-facility -fleet 20 -days 2 -workers 2",
+		"-users -retry budget -sla 250 -min-load 0.1 -max-load 0.9",
+		"-serve -facility -speedup 600 -listen 127.0.0.1:8080 -carbon 900 -carbon-swing 0.5",
+		"-sites 4 -fleet 40 -days 1 -retry backoff -workers 0",
+		"-sites 3 -facility -fleet 60 -serve -speedup 3600",
+		"-min-load NaN",
+		"-max-load NaN -min-load NaN",
+		"-serve -speedup NaN",
+		"-serve -speedup +Inf",
+		"-sla 9223372036854775807",
+		"-sites 2 -workers 65",
+		"-days 106752 -fleet -1 -sites 1 extra",
+	} {
+		f.Add(args)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(strings.Fields(line), io.Discard)
+		if err != nil {
+			return
+		}
+		_, modeErr := parseMode(o.modeStr)
+		_, retryOn, retryErr := parseRetry(o.retryStr)
+		horizon := time.Duration(o.days) * 24 * time.Hour
+		trigger := time.Duration(o.slaMS) * time.Millisecond * 6
+		served, federated := o.serveMode, o.sites > 0
+		for _, r := range []struct {
+			ok   bool
+			rule string
+		}{
+			{modeErr == nil, "-mode names a policy"},
+			{retryErr == nil, "-retry names a policy"},
+			{o.fleet > 0, "-fleet is positive"},
+			{o.days > 0 && horizon/(24*time.Hour) == time.Duration(o.days), "the -days horizon fits a time.Duration"},
+			{o.slaMS > 0 && trigger/6/time.Millisecond == time.Duration(o.slaMS), "the -sla trigger fits a time.Duration"},
+			{o.minFrac >= 0 && o.minFrac < o.maxFrac && o.maxFrac <= 1, "0 <= -min-load < -max-load <= 1"},
+			{o.speedup > 0 && o.speedup < math.Inf(1), "-speedup is positive and finite"},
+			{o.carbonModel().Validate() == nil, "-carbon and -carbon-swing form a valid model"},
+			{o.workers >= 1 && o.workers <= par.MaxShards, "-workers resolves to [1, par.MaxShards]"},
+			{o.sites == 0 || o.sites >= 2, "-sites is 0 or at least 2"},
+			{!retryOn || o.users || federated, "-retry closes a loop around admission"},
+			{served || !o.set["speedup"] && !o.set["listen"], "-speedup and -listen need -serve"},
+			{!served || o.csvPath == "", "-csv is batch only"},
+			{served || federated || !o.set["carbon"] && !o.set["carbon-swing"], "carbon flags need -serve or -sites"},
+			{!federated || o.csvPath == "" && o.modeStr == "coordinated", "-sites runs coordinated managers without -csv"},
+			{!federated || !o.set["sla"] && !o.set["min-load"] && !o.set["max-load"] && !o.set["users"], "-sites reads no single-site demand flag"},
+			{!o.facility || federated && o.fleet%20 == 0 || !federated && o.fleet%serversPerRack == 0, "-facility fills whole racks"},
+		} {
+			if !r.ok {
+				t.Errorf("accepted %q, which breaks the rule: %s", line, r.rule)
+			}
+		}
+	})
 }

@@ -2,10 +2,15 @@ package main
 
 import (
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/exp"
+	"repro/internal/par"
 )
 
 func TestListFlag(t *testing.T) {
@@ -237,4 +242,73 @@ func TestGeoSitesKnob(t *testing.T) {
 	if !strings.Contains(out, "2 federated sites") {
 		t.Errorf("report does not reflect -sites 2:\n%s", out)
 	}
+}
+
+// TestWorkersAndArgumentsRejected: -workers above par.MaxShards, and an
+// argument that is not a flag (the flag package would stop there and
+// ignore every flag after it), are rejected before anything runs.
+func TestWorkersAndArgumentsRejected(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-workers", "65"}, "-workers 65 must be between 0 and 64"},
+		{[]string{"-exp", "fig1", "-workers", "1000000000"}, "-workers 1000000000 must be between 0 and 64"},
+		{[]string{"-exp", "fig1", "extra", "-reps", "0"}, `unexpected argument "extra"`},
+	} {
+		var b strings.Builder
+		err := run(tc.args, &b)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%v: error %v, want one containing %q", tc.args, err, tc.want)
+		}
+		if b.Len() != 0 {
+			t.Errorf("%v: rejected run still produced output:\n%s", tc.args, b.String())
+		}
+	}
+	if _, err := parseFlags([]string{"-workers", "64"}, io.Discard); err != nil {
+		t.Errorf("-workers 64 rejected: %v", err)
+	}
+}
+
+// FuzzExperimentsFlags parses random argument vectors. parseFlags must
+// never panic, and every vector it accepts must satisfy each rule below.
+// It never runs an experiment.
+func FuzzExperimentsFlags(f *testing.F) {
+	for _, args := range []string{
+		"",
+		"-exp fig3 -seed 7",
+		"-reps 8 -parallel 8 -json run.json",
+		"-exp fig4 -scale 2 -workers 4",
+		"-exp geo-diurnal -sites 3 -invariants=false",
+		"-exp pue2 -scale 3",
+		"-exp fig1 -sites 3",
+		"-reps 0 -parallel 0 -scale 0 -workers -1 -sites 1 -exp nope",
+		"-workers 65",
+		"-list extra -reps 2",
+	} {
+		f.Add(args)
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		o, err := parseFlags(strings.Fields(line), io.Discard)
+		if err != nil {
+			return
+		}
+		for _, r := range []struct {
+			ok   bool
+			rule string
+		}{
+			{o.reps >= 1, "-reps is at least 1"},
+			{o.parallel >= 1, "-parallel is at least 1"},
+			{o.scale >= 1, "-scale is at least 1"},
+			{o.workers >= 0 && o.workers <= par.MaxShards, "-workers is in [0, par.MaxShards]"},
+			{o.sites == 0 || o.sites >= 2, "-sites is 0 or at least 2"},
+			{o.id == "" || exp.Known(o.id), "-exp names a registered experiment"},
+			{o.id == "" || !o.set["scale"] || slices.Contains(exp.FleetScaleIDs(), o.id), "-scale goes to an experiment that reads it"},
+			{o.id == "" || !o.set["sites"] || slices.Contains(exp.FederationSitesIDs(), o.id), "-sites goes to an experiment that reads it"},
+		} {
+			if !r.ok {
+				t.Errorf("accepted %q, which breaks the rule: %s", line, r.rule)
+			}
+		}
+	})
 }

@@ -64,7 +64,7 @@ func benchGeo(b *testing.B, sites, perSite int, parallel bool) {
 }
 
 // BenchmarkGeo4Sites1k and its serial pin are the CI-sized pair (run in
-// short mode): same bits, goroutine-per-site vs one thread, so the
+// short mode): same bits, a pool worker per site vs one thread, so the
 // benchdiff baseline records the federation speedup on every run.
 func BenchmarkGeo4Sites1k(b *testing.B) { benchGeo(b, 4, 1_000, true) }
 

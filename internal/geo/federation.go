@@ -3,9 +3,9 @@ package geo
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/trace"
 	"repro/internal/workload"
@@ -13,20 +13,27 @@ import (
 
 // Federation runs N sites in lockstep epochs behind the deterministic
 // global router. Construct with New, drive with Run or AdvanceTo, and
-// release the site goroutines and pools with Close.
+// release the pools with Close.
 type Federation struct {
 	cfg    Config
 	sites  []*Site
 	global *trace.Series
+
+	// pool advances the sites between barriers, one index range per
+	// site: one worker per site when cfg.Parallel is set, nil (inline,
+	// in site order) otherwise. runSite is its body, bound once in New;
+	// it runs step on site i and writes the error into errs[i].
+	pool    *par.Pool
+	units   []par.Range
+	runSite func(int, par.Range)
+	step    advance
+	errs    []error
 
 	now         time.Duration
 	nextBarrier time.Duration
 	epochs      int64
 	weights     []float64
 	stats       []SiteStats
-	closed      bool
-	// running counts the site goroutines that have not exited yet.
-	running sync.WaitGroup
 
 	// Roll-up accumulators, maintained at barriers in site order.
 	peakPowerW        float64
@@ -37,8 +44,7 @@ type Federation struct {
 }
 
 // New validates cfg, generates the global demand, and builds every
-// site. When cfg.Parallel is set each site gets a dedicated goroutine
-// that parks between epochs.
+// site and the federation pool that advances them.
 func New(cfg Config) (*Federation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -84,6 +90,8 @@ func New(cfg Config) (*Federation, error) {
 	f.weightMin = make([]float64, len(cfg.Sites))
 	f.weightMax = make([]float64, len(cfg.Sites))
 	f.breakerOpenEpochs = make([]int64, len(cfg.Sites))
+	f.units = make([]par.Range, len(cfg.Sites))
+	f.errs = make([]error, len(cfg.Sites))
 	for i, sc := range cfg.Sites {
 		staticW := sc.PopulationShare / shareSum
 		s, err := newSite(f, i, sc, homes[i], staticW)
@@ -95,19 +103,11 @@ func New(cfg Config) (*Federation, error) {
 		f.weights[i] = staticW
 		f.weightMin[i] = staticW
 		f.weightMax[i] = staticW
+		f.units[i] = par.Range{Lo: i, Hi: i + 1}
 	}
+	f.runSite = f.advanceSite
 	if cfg.Parallel {
-		for _, s := range f.sites {
-			s.cmds = make(chan advance)
-			s.errs = make(chan error)
-			f.running.Add(1)
-			go func(s *Site) {
-				defer f.running.Done()
-				for a := range s.cmds {
-					s.errs <- s.runTo(a)
-				}
-			}(s)
-		}
+		f.pool = par.New(len(f.sites))
 	}
 	return f, nil
 }
@@ -150,29 +150,21 @@ func (f *Federation) AdvanceTo(target time.Duration) error {
 	return nil
 }
 
-// advanceSites runs every site's advance — concurrently when the
-// federation is parallel, in site order otherwise. Either way no two
-// sites' events interleave on shared state (there is none), so the
-// outcome is identical.
+// advanceSites runs a on every site, on the federation pool, and joins
+// the sites' errors in site order. Every site advances even when another
+// fails, so the outcome, error included, is the same at every width: no
+// two sites' events interleave on shared state (there is none).
 func (f *Federation) advanceSites(a advance) error {
-	if f.cfg.Parallel {
-		for _, s := range f.sites {
-			s.cmds <- a
-		}
-		errs := make([]error, 0, len(f.sites))
-		for _, s := range f.sites {
-			if err := <-s.errs; err != nil {
-				errs = append(errs, err)
-			}
-		}
-		return errors.Join(errs...)
-	}
-	for _, s := range f.sites {
-		if err := s.runTo(a); err != nil {
-			return err
-		}
-	}
-	return nil
+	f.step = a
+	f.pool.RunRanges(f.units, f.runSite)
+	err := errors.Join(f.errs...)
+	clear(f.errs)
+	return err
+}
+
+// advanceSite is advanceSites' body for the one-site range i.
+func (f *Federation) advanceSite(i int, _ par.Range) {
+	f.errs[i] = f.sites[i].runTo(f.step)
 }
 
 // barrier is the epoch-boundary exchange: read every site's snapshot,
@@ -219,24 +211,16 @@ func (f *Federation) barrier() error {
 	return err
 }
 
-// Close releases the site goroutines and worker pools, and returns once
-// every site goroutine has exited, so none of them still holds its site
-// after Close. Idempotent.
+// Close releases the federation pool and the site pools. Idempotent.
+// It does not wait for the pools' workers to exit: a parked worker holds
+// only its pool, never a site.
 func (f *Federation) Close() {
-	if f.closed {
-		return
-	}
-	f.closed = true
+	f.pool.Close()
 	for _, s := range f.sites {
-		if s == nil {
-			continue
+		if s != nil {
+			s.pool.Close()
 		}
-		if s.cmds != nil {
-			close(s.cmds)
-		}
-		s.pool.Close()
 	}
-	f.running.Wait()
 }
 
 // Now reports the federation's virtual time.

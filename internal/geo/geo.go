@@ -1,29 +1,31 @@
 // Package geo federates N complete facilities — each with its own event
 // kernel, fleet, admission/retry stack, and optionally a full
 // power-and-cooling substrate — behind a deterministic global request
-// router. It is the inter-site half of the parallelism story (ROADMAP
-// item 4): PR 9's internal/par shards the per-tick loops inside one
-// facility; this package runs whole facilities on dedicated goroutines.
+// router. It is the inter-site half of the parallelism story:
+// internal/par shards the per-tick loops inside one facility, and the
+// same executor advances whole facilities here, one index range per
+// site.
 //
 // # Epoch-synchronized execution
 //
 // Sites share no simulation state, so within one routing epoch each
-// site's engine advances completely independently — serially in site
-// order, or one goroutine per site. At every epoch boundary all sites
-// meet at a barrier: the federation reads each site's O(1) aggregates
-// (power, active servers, fair-share Q, breaker state, thermal
-// headroom, carbon intensity) in fixed site order, feeds them to the
-// router, and publishes the next epoch's routing weights before any
-// engine moves again.
+// site's engine advances completely independently — inline in site
+// order, or on a federation pool with one worker per site. At every
+// epoch boundary all sites meet at a barrier: the federation reads each
+// site's O(1) aggregates (power, active servers, fair-share Q, breaker
+// state, thermal headroom, carbon intensity) in fixed site order, feeds
+// them to the router, and publishes the next epoch's routing weights
+// before any engine moves again.
 //
 // # Determinism contract
 //
-// Results are bit-identical whether sites run serially or on N cores:
+// Results are bit-identical whether sites run inline or on N cores:
 // a site's epoch is a pure function of (its seed, its weight history),
 // weights are a pure function of the barrier aggregates computed in
 // fixed site order, and the barrier itself runs single-threaded. The
-// goroutines only move wall-clock work; they never reorder events,
-// floats, or RNG draws. TestFederationBitIdentity pins this.
+// pool only moves wall-clock work; it never reorders events, floats, or
+// RNG draws, and every site advances even when another fails, so errors
+// match too. TestFederationBitIdentity pins this.
 //
 // # Demand model
 //
@@ -47,6 +49,7 @@ import (
 
 	"repro/internal/carbon"
 	"repro/internal/fault"
+	"repro/internal/par"
 	"repro/internal/workload"
 )
 
@@ -135,11 +138,14 @@ type Config struct {
 	// default Messenger shape, stretched to cover Horizon, and its
 	// arrivals split by workload.DefaultClassMix.
 	PeakLoginRate float64
-	// Parallel runs each site on its own goroutine between barriers.
-	// Results are bit-identical either way; only wall time moves.
+	// Parallel advances the sites between barriers on a federation pool
+	// (internal/par) with one worker per site; without it they advance
+	// inline in site order. Results are bit-identical either way; only
+	// wall time moves.
 	Parallel bool
 	// SiteWorkers is each site's intra-site shard-loop width (see
-	// internal/par): 0 or 1 means inline. The two axes compose:
+	// internal/par): 0 or 1 means inline, and at most par.MaxShards,
+	// since no shard list has more shards. The two axes compose:
 	// sites × workers.
 	SiteWorkers int
 	// Invariants attaches a per-site physical-law checker to every
@@ -227,8 +233,8 @@ func (c Config) Validate() error {
 	if c.PeakLoginRate < 0 {
 		add("peak login rate %v must be non-negative", c.PeakLoginRate)
 	}
-	if c.SiteWorkers < 0 {
-		add("site workers %d must be non-negative", c.SiteWorkers)
+	if c.SiteWorkers < 0 || c.SiteWorkers > par.MaxShards {
+		add("site workers %d must be in [0, %d]", c.SiteWorkers, par.MaxShards)
 	}
 	if len(problems) == 0 {
 		return nil

@@ -1,6 +1,7 @@
 package geo
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/fault"
+	"repro/internal/sim"
 	"repro/internal/workload"
 )
 
@@ -58,10 +60,10 @@ func runFederation(t *testing.T, cfg Config) (Result, []float64) {
 	return f.Result(), f.Weights()
 }
 
-// TestFederationBitIdentity pins the determinism contract: serial and
-// goroutine-per-site execution produce bit-identical results — exact
-// float equality on every rolled-up field and every routing weight —
-// across site counts and seeds.
+// TestFederationBitIdentity pins the determinism contract: inline and
+// pooled execution (one worker per site) produce bit-identical results
+// — exact float equality on every rolled-up field and every routing
+// weight — across site counts and seeds.
 func TestFederationBitIdentity(t *testing.T) {
 	for _, n := range []int{2, 4} {
 		for _, seed := range []int64{1, 7} {
@@ -109,6 +111,38 @@ func TestBarrierReportsMeterError(t *testing.T) {
 			t.Fatalf("parallel=%v: %d epochs, grams %v and %v; want the barrier completed",
 				parallel, f.Epochs(), f.Sites()[0].Grams(), f.Sites()[2].Grams())
 		}
+	}
+}
+
+// TestSiteErrorAdvancesEverySite makes the first site's advance fail: an
+// event stops its engine mid-epoch. At both widths AdvanceTo must return
+// the same error, naming that site, and every other site must still
+// reach the target.
+func TestSiteErrorAdvancesEverySite(t *testing.T) {
+	var msgs []string
+	for _, parallel := range []bool{false, true} {
+		cfg := testConfig(1, 3)
+		cfg.Parallel = parallel
+		f, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		bad := f.Sites()[0]
+		bad.Engine().At(cfg.Epoch/2, func(e *sim.Engine) { e.Stop() })
+		err = f.AdvanceTo(cfg.Epoch)
+		if !errors.Is(err, sim.ErrStopped) || !strings.Contains(err.Error(), "site "+bad.Name()+":") {
+			t.Fatalf("parallel=%v: AdvanceTo returned %v, want site %s's stop", parallel, err, bad.Name())
+		}
+		msgs = append(msgs, err.Error())
+		for _, s := range f.Sites()[1:] {
+			if now := s.Engine().Now(); now != cfg.Epoch {
+				t.Errorf("parallel=%v: site %s stopped at %v, want %v", parallel, s.Name(), now, cfg.Epoch)
+			}
+		}
+	}
+	if msgs[0] != msgs[1] {
+		t.Errorf("inline error %q, pooled error %q", msgs[0], msgs[1])
 	}
 }
 
@@ -172,14 +206,12 @@ func TestFederationRunsWork(t *testing.T) {
 	}
 }
 
-// TestCloseJoinsSiteGoroutines holds Close to waiting for a parallel
-// federation's site goroutines: once it returns, none of them holds its
-// site, so the first collection after it frees the federation. A
-// goroutine still to run would keep its site, and through it the whole
-// federation, live across that collection, and a process that builds
-// federations back to back would carry one federation's heap into the
-// next one's build. Without the wait, about one round in four here kept
-// the federation.
+// TestCloseJoinsSiteGoroutines holds Close to releasing a parallel
+// federation: once it returns, no pool worker holds a site, so the first
+// collection after it frees the federation. A worker that still held its
+// site would keep the whole federation live across that collection, and
+// a process that builds federations back to back would carry one
+// federation's heap into the next one's build.
 func TestCloseJoinsSiteGoroutines(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for round := 0; round < 20; round++ {
@@ -192,6 +224,29 @@ func TestCloseJoinsSiteGoroutines(t *testing.T) {
 		if grown, size := int64(left)-int64(base), built-base; grown > int64(size/4) {
 			t.Fatalf("round %d: live heap grew %d B across a closed %d B federation, want it freed", round, grown, size)
 		}
+	}
+}
+
+// TestFailedNewStopsSitePools: when a site fails to build, New closes
+// every pool it started, the failing site's own included, so no worker
+// outlives the error.
+func TestFailedNewStopsSitePools(t *testing.T) {
+	cfg := testConfig(1, 3)
+	cfg.SiteWorkers = 4
+	bad := workload.DefaultRetryConfig(workload.RetryBudget)
+	bad.MaxAttempts = 0
+	cfg.Sites[2].Retry = true
+	cfg.Sites[2].RetryConfig = &bad
+	before := runtime.NumGoroutine()
+	if _, err := New(cfg); err == nil {
+		t.Fatal("New accepted an invalid retry config")
+	}
+	// Close does not wait for a pool's workers to exit.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after a failed New, %d before", n, before)
 	}
 }
 
@@ -276,10 +331,11 @@ func TestConfigValidateAggregates(t *testing.T) {
 			{Name: "dup", PopulationShare: 1, FleetSize: 30, Facility: true},
 			{Name: "dup", PopulationShare: 1, FleetSize: 10, TZOffset: -time.Hour},
 		},
-		Epoch:   -time.Minute,
-		Tick:    0,
-		Horizon: 0,
-		Mode:    RouteMode(99),
+		Epoch:       -time.Minute,
+		Tick:        0,
+		Horizon:     0,
+		Mode:        RouteMode(99),
+		SiteWorkers: 65,
 	}
 	err := cfg.Validate()
 	if err == nil {
@@ -297,13 +353,14 @@ func TestConfigValidateAggregates(t *testing.T) {
 		"tick 0s",
 		"horizon 0s",
 		"unknown route mode 99",
+		"site workers 65 must be in [0, 64]",
 	} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("aggregated error missing %q:\n%s", want, msg)
 		}
 	}
-	if got := strings.Count(msg, "\n  - "); got < 10 {
-		t.Errorf("expected >= 10 aggregated problems, got %d:\n%s", got, msg)
+	if got := strings.Count(msg, "\n  - "); got < 11 {
+		t.Errorf("expected >= 11 aggregated problems, got %d:\n%s", got, msg)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 )
 
 // Site is one federated facility: a complete simulation stack on its
-// own engine. Between barriers a site is touched only by its own
-// goroutine (or by the serial loop), which also takes the site's barrier
+// own engine. Between barriers a site is touched only by the federation
+// pool's call that advances it, which also takes the site's barrier
 // snapshot at the end of each advance that reaches a barrier; at
 // barriers the federation reads the snapshots single-threaded.
 type Site struct {
@@ -43,8 +43,8 @@ type Site struct {
 	home *trace.Series
 	// weight is the routing weight for the current epoch. Written only
 	// at barriers (all engines paused), read inside manager ticks and by
-	// the next barrier snapshot; the goroutine join/launch around each
-	// epoch orders the accesses.
+	// the next barrier snapshot; the federation pool's RunRanges call
+	// around each epoch orders the accesses.
 	weight float64
 	// staticW is the fixed population-share weight (RouteStatic).
 	staticW float64
@@ -54,17 +54,11 @@ type Site struct {
 	// snap is the site's snapshot at the latest barrier, written by runTo
 	// and read by the federation's barrier once every site has reported.
 	snap SiteStats
-
-	// cmds/errs connect the site to its dedicated goroutine when the
-	// federation runs Parallel: the barrier loop sends an advance, the
-	// goroutine answers with its error.
-	cmds chan advance
-	errs chan error
 }
 
 // advance is one step of a site: run its engine to the instant to, and
 // take the barrier snapshot there when to is an epoch barrier. The
-// federation decides both, so a site goroutine never reads the
+// federation decides both, so a site's advance never reads the
 // federation's clock.
 type advance struct {
 	to      time.Duration
@@ -74,7 +68,7 @@ type advance struct {
 // newSite builds one site's full stack. Seeds derive from the
 // federation seed through a labelled RNG fork per site name, so site
 // streams are independent of each other and of the global trace.
-func newSite(fed *Federation, idx int, cfg SiteConfig, home *trace.Series, staticW float64) (*Site, error) {
+func newSite(fed *Federation, idx int, cfg SiteConfig, home *trace.Series, staticW float64) (_ *Site, err error) {
 	seed := sim.NewRNG(fed.cfg.Seed).Fork("geo/site/" + cfg.Name).Int63()
 	s := &Site{
 		cfg:     cfg,
@@ -91,6 +85,11 @@ func newSite(fed *Federation, idx int, cfg SiteConfig, home *trace.Series, stati
 		s.checker.Attach(s.engine)
 	}
 	s.pool = par.New(fed.cfg.SiteWorkers)
+	defer func() {
+		if err != nil {
+			s.pool.Close() // the federation never sees a site that failed to build
+		}
+	}()
 
 	mcfg := core.ManagerConfig{
 		ServerConfig:   s.srvCfg,
@@ -185,11 +184,11 @@ func (s *Site) classDemand(now time.Duration) [workload.NumClasses]float64 {
 }
 
 // runTo advances the site's engine to a.to and, when a.to is an epoch
-// barrier, takes the site's barrier snapshot there, into snap. A
-// parallel federation calls it on the site's goroutine, the serial loop
-// in site order; either way the snapshot reads only the site's own
-// state. Panics from the stack under it become errors, so a parallel
-// federation fails cleanly rather than crashing the process.
+// barrier, takes the site's barrier snapshot there, into snap. The
+// federation pool calls it on a worker, or inline in site order; either
+// way the snapshot reads only the site's own state. Panics from the
+// stack under it become errors naming the site, so AdvanceTo reports a
+// panicking site like any other failing one instead of crashing.
 func (s *Site) runTo(a advance) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -212,9 +211,9 @@ const nominalInletC = 25.0
 // stats snapshots the site's barrier aggregates at time now, after the
 // engine has reached now. It runs on whichever goroutine advanced the
 // site (see runTo) and reads only the site's own state plus its routing
-// weight, which the previous barrier wrote before the federation sent
-// this advance, so the command channel orders the two. Its Fleet.Sync
-// writes only the servers that are not Off.
+// weight, which the previous barrier wrote before the federation pool
+// started this advance, so the pool's hand-off orders the two. Its
+// Fleet.Sync writes only the servers that are not Off.
 func (s *Site) stats(now time.Duration) SiteStats {
 	fleet := s.mgr.Fleet()
 	fleet.Sync(now)

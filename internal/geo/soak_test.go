@@ -11,8 +11,8 @@ import (
 // parallel sites with retry loops and intra-site worker pools, armed
 // invariant checkers, and staggered regional capacity dips deep enough
 // to trip breakers — the densest cross-goroutine traffic the federation
-// can generate. Any data race between site goroutines, pool workers,
-// and the barrier shows up here.
+// can generate. Any data race between the federation pool's workers, the
+// site pools' workers, and the barrier shows up here.
 func TestGeoSoak(t *testing.T) {
 	cfg := testConfig(42, 4)
 	cfg.Parallel = true
@@ -34,7 +34,7 @@ func TestGeoSoak(t *testing.T) {
 	}
 	defer f.Close()
 	// Drive in serve-style slices so barriers interleave with partial
-	// advances while the site goroutines stay parked in between.
+	// advances while the pool workers stay parked in between.
 	for at := 11 * time.Minute; f.Now() < cfg.Horizon; at += 47 * time.Minute {
 		if err := f.AdvanceTo(at); err != nil {
 			t.Fatal(err)

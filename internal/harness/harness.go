@@ -1,5 +1,5 @@
-// Package harness runs (experiment × seed-replication) jobs over a worker
-// pool and aggregates the replications into per-experiment summaries. The
+// Package harness runs (experiment × seed-replication) jobs on a par.Pool
+// and aggregates the replications into per-experiment summaries. The
 // paper's MRM layer (Figure 4) makes claims about stochastic workloads;
 // one run per claim is anecdote, so the harness fans every experiment out
 // over several seeds and reports mean / min / max / stddev per metric.
@@ -8,6 +8,8 @@
 // exp.Env (and therefore its own engines) from its seed, and no state is
 // shared between jobs, so a job's result is a pure function of
 // (experiment id, seed) regardless of worker count or scheduling order.
+// Each job is one index range on the pool, the same executor that runs
+// the fleets' shard loops, and writes only its own result slot.
 package harness
 
 import (
@@ -16,12 +18,11 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/exp"
+	"repro/internal/par"
 	"repro/internal/stats"
 )
 
@@ -35,7 +36,8 @@ type Config struct {
 	BaseSeed int64
 	// Reps is the number of seed replications per experiment (min 1).
 	Reps int
-	// Parallel is the worker count (min 1; 0 means GOMAXPROCS).
+	// Parallel is the worker count (min 1; 0 means GOMAXPROCS). Run
+	// never starts more workers than it has jobs.
 	Parallel int
 	// DisarmInvariants turns off the runtime physical-law checker that
 	// every job otherwise runs with (see internal/invariant). The zero
@@ -111,46 +113,27 @@ type Summary struct {
 	Errors []string `json:"errors,omitempty"`
 }
 
-// Run executes cfg's (experiment × replication) jobs over a worker pool
-// and returns one Summary per experiment, in cfg.IDs order. Job errors do
-// not abort other jobs; they are recorded in the summaries and joined
-// into the returned error.
+// Run executes cfg's (experiment × replication) jobs on a par.Pool of
+// cfg.Parallel workers and returns one Summary per experiment, in
+// cfg.IDs order. Job errors do not abort other jobs; they are recorded
+// in the summaries and joined into the returned error.
 func Run(cfg Config) ([]Summary, error) {
 	cfg = cfg.normalize()
-	type job struct {
-		id   string
-		seed int64
-		rep  int
+	// Job i runs experiment cfg.IDs[i/Reps] at replication i%Reps. Each
+	// job is a one-index range on a pool no wider than the job list, and
+	// writes only its preallocated result slot, so output order is
+	// deterministic whatever order the workers claim jobs in.
+	results := make([]JobResult, len(cfg.IDs)*cfg.Reps)
+	units := make([]par.Range, len(results))
+	for i := range units {
+		units[i] = par.Range{Lo: i, Hi: i + 1}
 	}
-	jobs := make([]job, 0, len(cfg.IDs)*cfg.Reps)
-	for _, id := range cfg.IDs {
-		for r := 0; r < cfg.Reps; r++ {
-			jobs = append(jobs, job{id: id, seed: cfg.BaseSeed + int64(r), rep: r})
-		}
-	}
-
-	// Workers claim jobs through an atomic cursor and write into their
-	// preallocated result slot — no channel handoff, no append, no
-	// per-job allocation in the dispatch path. Job i's slot is fixed, so
-	// output order is deterministic regardless of claim order.
-	results := make([]JobResult, len(jobs))
-	var cursor atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Parallel; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(cursor.Add(1)) - 1
-				if i >= len(jobs) {
-					return
-				}
-				j := jobs[i]
-				results[i] = runJob(j.id, j.seed, j.rep, cfg)
-			}
-		}()
-	}
-	wg.Wait()
+	pool := par.New(min(cfg.Parallel, len(units)))
+	pool.RunRanges(units, func(i int, _ par.Range) {
+		rep := i % cfg.Reps
+		results[i] = runJob(cfg.IDs[i/cfg.Reps], cfg.BaseSeed+int64(rep), rep, cfg)
+	})
+	pool.Close()
 
 	// Jobs were laid out replication-major per experiment, so each
 	// experiment's replications are the contiguous block

@@ -219,11 +219,10 @@ func TestConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentCallersSharePool pins the geo federation's usage: N
-// site goroutines issue RunRanges against one shared pool at the same
-// time. Each call must cover exactly its own shards exactly once —
-// tasks are claim-isolated, so overlapping fan-outs may interleave on
-// the workers but never cross-contaminate.
+// TestConcurrentCallersSharePool: N goroutines issue RunRanges against
+// one shared pool at the same time. Each call must cover exactly its own
+// shards exactly once — tasks are claim-isolated, so overlapping fan-outs
+// may interleave on the workers but never cross-contaminate.
 func TestConcurrentCallersSharePool(t *testing.T) {
 	p := New(4)
 	defer p.Close()

@@ -29,8 +29,8 @@
 // design. Server and GeoServer run on one pacer, which serializes
 // access with one RWMutex: it advances the simulation under the write
 // lock, and HTTP handlers copy a snapshot out under the read lock and
-// render outside it. A federation may step its site engines on their
-// own goroutines, but only inside Federation.AdvanceTo, which returns
+// render outside it. A federation may step its site engines on its
+// pool's workers, but only inside Federation.AdvanceTo, which returns
 // once every site has reached the target, so the write lock covers
 // them too. Zone inlet temperatures are read from the open row of the
 // facility's columnar telemetry frame (one memcpy via

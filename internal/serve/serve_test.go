@@ -327,8 +327,8 @@ func TestSSEStream(t *testing.T) {
 // TestScrapeWhileSimulating is the -race soak: the pacer advances the
 // simulation, building and encoding SSE frames for a live subscriber,
 // while scrapers hammer every endpoint concurrently. The geo subtest
-// paces a parallel federation, whose site engines step on their own
-// goroutines as under dcsim -sites.
+// paces a parallel federation, whose site engines step on its pool's
+// workers as under dcsim -sites.
 func TestScrapeWhileSimulating(t *testing.T) {
 	opts := Options{
 		Speedup:   7200,
